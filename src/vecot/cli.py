@@ -7,6 +7,10 @@ result text is parsed back and its residuals recomputed from the
 serialized numbers; a mismatch aborts with the numerical-breakdown exit
 code rather than publishing an inconsistent file.
 
+Each solve command is a (load, solve) pair; solve returns ``(result,
+residuals)``, where ``residuals`` maps a result, in memory or re-parsed
+from its own text, to its residuals (or is None).  `_run` does the rest.
+
 Exit codes: 0 success, 1 golden-suite failure, 2 infeasible with
 certificate, 3 schema or usage error, 4 numerical breakdown.
 """
@@ -43,7 +47,7 @@ from .scalar import (
     solve_partial,
     strassen_feasible,
 )
-from .serialize import SchemaError, canonical_dumps, to_jsonable
+from .serialize import SchemaError, canonical_dumps
 from .tolerances import default_tol
 from .vector import (
     VectorOtProblem,
@@ -61,17 +65,6 @@ EXIT_INFEASIBLE = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
 
-VARIANT_KIND = {
-    "plain": "scalar_ot",
-    "partial": "partial",
-    "capacity": "capacity",
-    "invariant": "invariant",
-    "multi": "multi",
-    "glue": "glue",
-    "local": "local",
-    "strassen": "strassen",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; keep 2 reserved for infeasibility
@@ -79,400 +72,315 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _marginal_residuals(plan, mu_w, nu_w):
-    p = np.asarray(plan, dtype=float)
+def _optimal(value, dual_value, **fields) -> dict:
     return {
-        "sourceMarginal": float(np.abs(p.sum(axis=1) - mu_w).max()),
-        "targetMarginal": float(np.abs(p.sum(axis=0) - nu_w).max()),
-    }
-
-
-def _emit(args, result, t0, pivots0, recompute=None) -> None:
-    """Finalize diagnostics, self-validate the serialized text, write it."""
-    diag = result.setdefault("diagnostics", {})
-    diag["pivots"] = pivot_total() - pivots0
-    diag["wallMillis"] = (time.perf_counter() - t0) * 1000.0
-    text = canonical_dumps(result)
-    if recompute is not None:
-        parsed = json.loads(text)
-        fresh = recompute(parsed)
-        stored = parsed["diagnostics"]["residuals"]
-        for key, val in fresh.items():
-            if abs(val - stored[key]) > 1e-9:
-                raise NumericalBreakdown(
-                    f"serialized result fails revalidation on {key}: "
-                    f"{val!r} vs stored {stored[key]!r}"
-                )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.output}")
-    elif not args.quiet:
-        sys.stdout.write(text)
-
-
-def _check_gap(result, tol) -> None:
-    gap = result["gap"]
-    if gap > tol * (1.0 + abs(result["value"])):
-        raise NumericalBreakdown(f"duality gap {gap!r} exceeds tolerance {tol!r}")
-
-
-def _optimal_result(command, value, dual_value, extra) -> dict:
-    out = {
-        "command": command,
         "status": "optimal",
         "value": float(value),
         "primalValue": float(value),
         "dualValue": float(dual_value),
         "gap": abs(float(value) - float(dual_value)),
+        **fields,
     }
-    out.update(extra)
-    return out
 
 
-def _cmd_solve_ot(args) -> int:
-    kind = VARIANT_KIND[args.variant]
-    data = serialize.load_payload(args.input, kind)
-    tol = args.tol if args.tol is not None else default_tol()
-    t0, piv0 = time.perf_counter(), pivot_total()
+def _infeasible(cert):
+    return {"status": "infeasible", "cert": cert}, None
 
-    if args.variant in ("glue", "local", "strassen"):
-        return _feasibility_variant(args, data, t0, piv0)
 
-    try:
-        if args.variant == "plain":
-            res = solve_ot(data["mu"], data["nu"], data["cost"])
-            dual = float(res.psi @ data["mu"].weights + res.phi @ data["nu"].weights)
-            mu_w, nu_w = data["mu"].weights, data["nu"].weights
-            result = _optimal_result(
-                "solve-ot", res.value, dual,
-                {"psi": res.psi, "phi": res.phi, "plan": res.plan.matrix},
-            )
-            result["diagnostics"] = {
-                "gap": result["gap"],
-                "residuals": _marginal_residuals(res.plan.matrix, mu_w, nu_w),
-            }
-            recompute = lambda parsed: _marginal_residuals(parsed["plan"], mu_w, nu_w)
-        elif args.variant == "partial":
-            res = solve_partial(data["mu"], data["nu"], data["cost"], data["mass"])
-            lam = res.extras["lam"]
-            dual = float(
-                res.psi @ data["mu"].weights + res.phi @ data["nu"].weights
-                + lam * data["mass"]
-            )
-            p = res.plan.matrix
-            residuals = {
-                "rowExcess": float(np.maximum(p.sum(axis=1) - data["mu"].weights, 0.0).max()),
-                "colExcess": float(np.maximum(p.sum(axis=0) - data["nu"].weights, 0.0).max()),
-                "massResidual": float(abs(p.sum() - data["mass"])),
-            }
-            result = _optimal_result(
-                "solve-ot", res.value, dual,
-                {"psi": res.psi, "phi": res.phi, "lam": lam, "plan": p},
-            )
-            result["diagnostics"] = {"gap": result["gap"], "residuals": residuals}
-            mu_w, nu_w, mass = data["mu"].weights, data["nu"].weights, data["mass"]
+def _plan_residuals(data, extra=None):
+    """Residuals of a result's plan: both marginals, and `extra(plan)` if given."""
+    mu_w, nu_w = data["mu"].weights, data["nu"].weights
 
-            def recompute(parsed):
-                q = np.asarray(parsed["plan"], dtype=float)
-                return {
-                    "rowExcess": float(np.maximum(q.sum(axis=1) - mu_w, 0.0).max()),
-                    "colExcess": float(np.maximum(q.sum(axis=0) - nu_w, 0.0).max()),
-                    "massResidual": float(abs(q.sum() - mass)),
-                }
-        elif args.variant == "capacity":
-            res = solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
-            xi = res.extras["xi"]
-            dual = float(
-                res.psi @ data["mu"].weights + res.phi @ data["nu"].weights
-                + (xi * data["cap"].matrix).sum()
-            )
-            p = res.plan.matrix
-            cap_m = data["cap"].matrix
-            mu_w, nu_w = data["mu"].weights, data["nu"].weights
-            residuals = _marginal_residuals(p, mu_w, nu_w)
-            residuals["capExcess"] = float(np.maximum(p - cap_m, 0.0).max())
-            result = _optimal_result(
-                "solve-ot", res.value, dual,
-                {"psi": res.psi, "phi": res.phi, "xi": xi, "plan": p},
-            )
-            result["diagnostics"] = {"gap": result["gap"], "residuals": residuals}
-
-            def recompute(parsed):
-                q = np.asarray(parsed["plan"], dtype=float)
-                out = _marginal_residuals(q, mu_w, nu_w)
-                out["capExcess"] = float(np.maximum(q - cap_m, 0.0).max())
-                return out
-        elif args.variant == "invariant":
-            res = solve_invariant(data["mu"], data["mapping"], data["cost"], data["target"])
-            dual = float(res.psi @ data["mu"].weights)
-            p = res.plan.matrix
-            mu_w = data["mu"].weights
-            mapping = np.asarray(data["mapping"], dtype=int)
-            ny = data["target"].size
-
-            def invariance(q):
-                marg = np.asarray(q, dtype=float).sum(axis=0)
-                pushed = np.bincount(mapping, weights=marg, minlength=ny)
-                return float(np.abs(pushed - marg).max())
-
-            residuals = {
-                "sourceMarginal": float(np.abs(p.sum(axis=1) - mu_w).max()),
-                "invarianceResidual": invariance(p),
-            }
-            result = _optimal_result(
-                "solve-ot", res.value, dual,
-                {
-                    "psi": res.psi, "phi": res.phi, "plan": p,
-                    "inducedMarginal": res.extras["nu"].weights,
-                },
-            )
-            result["diagnostics"] = {"gap": result["gap"], "residuals": residuals}
-
-            def recompute(parsed):
-                q = np.asarray(parsed["plan"], dtype=float)
-                return {
-                    "sourceMarginal": float(np.abs(q.sum(axis=1) - mu_w).max()),
-                    "invarianceResidual": invariance(q),
-                }
-        else:
-            res = solve_multimarginal(data["measures"], data["cost"])
-            psis = res.extras["psis"]
-            dual = float(
-                sum(p @ m.weights for p, m in zip(psis, data["measures"]))
-            )
-            tensor = res.extras["tensor"]
-            sizes = tuple(m.space.size for m in data["measures"])
-            weights = [m.weights for m in data["measures"]]
-
-            def axis_residuals(t):
-                t = np.asarray(t, dtype=float).reshape(sizes)
-                out = {}
-                for axis, w in enumerate(weights):
-                    marg = t.sum(axis=tuple(a for a in range(len(sizes)) if a != axis))
-                    out[f"marginal{axis}"] = float(np.abs(marg - w).max())
-                return out
-
-            result = _optimal_result(
-                "solve-ot", res.value, dual,
-                {"potentials": psis, "tensor": tensor.ravel(), "shape": list(sizes)},
-            )
-            result["diagnostics"] = {"gap": result["gap"], "residuals": axis_residuals(tensor)}
-            recompute = lambda parsed: axis_residuals(parsed["tensor"])
-    except InfeasibleTransport as exc:
-        result = {
-            "command": "solve-ot",
-            "status": "infeasible",
-            "message": str(exc),
-            "cert": to_jsonable(exc.cert),
-            "diagnostics": {},
+    def residuals(r):
+        q = np.asarray(r["plan"], dtype=float)
+        out = {
+            "sourceMarginal": float(np.abs(q.sum(axis=1) - mu_w).max()),
+            "targetMarginal": float(np.abs(q.sum(axis=0) - nu_w).max()),
         }
-        _emit(args, result, t0, piv0)
-        return EXIT_INFEASIBLE
+        if extra is not None:
+            out.update(extra(q))
+        return out
 
-    _check_gap(result, tol)
-    _emit(args, result, t0, piv0, recompute)
-    return EXIT_OK
-
-
-def _feasibility_variant(args, data, t0, piv0) -> int:
-    if args.variant == "glue":
-        res = glue_feasible(data["first"], data["second"], data["third"])
-        if res.feasible:
-            first = data["first"].matrix
-            second = data["second"].matrix
-            third = data["third"].matrix if data["third"] is not None else None
-
-            def recompute(parsed):
-                t = np.asarray(parsed["tensor"], dtype=float).reshape(
-                    first.shape[0], first.shape[1], second.shape[1]
-                )
-                out = {
-                    "firstPair": float(np.abs(t.sum(axis=2) - first).max()),
-                    "secondPair": float(np.abs(t.sum(axis=0) - second).max()),
-                }
-                if third is not None:
-                    out["thirdPair"] = float(np.abs(t.sum(axis=1) - third).max())
-                return out
-
-            residuals = recompute({"tensor": res.tensor.ravel()})
-            result = {
-                "command": "solve-ot", "status": "feasible",
-                "tensor": res.tensor.ravel(), "shape": list(res.tensor.shape),
-                "diagnostics": {"residuals": residuals},
-            }
-            _emit(args, result, t0, piv0, recompute)
-            return EXIT_OK
-    elif args.variant == "local":
-        res = local_constraint_feasible(
-            data["mu"], data["nu"], data["cost"], data["threshold"]
-        )
-        if res.feasible:
-            mu_w, nu_w = data["mu"].weights, data["nu"].weights
-            cost, D = data["cost"], data["threshold"]
-
-            def recompute(parsed):
-                q = np.asarray(parsed["plan"], dtype=float)
-                out = _marginal_residuals(q, mu_w, nu_w)
-                out["offSupportMass"] = float(q[cost > D].sum()) if np.any(cost > D) else 0.0
-                return out
-
-            residuals = recompute({"plan": res.plan.matrix})
-            result = {
-                "command": "solve-ot", "status": "feasible",
-                "plan": res.plan.matrix,
-                "diagnostics": {"residuals": residuals},
-            }
-            _emit(args, result, t0, piv0, recompute)
-            return EXIT_OK
-    else:
-        res = strassen_feasible(data["mu"], data["nu"], data["constraints"])
-        if res.feasible:
-            mu_w, nu_w = data["mu"].weights, data["nu"].weights
-            cons = data["constraints"]
-
-            def recompute(parsed):
-                q = np.asarray(parsed["plan"], dtype=float)
-                out = _marginal_residuals(q, mu_w, nu_w)
-                worst = 0.0
-                for G, kind, rhs in cons:
-                    attained = float((G * q).sum())
-                    if kind == "le":
-                        worst = max(worst, attained - rhs)
-                    elif kind == "ge":
-                        worst = max(worst, rhs - attained)
-                    else:
-                        worst = max(worst, abs(attained - rhs))
-                out["constraintViolation"] = max(worst, 0.0)
-                return out
-
-            residuals = recompute({"plan": res.plan.matrix})
-            result = {
-                "command": "solve-ot", "status": "feasible",
-                "plan": res.plan.matrix,
-                "diagnostics": {"residuals": residuals},
-            }
-            _emit(args, result, t0, piv0, recompute)
-            return EXIT_OK
-    result = {
-        "command": "solve-ot", "status": "infeasible",
-        "cert": to_jsonable(res.cert), "diagnostics": {},
-    }
-    _emit(args, result, t0, piv0)
-    return EXIT_INFEASIBLE
+    return residuals
 
 
-def _cmd_solve_vot(args) -> int:
-    data = serialize.load_payload(args.input, "vector_ot")
-    tol = args.tol if args.tol is not None else default_tol()
+def _write(path, text, quiet) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if not quiet:
+        print(f"wrote {path}")
+
+
+def _run(args) -> int:
+    """Load, solve, gap-check, self-revalidate and write one result."""
+    data = args.load(args)
+    tol = None
+    if hasattr(args, "tol"):  # a command checks the gap iff it accepts --tol
+        tol = args.tol if args.tol is not None else default_tol()
     t0, piv0 = time.perf_counter(), pivot_total()
+    try:
+        result, residuals = args.solve(args, data)
+    except InfeasibleTransport as exc:
+        result = {"status": "infeasible", "message": str(exc), "cert": exc.cert}
+        residuals = None
+    result["command"] = args.cmd
+    diag = result["diagnostics"] = {}
+    if "gap" in result:
+        diag["gap"] = gap = result["gap"]
+        if tol is not None and gap > tol * (1.0 + abs(result["value"])):
+            raise NumericalBreakdown(f"duality gap {gap!r} exceeds tolerance {tol!r}")
+    if residuals is not None:
+        diag["residuals"] = residuals(result)
+    diag["pivots"] = pivot_total() - piv0
+    diag["wallMillis"] = (time.perf_counter() - t0) * 1000.0
+    text = canonical_dumps(result)
+    if residuals is not None:
+        parsed = json.loads(text)
+        stored = parsed["diagnostics"]["residuals"]
+        for key, val in residuals(parsed).items():
+            if abs(val - stored[key]) > 1e-9:
+                raise NumericalBreakdown(f"serialized result fails revalidation on {key}: "
+                                         f"{val!r} vs stored {stored[key]!r}")
+    if args.output:
+        _write(args.output, text, args.quiet)
+    elif not args.quiet:
+        sys.stdout.write(text)
+    return EXIT_INFEASIBLE if result["status"] == "infeasible" else EXIT_OK
+
+
+def _ot_plain(data):
+    mu_w, nu_w = data["mu"].weights, data["nu"].weights
+    res = solve_ot(data["mu"], data["nu"], data["cost"])
+    result = _optimal(
+        res.value, res.psi @ mu_w + res.phi @ nu_w,
+        psi=res.psi, phi=res.phi, plan=res.plan.matrix,
+    )
+    return result, _plan_residuals(data)
+
+
+def _ot_partial(data):
+    mu_w, nu_w, mass = data["mu"].weights, data["nu"].weights, data["mass"]
+    res = solve_partial(data["mu"], data["nu"], data["cost"], mass)
+    lam = res.extras["lam"]
+    result = _optimal(
+        res.value, res.psi @ mu_w + res.phi @ nu_w + lam * mass,
+        psi=res.psi, phi=res.phi, lam=lam, plan=res.plan.matrix,
+    )
+
+    def residuals(r):
+        q = np.asarray(r["plan"], dtype=float)
+        return {
+            "rowExcess": float(np.maximum(q.sum(axis=1) - mu_w, 0.0).max()),
+            "colExcess": float(np.maximum(q.sum(axis=0) - nu_w, 0.0).max()),
+            "massResidual": float(abs(q.sum() - mass)),
+        }
+
+    return result, residuals
+
+
+def _ot_capacity(data):
+    mu_w, nu_w, cap_m = data["mu"].weights, data["nu"].weights, data["cap"].matrix
+    res = solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
+    xi = res.extras["xi"]
+    result = _optimal(
+        res.value, res.psi @ mu_w + res.phi @ nu_w + (xi * cap_m).sum(),
+        psi=res.psi, phi=res.phi, xi=xi, plan=res.plan.matrix,
+    )
+    return result, _plan_residuals(
+        data, lambda q: {"capExcess": float(np.maximum(q - cap_m, 0.0).max())}
+    )
+
+
+def _ot_invariant(data):
+    mu_w = data["mu"].weights
+    mapping = np.asarray(data["mapping"], dtype=int)
+    ny = data["target"].size
+    res = solve_invariant(data["mu"], data["mapping"], data["cost"], data["target"])
+    result = _optimal(
+        res.value, res.psi @ mu_w,
+        psi=res.psi, phi=res.phi, plan=res.plan.matrix,
+        inducedMarginal=res.extras["nu"].weights,
+    )
+
+    def residuals(r):
+        q = np.asarray(r["plan"], dtype=float)
+        marg = q.sum(axis=0)
+        pushed = np.bincount(mapping, weights=marg, minlength=ny)
+        return {
+            "sourceMarginal": float(np.abs(q.sum(axis=1) - mu_w).max()),
+            "invarianceResidual": float(np.abs(pushed - marg).max()),
+        }
+
+    return result, residuals
+
+
+def _ot_multi(data):
+    measures = data["measures"]
+    sizes = tuple(m.space.size for m in measures)
+    res = solve_multimarginal(measures, data["cost"])
+    psis = res.extras["psis"]
+    result = _optimal(
+        res.value, sum(p @ m.weights for p, m in zip(psis, measures)),
+        potentials=psis, tensor=res.extras["tensor"].ravel(), shape=list(sizes),
+    )
+
+    def residuals(r):
+        t = np.asarray(r["tensor"], dtype=float).reshape(sizes)
+        out = {}
+        for axis, m in enumerate(measures):
+            marg = t.sum(axis=tuple(a for a in range(len(sizes)) if a != axis))
+            out[f"marginal{axis}"] = float(np.abs(marg - m.weights).max())
+        return out
+
+    return result, residuals
+
+
+def _ot_glue(data):
+    res = glue_feasible(data["first"], data["second"], data["third"])
+    if not res.feasible:
+        return _infeasible(res.cert)
+    first, second = data["first"].matrix, data["second"].matrix
+    third = data["third"].matrix if data["third"] is not None else None
+
+    def residuals(r):
+        t = np.asarray(r["tensor"], dtype=float).reshape(*first.shape, second.shape[1])
+        out = {
+            "firstPair": float(np.abs(t.sum(axis=2) - first).max()),
+            "secondPair": float(np.abs(t.sum(axis=0) - second).max()),
+        }
+        if third is not None:
+            out["thirdPair"] = float(np.abs(t.sum(axis=1) - third).max())
+        return out
+
+    result = {"status": "feasible", "tensor": res.tensor.ravel(), "shape": list(res.tensor.shape)}
+    return result, residuals
+
+
+def _ot_local(data):
+    off = data["cost"] > data["threshold"]
+    res = local_constraint_feasible(data["mu"], data["nu"], data["cost"], data["threshold"])
+    if not res.feasible:
+        return _infeasible(res.cert)
+    return {"status": "feasible", "plan": res.plan.matrix}, _plan_residuals(
+        data, lambda q: {"offSupportMass": float(q[off].sum()) if np.any(off) else 0.0}
+    )
+
+
+def _ot_strassen(data):
+    cons = data["constraints"]
+    res = strassen_feasible(data["mu"], data["nu"], cons)
+    if not res.feasible:
+        return _infeasible(res.cert)
+
+    def violation(q):
+        worst = 0.0
+        for G, kind, rhs in cons:
+            attained = float((G * q).sum())
+            if kind == "le":
+                worst = max(worst, attained - rhs)
+            elif kind == "ge":
+                worst = max(worst, rhs - attained)
+            else:
+                worst = max(worst, abs(attained - rhs))
+        return {"constraintViolation": max(worst, 0.0)}
+
+    return {"status": "feasible", "plan": res.plan.matrix}, _plan_residuals(data, violation)
+
+
+# variant -> (problem kind, solver); entries are this module's functions so
+# that the library solvers they call are looked up by name at call time
+_SOLVE_OT = {
+    "plain": ("scalar_ot", _ot_plain),
+    "partial": ("partial", _ot_partial),
+    "capacity": ("capacity", _ot_capacity),
+    "invariant": ("invariant", _ot_invariant),
+    "multi": ("multi", _ot_multi),
+    "glue": ("glue", _ot_glue),
+    "local": ("local", _ot_local),
+    "strassen": ("strassen", _ot_strassen),
+}
+VARIANT_KIND = {variant: kind for variant, (kind, _) in _SOLVE_OT.items()}
+
+
+def _payload(kind):
+    """Loader of a wrapped or bare problem of this kind from --input."""
+    return lambda args: serialize.load_payload(args.input, kind)
+
+
+def _solve_vot(args, data):
     problem = VectorOtProblem(data["mu"], data["nu"], data["cost"], data["eta"])
-    try:
-        res = solve_vector_ot(problem)
-    except InfeasibleTransport as exc:
-        result = {
-            "command": "solve-vot", "status": "infeasible",
-            "message": str(exc), "cert": to_jsonable(exc.cert), "diagnostics": {},
-        }
-        _emit(args, result, t0, piv0)
-        return EXIT_INFEASIBLE
-    t = res.extras["t"]
-    dual = float(res.extras["Psi"] @ t + (res.phi * data["nu"].values).sum())
-    eta = problem.eta
-    nu_vals = data["nu"].values
+    res = solve_vector_ot(problem)
+    t, eta, nu_vals = res.extras["t"], problem.eta, data["nu"].values
+    result = _optimal(
+        res.value, res.extras["Psi"] @ t + (res.phi * nu_vals).sum(),
+        plan=res.plan.matrix, rowSums=t,
+        psi=res.psi, phi=res.phi, scalarPotential=res.extras["Psi"],
+    )
 
-    def recompute(parsed):
-        q = np.asarray(parsed["plan"], dtype=float)
-        rows = np.asarray(parsed["rowSums"], dtype=float)
-        pushed = q.T @ eta
+    def residuals(r):
+        q = np.asarray(r["plan"], dtype=float)
+        rows = np.asarray(r["rowSums"], dtype=float)
         return {
             "rowSumResidual": float(np.abs(q.sum(axis=1) - rows).max()),
-            "targetResidual": float(np.abs(pushed - nu_vals).max()),
+            "targetResidual": float(np.abs(q.T @ eta - nu_vals).max()),
         }
 
-    result = _optimal_result(
-        "solve-vot", res.value, dual,
-        {
-            "plan": res.plan.matrix, "rowSums": t,
-            "psi": res.psi, "phi": res.phi, "scalarPotential": res.extras["Psi"],
-        },
-    )
-    residuals = recompute({"plan": res.plan.matrix, "rowSums": t})
-    result["diagnostics"] = {"gap": result["gap"], "residuals": residuals}
-    _check_gap(result, tol)
-    _emit(args, result, t0, piv0, recompute)
-    return EXIT_OK
+    return result, residuals
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.loads(fh.read(), parse_constant=serialize._reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"line {exc.lineno}, column {exc.colno}", f"parse error: {exc.msg}"
-            )
+def _load_dominate(args):
+    if not args.blackwell and (args.samples is not None or args.seed is not None):
+        raise SchemaError("dominate", "--samples and --seed apply only with --blackwell")
+    if args.input:
+        if args.mu or args.nu:
+            raise SchemaError("dominate", "give either --input or --mu/--nu, not both")
+        return serialize.load_payload(args.input, "dominance")
+    if not (args.mu and args.nu):
+        raise SchemaError("dominate", "provide --input, or both --mu and --nu")
+    return {
+        side: serialize.vector_measure_from_json(serialize._read_json(path), "$")
+        for side, path in (("mu", args.mu), ("nu", args.nu))
+    }
 
 
-def _cmd_dominate(args) -> int:
-    mu = serialize.vector_measure_from_json(_load_json(args.mu), "$")
-    nu = serialize.vector_measure_from_json(_load_json(args.nu), "$")
-    t0, piv0 = time.perf_counter(), pivot_total()
-    result = {"command": "dominate", "diagnostics": {}}
+def _solve_dominate(args, data):
+    mu, nu = data["mu"], data["nu"]
+    residuals = None
     if args.blackwell:
-        rep = blackwell_check(mu, nu, g_samples=args.samples, seed=args.seed or 0)
+        samples = 64 if args.samples is None else args.samples
+        rep = blackwell_check(mu, nu, g_samples=samples, seed=args.seed or 0)
         ok = bool(rep["dominates"])
-        result["status"] = "feasible" if ok else "infeasible"
         cert = rep.pop("cert")
         if cert is not None:
             if cert.kind == "kernel":
                 rep["cert"] = {"kind": "kernel", "rows": cert.payload.rows}
             else:
                 rep["cert"] = {"kind": cert.kind, "payload": cert.payload}
-        result["report"] = to_jsonable(rep)
+        result = {"report": rep}
     elif args.strong:
         ok, witness = strong_dominates(mu, nu)
-        result["status"] = "feasible" if ok else "infeasible"
-        result["strong"] = ok
+        result = {"strong": ok}
         if witness is not None:
-            result["witness"] = {
-                "sourceAtoms": list(witness[0]), "targetAtoms": list(witness[1])
-            }
+            result["witness"] = {"sourceAtoms": list(witness[0]), "targetAtoms": list(witness[1])}
     elif args.n is not None:
         ok, witness = dominates_n(mu, nu, args.n)
-        result["status"] = "feasible" if ok else "infeasible"
-        result["blocks"] = args.n
+        result = {"blocks": args.n}
         if witness is not None:
             result["witness"] = {"partition": [list(b) for b in witness]}
     else:
         ok, cert = dominates(mu, nu)
-        result["status"] = "feasible" if ok else "infeasible"
         if ok:
-            kernel = cert.payload
-            pushed = kernel.rows.T @ mu.values
-            result["kernel"] = kernel.rows
-            result["diagnostics"]["residuals"] = {
-                "pushforwardResidual": float(np.abs(pushed - nu.values).max())
-            }
-            mu_vals = mu.values
-            nu_vals = nu.values
+            result = {"kernel": cert.payload.rows}
+            mu_vals, nu_vals = mu.values, nu.values
 
-            def recompute(parsed):
-                rows = np.asarray(parsed["kernel"], dtype=float)
-                return {
-                    "pushforwardResidual": float(
-                        np.abs(rows.T @ mu_vals - nu_vals).max()
-                    )
-                }
-
-            result["dominates"] = True
-            _emit(args, result, t0, piv0, recompute)
-            return EXIT_OK
-        result["cert"] = to_jsonable(cert.payload)
-    result["dominates"] = bool(result["status"] == "feasible")
-    _emit(args, result, t0, piv0)
-    return EXIT_OK if result["dominates"] else EXIT_INFEASIBLE
+            def residuals(r):
+                rows = np.asarray(r["kernel"], dtype=float)
+                return {"pushforwardResidual": float(np.abs(rows.T @ mu_vals - nu_vals).max())}
+        else:
+            result = {"cert": cert.payload}
+    result["status"] = "feasible" if ok else "infeasible"
+    result["dominates"] = bool(ok)
+    return result, residuals
 
 
 _DENSITY_TERM = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?)?\s*(x?)\s*$")
@@ -494,18 +402,14 @@ def parse_density(spec: str):
     return density, len(terms)
 
 
-def _cmd_refine(args) -> int:
+def _load_refine(args):
     density, d = parse_density(args.density)
-    obj = _load_json(args.targets)
-    vals = serialize._matrix(
-        serialize._require(obj, "values", "$"), "$.values", cols=d
-    )
+    obj = serialize._read_json(args.targets)
+    vals = serialize._matrix(serialize._require(obj, "values", "$"), "$.values", cols=d)
     ny = vals.shape[0]
-    anchors = (
-        serialize._float_list(obj["anchors"], "$.anchors", ny)
-        if obj.get("anchors") is not None
-        else [j / max(ny - 1, 1) for j in range(ny)]
-    )
+    anchors = [j / max(ny - 1, 1) for j in range(ny)]
+    if obj.get("anchors") is not None:
+        anchors = serialize._float_list(obj["anchors"], "$.anchors", ny)
     power = obj.get("power", 2)
     if not isinstance(power, (int, float)) or isinstance(power, bool) or power <= 0:
         raise SchemaError("$.power", f"expected a positive exponent, got {power!r}")
@@ -513,252 +417,190 @@ def _cmd_refine(args) -> int:
         grids = [int(g) for g in args.grids.split(",")]
     except ValueError:
         raise SchemaError("--grids", f"expected comma-separated integers, got {args.grids!r}")
+    return {"density": density, "values": vals, "anchors": anchors,
+            "power": power, "grids": grids}
+
+
+def _solve_refine(args, data):
+    anchors, power = data["anchors"], data["power"]
 
     def cost(x, j):
         return abs(x - anchors[j]) ** power
 
-    t0, piv0 = time.perf_counter(), pivot_total()
-    study = dual_refinement_study(density, cost, vals, grids)
+    study = dual_refinement_study(data["density"], cost, data["values"], data["grids"])
     entries = [
-        {
-            "N": e["N"], "value": e["value"], "dualValue": e["dual_value"],
-            "gap": abs(e["value"] - e["dual_value"]), "dualSpread": e["q"],
-        }
+        {"N": e["N"], "value": e["value"], "dualValue": e["dual_value"],
+         "gap": abs(e["value"] - e["dual_value"]), "dualSpread": e["q"]}
         for e in study["entries"]
     ]
-    result = {
-        "command": "refine", "status": "optimal",
-        "entries": entries, "spreadTrend": study["q_trend"],
-        "diagnostics": {
-            "residuals": {"worstGap": max(e["gap"] for e in entries)}
-        },
-    }
-    _emit(args, result, t0, piv0)
-    return EXIT_OK
+    result = {"status": "optimal", "entries": entries, "spreadTrend": study["q_trend"]}
+    return result, lambda r: {"worstGap": max(e["gap"] for e in r["entries"])}
 
 
-def _cmd_chain(args) -> int:
-    data = serialize.load_payload(args.input, "chain")
+def _solve_chain(args, data):
     hops = args.n if args.n is not None else data["hops"]
-    t0, piv0 = time.perf_counter(), pivot_total()
     if args.free_medium:
         value = chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
-        result = {
-            "command": "chain", "status": "optimal", "value": value,
-            "hops": hops, "freeMedium": True, "diagnostics": {},
-        }
-        _emit(args, result, t0, piv0)
-        return EXIT_OK
-    problem = ChainProblem(
-        data["space"], data["cost"], data["mu"], data["nu"], data["medium"], hops
+        return {"status": "optimal", "value": value, "hops": hops, "freeMedium": True}, None
+    res = chain_ot(
+        ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], data["medium"], hops)
     )
-    res = chain_ot(problem)
-    mats = [p.matrix for p in res.plans]
-    mu_w, nu_w, med_w = (
-        data["mu"].weights, data["nu"].weights, data["medium"].weights
-    )
+    mu_w, nu_w, med_w = data["mu"].weights, data["nu"].weights, data["medium"].weights
 
-    def recompute(parsed):
-        plans = [np.asarray(p, dtype=float) for p in parsed["plans"]]
+    def residuals(r):
+        plans = [np.asarray(p, dtype=float) for p in r["plans"]]
         link = 0.0
         for a, b in zip(plans, plans[1:]):
             link = max(link, float(np.abs(a.sum(axis=0) - b.sum(axis=1)).max()))
         medium = np.sum([p.sum(axis=1) for p in plans[1:]], axis=0) if len(plans) > 1 else None
-        out = {
+        return {
             "sourceMarginal": float(np.abs(plans[0].sum(axis=1) - mu_w).max()),
             "targetMarginal": float(np.abs(plans[-1].sum(axis=0) - nu_w).max()),
             "linking": link,
+            "mediumResidual": (
+                float(np.abs(medium - hops * med_w).max()) if medium is not None else 0.0
+            ),
         }
-        out["mediumResidual"] = (
-            float(np.abs(medium - hops * med_w).max()) if medium is not None else 0.0
-        )
-        return out
 
-    residuals = recompute({"plans": mats})
     result = {
-        "command": "chain", "status": "optimal", "value": res.value,
-        "hops": hops, "f": res.medium_potential, "plans": mats,
+        "status": "optimal", "value": res.value, "hops": hops,
+        "f": res.medium_potential, "plans": [p.matrix for p in res.plans],
         "stages": res.stages,
-        "diagnostics": {"residuals": residuals},
     }
-    _emit(args, result, t0, piv0, recompute)
-    return EXIT_OK
+    return result, residuals
 
 
-def _cmd_game(args) -> int:
+def _load_game(args):
     data = serialize.load_payload(args.input, "game")
-    payoff = data["payoff"]
-    reference = data["restrict"]
     if args.restrict:
-        reference = serialize.scalar_measure_from_json(_load_json(args.restrict), "$")
-    t0, piv0 = time.perf_counter(), pivot_total()
+        restrict = serialize._read_json(args.restrict)
+        data["restrict"] = serialize.scalar_measure_from_json(restrict, "$")
+    return data
+
+
+def _solve_game(args, data):
+    payoff, reference = data["payoff"], data["restrict"]
     if reference is not None:
         res = game_value_restricted(payoff, reference)
     else:
         res = game_value(payoff)
-    sigma, tau = res.row_strategy, res.col_strategy
 
-    def recompute(parsed):
-        s = np.asarray(parsed["rowStrategy"], dtype=float)
-        t = np.asarray(parsed["colStrategy"], dtype=float)
-        v = parsed["value"]
-        lower = float(np.min(s @ payoff)) if reference is None else float(
-            np.min((s @ payoff)[reference.weights > 0])
-        )
+    def residuals(r):
+        s = np.asarray(r["rowStrategy"], dtype=float)
+        t = np.asarray(r["colStrategy"], dtype=float)
+        v = r["value"]
+        row = s @ payoff if reference is None else (s @ payoff)[reference.weights > 0]
+        lower = float(np.min(row))
         return {
             "rowShortfall": max(0.0, v - lower),
             "colOverrun": max(0.0, float(np.max(payoff @ t)) - v),
         }
 
-    result = _optimal_result(
-        "game", res.value, res.value,
-        {"rowStrategy": sigma, "colStrategy": tau},
+    result = _optimal(
+        res.value, res.value, rowStrategy=res.row_strategy, colStrategy=res.col_strategy
     )
-    residuals = recompute({"rowStrategy": sigma, "colStrategy": tau, "value": res.value})
-    result["diagnostics"] = {"gap": 0.0, "residuals": residuals}
-    _emit(args, result, t0, piv0, recompute)
-    return EXIT_OK
+    return result, residuals
 
 
 def _field(path: str, key: str, reader):
     """Read `key` from a JSON object file, or the whole file if it is bare."""
-    obj = _load_json(path)
+    obj = serialize._read_json(path)
     if isinstance(obj, dict):
         return reader(serialize._require(obj, key, "$"), f"$.{key}")
     return reader(obj, "$")
 
 
-def _cmd_moment(args) -> int:
+def _load_moment(args):
     if args.input:
-        data = serialize.load_payload(args.input, "moment")
-        M, m = data["functions"], data["target"]
-    elif args.functions and args.target:
-        M = _field(args.functions, "functions", serialize._matrix)
-        m = np.array(
-            _field(
-                args.target, "target",
-                lambda x, p: serialize._float_list(x, p, M.shape[0]),
-            )
-        )
-    else:
+        return serialize.load_payload(args.input, "moment")
+    if not (args.functions and args.target):
         raise SchemaError("moment", "provide --input, or both --M and --m")
-    t0, piv0 = time.perf_counter(), pivot_total()
+    M = _field(args.functions, "functions", serialize._matrix)
+    m = _field(args.target, "target", lambda x, p: serialize._float_list(x, p, M.shape[0]))
+    return {"functions": M, "target": np.array(m)}
+
+
+def _solve_moment(args, data):
+    M, m = data["functions"], data["target"]
     res = moment_feasible(MomentProblem(M, m))
     if res.feasible:
-        def recompute(parsed):
-            w = np.asarray(parsed["weights"], dtype=float)
+        def residuals(r):
+            w = np.asarray(r["weights"], dtype=float)
             return {"momentResidual": float(np.abs(M @ w - m).max())}
 
-        result = {
-            "command": "moment", "status": "feasible", "weights": res.weights,
-            "diagnostics": {"residuals": recompute({"weights": res.weights})},
-        }
-        _emit(args, result, t0, piv0, recompute)
-        return EXIT_OK
-    result = {
-        "command": "moment", "status": "infeasible", "cert": res.cert,
-        "certFloor": float((res.cert @ M).min()),
-        "certMargin": float(res.cert @ m),
-        "diagnostics": {},
-    }
-    _emit(args, result, t0, piv0)
-    return EXIT_INFEASIBLE
+        return {"status": "feasible", "weights": res.weights}, residuals
+    cert = res.cert
+    result = {"status": "infeasible", "cert": cert,
+              "certFloor": float((cert @ M).min()), "certMargin": float(cert @ m)}
+    return result, None
 
 
-def _cmd_trig(args) -> int:
+def _load_trig(args):
     if args.input:
         data = serialize.load_payload(args.input, "trig")
-        coeffs = data["coeffs"]
-        grid = args.grid if args.grid is not None else data["gridSize"]
-    elif args.coeffs:
-        pairs = _field(
-            args.coeffs, "coeffs", lambda x, p: serialize._matrix(x, p, cols=2)
-        )
-        coeffs = pairs[:, 0] + 1j * pairs[:, 1]
-        if args.grid is None:
-            raise SchemaError("--grid", "required when --coeffs is used")
-        grid = args.grid
-    else:
+        if args.grid is not None:
+            data["gridSize"] = args.grid
+        return data
+    if not args.coeffs:
         raise SchemaError("trig", "provide --input or --coeffs")
-    t0, piv0 = time.perf_counter(), pivot_total()
-    rep = trig_moment(coeffs, grid)
+    pairs = _field(args.coeffs, "coeffs", lambda x, p: serialize._matrix(x, p, cols=2))
+    if args.grid is None:
+        raise SchemaError("--grid", "required when --coeffs is used")
+    return {"coeffs": pairs[:, 0] + 1j * pairs[:, 1], "gridSize": args.grid}
+
+
+def _solve_trig(args, data):
+    rep = trig_moment(data["coeffs"], data["gridSize"])
     result = {
-        "command": "trig",
         "status": "feasible" if rep["lp_feasible"] else "infeasible",
         "minEig": rep["min_eig"], "norm": rep["norm"],
         "psd": rep["psd"], "lpFeasible": rep["lp_feasible"],
         "boundaryBand": rep["boundary_band"], "gridSize": rep["grid_size"],
-        "diagnostics": {},
     }
-    if rep["weights"] is not None:
-        result["weights"] = rep["weights"]
-    if rep["cert"] is not None:
-        result["cert"] = rep["cert"]
-    _emit(args, result, t0, piv0)
-    return EXIT_OK if rep["lp_feasible"] else EXIT_INFEASIBLE
+    result.update((key, rep[key]) for key in ("weights", "cert") if rep[key] is not None)
+    return result, None
 
 
-def _grid_function(obj, path) -> GridFunction:
-    d = serialize._grid_function_json(obj, path)
-    return GridFunction(d["grid"], d["values"])
-
-
-def _cmd_conj(args) -> int:
-    obj = _load_json(args.input)
-    if isinstance(obj, dict) and "kind" in obj and "payload" in obj:
-        pf = serialize.parse_problem(obj)
-        if pf.kind != "conjugate":
-            raise SchemaError("$.kind", f"expected 'conjugate', got {pf.kind!r}")
-        payload = pf.data
-    elif isinstance(obj, dict) and "f" in obj:
-        payload = serialize._decode_conjugate(obj, "$")
-    else:
-        payload = {
-            "f": serialize._grid_function_json(obj, "$"),
-            "others": [], "dualGrid": None,
-        }
+def _load_conj(args):
+    obj = serialize._read_json(args.input)
+    if isinstance(obj, dict) and ("f" in obj or "kind" in obj and "payload" in obj):
+        payload = serialize._payload_data(obj, "conjugate")
+    else:  # a bare grid function
+        payload = {"f": serialize._grid_function_json(obj, "$"), "others": [], "dualGrid": None}
     f = GridFunction(payload["f"]["grid"], payload["f"]["values"])
     others = [GridFunction(o["grid"], o["values"]) for o in payload["others"]]
     if args.infconv:
         others = []
         for p in args.infconv:
-            o = _load_json(p)
+            o = serialize._read_json(p)
             if isinstance(o, dict) and "f" in o:
                 o = o["f"]
-            others.append(_grid_function(o, "$"))
-    t0, piv0 = time.perf_counter(), pivot_total()
-    if others:
-        out = inf_convolution(f, *others)
+            d = serialize._grid_function_json(o, "$")
+            others.append(GridFunction(d["grid"], d["values"]))
+    return {"f": f, "others": others, "dualGrid": payload["dualGrid"]}
+
+
+def _solve_conj(args, data):
+    if data["others"]:
+        out = inf_convolution(data["f"], *data["others"])
         op = "infConvolution"
     else:
-        out = conjugate(f, payload["dualGrid"])
+        out = conjugate(data["f"], data["dualGrid"])
         op = "conjugate"
-    result = {
-        "command": "conj", "status": "optimal", "operation": op,
-        "grid": out.grid, "values": out.values,
-        "diagnostics": {},
-    }
-    _emit(args, result, t0, piv0)
-    return EXIT_OK
+    return {"status": "optimal", "operation": op, "grid": out.grid, "values": out.values}, None
 
 
 def _cmd_gen(args) -> int:
-    pf = generate.gen(args.kind, args.seed if args.seed is not None else 0)
-    text = canonical_dumps(pf.as_dict())
+    text = canonical_dumps(generate.gen(args.kind, args.seed or 0).as_dict())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.output}")
+        _write(args.output, text, args.quiet)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    report = golden.run_suite(
-        only=args.only, tol_override=args.tol, jobs=args.jobs or 1
-    )
+    report = golden.run_suite(only=args.only, tol_override=args.tol, jobs=args.jobs or 1)
     for item in report["items"]:
         if item["ok"]:
             if not args.quiet:
@@ -774,102 +616,102 @@ def _cmd_verify(args) -> int:
                     f"expected {c['expected']!r} ({c['op']}, tol {c['tol']!r})"
                 )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(report))
+        _write(args.output, canonical_dumps(report), quiet=True)
     if not args.quiet:
         n_ok = sum(1 for i in report["items"] if i["ok"])
         print(f"{n_ok}/{len(report['items'])} golden items passed")
     return EXIT_OK if report["ok"] else EXIT_GOLDEN
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--input", help="input file")
-    common.add_argument("--output", help="write the result here instead of stdout")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
+def _flag(name, **kwargs):
+    p = _Parser(add_help=False)
+    p.add_argument(name, **kwargs)
+    return p
 
+
+# Shared flags, built once at import and copied into each subcommand through
+# `parents=`; a subcommand takes only the shared flags it honours.
+_OUTPUT = _flag("--output", help="write the result here instead of stdout")
+_QUIET = _flag("--quiet", action="store_true", help="suppress chatter")
+_INPUT = _flag("--input", required=True, help="input file")
+_INPUT_OPTIONAL = _flag("--input", help="input file")
+_TOL = _flag("--tol", type=float, help="tolerance override")
+_SEED = _flag("--seed", type=int, help="random seed")
+_JOBS = _flag("--jobs", type=int, help="parallel workers")
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="vecot", description="transport and duality toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("solve-ot", parents=[common], help="scalar transport variants")
+    def command(name, help, parents, load=None, solve=None, fn=_run):
+        p = sub.add_parser(name, parents=[*parents, _OUTPUT, _QUIET], help=help)
+        p.set_defaults(fn=fn, load=load, solve=solve)
+        return p
+
+    p = command(
+        "solve-ot", "scalar transport variants", [_INPUT, _TOL],
+        lambda args: serialize.load_payload(args.input, VARIANT_KIND[args.variant]),
+        lambda args, data: _SOLVE_OT[args.variant][1](data),
+    )
     p.add_argument("--variant", choices=sorted(VARIANT_KIND), default="plain")
-    p.set_defaults(fn=_cmd_solve_ot, needs_input=True)
 
-    p = sub.add_parser("solve-vot", parents=[common], help="vector-valued transport")
-    p.set_defaults(fn=_cmd_solve_vot, needs_input=True)
+    command("solve-vot", "vector-valued transport", [_INPUT, _TOL],
+            _payload("vector_ot"), _solve_vot)
 
-    p = sub.add_parser("dominate", parents=[common], help="dominance queries")
-    p.add_argument("--mu", required=True, help="source vector measure file")
-    p.add_argument("--nu", required=True, help="target vector measure file")
-    p.add_argument("--n", type=int, default=None, help="coarsening block count")
-    p.add_argument("--strong", action="store_true", help="restriction-pair scan")
-    p.add_argument("--blackwell", action="store_true", help="full cross-check report")
-    p.add_argument("--samples", type=int, default=64, help="convex test functions")
-    p.set_defaults(fn=_cmd_dominate, needs_input=False)
+    p = command("dominate", "dominance queries", [_INPUT_OPTIONAL, _SEED],
+                _load_dominate, _solve_dominate)
+    p.add_argument("--mu", help="source vector measure file")
+    p.add_argument("--nu", help="target vector measure file")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--n", type=int, default=None, help="coarsening block count")
+    mode.add_argument("--strong", action="store_true", help="restriction-pair scan")
+    mode.add_argument("--blackwell", action="store_true", help="full cross-check report")
+    p.add_argument("--samples", type=int, default=None,
+                   help="convex test functions for --blackwell (default 64)")
 
-    p = sub.add_parser("refine", parents=[common], help="grid refinement study")
+    p = command("refine", "grid refinement study", [], _load_refine, _solve_refine)
     p.add_argument("--density", required=True, help='component spec, e.g. "1,2x"')
     p.add_argument("--targets", required=True, help="target values file")
     p.add_argument("--grids", required=True, help="comma-separated grid sizes")
-    p.set_defaults(fn=_cmd_refine, needs_input=False)
 
-    p = sub.add_parser("chain", parents=[common], help="multi-hop transport")
+    p = command("chain", "multi-hop transport", [_INPUT], _payload("chain"), _solve_chain)
     p.add_argument("--n", type=int, default=None, help="override the hop count")
     p.add_argument("--free-medium", action="store_true", help="leave the medium free")
-    p.set_defaults(fn=_cmd_chain, needs_input=True)
 
-    p = sub.add_parser("game", parents=[common], help="matrix game value")
+    p = command("game", "matrix game value", [_INPUT], _load_game, _solve_game)
     p.add_argument("--restrict", help="scalar measure restricting the column player")
-    p.set_defaults(fn=_cmd_game, needs_input=True)
 
-    p = sub.add_parser("moment", parents=[common], help="moment feasibility")
+    p = command("moment", "moment feasibility", [_INPUT_OPTIONAL],
+                _load_moment, _solve_moment)
     p.add_argument("--M", dest="functions", help="moment functions file")
     p.add_argument("--m", dest="target", help="target vector file")
-    p.set_defaults(fn=_cmd_moment, needs_input=False)
 
-    p = sub.add_parser("trig", parents=[common], help="trigonometric moments")
+    p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL], _load_trig, _solve_trig)
     p.add_argument("--coeffs", help="coefficient file")
     p.add_argument("--grid", type=int, default=None, help="circle grid size")
-    p.set_defaults(fn=_cmd_trig, needs_input=False)
 
-    p = sub.add_parser("conj", parents=[common], help="discrete convex conjugate")
-    p.add_argument(
-        "--infconv", nargs="+", default=None,
-        help="convolve the input with these grid functions instead",
-    )
-    p.set_defaults(fn=_cmd_conj, needs_input=True)
+    p = command("conj", "discrete convex conjugate", [_INPUT], _load_conj, _solve_conj)
+    p.add_argument("--infconv", nargs="+", default=None,
+                   help="convolve the input with these grid functions instead")
 
-    p = sub.add_parser("gen", parents=[common], help="generate a seeded instance")
+    p = command("gen", "generate a seeded instance", [_SEED], fn=_cmd_gen)
     p.add_argument("--kind", required=True, choices=serialize.KINDS)
-    p.set_defaults(fn=_cmd_gen, needs_input=False)
 
-    p = sub.add_parser("verify", parents=[common], help="run the golden suite")
+    p = command("verify", "run the golden suite", [_TOL, _JOBS], fn=_cmd_verify)
     p.add_argument("--only", default=None, help="name substring filter")
-    p.set_defaults(fn=_cmd_verify, needs_input=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_input", False) and not args.input:
-        parser.exit(EXIT_SCHEMA, f"vecot {args.cmd}: error: --input is required\n")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # SchemaError is a ValueError
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

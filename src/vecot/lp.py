@@ -196,12 +196,11 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
 class _Engine:
     """One solve of one problem; not reusable."""
 
-    def __init__(self, problem: LpProblem, pivot_limit: Optional[int], verbose: bool):
+    def __init__(self, problem: LpProblem, pivot_limit: Optional[int]):
         self.p = problem
         self.sense_sign = 1.0 if problem.sense == "min" else -1.0
         m, n = problem.nrows, problem.nvars
         self.pivot_limit = pivot_limit if pivot_limit is not None else 10 * (m + n) ** 2
-        self.verbose = verbose
         self.iterations = 0
         self.col_origin = []   # internal structural column -> original column
         self.fixed_value = {}  # original column -> pinned value
@@ -468,8 +467,6 @@ class _Engine:
             col[leave_pos] = 0.0
             self.Binv -= np.outer(col, self.Binv[leave_pos, :])
             self.since_refactor += 1
-            if self.verbose:
-                print(f"pivot {self.iterations}: enter {j} leave {lv} step {t_best:.3e}")
 
     def _drive_out_artificials(self):
         """Swap basic artificials for structural columns where possible."""
@@ -500,22 +497,6 @@ class _Engine:
 
     # ----- lifting back to the original space -------------------------------
 
-    def _lift_x(self) -> np.ndarray:
-        p = self.p
-        x = np.zeros(p.nvars)
-        for j, v in self.fixed_value.items():
-            x[j] = v
-        for k, (kind, j) in enumerate(self.col_origin):
-            if kind == "direct":
-                x[j] = self.x[k]
-            elif kind == "mirror":
-                x[j] = p.upper[j] - self.x[k]
-            elif kind == "splitp":
-                x[j] += self.x[k]
-            else:
-                x[j] -= self.x[k]
-        return x
-
     def _lift_dir(self, dhat: np.ndarray) -> np.ndarray:
         d = np.zeros(self.p.nvars)
         for k, (kind, j) in enumerate(self.col_origin):
@@ -528,6 +509,15 @@ class _Engine:
             else:
                 d[j] -= dhat[k]
         return d
+
+    def _lift_x(self) -> np.ndarray:
+        # _lift_dir lifts a mirrored column w to -w, and x_j = upper_j - w
+        x = self._lift_dir(self.x)
+        mirror = [j for kind, j in self.col_origin if kind == "mirror"]
+        x[mirror] += self.p.upper[mirror]
+        for j, v in self.fixed_value.items():
+            x[j] = v
+        return x
 
     def _lift_y(self, y_kept: np.ndarray) -> np.ndarray:
         y = np.zeros(self.p.nrows)
@@ -686,10 +676,10 @@ def pivot_total() -> int:
     return _pivot_total
 
 
-def solve(problem: LpProblem, pivot_limit: Optional[int] = None, verbose: bool = False) -> LpSolution:
+def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
     """Solve a linear program; see the module docstring for conventions."""
     global _pivot_total
-    sol = _Engine(problem, pivot_limit, verbose).run()
+    sol = _Engine(problem, pivot_limit).run()
     _pivot_total += sol.iterations
     return sol
 

@@ -16,25 +16,6 @@ import numpy as np
 
 from .measures import FiniteSpace, ScalarMeasure, TransportPlan, VectorMeasure
 
-KINDS = (
-    "scalar_ot",
-    "partial",
-    "capacity",
-    "invariant",
-    "multi",
-    "glue",
-    "local",
-    "strassen",
-    "vector_ot",
-    "dominance",
-    "martingale",
-    "chain",
-    "game",
-    "moment",
-    "trig",
-    "conjugate",
-)
-
 _NEG_TOL = 1e-9
 
 
@@ -396,6 +377,7 @@ _DECODERS = {
     "trig": _decode_trig,
     "conjugate": _decode_conjugate,
 }
+KINDS = tuple(_DECODERS)
 
 
 @dataclass
@@ -441,31 +423,36 @@ def parse_problem(obj) -> ProblemFile:
     return ProblemFile(kind, payload, tol, seed, data)
 
 
-def loads(text: str) -> ProblemFile:
+def _parse_json(text: str):
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"line {exc.lineno}, column {exc.colno}", f"parse error: {exc.msg}"
         )
-    return parse_problem(obj)
+
+
+def _read_json(path: str):
+    """Parse a JSON file, rejecting NaN/Infinity; SchemaError names the position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_json(fh.read())
+
+
+def loads(text: str) -> ProblemFile:
+    return parse_problem(_parse_json(text))
 
 
 def load(path: str) -> ProblemFile:
     """Read and schema-validate a problem file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return parse_problem(_read_json(path))
 
 
 def load_payload(path: str, kind: str) -> dict:
     """Read either a wrapped problem of the given kind or its bare payload."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.loads(fh.read(), parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"line {exc.lineno}, column {exc.colno}", f"parse error: {exc.msg}"
-            )
+    return _payload_data(_read_json(path), kind)
+
+
+def _payload_data(obj, kind: str) -> dict:
     if isinstance(obj, dict) and "kind" in obj and "payload" in obj:
         pf = parse_problem(obj)
         if pf.kind != kind:

@@ -4,13 +4,16 @@ import hashlib
 import io
 import json
 import contextlib
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vecot import golden, generate, serialize
+from vecot import cli, golden, generate, serialize
 from vecot.cli import main
 from vecot.serialize import (
     SchemaError,
@@ -367,6 +370,22 @@ class TestCliDominate:
         assert rep["jensen"]["min_gap"] >= -1e-8
         assert rep["cert"]["kind"] == "kernel"
 
+    def test_input_file_matches_split_files(self, tmp_path):
+        pf = generate.gen("dominance", 4)
+        mu_p = write(tmp_path, "mu.json", pf.payload["mu"])
+        nu_p = write(tmp_path, "nu.json", pf.payload["nu"])
+        wrapped = write(tmp_path, "dom.json", pf.as_dict())
+        bare = write(tmp_path, "bare.json", pf.payload)
+        for mode in ([], ["--n", "2"], ["--strong"], ["--blackwell", "--seed", "3"]):
+            texts = []
+            for source in (["--mu", mu_p, "--nu", nu_p], ["--input", wrapped],
+                           ["--input", bare]):
+                out = str(tmp_path / "o.json")
+                rc, _, _ = run_cli(["dominate", *source, *mode, "--output", out, "--quiet"])
+                assert rc == 0, mode
+                texts.append(re.sub(r'"wallMillis":[^,}]+', "", open(out).read()))
+            assert texts[0] == texts[1] == texts[2], mode
+
 
 class TestCliOther:
     def test_refine_reports_spread_trend(self, tmp_path):
@@ -530,6 +549,57 @@ class TestCliExitCodes:
         rc, _, _ = run_cli(["solve-ot", "--input", prob, "--quiet"])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["game", "--input", "{game}", "--tol", "0"], "--tol"),
+        (["chain", "--input", "{chain}", "--seed", "1"], "--seed"),
+        (["gen", "--kind", "game", "--jobs", "2"], "--jobs"),
+        (["verify", "--input", "x"], "--input"),
+        (["refine", "--density", "1,2x", "--targets", "{targets}", "--grids", "10",
+          "--tol", "1"], "--tol"),
+        (["dominate", "--mu", "{mu}", "--nu", "{nu}", "--n", "2", "--strong"], "--strong"),
+        (["dominate", "--mu", "{mu}", "--nu", "{nu}", "--seed", "1"], "--seed"),
+        (["dominate", "--mu", "{mu}", "--nu", "{nu}", "--samples", "8"], "--samples"),
+        (["dominate", "--input", "{dom}", "--mu", "{mu}", "--nu", "{nu}"], "--input"),
+    ])
+    def test_flags_a_command_does_not_honour_exit_3(self, tmp_path, argv, flag):
+        paths = {
+            "targets": write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]]}),
+        }
+        for kind in ("game", "chain"):
+            paths[kind] = write(tmp_path, f"{kind}.json", generate.gen(kind, 1).as_dict())
+        dom = generate.gen("dominance", 1)
+        paths["dom"] = write(tmp_path, "dom.json", dom.as_dict())
+        paths["mu"] = write(tmp_path, "mu.json", dom.payload["mu"])
+        paths["nu"] = write(tmp_path, "nu.json", dom.payload["nu"])
+        rc, _, err = run_cli([a.format(**paths) for a in argv] + ["--quiet"])
+        assert rc == 3
+        assert flag in err
+
+    @pytest.mark.parametrize("command,key", [("solve-ot", "plan"), ("dominate", "kernel")])
+    def test_result_failing_revalidation_is_not_written(
+        self, tmp_path, monkeypatch, command, key
+    ):
+        if command == "solve-ot":
+            argv = ["solve-ot", "--input", write(tmp_path, "p.json", MINIMAL_OT)]
+        else:
+            mu = {"space": {"labels": ["x0", "x1"]}, "values": [[0.3, 0.3], [0.7, 0.7]]}
+            nu = {"space": {"labels": ["y0"]}, "values": [[1.0, 1.0]]}
+            argv = ["dominate", "--mu", write(tmp_path, "mu.json", mu),
+                    "--nu", write(tmp_path, "nu.json", nu)]
+        dumps = cli.canonical_dumps
+
+        def perturbed(result):
+            matrix = np.array(result[key], dtype=float)
+            matrix[0, 0] += 0.1
+            return dumps({**result, key: matrix})
+
+        monkeypatch.setattr(cli, "canonical_dumps", perturbed)
+        out = tmp_path / "o.json"
+        rc, _, err = run_cli(argv + ["--output", str(out), "--quiet"])
+        assert rc == 4
+        assert "revalidation" in err
+        assert not out.exists()
+
 
 class TestCliVerify:
     def test_full_suite_passes(self, tmp_path):
@@ -595,3 +665,16 @@ def test_console_script_round_trip(tmp_path):
     assert r2.returncode == 0, r2.stderr
     result = json.loads(open(out).read())
     assert result["status"] == "optimal"
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """Every `vecot ...` line of README's command-line example exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("vecot ")]
+    assert len(lines) >= 4
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        rc, _, err = run_cli(shlex.split(line, comments=True)[1:])
+        assert rc == 0, (line, err)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from vecot import lp
 from vecot.lp import LpProblem, NumericalBreakdown, farkas_margin, solve, solve_vertex
 
 
@@ -304,6 +305,47 @@ def test_agrees_with_scipy_on_random_instances():
             assert sol.status == "unbounded"
     # the sweep must exercise every outcome
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lift_x_matches_per_column_reference(monkeypatch):
+    # x is lifted through _lift_dir; it must equal, bit for bit, the per-column
+    # lift: x_j = w (direct), upper_j - w (mirror), w+ - w- (split), or pinned
+    seen = set()
+    lift = lp._Engine._lift_x
+
+    def checked(engine):
+        ref = np.zeros(engine.p.nvars)
+        for j, v in engine.fixed_value.items():
+            ref[j] = v
+            seen.add("fixed")
+        for k, (kind, j) in enumerate(engine.col_origin):
+            w = engine.x[k]
+            if kind == "direct":
+                ref[j] = w
+            elif kind == "mirror":
+                ref[j] = engine.p.upper[j] - w
+            elif kind == "splitp":
+                ref[j] += w
+            else:
+                ref[j] -= w
+            seen.add(kind)
+        x = lift(engine)
+        assert x.tobytes() == ref.tobytes()
+        return x
+
+    monkeypatch.setattr(lp._Engine, "_lift_x", checked)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, m = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        lower = rng.choice([0.0, -1.5, -np.inf], size=n)
+        upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, size=n), np.inf)
+        upper[0] = lower[0] = 0.25  # one pinned column
+        A = rng.normal(size=(m, n))
+        point = np.clip(rng.uniform(-1.0, 1.0, size=n), lower, upper)
+        p = LpProblem(c=rng.normal(size=n), A=A, b=A @ point, kinds=["eq"] * m,
+                      lower=lower, upper=upper)
+        solve(p)
+    assert seen == {"fixed", "direct", "mirror", "splitp", "splitn"}
 
 
 def test_agrees_with_vertex_enumeration():

@@ -512,6 +512,8 @@ def _field(path: str, key: str, reader):
 
 def _load_moment(args):
     if args.input:
+        if args.functions or args.target:
+            raise SchemaError("moment", "give either --input or --M/--m, not both")
         return serialize.load_payload(args.input, "moment")
     if not (args.functions and args.target):
         raise SchemaError("moment", "provide --input, or both --M and --m")
@@ -537,6 +539,8 @@ def _solve_moment(args, data):
 
 def _load_trig(args):
     if args.input:
+        if args.coeffs:
+            raise SchemaError("trig", "give either --input or --coeffs, not both")
         data = serialize.load_payload(args.input, "trig")
         if args.grid is not None:
             data["gridSize"] = args.grid

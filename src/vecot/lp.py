@@ -1,10 +1,18 @@
 """Dense bounded-variable revised simplex with duals and certificates.
 
-Design goals, in order: determinism (Bland's rule for entering and leaving,
+Design goals, in order: determinism (fixed pricing and tie-breaking rules,
 fixed iteration order, no randomization), honest certificates (every
 infeasibility or unboundedness claim is validated numerically against the
 original data before it is returned), and native handling of equality rows
 so their dual multipliers are unconstrained in sign.
+
+Pivot rules: the eligible column with the largest reduced cost in absolute
+value enters (Dantzig; ties go to the smallest index).  After
+``_BLAND_AFTER`` degenerate (zero-length) pivots in a row the smallest
+eligible index enters instead (Bland), until a step of positive length.
+Such a step strictly lowers the objective and any longer degenerate run is
+pure Bland, so the method cannot cycle.  Among blocking rows of the ratio
+test the smallest basic variable index leaves.
 
 Conventions
 -----------
@@ -36,6 +44,7 @@ _DUAL_TOL = 1e-9
 _PIV_TOL = 1e-10
 _DRIVE_TOL = 1e-8
 _REFACTOR_EVERY = 100
+_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
 
 
 class NumericalBreakdown(Exception):
@@ -397,6 +406,7 @@ class _Engine:
         """Iterate until optimal or unbounded under the given cost vector."""
         mh = self.mhat
         range_open = self.hihat - self.lohat > 0.0
+        stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
             if self.iterations > self.pivot_limit:
                 raise NumericalBreakdown(
@@ -413,7 +423,10 @@ class _Engine:
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
                 return "optimal", y, r
-            j = int(idx[0])  # Bland: smallest eligible index enters
+            if stalled < _BLAND_AFTER:
+                j = int(idx[np.argmax(np.abs(r[idx]))])  # Dantzig; ties to the smallest index
+            else:
+                j = int(idx[0])  # Bland: smallest eligible index enters
             sigma = -1.0 if self.at_upper[j] else 1.0
             d = self.Binv @ self.Ahat[:, j] if mh else np.zeros(0)
             rate = -sigma * d  # change of basic values per unit step
@@ -442,6 +455,7 @@ class _Engine:
                     raise NumericalBreakdown("phase-one subproblem reported unbounded")
                 return "unbounded", j, sigma
             self.iterations += 1
+            stalled = stalled + 1 if t_best == 0.0 else 0
             if leave_pos < 0:
                 # bound flip, no basis change
                 if mh:

@@ -470,10 +470,12 @@ def blackwell_check(
     return report
 
 
-def _partitions_upto(n_items: int, max_blocks: int):
-    """All set partitions of range(n_items) into at most max_blocks blocks."""
+def _partitions_exactly(n_items: int, n_blocks: int):
+    """All set partitions of range(n_items) into exactly n_blocks blocks."""
 
     def rec(i, blocks):
+        if n_items - i < n_blocks - len(blocks):
+            return  # too few items left to open the missing blocks
         if i == n_items:
             yield [list(b) for b in blocks]
             return
@@ -481,7 +483,7 @@ def _partitions_upto(n_items: int, max_blocks: int):
             b.append(i)
             yield from rec(i + 1, blocks)
             b.pop()
-        if len(blocks) < max_blocks:
+        if len(blocks) < n_blocks:
             blocks.append([i])
             yield from rec(i + 1, blocks)
             blocks.pop()
@@ -502,16 +504,19 @@ def _bell(n: int) -> int:
 def dominates_n(mu: VectorMeasure, nu: VectorMeasure, n: int):
     """Dominance of every coarsening of the target into at most n blocks.
 
-    Returns (True, None), or (False, witness) where the witness is the
+    Returns (True, None), or (False, witness) where the witness is a
     partition, as lists of target atom indices, whose block sums escape
-    the source.
+    the source.  Only partitions into exactly n blocks are solved: every
+    coarser partition merges the blocks of one of them, and composing a
+    kernel with that merge shows it is dominated too.  The witness
+    therefore always has exactly n blocks.
     """
     ny = nu.space.size
     if _bell(ny) > 10**5:
         raise ValueError("target space too large for partition enumeration")
     if not 1 <= n <= ny:
         raise ValueError(f"block count must lie in [1, {ny}]")
-    for part in _partitions_upto(ny, n):
+    for part in _partitions_exactly(ny, n):
         sums = np.array([nu.values[idx].sum(axis=0) for idx in part])
         ok, _ = dominates(mu, sums)
         if not ok:

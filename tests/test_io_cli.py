@@ -560,13 +560,19 @@ class TestCliExitCodes:
         (["dominate", "--mu", "{mu}", "--nu", "{nu}", "--seed", "1"], "--seed"),
         (["dominate", "--mu", "{mu}", "--nu", "{nu}", "--samples", "8"], "--samples"),
         (["dominate", "--input", "{dom}", "--mu", "{mu}", "--nu", "{nu}"], "--input"),
+        (["moment", "--input", "{moment}", "--M", "{M}"], "--input"),
+        (["moment", "--input", "{moment}", "--m", "{m}"], "--input"),
+        (["trig", "--input", "{trig}", "--coeffs", "{coeffs}"], "--input"),
     ])
     def test_flags_a_command_does_not_honour_exit_3(self, tmp_path, argv, flag):
         paths = {
             "targets": write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]]}),
         }
-        for kind in ("game", "chain"):
+        for kind in ("game", "chain", "moment", "trig"):
             paths[kind] = write(tmp_path, f"{kind}.json", generate.gen(kind, 1).as_dict())
+        paths["M"] = write(tmp_path, "M.json", {"functions": [[1.0, 1.0]]})
+        paths["m"] = write(tmp_path, "m.json", {"target": [1.0]})
+        paths["coeffs"] = write(tmp_path, "c.json", {"coeffs": [[1.0, 0.0]]})
         dom = generate.gen("dominance", 1)
         paths["dom"] = write(tmp_path, "dom.json", dom.as_dict())
         paths["mu"] = write(tmp_path, "mu.json", dom.payload["mu"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from vecot import lp
+from vecot import generate, lp
 from vecot.lp import LpProblem, NumericalBreakdown, farkas_margin, solve, solve_vertex
+from vecot.scalar import solve_ot
 
 
 def check_farkas(problem, y):
@@ -214,18 +215,20 @@ def test_empty_row_infeasible():
     check_farkas(p, sol.farkas)
 
 
+BEALE_A = np.array(
+    [
+        [0.25, -8.0, -1.0, 9.0],
+        [0.5, -12.0, -0.5, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+)
+
+
 def test_degenerate_cycling_guard():
-    # classic degeneracy-prone instance; Bland's rule must terminate
-    A = np.array(
-        [
-            [0.25, -8.0, -1.0, 9.0],
-            [0.5, -12.0, -0.5, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
+    # degeneracy-prone variant of Beale's example; the pivot rule must terminate
     p = LpProblem(
         c=[-0.75, 150.0, -0.02, 6.0],
-        A=A,
+        A=BEALE_A,
         b=[0.0, 0.0, 1.0],
         kinds=["le", "le", "le"],
     )
@@ -233,6 +236,30 @@ def test_degenerate_cycling_guard():
     assert sol.status == "optimal"
     ref = to_scipy(p)
     assert abs(sol.value - ref.fun) < 1e-9
+
+
+def test_beale_cycling_example_needs_the_bland_fallback(monkeypatch):
+    # Beale (1955): largest-|r_j| pricing with smallest-index leaving cycles
+    # among degenerate bases at the origin
+    p = LpProblem(c=[-0.75, 20.0, -0.5, 6.0], A=BEALE_A, b=[0.0, 0.0, 1.0],
+                  kinds=["le", "le", "le"])
+    sol = solve(p, pivot_limit=200)
+    assert sol.status == "optimal"
+    assert abs(sol.value - (-1.25)) < 1e-9
+    assert abs(sol.value - to_scipy(p).fun) < 1e-9
+    # without the fallback the same pricing never leaves the cycle
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 10**9)
+    with pytest.raises(NumericalBreakdown):
+        solve(p, pivot_limit=2000)
+
+
+def test_pivot_count_regression_guard():
+    # pivot counts are deterministic: Dantzig pricing takes 1616 here, pure
+    # Bland pricing 5252, so a return to Bland fails this bound
+    data = generate.gen("scalar_ot", 1, {"nx": 50, "ny": 50}).data
+    before = lp.pivot_total()
+    solve_ot(data["mu"], data["nu"], data["cost"])
+    assert lp.pivot_total() - before <= 2500
 
 
 def test_pivot_limit_raises():

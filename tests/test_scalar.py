@@ -509,3 +509,84 @@ def test_strassen_matches_capacity_feasibility():
         except InfeasibleTransport:
             via_capacity = False
         assert via_strassen == via_capacity
+
+
+def _degenerate_families():
+    """Transport instances with heavy ties: (name, mu, nu, integer-valued cost)."""
+    rng = np.random.default_rng(2024)
+    for n in range(6, 11):
+        sp = space(n)
+        c = rng.integers(0, 4, (n, n)).astype(float)
+        yield f"assignment{n}", uniform(sp), uniform(sp), c
+    for n in (5, 8):
+        a = rng.integers(1, 6, n).astype(float)
+        b = rng.integers(1, 6, n).astype(float)
+        b[0] += a.sum() - b.sum()
+        if b[0] < 1.0:
+            a[0] += 1.0 - b[0]
+            b[0] = 1.0
+        sx, sy = space(n, "x"), space(n, "y")
+        c = rng.integers(0, 3, (n, n)).astype(float)
+        yield f"integer{n}", ScalarMeasure(sx, a), ScalarMeasure(sy, b), c
+    sp = space(7)
+    w = rng.uniform(0.5, 1.5, 7)
+    yield "constant-cost", ScalarMeasure(sp, w / w.sum()), uniform(sp), np.full((7, 7), 3.0)
+
+
+def _highs(c, mu, nu, kind, extra):
+    nx, ny = c.shape
+    rows = np.kron(np.eye(nx), np.ones(ny))
+    cols = np.kron(np.ones(nx), np.eye(ny))
+    A = np.vstack([rows, cols])
+    b = np.concatenate([mu, nu])
+    if kind == "ot":
+        return linprog(c.ravel(), A_eq=A, b_eq=b, method="highs").fun
+    if kind == "partial":
+        return linprog(c.ravel(), A_ub=A, b_ub=b, A_eq=np.ones((1, nx * ny)),
+                       b_eq=[extra], method="highs").fun
+    bounds = list(zip(np.zeros(nx * ny), extra.ravel()))
+    return -linprog(-c.ravel(), A_eq=A, b_eq=b, bounds=bounds, method="highs").fun
+
+
+@pytest.mark.parametrize(
+    "mu,nu,c", [pytest.param(*f[1:], id=f[0]) for f in _degenerate_families()]
+)
+def test_degenerate_families_match_highs_and_certify(mu, nu, c):
+    a, b = mu.weights, nu.weights
+    tol = 1e-9 * max(1.0, a.sum(), np.abs(c).max())
+
+    def close(value, ref):
+        assert abs(value - ref) <= 1e-7 * (1.0 + abs(ref)), (value, ref)
+
+    res = solve_ot(mu, nu, c)
+    P, psi, phi = res.plan.matrix, res.psi, res.phi
+    close(res.value, _highs(c, a, b, "ot", None))
+    check_plain_duality(res, mu, nu, c, tol=tol)
+    assert np.abs(P * (c - psi[:, None] - phi[None, :])).max() <= tol
+
+    m = 0.6 * min(a.sum(), b.sum())
+    res = solve_partial(mu, nu, c, m)
+    P, psi, phi, lam = res.plan.matrix, res.psi, res.phi, res.extras["lam"]
+    close(res.value, _highs(c, a, b, "partial", m))
+    assert P.min() >= -tol and abs(P.sum() - m) <= tol
+    assert (P.sum(axis=1) - a).max() <= tol and (P.sum(axis=0) - b).max() <= tol
+    assert psi.max() <= tol and phi.max() <= tol
+    reduced = c - psi[:, None] - phi[None, :] - lam
+    assert reduced.min() >= -tol
+    assert np.abs(P * reduced).max() <= tol
+    assert np.abs(psi * (a - P.sum(axis=1))).max() <= tol
+    assert np.abs(phi * (b - P.sum(axis=0))).max() <= tol
+    close(res.value, psi @ a + phi @ b + lam * m)
+
+    cap = 2.0 * np.outer(a, b) / a.sum()  # the product coupling fits half-way
+    res = solve_capacity(mu, nu, c, TransportPlan(mu.space, nu.space, cap))
+    P, psi, phi, xi = res.plan.matrix, res.psi, res.phi, res.extras["xi"]
+    close(res.value, _highs(c, a, b, "capacity", cap))
+    assert P.min() >= -tol and (P - cap).max() <= tol
+    np.testing.assert_allclose(P.sum(axis=1), a, atol=tol)
+    np.testing.assert_allclose(P.sum(axis=0), b, atol=tol)
+    reduced = psi[:, None] + phi[None, :] + xi - c
+    assert xi.min() >= 0.0 and reduced.min() >= -tol
+    assert np.abs(P * reduced).max() <= tol
+    assert np.abs(xi * (cap - P)).max() <= tol
+    close(res.value, psi @ a + phi @ b + (xi * cap).sum())

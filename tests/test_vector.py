@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,6 +448,44 @@ class TestPartitionOrder:
             if wit is not None:
                 sums = np.array([nu.values[idx].sum(axis=0) for idx in wit])
                 assert not dominates(mu, sums)[0]
+
+    def test_exactly_n_blocks_matches_brute_force_upto_n(self):
+        def partitions(m, n):
+            # restricted growth strings: block label of atom j <= 1 + max label so far
+            for labels in itertools.product(range(n), repeat=m):
+                if all(labels[j] <= max(labels[:j], default=-1) + 1 for j in range(m)):
+                    yield [[j for j in range(m) if labels[j] == k]
+                           for k in range(max(labels) + 1)]
+
+        def brute(mu, nu, n):
+            return all(
+                dominates(mu, np.array([nu.values[b].sum(axis=0) for b in part]))[0]
+                for part in partitions(nu.space.size, n)
+            )
+
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for ny in (3, 4, 5):
+            for trial in range(4):
+                vals = rng.uniform(0.05, 1.0, size=(3, 2))
+                mu = VectorMeasure(FiniteSpace(["x0", "x1", "x2"]), vals)
+                if trial % 2 == 0:
+                    nu_vals = _random_rows(rng, 3, ny).T @ vals
+                else:
+                    nu_vals = rng.uniform(0.05, 0.8, size=(ny, 2))
+                    nu_vals *= vals.sum(axis=0) / nu_vals.sum(axis=0)
+                nu = VectorMeasure(FiniteSpace([f"y{j}" for j in range(ny)]), nu_vals)
+                for n in range(1, ny + 1):
+                    ok, wit = dominates_n(mu, nu, n)
+                    assert ok == brute(mu, nu, n), (ny, trial, n)
+                    verdicts.add(ok)
+                    if wit is None:
+                        continue
+                    assert len(wit) <= n
+                    assert sorted(j for block in wit for j in block) == list(range(ny))
+                    sums = np.array([nu.values[b].sum(axis=0) for b in wit])
+                    assert not dominates(mu, sums)[0]
+        assert verdicts == {True, False}
 
     def test_guards(self):
         mu = two_atom_measure()

@@ -48,7 +48,7 @@ from .scalar import (
     strassen_feasible,
 )
 from .serialize import SchemaError, canonical_dumps
-from .tolerances import default_tol
+from .tolerances import REVALIDATE_TOL, default_tol
 from .vector import (
     VectorOtProblem,
     blackwell_check,
@@ -138,7 +138,7 @@ def _run(args) -> int:
         parsed = json.loads(text)
         stored = parsed["diagnostics"]["residuals"]
         for key, val in residuals(parsed).items():
-            if abs(val - stored[key]) > 1e-9:
+            if abs(val - stored[key]) > REVALIDATE_TOL:
                 raise NumericalBreakdown(f"serialized result fails revalidation on {key}: "
                                          f"{val!r} vs stored {stored[key]!r}")
     if args.output:
@@ -598,7 +598,7 @@ def _cmd_gen(args) -> int:
     text = canonical_dumps(generate.gen(args.kind, args.seed or 0).as_dict())
     if args.output:
         _write(args.output, text, args.quiet)
-    else:
+    elif not args.quiet:
         sys.stdout.write(text)
     return EXIT_OK
 

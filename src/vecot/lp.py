@@ -1,5 +1,9 @@
 """Dense bounded-variable revised simplex with duals and certificates.
 
+`solve` runs this engine on every problem except those whose constraint
+matrix is a `network.TransportIncidence`, which go to the network
+simplex.  Both engines hand their optimum to the same gate, `certify`.
+
 Design goals, in order: determinism (fixed pricing and tie-breaking rules,
 fixed iteration order, no randomization), honest certificates (every
 infeasibility or unboundedness claim is validated numerically against the
@@ -36,13 +40,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tolerances import CERT_TOL, FEAS_TOL, GAP_TOL
+from .tolerances import CERT_DUAL_TOL, CERT_TOL, DRIVE_TOL, DUAL_TOL, FEAS_TOL, GAP_TOL, PIV_TOL
 
-__all__ = ["LpProblem", "LpSolution", "NumericalBreakdown", "solve", "solve_vertex", "farkas_margin"]
+__all__ = [
+    "LpProblem", "LpSolution", "NumericalBreakdown", "solve", "solve_vertex", "farkas_margin", "certify",
+]
 
-_DUAL_TOL = 1e-9
-_PIV_TOL = 1e-10
-_DRIVE_TOL = 1e-8
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
 
@@ -65,7 +68,8 @@ class LpProblem:
     Attributes
     ----------
     c : objective coefficients, length n.
-    A : constraint matrix, m x n.
+    A : constraint matrix, m x n: an array, or a `TransportIncidence`,
+        which `solve` hands to the network simplex.
     b : right-hand side, length m.
     kinds : per-row kind, each one of "eq", "le", "ge".
     lower, upper : per-variable bounds; default [0, +inf).
@@ -81,7 +85,8 @@ class LpProblem:
     sense: str = "min"
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        if not isinstance(self.A, TransportIncidence):
+            self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         m, n = self.A.shape
         self.c = _as_float_vector(self.c, n, "c")
         self.b = _as_float_vector(self.b, m, "b")
@@ -101,7 +106,7 @@ class LpProblem:
         )
         if not (
             np.all(np.isfinite(self.c))
-            and np.all(np.isfinite(self.A))
+            and (isinstance(self.A, TransportIncidence) or np.all(np.isfinite(self.A)))
             and np.all(np.isfinite(self.b))
         ):
             raise ValueError("c, A, b must be finite")
@@ -202,14 +207,64 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
     return rate < -CERT_TOL * c_scale
 
 
+def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> None:
+    """Raise NumericalBreakdown unless (x, y) is an optimal pair worth `value`.
+
+    Checks the primal rows and bounds, the dual signs, complementary
+    slackness and the duality gap, in the conventions of the module
+    docstring.  ``problem.A`` is read only through ``A @ x`` and
+    ``A.T @ y``, so a constraint operator that never forms the dense
+    matrix is checked the same way as an array.
+    """
+    p = problem
+    sign = 1.0 if p.sense == "min" else -1.0
+    kinds = np.asarray(p.kinds)
+    eq, le, ge = kinds == "eq", kinds == "le", kinds == "ge"
+    b_scale = max(1.0, float(np.max(np.abs(p.b))) if p.b.size else 1.0)
+    x_scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    resid = p.A @ x - p.b
+    tol = FEAS_TOL * b_scale
+    bad = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalBreakdown(f"primal residual {resid[i]:.2e} on row {i}")
+    if np.any(x < p.lower - FEAS_TOL * x_scale) or np.any(x > p.upper + FEAS_TOL * x_scale):
+        raise NumericalBreakdown("primal bounds violated")
+    # dual checks in the min convention
+    y_min = sign * y
+    c_scale = max(1.0, float(np.max(np.abs(p.c))) if p.c.size else 1.0)
+    dual_tol = CERT_DUAL_TOL * c_scale
+    bad = (le & (y_min > dual_tol)) | (ge & (y_min < -dual_tol))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalBreakdown(f"dual sign violated on {kinds[i]} row {i}")
+    r_min = sign * p.c - p.A.T @ y_min
+    pos, neg = r_min > dual_tol, r_min < -dual_tol
+    at_lo = x <= p.lower + FEAS_TOL * x_scale
+    at_hi = x >= p.upper - FEAS_TOL * x_scale
+    free_pos = pos & ~np.isfinite(p.lower)
+    free_neg = neg & ~np.isfinite(p.upper)
+    bad = free_pos | free_neg | (pos & ~at_lo) | (neg & ~at_hi)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if free_pos[j]:
+            raise NumericalBreakdown(f"dual infeasibility at free variable {j}")
+        if free_neg[j]:
+            raise NumericalBreakdown(f"dual infeasibility at variable {j}")
+        raise NumericalBreakdown(f"complementary slackness violated at variable {j}")
+    dual_value = float(y_min @ p.b + r_min[pos] @ p.lower[pos] + r_min[neg] @ p.upper[neg])
+    value_min = sign * value
+    if abs(value_min - dual_value) > GAP_TOL * (1.0 + abs(value_min)):
+        raise NumericalBreakdown(f"duality gap {value_min - dual_value:.3e} exceeds tolerance")
+
+
 class _Engine:
     """One solve of one problem; not reusable."""
 
-    def __init__(self, problem: LpProblem, pivot_limit: Optional[int]):
+    def __init__(self, problem: LpProblem, pivot_limit: int):
         self.p = problem
         self.sense_sign = 1.0 if problem.sense == "min" else -1.0
-        m, n = problem.nrows, problem.nvars
-        self.pivot_limit = pivot_limit if pivot_limit is not None else 10 * (m + n) ** 2
+        self.pivot_limit = pivot_limit
         self.iterations = 0
         self.col_origin = []   # internal structural column -> original column
         self.fixed_value = {}  # original column -> pinned value
@@ -418,7 +473,7 @@ class _Engine:
             y = self.Binv.T @ cB if mh else np.zeros(0)
             r = costs - (self.Ahat.T @ y) if mh else costs.copy()
             eligible = (~self.in_basis) & range_open & (
-                ((~self.at_upper) & (r < -_DUAL_TOL)) | (self.at_upper & (r > _DUAL_TOL))
+                ((~self.at_upper) & (r < -DUAL_TOL)) | (self.at_upper & (r > DUAL_TOL))
             )
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
@@ -437,8 +492,8 @@ class _Engine:
                 xB = self.x[self.basis]
                 loB = self.lohat[self.basis]
                 hiB = self.hihat[self.basis]
-                down = rate < -_PIV_TOL
-                up = rate > _PIV_TOL
+                down = rate < -PIV_TOL
+                up = rate > PIV_TOL
                 t_rows = np.full(mh, np.inf)
                 t_rows[down] = (xB[down] - loB[down]) / (-rate[down])
                 t_rows[up] = (hiB[up] - xB[up]) / rate[up]
@@ -473,7 +528,7 @@ class _Engine:
             self.basis[leave_pos] = j
             self.in_basis[j] = True
             piv = d[leave_pos]
-            if abs(piv) < _PIV_TOL:
+            if abs(piv) < PIV_TOL:
                 self._refactor()
                 continue
             self.Binv[leave_pos, :] /= piv
@@ -489,13 +544,13 @@ class _Engine:
             if bi < self.first_art:
                 continue
             row = self.Binv[pos, :] @ self.Ahat[:, : self.first_art]
-            cand = np.nonzero((~self.in_basis[: self.first_art]) & (np.abs(row) > _DRIVE_TOL))[0]
+            cand = np.nonzero((~self.in_basis[: self.first_art]) & (np.abs(row) > DRIVE_TOL))[0]
             if cand.size == 0:
                 continue  # redundant row; the artificial stays basic at zero
             j = int(cand[0])
             d = self.Binv @ self.Ahat[:, j]
             piv = d[pos]
-            if abs(piv) < _DRIVE_TOL:
+            if abs(piv) < DRIVE_TOL:
                 continue
             self.in_basis[bi] = False
             self.at_upper[bi] = False
@@ -538,59 +593,6 @@ class _Engine:
         for pos, i in enumerate(self.kept_rows):
             y[i] = y_kept[pos]
         return y
-
-    def _validate_optimal(self, x: np.ndarray, y: np.ndarray, value: float):
-        p = self.p
-        b_scale = max(1.0, float(np.max(np.abs(p.b))) if p.b.size else 1.0)
-        x_scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-        Ax = p.A @ x
-        for i, k in enumerate(p.kinds):
-            resid = float(Ax[i] - p.b[i])
-            ok = (
-                abs(resid) <= FEAS_TOL * b_scale
-                if k == "eq"
-                else resid <= FEAS_TOL * b_scale
-                if k == "le"
-                else resid >= -FEAS_TOL * b_scale
-            )
-            if not ok:
-                raise NumericalBreakdown(f"primal residual {resid:.2e} on row {i}")
-        if np.any(x < p.lower - FEAS_TOL * x_scale) or np.any(x > p.upper + FEAS_TOL * x_scale):
-            raise NumericalBreakdown("primal bounds violated")
-        # dual checks in the min convention
-        y_min = self.sense_sign * y
-        c_scale = max(1.0, float(np.max(np.abs(p.c))) if p.c.size else 1.0)
-        dual_tol = 1e-7 * c_scale
-        for i, k in enumerate(p.kinds):
-            if k == "le" and y_min[i] > dual_tol:
-                raise NumericalBreakdown(f"dual sign violated on le row {i}")
-            if k == "ge" and y_min[i] < -dual_tol:
-                raise NumericalBreakdown(f"dual sign violated on ge row {i}")
-        r_min = self.sense_sign * p.c - p.A.T @ y_min
-        dual_value = float(y_min @ p.b)
-        for j in range(p.nvars):
-            rj = float(r_min[j])
-            at_lo = x[j] <= p.lower[j] + FEAS_TOL * x_scale
-            at_hi = x[j] >= p.upper[j] - FEAS_TOL * x_scale
-            if abs(rj) <= dual_tol:
-                continue
-            if rj > 0.0:
-                if not np.isfinite(p.lower[j]):
-                    raise NumericalBreakdown(f"dual infeasibility at free variable {j}")
-                if not at_lo:
-                    raise NumericalBreakdown(f"complementary slackness violated at variable {j}")
-                dual_value += rj * p.lower[j]
-            else:
-                if not np.isfinite(p.upper[j]):
-                    raise NumericalBreakdown(f"dual infeasibility at variable {j}")
-                if not at_hi:
-                    raise NumericalBreakdown(f"complementary slackness violated at variable {j}")
-                dual_value += rj * p.upper[j]
-        value_min = self.sense_sign * value
-        if abs(value_min - dual_value) > GAP_TOL * (1.0 + abs(value_min)):
-            raise NumericalBreakdown(
-                f"duality gap {value_min - dual_value:.3e} exceeds tolerance"
-            )
 
     # ----- main -------------------------------------------------------------
 
@@ -652,7 +654,7 @@ class _Engine:
             y = -y
         value = float(p.c @ x)
         reduced = p.c - p.A.T @ y
-        self._validate_optimal(x, y, value)
+        certify(p, x, y, value)
         return LpSolution(
             status="optimal",
             value=value,
@@ -691,9 +693,19 @@ def pivot_total() -> int:
 
 
 def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
-    """Solve a linear program; see the module docstring for conventions."""
+    """Solve a linear program; see the module docstring for conventions.
+
+    A problem whose ``A`` is a `TransportIncidence` goes to the network
+    simplex (`network.solve_network`), every other one to the dense
+    engine.  The default pivot limit is ``10 * (rows + columns) ** 2``.
+    """
     global _pivot_total
-    sol = _Engine(problem, pivot_limit).run()
+    if pivot_limit is None:
+        pivot_limit = 10 * (problem.nrows + problem.nvars) ** 2
+    if isinstance(problem.A, TransportIncidence):
+        sol = solve_network(problem, pivot_limit)
+    else:
+        sol = _Engine(problem, pivot_limit).run()
     _pivot_total += sol.iterations
     return sol
 
@@ -710,3 +722,7 @@ def solve_vertex(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSol
                 f"vertex solve returned {interior} interior entries for {problem.nrows} rows"
             )
     return sol
+
+
+# the network engine builds on the definitions above, so it is imported last
+from .network import TransportIncidence, solve_network  # noqa: E402

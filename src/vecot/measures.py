@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tolerances import ENTRY_TOL
+from .tolerances import ENTRY_TOL, NEG_TOL
 
 __all__ = [
     "SpaceMismatch",
@@ -34,8 +34,6 @@ __all__ = [
     "variation",
 ]
 
-_READER_TOL = 1e-9
-
 
 class SpaceMismatch(Exception):
     """Two objects that must share a finite space do not."""
@@ -48,7 +46,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _clean_nonneg(arr: np.ndarray, name: str) -> np.ndarray:
     """Reject entries below -1e-9, clamp tiny negatives to zero."""
-    if np.any(arr < -_READER_TOL):
+    if np.any(arr < -NEG_TOL):
         pos = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise ValueError(f"{name} has negative entry {arr[pos]:.3e} at {pos}")
     return np.where(arr < 0.0, 0.0, arr)

@@ -1,0 +1,333 @@
+"""Transportation network simplex: the bipartite LPs on a spanning-tree basis.
+
+A transportation LP ships flow along arcs (i, j) from sources i < nx to
+sinks j < ny.  Row i sums the flow leaving source i, row nx + j the flow
+entering sink j, and an optional last row sums every arc.
+`TransportIncidence` is that constraint matrix as an operator: it gives
+``A @ x`` and ``A.T @ y`` without the dense (rows x arcs) array, and
+`lp.solve` hands every problem whose ``A`` is one to `solve_network`.
+
+Network.  Sources supply b_i and sinks demand b_j.  With the total row
+(marginal rows "le", total row "eq" with right-hand side m), a dummy
+source feeds every sink the demand left unmet and every source sends
+its unshipped supply to a dummy sink.  There is no dummy-to-dummy arc,
+so exactly m crosses the real arcs.  An artificial root joins every
+node by one arc pointing the way the node's balance flows.
+
+Basis.  A spanning tree over all nodes, rooted at the artificial root.
+Nonbasic arcs sit at 0 or at their cap.  Node potentials pi make the
+reduced cost c_a - pi[tail] + pi[head] of every tree arc zero; the LP
+duals are read off them (`_lp_duals`).
+
+Start.  The tree of artificial arcs, each carrying its node's balance
+and priced at M = (1 + max|c|) * (nodes + 1).  A cycle that moves flow
+off the root costs at most (nodes - 1) * max|c| - 2M < 0, so an optimum
+still routing flow through the root proves the LP infeasible.  The
+engine then prices artificial arcs at 1 and the rest at 0 (phase one)
+and turns the phase-one potentials into a Farkas certificate.
+
+Pivots.  The nonbasic arc with the most negative signed reduced cost
+enters (Dantzig; ties to the smallest index).  The leaving arc is the
+last blocking arc met going round the cycle from its apex in the
+direction of flow (Cunningham 1976).  This keeps the tree strongly
+feasible: every tree arc with zero flow points to the root and every
+tree arc at its cap points away from it, so every node can send flow up
+to the root.  A degenerate pivot therefore blocks between the apex and
+the node the entering flow leaves; the re-hung subtree holds that node,
+and all its potentials fall by |reduced cost|.  The sum of the
+potentials strictly falls, no tree repeats, and the method cannot cycle.
+"""
+
+import numpy as np
+
+from .lp import LpSolution, NumericalBreakdown, certify, farkas_margin
+from .tolerances import CERT_TOL, DUAL_TOL, FEAS_TOL
+
+__all__ = ["TransportIncidence", "solve_network"]
+
+
+class TransportIncidence:
+    """Constraint matrix of a transportation LP, as an operator.
+
+    Column k is the arc from source ``tail[k]`` to sink ``head[k]``: a one
+    in row ``tail[k]``, a one in row ``nx + head[k]`` and, with ``total``,
+    a one in the last row.  ``size`` counts the stored ones, as for a
+    sparse matrix, not rows times columns.
+    """
+
+    def __init__(self, nx: int, ny: int, tail, head, total: bool = False):
+        self.nx, self.ny, self.total = int(nx), int(ny), bool(total)
+        self.tail = np.asarray(tail, dtype=np.intp).reshape(-1)
+        self.head = np.asarray(head, dtype=np.intp).reshape(-1)
+        if self.tail.shape != self.head.shape:
+            raise ValueError("tail and head must have the same length")
+        if np.any((self.tail < 0) | (self.tail >= self.nx) | (self.head < 0) | (self.head >= self.ny)):
+            raise ValueError("arc endpoint out of range")
+        self.shape = (self.nx + self.ny + self.total, self.tail.size)
+
+    @classmethod
+    def complete(cls, nx: int, ny: int, total: bool = False) -> "TransportIncidence":
+        """Every source-sink pair, in row-major order (arc i * ny + j)."""
+        return cls(nx, ny, np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx), total)
+
+    @property
+    def size(self) -> int:
+        return (2 + self.total) * self.tail.size
+
+    @property
+    def T(self) -> "_Transpose":
+        return _Transpose(self)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        parts = [
+            np.bincount(self.tail, weights=x, minlength=self.nx),
+            np.bincount(self.head, weights=x, minlength=self.ny),
+        ]
+        if self.total:
+            parts.append([x.sum()])
+        return np.concatenate(parts)
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``A.T @ y``: the row multipliers summed along each arc."""
+        y = np.asarray(y, dtype=float)
+        out = y[self.tail] + y[self.nx + self.head]
+        return out + y[-1] if self.total else out
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, for checks against the dense engine."""
+        A = np.zeros(self.shape)
+        k = np.arange(self.tail.size)
+        A[self.tail, k] = 1.0
+        A[self.nx + self.head, k] = 1.0
+        if self.total:
+            A[-1] = 1.0
+        return A
+
+
+class _Transpose:
+    def __init__(self, op: TransportIncidence):
+        self._op = op
+
+    def __matmul__(self, y) -> np.ndarray:
+        return self._op.rmatvec(y)
+
+
+class _Tree:
+    """Strongly feasible spanning-tree simplex for one min-cost flow; not reusable.
+
+    Nodes are 0..n-1 and the root is n; flow conservation is
+    out - in = balance.  Arc k < E is given, arc E + v joins node v and
+    the root.  The walks run on Python lists, which index faster than
+    arrays one element at a time; pricing runs on arrays.
+    """
+
+    def __init__(self, tail, head, cap, balance, pivot_limit: int, tol: float):
+        n, E = balance.size, tail.size
+        nodes = np.arange(n)
+        supply = balance >= 0.0
+        self.n_real = E
+        self.tail = np.concatenate([tail, np.where(supply, nodes, n)])
+        self.head = np.concatenate([head, np.where(supply, n, nodes)])
+        self.tails, self.heads = self.tail.tolist(), self.head.tolist()
+        self.cap = np.concatenate([cap, np.full(n, np.inf)]).tolist()
+        self.flow = [0.0] * E + np.abs(balance).tolist()
+        # +1 at the lower bound, -1 at the cap, 0 in the tree or never movable
+        self.state = np.concatenate([(cap > 0.0).astype(float), np.zeros(n)])
+        self.parent = [n] * n + [-1]
+        self.pred = list(range(E, E + n)) + [-1]
+        self.up = supply.tolist() + [False]  # pred arc points from the node to its parent
+        self.depth = [1] * n + [0]
+        self.children = [[] for _ in range(n)] + [list(range(n))]
+        self.pi = np.zeros(n + 1)
+        self.pivots = 0
+        self.pivot_limit = pivot_limit
+        self.tol = tol
+
+    def artificial_flow(self) -> float:
+        return float(sum(self.flow[self.n_real :]))
+
+    def run(self, cost: np.ndarray) -> None:
+        """Pivot to an optimal tree under `cost` (one entry per arc)."""
+        self._potentials(cost)
+        tail, head, state, pi = self.tail, self.head, self.state, self.pi
+        rc = np.empty(cost.size)
+        buf = np.empty(cost.size)
+        while rc.size:
+            pi.take(tail, out=rc)
+            np.subtract(cost, rc, out=rc)
+            rc += pi.take(head, out=buf)
+            np.multiply(state, rc, out=buf)
+            e = int(buf.argmin())
+            if not buf[e] < -self.tol:
+                return
+            if self.pivots >= self.pivot_limit:
+                raise NumericalBreakdown(
+                    f"pivot limit {self.pivot_limit} exceeded after {self.pivots} iterations"
+                )
+            self.pivots += 1
+            self._pivot(e, float(rc[e]))
+
+    def _potentials(self, cost: np.ndarray) -> None:
+        """Potentials from the tree, root first, under a new cost vector."""
+        c = cost.tolist()
+        pi = [0.0] * len(self.parent)
+        stack = [len(self.parent) - 1]
+        while stack:
+            w = stack.pop()
+            for v in self.children[w]:
+                a = self.pred[v]
+                pi[v] = pi[w] + c[a] if self.up[v] else pi[w] - c[a]
+                stack.append(v)
+        self.pi[:] = pi
+
+    def _pivot(self, e: int, rc_e: float) -> None:
+        parent, pred, up, depth = self.parent, self.pred, self.up, self.depth
+        flow, cap = self.flow, self.cap
+        forward = self.state[e] > 0.0  # at its lower bound: flow grows tail -> head
+        a, b = self.tails[e], self.heads[e]
+        first, second = (a, b) if forward else (b, a)
+        # the cycle: apex -> ... -> first -> second -> ... -> apex
+        side1, side2 = [], []
+        u, v = first, second
+        while u != v:
+            if depth[u] >= depth[v]:
+                side1.append(u)
+                u = parent[u]
+            else:
+                side2.append(v)
+                v = parent[v]
+        # last blocking arc from the apex: on side 1 the one nearest `first`,
+        # then the entering arc, then on side 2 the one nearest the apex
+        delta, out, out_side1 = cap[e], -1, False
+        for k, u in enumerate(side1):  # flow runs down, towards `first`
+            f = flow[pred[u]]
+            d = f if up[u] else cap[pred[u]] - f
+            if d < delta:
+                delta, out, out_side1 = d, k, True
+        for k, u in enumerate(side2):  # flow runs up, away from `second`
+            f = flow[pred[u]]
+            d = cap[pred[u]] - f if up[u] else f
+            if d <= delta:
+                delta, out, out_side1 = d, k, False
+        if delta == np.inf:
+            raise NumericalBreakdown("network has a cycle of unbounded arcs with negative cost")
+        if delta > 0.0:
+            flow[e] += delta if forward else -delta
+            for u in side1:
+                flow[pred[u]] += -delta if up[u] else delta
+            for u in side2:
+                flow[pred[u]] += delta if up[u] else -delta
+        if out < 0:  # the entering arc blocks itself: a bound flip
+            flow[e] = cap[e] if forward else 0.0
+            self.state[e] = -self.state[e]
+            return
+        path = (side1 if out_side1 else side2)[: out + 1]
+        u_out = path[-1]
+        leave = pred[u_out]
+        at_cap = up[u_out] != out_side1
+        flow[leave] = cap[leave] if at_cap else 0.0
+        self.state[leave] = -1.0 if at_cap else 1.0
+        self.state[e] = 0.0
+        u_in, v_in = (first, second) if out_side1 else (second, first)
+        # re-hang the subtree under u_out from u_in, reversing the path between
+        children = self.children
+        children[parent[u_out]].remove(u_out)
+        prev, prev_pred, prev_up = v_in, e, a == u_in
+        for w in path:
+            old_parent, old_pred, old_up = parent[w], pred[w], up[w]
+            if w != u_out:
+                children[old_parent].remove(w)
+            parent[w], pred[w], up[w] = prev, prev_pred, prev_up
+            children[prev].append(w)
+            prev, prev_pred, prev_up = w, old_pred, not old_up
+        # the whole subtree moves by one potential shift: e's reduced cost
+        # becomes zero
+        depth[u_in] = depth[v_in] + 1
+        moved, stack = [], [u_in]
+        while stack:
+            w = stack.pop()
+            moved.append(w)
+            dw = depth[w] + 1
+            for ch in children[w]:
+                depth[ch] = dw
+                stack.append(ch)
+        self.pi[moved] += rc_e if u_in == a else -rc_e
+
+
+def _lp_duals(A: TransportIncidence, pi: np.ndarray) -> np.ndarray:
+    """Row multipliers of the LP (min convention) from node potentials."""
+    nx, ny = A.nx, A.ny
+    src, snk = pi[:nx], pi[nx : nx + ny]
+    if not A.total:
+        return np.concatenate([src, -snk])
+    ds, dt = pi[nx + ny], pi[nx + ny + 1]
+    return np.concatenate([src - dt, ds - snk, [dt - ds]])
+
+
+def solve_network(problem, pivot_limit: int) -> LpSolution:
+    """Solve an LP whose ``A`` is a `TransportIncidence`.
+
+    The marginal rows must all be "eq" (no total row) or all "le" with an
+    "eq" total row, and every lower bound 0; caps may be infinite.  The
+    result carries the same guarantees as the dense engine's: an optimum
+    that passes `lp.certify`, or a Farkas certificate that passes
+    `lp.farkas_margin`.
+    """
+    A = problem.A
+    nx, ny = A.nx, A.ny
+    marginal = "le" if A.total else "eq"
+    kinds = problem.kinds
+    if any(k != marginal for k in kinds[: nx + ny]) or (A.total and kinds[-1] != "eq"):
+        raise ValueError("network rows must be eq marginals, or le marginals and an eq total")
+    if np.any(problem.lower != 0.0):
+        raise ValueError("network arcs must have lower bound 0")
+    sign = 1.0 if problem.sense == "min" else -1.0
+    b = problem.b
+    tail, head = A.tail, nx + A.head
+    cost, cap = sign * problem.c, problem.upper
+    balance = np.concatenate([b[:nx], -b[nx : nx + ny]])
+    if A.total:
+        ds, dt = nx + ny, nx + ny + 1
+        tail = np.concatenate([tail, np.arange(nx), np.full(ny, ds)])
+        head = np.concatenate([head, np.full(nx, dt), nx + np.arange(ny)])
+        cost = np.concatenate([cost, np.zeros(nx + ny)])
+        cap = np.concatenate([cap, np.full(nx + ny, np.inf)])
+        balance = np.concatenate([balance, [b[nx:-1].sum() - b[-1], b[-1] - b[:nx].sum()]])
+    c_max = float(np.max(np.abs(cost))) if cost.size else 0.0
+    nodes, arcs = balance.size, tail.size
+    tree = _Tree(tail, head, cap, balance, pivot_limit, DUAL_TOL * max(1.0, c_max))
+    tree.run(np.concatenate([cost, np.full(nodes, (1.0 + c_max) * (nodes + 1))]))
+    b_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    if tree.artificial_flow() > b_tol:
+        tree.run(np.concatenate([np.zeros(arcs), np.ones(nodes)]))
+        if not tree.artificial_flow() > b_tol:
+            raise NumericalBreakdown("phase one found a feasible flow the priced start missed")
+        y = -_lp_duals(A, tree.pi)
+        scale = float(np.max(np.abs(y))) if y.size else 0.0
+        if scale > 0:
+            y = y / scale
+        if not farkas_margin(problem, y) < -CERT_TOL:
+            raise NumericalBreakdown("infeasibility certificate failed validation")
+        return LpSolution(
+            status="infeasible",
+            value=np.inf if problem.sense == "min" else -np.inf,
+            farkas=y,
+            iterations=tree.pivots,
+        )
+    x = np.array(tree.flow[: A.shape[1]])
+    # shifting every potential alike changes no reduced cost; anchor the
+    # first node hung from the root at zero, so that the duals do not carry
+    # the artificial price M
+    anchor = tree.pi[tree.children[-1][0]] if nodes else 0.0
+    y = sign * _lp_duals(A, tree.pi - anchor)
+    value = float(problem.c @ x)
+    certify(problem, x, y, value)
+    return LpSolution(
+        status="optimal",
+        value=value,
+        x=x,
+        y=y,
+        reduced=problem.c - A.T @ y,
+        iterations=tree.pivots,
+    )

@@ -1,7 +1,13 @@
 """Scalar transport problems and their variants, each solved as one LP.
 
-Every solver returns dual potentials along with the optimal plan and
-checks the certificate inequality of any infeasibility before raising.
+The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`
+and `local_constraint_feasible`) state their LP with a
+`network.TransportIncidence`, so `lp.solve` runs them on the network
+simplex and never forms the dense marginal matrix; the others are dense
+LPs.  Every solver returns dual potentials along with the optimal plan
+and checks the certificate inequality of any infeasibility before
+raising.
+
 Sign conventions follow the LP duals directly:
 
 - plain:      psi(x) + phi(y) <= c(x,y),          value = psi.mu + phi.nu
@@ -20,6 +26,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, farkas_margin, solve
 from .measures import ScalarMeasure, TransportPlan
+from .network import TransportIncidence
 from .tolerances import CERT_TOL, FEAS_TOL
 
 __all__ = [
@@ -132,7 +139,7 @@ def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
         plan = TransportPlan(mu.space, nu.space, np.zeros((nx, ny)))
         return OtResult(0.0, plan, psi, phi)
     kx, ky = li.size, lj.size
-    A = _marginal_matrix(kx, ky)
+    A = TransportIncidence.complete(kx, ky)
     b = np.concatenate([mu.weights[li], nu.weights[lj]])
     sub = c[np.ix_(li, lj)]
     sol = solve(LpProblem(c=sub.ravel(), A=A, b=b, kinds=["eq"] * (kx + ky)))
@@ -171,7 +178,7 @@ def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtRes
     li = np.nonzero(mu.weights > 0.0)[0]
     lj = np.nonzero(nu.weights > 0.0)[0]
     kx, ky = li.size, lj.size
-    A = np.vstack([_marginal_matrix(kx, ky), np.ones((1, kx * ky))])
+    A = TransportIncidence.complete(kx, ky, total=True)
     b = np.concatenate([mu.weights[li], nu.weights[lj], [m]])
     kinds = ["le"] * (kx + ky) + ["eq"]
     sol = solve(LpProblem(c=c[np.ix_(li, lj)].ravel(), A=A, b=b, kinds=kinds))
@@ -239,7 +246,7 @@ def solve_capacity(
             phi,
             extras={"xi": np.zeros((nx, ny))},
         )
-    A = _marginal_matrix(kx, ky)
+    A = TransportIncidence.complete(kx, ky)
     b = np.concatenate([mu.weights[li], nu.weights[lj]])
     upper = cap.matrix[np.ix_(li, lj)].ravel()
     p = LpProblem(
@@ -259,6 +266,10 @@ def solve_capacity(
         phi_c = np.zeros(ny)
         psi_c[li] = psi_l
         phi_c[lj] = phi_l
+        # zero-mass atoms add nothing to psi.mu + phi.nu; choose them so
+        # that [psi + phi]_+ vanishes on every pair involving one
+        phi_c[np.setdiff1d(np.arange(ny), lj)] = -psi_l.max()
+        psi_c[np.setdiff1d(np.arange(nx), li)] = -phi_c.max()
         pos_part = np.maximum(psi_c[:, None] + phi_c[None, :], 0.0)
         slack = float(
             (pos_part * cap.matrix).sum() - psi_c @ mu.weights - phi_c @ nu.weights
@@ -529,13 +540,8 @@ def local_constraint_feasible(
             cert = {"psi": np.zeros(nx), "phi": np.full(ny, -1.0)}
             cert["margin"] = -nu.total()
         return FeasibilityResult(False, cert=cert)
-    nvar = ax.size
-    A = np.zeros((nx + ny, nvar))
-    for k in range(nvar):
-        A[ax[k], k] = 1.0
-        A[nx + ay[k], k] = 1.0
     b = np.concatenate([mu.weights, nu.weights])
-    p = LpProblem(c=c[ax, ay], A=A, b=b, kinds=["eq"] * (nx + ny))
+    p = LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
     sol = solve(p)
     if sol.status == "optimal":
         mat = np.zeros((nx, ny))

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import FiniteSpace, ScalarMeasure, TransportPlan, VectorMeasure
-
-_NEG_TOL = 1e-9
+from .tolerances import NEG_TOL
 
 
 class SchemaError(ValueError):
@@ -81,14 +80,14 @@ def _matrix(x, path, rows=None, cols=None) -> np.ndarray:
 def _weights(x, path, length=None) -> np.ndarray:
     vals = _float_list(x, path, length)
     for i, v in enumerate(vals):
-        if v < -_NEG_TOL:
+        if v < -NEG_TOL:
             raise SchemaError(f"{path}[{i}]", f"negative weight {v!r}")
     return np.maximum(np.array(vals), 0.0)
 
 
 def _nonneg_matrix(x, path, rows=None, cols=None) -> np.ndarray:
     m = _matrix(x, path, rows, cols)
-    bad = np.argwhere(m < -_NEG_TOL)
+    bad = np.argwhere(m < -NEG_TOL)
     if bad.size:
         i, j = bad[0]
         raise SchemaError(f"{path}[{i}][{j}]", f"negative entry {m[i, j]!r}")

@@ -20,6 +20,19 @@ GAP_TOL = 1e-7
 GAME_TOL = 1e-8
 # chain-transport duality equality
 CHAIN_TOL = 1e-6
+# dual sign and reduced-cost slack a certified optimum may show, relative
+# to max(1, max|c|)
+CERT_DUAL_TOL = 1e-7
+# simplex pricing: a reduced cost must pass this to enter the basis
+DUAL_TOL = 1e-9
+# ratio test and pivot elements: smaller entries count as zero
+PIV_TOL = 1e-10
+# pivot elements large enough to swap a zero artificial out of the basis
+DRIVE_TOL = 1e-8
+# readers reject entries below -NEG_TOL and clamp the rest to zero
+NEG_TOL = 1e-9
+# a result re-parsed from its own text must reproduce each residual this closely
+REVALIDATE_TOL = 1e-9
 
 
 def default_tol() -> float:

@@ -491,14 +491,12 @@ def _partitions_exactly(n_items: int, n_blocks: int):
     yield from rec(0, [])
 
 
-def _bell(n: int) -> int:
-    row = [1]
+def _stirling2(n: int, k: int) -> int:
+    """Number of partitions of n items into exactly k blocks."""
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
     for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def dominates_n(mu: VectorMeasure, nu: VectorMeasure, n: int):
@@ -509,13 +507,14 @@ def dominates_n(mu: VectorMeasure, nu: VectorMeasure, n: int):
     the source.  Only partitions into exactly n blocks are solved: every
     coarser partition merges the blocks of one of them, and composing a
     kernel with that merge shows it is dominated too.  The witness
-    therefore always has exactly n blocks.
+    therefore always has exactly n blocks.  Raises ValueError when there
+    are more than 10**5 such partitions (the Stirling number S(ny, n)).
     """
     ny = nu.space.size
-    if _bell(ny) > 10**5:
-        raise ValueError("target space too large for partition enumeration")
     if not 1 <= n <= ny:
         raise ValueError(f"block count must lie in [1, {ny}]")
+    if _stirling2(ny, n) > 10**5:
+        raise ValueError("too many partitions into n blocks to enumerate")
     for part in _partitions_exactly(ny, n):
         sums = np.array([nu.values[idx].sum(axis=0) for idx in part])
         ok, _ = dominates(mu, sums)

@@ -309,6 +309,9 @@ class TestCliSolve:
         rc, stdout, _ = run_cli(["solve-ot", "--input", prob, "--quiet"])
         assert rc == 0
         assert stdout == ""
+        assert run_cli(["gen", "--kind", "scalar_ot", "--seed", "4", "--quiet"]) == (0, "", "")
+        rc, stdout, _ = run_cli(["gen", "--kind", "scalar_ot", "--seed", "4"])
+        assert rc == 0 and stdout == Path(prob).read_text()
 
 
 class TestCliDominate:

@@ -1,0 +1,211 @@
+"""The network simplex against the dense engine and HiGHS, and its certificates."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vecot import generate, lp, scalar
+from vecot.lp import LpProblem, NumericalBreakdown, certify, farkas_margin
+from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
+from vecot.network import TransportIncidence, _Tree
+from vecot.tolerances import CERT_TOL
+
+
+def dense_twin(problem):
+    """The same LP with its constraint matrix written out."""
+    return LpProblem(
+        c=problem.c, A=problem.A.toarray(), b=problem.b, kinds=problem.kinds,
+        lower=problem.lower, upper=problem.upper, sense=problem.sense,
+    )
+
+
+def highs(problem):
+    """(status, value) of the dense twin under scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    if problem.nvars == 0:
+        return lp.solve(dense_twin(problem)).status, None
+    A, b, kinds = problem.A.toarray(), problem.b, np.asarray(problem.kinds)
+    sign = 1.0 if problem.sense == "min" else -1.0
+    le = kinds == "le"
+    res = linprog(
+        sign * problem.c,
+        A_ub=A[le] if le.any() else None, b_ub=b[le] if le.any() else None,
+        A_eq=A[~le], b_eq=b[~le],
+        bounds=list(zip(problem.lower, [None if np.isinf(u) else u for u in problem.upper])),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", sign * res.fun) if res.status == 0 else ("infeasible", None)
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def check_against_oracles(problem, sol):
+    """The network result agrees with the dense engine and HiGHS, and both
+    engines' results pass the gates on both forms of the problem."""
+    twin = dense_twin(problem)
+    ref = lp.solve(twin)
+    assert sol.status == ref.status
+    status, value = highs(problem)
+    assert status == sol.status
+    if value is not None:
+        assert close(sol.value, value), (sol.value, value)
+    if sol.status == "optimal":
+        assert close(sol.value, ref.value), (sol.value, ref.value)
+        for p in (problem, twin):
+            certify(p, sol.x, sol.y, sol.value)
+            certify(p, ref.x, ref.y, ref.value)
+    else:
+        for p in (problem, twin):
+            assert farkas_margin(p, sol.farkas) < -CERT_TOL
+            assert farkas_margin(p, ref.farkas) < -CERT_TOL
+
+
+def instance(seed, nx, ny, integer_costs):
+    """Marginals of a random integer plan (zero rows and columns give zero-mass
+    atoms), a cost, a capacity that may not fit, a mass and a threshold."""
+    rng = np.random.default_rng(seed)
+    P0 = rng.integers(0, 3, (nx, ny)) * (rng.random((nx, ny)) < 0.6)
+    sx = FiniteSpace([f"x{i}" for i in range(nx)])
+    sy = FiniteSpace([f"y{j}" for j in range(ny)])
+    mu = ScalarMeasure(sx, P0.sum(axis=1).astype(float))
+    nu = ScalarMeasure(sy, P0.sum(axis=0).astype(float))
+    c = rng.integers(0, 4, (nx, ny)).astype(float) if integer_costs else rng.normal(size=(nx, ny))
+    cap = rng.integers(0, 3, (nx, ny)) + (P0 if rng.random() < 0.5 else 0)
+    cap = TransportPlan(sx, sy, cap.astype(float))
+    m = float(rng.integers(0, int(P0.sum()) + 1))
+    D = max(0.0, float(np.quantile(c, rng.uniform(0.2, 0.9))))
+    return mu, nu, c, cap, m, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    integer_costs=st.booleans(),
+)
+def test_four_solvers_match_dense_engine_and_highs(seed, nx, ny, integer_costs):
+    mu, nu, c, cap, m, D = instance(seed, nx, ny, integer_costs)
+    seen = []
+
+    def spy(problem, pivot_limit=None):
+        sol = lp.solve(problem, pivot_limit)
+        assert isinstance(problem.A, TransportIncidence)
+        seen.append((problem, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "solve", spy)
+        scalar.solve_ot(mu, nu, c)
+        scalar.solve_partial(mu, nu, c, m)
+        try:
+            scalar.solve_capacity(mu, nu, c, cap)
+        except scalar.InfeasibleTransport as exc:
+            assert exc.cert["kellerer_slack"] < -CERT_TOL
+        res = scalar.local_constraint_feasible(mu, nu, c, D)
+        if not res.feasible:
+            assert res.cert["margin"] < -CERT_TOL
+    for problem, sol in seen:
+        check_against_oracles(problem, sol)
+
+
+def test_infeasible_partial_mass_certified_by_both_engines():
+    A = TransportIncidence.complete(2, 3, total=True)
+    p = LpProblem(c=np.arange(6.0), A=A, b=[1.0, 1.0, 0.5, 0.5, 0.5, 1.8], kinds=["le"] * 5 + ["eq"])
+    sol = lp.solve(p)
+    assert sol.status == "infeasible"
+    check_against_oracles(p, sol)
+
+
+def test_incidence_operator_matches_its_dense_matrix():
+    rng = np.random.default_rng(3)
+    for total in (False, True):
+        A = TransportIncidence(4, 5, rng.integers(0, 4, 9), rng.integers(0, 5, 9), total=total)
+        dense = A.toarray()
+        x, y = rng.normal(size=9), rng.normal(size=A.shape[0])
+        np.testing.assert_allclose(A @ x, dense @ x)
+        np.testing.assert_allclose(A.T @ y, dense.T @ y)
+        assert A.size == np.count_nonzero(dense)
+    with pytest.raises(ValueError):
+        TransportIncidence(2, 2, [0, 2], [0, 1])
+    with pytest.raises(ValueError):
+        lp.solve(LpProblem(c=[1.0], A=TransportIncidence(1, 1, [0], [0]), b=[1.0, 1.0], kinds=["ge", "eq"]))
+
+
+def test_network_pivot_count_guard():
+    # network pivots are deterministic and still count in lp.pivot_total():
+    # 131 for this solve_ot (1616 on the dense engine), 713 for this
+    # solve_capacity (2349)
+    for kind, n, bound in (("scalar_ot", 50, 160), ("capacity", 30, 850)):
+        data = generate.gen(kind, 1, {"nx": n, "ny": n}).data
+        before = lp.pivot_total()
+        if kind == "scalar_ot":
+            scalar.solve_ot(data["mu"], data["nu"], data["cost"])
+        else:
+            scalar.solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
+        assert 0 < lp.pivot_total() - before <= bound
+
+
+def test_pivot_limit_applies_to_the_network():
+    data = generate.gen("scalar_ot", 1, {"nx": 10, "ny": 10}).data
+    A = TransportIncidence.complete(10, 10)
+    b = np.concatenate([data["mu"].weights, data["nu"].weights])
+    p = LpProblem(c=data["cost"].ravel(), A=A, b=b, kinds=["eq"] * 20)
+    with pytest.raises(NumericalBreakdown):
+        lp.solve(p, pivot_limit=5)
+
+
+def test_trees_stay_strongly_feasible_on_degenerate_instances(monkeypatch):
+    # the leaving rule's guard against cycling: after every pivot each tree
+    # arc with zero flow points to the root and each arc at its cap away
+    pivot = _Tree._pivot
+    checked = []
+
+    def checked_pivot(tree, e, rc_e):
+        pivot(tree, e, rc_e)
+        for v, a in enumerate(tree.pred[:-1]):
+            if tree.flow[a] == 0.0:
+                assert tree.up[v]
+            if tree.flow[a] == tree.cap[a]:
+                assert not tree.up[v]
+        checked.append(e)
+
+    monkeypatch.setattr(_Tree, "_pivot", checked_pivot)
+    rng = np.random.default_rng(7)
+    for n in (6, 9, 12):
+        sp = FiniteSpace([f"p{i}" for i in range(n)])
+        uniform = ScalarMeasure(sp, np.ones(n))
+        c = rng.integers(0, 3, (n, n)).astype(float)
+        scalar.solve_ot(uniform, uniform, c)
+        scalar.solve_partial(uniform, uniform, c, n / 2)
+        scalar.solve_capacity(uniform, uniform, c, TransportPlan(sp, sp, np.full((n, n), 0.5)))
+    assert checked
+
+
+def test_solve_ot_300_certifies_without_a_dense_matrix(monkeypatch):
+    data = generate.gen("scalar_ot", 1, {"nx": 300, "ny": 300}).data
+    seen = []
+
+    def spy(problem, pivot_limit=None):
+        sol = lp.solve(problem, pivot_limit)
+        seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(scalar, "solve", spy)
+    tracemalloc.start()
+    try:
+        res = scalar.solve_ot(data["mu"], data["nu"], data["cost"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (problem, sol), = seen
+    assert isinstance(problem.A, TransportIncidence) and problem.A.size == 2 * 300 * 300
+    certify(problem, sol.x, sol.y, sol.value)
+    assert res.value == sol.value
+    # the dense (600 x 90000) matrix alone would take 432 MB
+    assert peak < 64 * 2**20, peak

@@ -497,8 +497,22 @@ class TestPartitionOrder:
         big = VectorMeasure(
             FiniteSpace([f"y{j}" for j in range(11)]), np.ones((11, 2))
         )
+        # the limit is on S(ny, n), the partitions actually solved:
+        # S(11, 4) = 145750 > 10**5
         with pytest.raises(ValueError):
-            dominates_n(mu, big, 2)
+            dominates_n(mu, big, 4)
+
+    def test_eleven_atom_target_single_partition_counts(self):
+        # S(11, 1) = S(11, 11) = 1: one LP each, though Bell(11) > 10**5
+        mu = two_atom_measure()
+        vals = np.random.default_rng(5).uniform(0.5, 1.5, size=(11, 2))
+        big = VectorMeasure(FiniteSpace([f"y{j}" for j in range(11)]), vals / vals.sum(axis=0))
+        ok1, wit1 = dominates_n(mu, big, 1)
+        assert ok1 == dominates(mu, big.values.sum(axis=0)[None, :])[0]
+        assert ok1 or wit1 == [list(range(11))]
+        ok11, wit11 = dominates_n(mu, big, 11)
+        assert ok11 == dominates(mu, big)[0]
+        assert ok11 or wit11 == [[j] for j in range(11)]
 
 
 class TestStrongDomination:

@@ -11,11 +11,20 @@ Each solve command is a (load, solve) pair; solve returns ``(result,
 residuals)``, where ``residuals`` maps a result, in memory or re-parsed
 from its own text, to its residuals (or is None).  `_run` does the rest.
 
+The parser is built once per process, on the first `main()` call, and
+reused: flags are parsed afresh on every call and `VECOT_TOL` is read
+per call, so `main(argv)` may be called repeatedly in one process.  The
+`fn`, `load` and `solve` defaults of each subcommand are bound when the
+parser is built; they are this module's functions, which look up the
+library functions they call by name at call time.  `build_parser()`
+still returns a fresh parser.
+
 Exit codes: 0 success, 1 golden-suite failure, 2 infeasible with
 certificate, 3 schema or usage error, 4 numerical breakdown.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -708,8 +717,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NumericalBreakdown as exc:

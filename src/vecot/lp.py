@@ -155,35 +155,22 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != problem.nrows:
         return np.inf
-    for i, k in enumerate(problem.kinds):
-        if k == "le" and y[i] < -FEAS_TOL:
-            return np.inf
-        if k == "ge" and y[i] > FEAS_TOL:
-            return np.inf
+    kinds = np.array(problem.kinds, dtype=str)
+    if np.any((kinds == "le") & (y < -FEAS_TOL)) or np.any((kinds == "ge") & (y > FEAS_TOL)):
+        return np.inf
     r = problem.A.T @ y
     scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     tol_r = FEAS_TOL * scale
-    term = 0.0
-    for j in range(problem.nvars):
-        rj = float(r[j])
-        lo, up = problem.lower[j], problem.upper[j]
-        if rj > tol_r:
-            if not np.isfinite(lo):
-                return np.inf
-            term += rj * lo
-        elif rj < -tol_r:
-            if not np.isfinite(up):
-                return np.inf
-            term += rj * up
-        else:
-            # near-zero multiplier: safe underestimate of the box minimum
-            cands = [0.0]
-            if np.isfinite(lo):
-                cands.append(rj * lo)
-            if np.isfinite(up):
-                cands.append(rj * up)
-            term += min(cands)
-    return float(y @ problem.b - term)
+    lo, up = problem.lower, problem.upper
+    pos, neg = r > tol_r, r < -tol_r
+    if np.any(pos & ~np.isfinite(lo)) or np.any(neg & ~np.isfinite(up)):
+        return np.inf
+    r_lo = r * np.where(np.isfinite(lo), lo, 0.0)
+    r_up = r * np.where(np.isfinite(up), up, 0.0)
+    # near-zero multiplier: min(0, r*lo, r*up) over the finite bounds is a
+    # safe underestimate of the box minimum
+    term = np.where(pos, r_lo, np.where(neg, r_up, np.minimum(0.0, np.minimum(r_lo, r_up))))
+    return float(y @ problem.b - term.sum())
 
 
 def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:

@@ -82,6 +82,62 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             to_jsonable({"x": np.inf})
 
+    @staticmethod
+    def element_dumps(obj):
+        """canonical_dumps with every array converted element by element."""
+        def convert(x):
+            if isinstance(x, dict):
+                return {str(k): convert(v) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return [convert(v) for v in x]
+            if isinstance(x, np.ndarray):
+                return [convert(v) for v in x.tolist()]
+            if isinstance(x, (np.floating, float)):
+                v = float(x)
+                if not np.isfinite(v):
+                    raise ValueError(f"cannot serialize non-finite value {v!r}")
+                return v
+            if isinstance(x, np.integer):
+                return int(x)
+            if isinstance(x, np.bool_):
+                return bool(x)
+            if isinstance(x, complex):
+                return [x.real, x.imag]
+            return x
+
+        return json.dumps(convert(obj), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+
+    def test_array_fast_path_matches_element_path(self):
+        rng = np.random.default_rng(3)
+        obj = {
+            "f": rng.normal(size=(3, 4)),
+            "f32": rng.normal(size=5).astype(np.float32),
+            "f128": rng.normal(size=3).astype(np.longdouble),
+            "tiny": np.array([5e-324, -0.0, 1e308, 0.1 + 0.2]),
+            "i": np.arange(-3, 6).reshape(3, 3),
+            "u": np.array([0, 2**63], dtype=np.uint64),
+            "b": np.array([[True, False]]),
+            "c": np.array([1.0 + 2.0j, -0.5j]),
+            "o": np.array([1, 2.5, np.float64(3.0)], dtype=object),
+            "empty": [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0), dtype=int)],
+            "nested": [{"x": np.eye(2), "y": (np.int64(4), np.float64(0.5))}],
+        }
+        assert canonical_dumps(obj) == self.element_dumps(obj)
+        for zero_d in (np.array(1.5), np.array(2), np.array(True), np.array(1j)):
+            # 0-d arrays are not iterable: both paths refuse them alike
+            with pytest.raises(TypeError):
+                self.element_dumps({"z": zero_d})
+            with pytest.raises(TypeError):
+                canonical_dumps({"z": zero_d})
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = np.array([[0.0, 1.0], [bad, np.nan]])
+            with pytest.raises(ValueError) as want:
+                self.element_dumps({"a": [arr]})
+            with pytest.raises(ValueError) as got:
+                canonical_dumps({"a": [arr]})
+            assert str(got.value) == str(want.value)
+
     def test_shortest_float_repr_survives(self):
         # repr round-trips doubles exactly, so reparsing cannot drift
         v = 0.1 + 0.2
@@ -654,6 +710,113 @@ class TestGenCli:
     def test_gen_rejects_unknown_kind(self):
         rc, _, _ = run_cli(["gen", "--kind", "mystery"])
         assert rc == 3
+
+
+WALL = re.compile(r'"wallMillis":[-+0-9.eE]+')
+
+# Each flagged command is followed by the same command without the flag, and
+# a usage error sits in the middle; none may see another call's flags.
+REUSE_SEQUENCE = [
+    ["dominate", "--input", "{dom}", "--n", "2"],
+    ["dominate", "--input", "{dom}"],
+    ["dominate", "--input", "{dom}", "--blackwell", "--samples", "8", "--seed", "3"],
+    ["dominate", "--input", "{dom}"],
+    ["chain", "--input", "{chain}", "--free-medium"],
+    ["chain", "--input", "{chain}"],
+    ["chain", "--input", "{chain}", "--n", "3"],
+    ["chain", "--input", "{chain}"],
+    ["dominate", "--input", "{dom}", "--n", "2", "--strong"],
+    ["solve-ot", "--input", "{capacity}", "--variant", "capacity"],
+    ["solve-ot", "--input", "{capacity}"],  # the plain variant refuses a capacity file
+    ["solve-ot", "--input", "{ot}"],
+    ["game", "--input", "{game}", "--restrict", "{restrict}"],
+    ["game", "--input", "{game}"],
+    ["conj", "--input", "{f}", "--infconv", "{g}"],
+    ["conj", "--input", "{f}"],
+]
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = {}
+        for name, kind, seed in (("dom", "dominance", 1), ("chain", "chain", 11),
+                                 ("capacity", "capacity", 3), ("ot", "scalar_ot", 3),
+                                 ("game", "game", 1)):
+            paths[name] = write(tmp_path, f"{name}.json", generate.gen(kind, seed).as_dict())
+        ny = len(json.loads(open(paths["game"]).read())["payload"]["payoff"][0])
+        paths["restrict"] = write(tmp_path, "r.json", {
+            "space": {"labels": [f"y{j}" for j in range(ny)]},
+            "weights": [1.0, 1.0] + [0.0] * (ny - 2),
+        })
+        xs = np.linspace(-1.0, 1.0, 17)
+        paths["f"] = write(tmp_path, "f.json", {"grid": list(xs), "values": list(0.5 * xs**2)})
+        paths["g"] = write(tmp_path, "g.json", {"grid": list(xs), "values": list(xs**2)})
+        cli._parser.cache_clear()
+        yield paths
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def masked(argv):
+        rc, out, err = run_cli(argv)
+        return rc, WALL.sub('"wallMillis":0', out), err
+
+    def test_outputs_match_a_fresh_parser(self, paths, monkeypatch):
+        argvs = [[a.format(**paths) for a in argv] for argv in REUSE_SEQUENCE]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [self.masked(argv) for argv in argvs]
+        reused = [self.masked(argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        for argv, want, got in zip(argvs, fresh, reused):
+            assert got == want, argv
+        codes = [rc for rc, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0]
+        assert "not allowed with argument --n" in reused[8][2]
+
+    def test_help_is_the_same_on_first_and_later_calls(self, paths):
+        first = run_cli(["--help"]), run_cli(["dominate", "--help"])
+        assert first[0][0] == 0 and first[0][1].startswith("usage: vecot")
+        run_cli(["dominate", "--input", paths["dom"], "--n", "2", "--quiet"])
+        run_cli(["dominate", "--input", paths["dom"], "--n", "x"])
+        assert (run_cli(["--help"]), run_cli(["dominate", "--help"])) == first
+
+    def test_parser_is_built_once(self, paths, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        argvs = [
+            ["gen", "--kind", "game", "--seed", "2", "--quiet"],
+            ["solve-ot", "--input", paths["ot"], "--quiet"],
+            ["frobnicate"],
+            ["game", "--input", paths["game"], "--quiet"],
+            ["game", "--input", paths["game"], "--tol", "0"],
+            ["conj", "--input", paths["f"], "--quiet"],
+            ["solve-ot", "--variant", "nope", "--input", paths["ot"]],
+            ["dominate", "--input", paths["dom"], "--quiet"],
+            ["dominate", "--input", paths["dom"], "--seed", "1", "--quiet"],
+            ["chain", "--input", paths["chain"], "--free-medium", "--quiet"],
+            ["gen", "--kind", "mystery"],
+            ["solve-ot", "--input", paths["capacity"], "--variant", "capacity", "--quiet"],
+            ["moment", "--quiet"],
+            ["game", "--input", paths["game"], "--restrict", paths["restrict"], "--quiet"],
+            ["conj", "--input", paths["f"], "--infconv", paths["g"], "--quiet"],
+            ["chain", "--input", paths["chain"], "--n", "2", "--quiet"],
+            ["solve-ot", "--quiet"],
+            ["gen", "--kind", "scalar_ot", "--quiet"],
+            ["dominate", "--input", paths["dom"], "--n", "2", "--quiet"],
+            ["solve-ot", "--input", paths["ot"], "--quiet"],
+        ]
+        codes = [run_cli(argv)[0] for argv in argvs]
+        assert codes == [0, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 0, 0, 3, 0, 0, 0]
+        assert len(built) == 1
 
 
 def test_console_script_round_trip(tmp_path):

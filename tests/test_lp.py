@@ -375,6 +375,82 @@ def test_lift_x_matches_per_column_reference(monkeypatch):
     assert seen == {"fixed", "direct", "mirror", "splitp", "splitn"}
 
 
+def _farkas_margin_loop(problem, y):
+    """The per-row, per-column loop `farkas_margin` replaced, kept as a reference."""
+    FEAS_TOL = 1e-9
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape[0] != problem.nrows:
+        return np.inf
+    for i, k in enumerate(problem.kinds):
+        if k == "le" and y[i] < -FEAS_TOL:
+            return np.inf
+        if k == "ge" and y[i] > FEAS_TOL:
+            return np.inf
+    r = problem.A.T @ y
+    scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+    tol_r = FEAS_TOL * scale
+    term = 0.0
+    for j in range(problem.nvars):
+        rj = float(r[j])
+        lo, up = problem.lower[j], problem.upper[j]
+        if rj > tol_r:
+            if not np.isfinite(lo):
+                return np.inf
+            term += rj * lo
+        elif rj < -tol_r:
+            if not np.isfinite(up):
+                return np.inf
+            term += rj * up
+        else:
+            cands = [0.0]
+            if np.isfinite(lo):
+                cands.append(rj * lo)
+            if np.isfinite(up):
+                cands.append(rj * up)
+            term += min(cands)
+    return float(y @ problem.b - term)
+
+
+def test_farkas_margin_matches_the_loop_reference():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(600):
+        m, n = int(rng.integers(0, 6)), int(rng.integers(1, 9))
+        kinds = list(rng.choice(["eq", "le", "ge"], size=m))
+        # [0, inf), free, mirrored (-inf, u], boxed, fixed
+        shape = rng.integers(0, 5, size=n)
+        lo = rng.uniform(-2.0, 1.0, size=n)
+        up = lo + rng.uniform(0.5, 2.0, size=n)
+        lower = np.select([shape == 0, shape <= 2], [0.0, -np.inf], lo)
+        upper = np.select([shape == 0, shape == 1, shape == 4], [np.inf, np.inf, lo], up)
+        # rows signed as a certificate needs, except now and then
+        y = np.abs(rng.normal(size=m)) * rng.choice([1.0, 10.0, 1e3], size=m)
+        sign = np.array([{"eq": rng.choice([-1.0, 1.0]), "le": 1.0, "ge": -1.0}[k] for k in kinds])
+        y = y * (sign if m else 1.0)
+        if m and rng.random() < 0.1:
+            y[rng.integers(m)] *= -1.0
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+        if m and y @ y > 0:
+            # columns whose multiplier r_j = A_j . y lies inside the band
+            band = 1e-9 * max(1.0, float(np.abs(y).max()))
+            for j in np.flatnonzero(rng.random(n) < 0.4):
+                A[:, j] -= (A[:, j] @ y) / (y @ y) * y
+                A[:, j] += rng.uniform(-0.5, 0.5) * band / (y @ y) * y
+        b = rng.normal(size=m) * 3.0
+        p = LpProblem(c=np.zeros(n), A=A.reshape(m, n), b=b, kinds=kinds,
+                      lower=lower, upper=upper)
+        if trial % 50 == 0:
+            y = np.append(y, 1.0)  # wrong length
+        want, got = _farkas_margin_loop(p, y), farkas_margin(p, y)
+        if np.isinf(want):
+            assert got == want
+            outcomes.add("inf")
+        else:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            outcomes.add("finite")
+    assert outcomes == {"inf", "finite"}
+
+
 def test_agrees_with_vertex_enumeration():
     rng = np.random.default_rng(99)
     hits = 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import FiniteSpace, ScalarMeasure, SpaceMismatch, TransportPlan
-from .scalar import InfeasibleTransport, solve_ot
+from .scalar import InfeasibleTransport, _marginal_index, solve_ot
 from .tolerances import CHAIN_TOL, FEAS_TOL, GAP_TOL
 
 __all__ = [
@@ -147,26 +147,23 @@ def _chain_system(k: int, n: int, with_medium_vars: bool):
     # rows: endpoint row sums, n linking rows, medium average, endpoint
     # column sums; variables: n+1 plans flattened, then optionally a free
     # medium measure with coefficient -n in the average rows
-    rowsum = np.kron(np.eye(k), np.ones(k))
-    colsum = np.kron(np.ones(k), np.eye(k))
+    src, dst = _marginal_index((k, k), (0,)), _marginal_index((k, k), (1,))
     nplan = (n + 1) * k * k
     nvar = nplan + (k if with_medium_vars else 0)
     A = np.zeros(((n + 3) * k, nvar))
 
     def block(i):
-        return slice(i * k * k, (i + 1) * k * k)
+        return i * k * k + np.arange(k * k)
 
-    A[0:k, block(0)] = rowsum
+    A[src, block(0)] = 1.0
     for i in range(1, n + 1):
-        rows = slice(i * k, (i + 1) * k)
-        A[rows, block(i - 1)] = colsum
-        A[rows, block(i)] = -rowsum
+        A[i * k + dst, block(i - 1)] = 1.0
+        A[i * k + src, block(i)] = -1.0
+        A[(n + 1) * k + src, block(i)] = 1.0
     med = slice((n + 1) * k, (n + 2) * k)
-    for i in range(1, n + 1):
-        A[med, block(i)] += rowsum
     if with_medium_vars:
         A[med, nplan:] = -float(n) * np.eye(k)
-    A[(n + 2) * k :, block(n)] = colsum
+    A[(n + 2) * k + dst, block(n)] = 1.0
     return A, med
 
 

@@ -4,9 +4,11 @@ The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`
 and `local_constraint_feasible`) state their LP with a
 `network.TransportIncidence`, so `lp.solve` runs them on the network
 simplex and never forms the dense marginal matrix; the others are dense
-LPs.  Every solver returns dual potentials along with the optimal plan
-and checks the certificate inequality of any infeasibility before
-raising.
+LPs.  `_marginal_index` is the single owner of the plan-to-column
+layout: every dense LP here and in `vector` and `chain` scatters its
+marginal rows from it.  Every solver returns dual potentials along with
+the optimal plan and checks the certificate inequality of any
+infeasibility before raising.
 
 Sign conventions follow the LP duals directly:
 
@@ -91,14 +93,19 @@ def _check_cost(cost, nx: int, ny: int) -> np.ndarray:
     return c
 
 
-def _marginal_matrix(nx: int, ny: int) -> np.ndarray:
-    """Row-sum rows followed by column-sum rows, acting on a flattened plan."""
-    A = np.zeros((nx + ny, nx * ny))
-    for i in range(nx):
-        A[i, i * ny : (i + 1) * ny] = 1.0
-    for j in range(ny):
-        A[nx + j, j::ny] = 1.0
-    return A
+def _marginal_index(shape, axes) -> np.ndarray:
+    """Row of each cell of a C-order flattened tensor in its marginal onto `axes`.
+
+    `axes` is increasing and the marginal's rows run in C order over them.
+    For a plan (nx, ny), cell i * ny + j sits in row i for axes (0,) and
+    row j for (1,): the ``tail`` and ``head`` of `TransportIncidence.complete`.
+    """
+    index = np.zeros(shape, dtype=np.intp)
+    stride = 1
+    for a in reversed(axes):
+        index += (stride * np.arange(shape[a])).reshape((-1,) + (1,) * (len(shape) - 1 - a))
+        stride *= shape[a]
+    return index.ravel()
 
 
 def _reinsert(mat, li, lj, nx, ny) -> np.ndarray:
@@ -202,6 +209,12 @@ def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtRes
     return OtResult(sol.value, plan, psi, phi, extras={"lam": lam})
 
 
+def _kellerer_slack(psi, phi, mu: ScalarMeasure, nu: ScalarMeasure, cap: TransportPlan) -> float:
+    """sum([psi + phi]_+ * cap) - psi.mu - phi.nu; below zero, no plan fits under cap."""
+    pos_part = np.maximum(psi[:, None] + phi[None, :], 0.0)
+    return float((pos_part * cap.matrix).sum() - psi @ mu.weights - phi @ nu.weights)
+
+
 def _capacity_dead_potentials(c, psi, phi, li, lj):
     """Fill dropped atoms so that [c - psi - phi]_+ vanishes off the live block."""
     nx, ny = c.shape
@@ -231,6 +244,17 @@ def solve_capacity(
     if abs(mu.total() - nu.total()) > FEAS_TOL * max(1.0, mu.total(), nu.total()):
         raise InfeasibleTransport(
             "total masses differ", _mass_mismatch_cert(mu, nu)
+        )
+    # A row (column) whose caps sum below its mass is infeasible by itself,
+    # certified by psi = e_i (phi = e_j); the LP could spend a bound flip
+    # per cell proving it.  Try the most deficient line first.
+    short = np.concatenate([cap.matrix.sum(axis=1) - mu.weights, cap.matrix.sum(axis=0) - nu.weights])
+    unit = np.eye(1, nx + ny, int(np.argmin(short)))[0]
+    slack = _kellerer_slack(unit[:nx], unit[nx:], mu, nu, cap)
+    if slack < -CERT_TOL:
+        raise InfeasibleTransport(
+            "capacity admits no coupling of the marginals",
+            {"psi": unit[:nx], "phi": unit[nx:], "kellerer_slack": slack},
         )
     li = np.nonzero(mu.weights > 0.0)[0]
     lj = np.nonzero(nu.weights > 0.0)[0]
@@ -270,10 +294,7 @@ def solve_capacity(
         # that [psi + phi]_+ vanishes on every pair involving one
         phi_c[np.setdiff1d(np.arange(ny), lj)] = -psi_l.max()
         psi_c[np.setdiff1d(np.arange(nx), li)] = -phi_c.max()
-        pos_part = np.maximum(psi_c[:, None] + phi_c[None, :], 0.0)
-        slack = float(
-            (pos_part * cap.matrix).sum() - psi_c @ mu.weights - phi_c @ nu.weights
-        )
+        slack = _kellerer_slack(psi_c, phi_c, mu, nu, cap)
         if not slack < -CERT_TOL:
             raise NumericalBreakdown("capacity certificate failed validation")
         raise InfeasibleTransport(
@@ -327,16 +348,13 @@ def solve_invariant(mu: ScalarMeasure, mapping, cost, target) -> OtResult:
         T = np.asarray(list(mapping), dtype=int)
     if T.shape != (ny,) or np.any(T < 0) or np.any(T >= ny):
         raise ValueError("mapping must send every target atom to a target atom")
-    nvar = nx * ny
-    A = np.zeros((nx + ny, nvar))
-    for i in range(nx):
-        A[i, i * ny : (i + 1) * ny] = 1.0
+    cells = np.arange(nx * ny)
+    ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
+    A = np.zeros((nx + ny, nx * ny))
+    A[ix, cells] = 1.0
     # invariance rows: (mass entering y) - (mass entering T^{-1}-fibre of y)
-    for y in range(ny):
-        A[nx + y, y::ny] += 1.0
-        for yp in range(ny):
-            if T[yp] == y:
-                A[nx + y, yp::ny] -= 1.0
+    A[nx + iy, cells] += 1.0
+    A[nx + T[iy], cells] -= 1.0
     b = np.concatenate([mu.weights, np.zeros(ny)])
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * (nx + ny)))
     if sol.status != "optimal":
@@ -354,16 +372,14 @@ def _invariant_family_side(mu: ScalarMeasure, T: np.ndarray, c: np.ndarray) -> d
     """Solve max psi.mu over psi(x) + phi(y) + phi(Ty) <= c(x,y) as written."""
     nx, ny = c.shape
     nvar = nx + ny
+    # one row per plan cell (i, j): psi(i) + phi(j) + phi(T j)
+    cells = np.arange(nx * ny)
+    ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
     rows = np.zeros((nx * ny, nvar))
-    rhs = np.empty(nx * ny)
-    k = 0
-    for i in range(nx):
-        for j in range(ny):
-            rows[k, i] = 1.0
-            rows[k, nx + j] += 1.0
-            rows[k, nx + T[j]] += 1.0
-            rhs[k] = c[i, j]
-            k += 1
+    rows[cells, ix] = 1.0
+    rows[cells, nx + iy] += 1.0
+    rows[cells, nx + T[iy]] += 1.0
+    rhs = c.ravel()
     obj = np.concatenate([mu.weights, np.zeros(ny)])
     p = LpProblem(
         c=obj,
@@ -409,17 +425,10 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
             raise InfeasibleTransport(
                 "marginal total masses differ", {"psis": psis, "margin": margin}
             )
-    axes_idx = np.indices(tuple(sizes))
-    blocks = []
-    b = []
-    for axis, (n, meas) in enumerate(zip(sizes, measures)):
-        flat = axes_idx[axis].ravel()
-        block = np.zeros((n, ncells))
-        block[flat, np.arange(ncells)] = 1.0
-        blocks.append(block)
-        b.append(meas.weights)
-    A = np.vstack(blocks)
-    b = np.concatenate(b)
+    b = np.concatenate([m.weights for m in measures])
+    A = np.zeros((b.size, ncells))
+    for axis in range(len(sizes)):
+        A[sum(sizes[:axis]) + _marginal_index(sizes, (axis,)), np.arange(ncells)] = 1.0
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
     if sol.status != "optimal":
         raise NumericalBreakdown(f"multimarginal LP returned {sol.status}")
@@ -460,27 +469,17 @@ def glue_feasible(
     if ny != ny2:
         raise ValueError("middle spaces of the two plans differ")
     ncells = nx * ny * nz
-    idx = np.indices((nx, ny, nz))
-    ix, iy, iz = (a.ravel() for a in idx)
-    rows = []
-    rhs = []
-    for x in range(nx):
-        for y in range(ny):
-            rows.append(((ix == x) & (iy == y)).astype(float))
-            rhs.append(mu_xy.matrix[x, y])
-    for y in range(ny):
-        for z in range(nz):
-            rows.append(((iy == y) & (iz == z)).astype(float))
-            rhs.append(nu_yz.matrix[y, z])
+    pairs = [((0, 1), mu_xy), ((1, 2), nu_yz)]
     if lam_xz is not None:
         if lam_xz.matrix.shape != (nx, nz):
             raise ValueError("third marginal shape does not match")
-        for x in range(nx):
-            for z in range(nz):
-                rows.append(((ix == x) & (iz == z)).astype(float))
-                rhs.append(lam_xz.matrix[x, z])
-    A = np.vstack(rows)
-    b = np.array(rhs)
+        pairs.append(((0, 2), lam_xz))
+    b = np.concatenate([pl.matrix.ravel() for _, pl in pairs])
+    A = np.zeros((b.size, ncells))
+    at = 0
+    for axes, pl in pairs:
+        A[at + _marginal_index((nx, ny, nz), axes), np.arange(ncells)] = 1.0
+        at += pl.matrix.size
     p = LpProblem(c=np.zeros(ncells), A=A, b=b, kinds=["eq"] * A.shape[0])
     sol = solve(p)
     marg_gap = float(
@@ -573,7 +572,11 @@ def strassen_feasible(
     """
     nx, ny = mu.space.size, nu.space.size
     nvar = nx * ny
-    A_rows = [_marginal_matrix(nx, ny)]
+    cells = np.arange(nvar)
+    marginals = np.zeros((nx + ny, nvar))
+    marginals[_marginal_index((nx, ny), (0,)), cells] = 1.0
+    marginals[nx + _marginal_index((nx, ny), (1,)), cells] = 1.0
+    A_rows = [marginals]
     b = list(mu.weights) + list(nu.weights)
     kinds = ["eq"] * (nx + ny)
     for G, kind, rhs in constraints:

@@ -467,15 +467,16 @@ def to_jsonable(x):
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        if x.ndim and x.dtype.kind in "fiu":  # real and integer arrays in one step
+        if x.ndim == 0:  # not iterable: serialize the scalar it holds
+            return to_jsonable(x.item())
+        if x.dtype.kind in "fiu":  # real and integer arrays in one step
             if x.dtype.kind == "f":
                 x = x.astype(float, copy=False)
                 bad = ~np.isfinite(x)
                 if bad.any():
                     raise ValueError(f"cannot serialize non-finite value {float(x[bad][0])!r}")
             return x.tolist()
-        # object, bool and complex arrays (and 0-d arrays, which are not
-        # iterable) go element by element
+        # object, bool and complex arrays go element by element
         return [to_jsonable(v) for v in x.tolist()]
     if isinstance(x, (np.floating, float)):
         v = float(x)

@@ -38,7 +38,7 @@ from .measures import (
     grid_space,
     kernel_apply,
 )
-from .scalar import InfeasibleTransport, OtResult
+from .scalar import InfeasibleTransport, OtResult, _marginal_index
 from .tolerances import CERT_TOL, ENTRY_TOL, FEAS_TOL
 
 __all__ = [
@@ -204,12 +204,12 @@ def _plan_system(eta_live: np.ndarray, t_live: np.ndarray, nu_values: np.ndarray
     """Equality system of the plan polytope in the collapsed encoding."""
     k, d = eta_live.shape
     ny = nu_values.shape[0]
+    cells = np.arange(k * ny)
+    ix, iy = _marginal_index((k, ny), (0,)), _marginal_index((k, ny), (1,))
     A = np.zeros((k + d * ny, k * ny))
-    for x in range(k):
-        A[x, x * ny : (x + 1) * ny] = 1.0
-    for i in range(d):
-        for y in range(ny):
-            A[k + i * ny + y, y::ny] = eta_live[:, i]
+    A[ix, cells] = 1.0
+    # component i of the target marginal, weighted by the density: row k + i * ny + y
+    A[k + ny * np.arange(d)[:, None] + iy, cells] = eta_live[ix].T
     b = np.concatenate([t_live, nu_values.T.ravel()])
     return A, b
 
@@ -406,14 +406,7 @@ def blackwell_check(
     # second route: variables are kernel entries, rows force stochasticity
     k = live_mu.size
     ny = nu.space.size
-    vals_live = mu.values[live_mu]
-    A = np.zeros((k + d * ny, k * ny))
-    for x in range(k):
-        A[x, x * ny : (x + 1) * ny] = 1.0
-    for i in range(d):
-        for y in range(ny):
-            A[k + i * ny + y, y::ny] = vals_live[:, i]
-    b = np.concatenate([np.ones(k), nu.values.T.ravel()])
+    A, b = _plan_system(mu.values[live_mu], np.ones(k), nu.values)
     ksol = solve(LpProblem(c=np.zeros(k * ny), A=A, b=b, kinds=["eq"] * A.shape[0]))
     kernel_feasible = ksol.status == "optimal"
     if kernel_feasible != dom:
@@ -629,14 +622,13 @@ def martingale_polytope(
         raise ValueError("cost shape mismatch")
     if abs(mu_ref.total() - nu_ref.total()) > FEAS_TOL * max(1.0, mu_ref.total()):
         raise ValueError("reference masses differ")
+    cells = np.arange(nx * ny)
+    ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
     A = np.zeros((nx + ny + d * ny, nx * ny))
-    for x in range(nx):
-        A[x, x * ny : (x + 1) * ny] = 1.0
-    for y in range(ny):
-        A[nx + y, y::ny] = 1.0
-    for i in range(d):
-        for y in range(ny):
-            A[nx + ny + i * ny + y, y::ny] = f[:, i] - g[y, i]
+    A[ix, cells] = 1.0
+    A[nx + iy, cells] = 1.0
+    # barycenter rows: row nx + ny + i * ny + y weights cell (x, y) by f_i(x) - g_i(y)
+    A[nx + ny + ny * np.arange(d)[:, None] + iy, cells] = (f[ix] - g[iy]).T
     b = np.concatenate([mu_ref.weights, nu_ref.weights, np.zeros(d * ny)])
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
     if sol.status == "infeasible":
@@ -701,13 +693,13 @@ class MultiRangeOracle:
         n, d = self.n, mu.dim
         if k == 0:
             return bool(np.max(np.abs(s)) <= FEAS_TOL)
-        # variables G[i, x] in [0, 1]: the share of atom x given to part i
+        # variables G[i, x] in [0, 1]: the share of atom x given to part i;
+        # row x sums atom x over the parts, row k + i * d + j is component j of part i
+        cells = np.arange(n * k)
+        part, atom = _marginal_index((n, k), (0,)), _marginal_index((n, k), (1,))
         A = np.zeros((k + n * d, n * k))
-        for x in range(k):
-            A[x, x::k] = 1.0
-        for i in range(n):
-            for j in range(d):
-                A[k + i * d + j, i * k : (i + 1) * k] = vals[:, j]
+        A[atom, cells] = 1.0
+        A[k + d * part + np.arange(d)[:, None], cells] = vals[atom].T
         b = np.concatenate([np.ones(k), s.ravel()])
         sol = solve(
             LpProblem(

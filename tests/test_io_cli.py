@@ -125,11 +125,10 @@ class TestCanonicalJson:
         }
         assert canonical_dumps(obj) == self.element_dumps(obj)
         for zero_d in (np.array(1.5), np.array(2), np.array(True), np.array(1j)):
-            # 0-d arrays are not iterable: both paths refuse them alike
-            with pytest.raises(TypeError):
-                self.element_dumps({"z": zero_d})
-            with pytest.raises(TypeError):
-                canonical_dumps({"z": zero_d})
+            # a 0-d array serializes as the plain scalar it holds
+            assert canonical_dumps({"z": zero_d}) == self.element_dumps({"z": zero_d.item()})
+        with pytest.raises(ValueError):
+            canonical_dumps({"z": np.array(np.inf)})
         for bad in (np.nan, np.inf, -np.inf):
             arr = np.array([[0.0, 1.0], [bad, np.nan]])
             with pytest.raises(ValueError) as want:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from vecot import lp
 from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
 from vecot.scalar import (
     InfeasibleTransport,
@@ -215,6 +216,54 @@ def test_capacity_infeasible_kellerer_certificate():
     pos = np.maximum(psi[:, None] + phi[None, :], 0.0)
     slack = (pos * capm).sum() - psi @ mu.weights - phi @ nu.weights
     assert slack < -1e-9
+
+
+def _capacity_raise(mu, nu, capm):
+    """The certificate solve_capacity raises and the pivots it spent."""
+    before = lp.pivot_total()
+    with pytest.raises(InfeasibleTransport) as exc:
+        solve_capacity(mu, nu, np.zeros(capm.shape), TransportPlan(mu.space, nu.space, capm))
+    cert = exc.value.cert
+    pos = np.maximum(cert["psi"][:, None] + cert["phi"][None, :], 0.0)
+    slack = (pos * capm).sum() - cert["psi"] @ mu.weights - cert["phi"] @ nu.weights
+    assert slack == pytest.approx(cert["kellerer_slack"])
+    assert cert["kellerer_slack"] < -1e-9
+    return cert, lp.pivot_total() - before
+
+
+def test_capacity_short_line_certified_without_pivots():
+    # every cap total / (2 n^2): each row and column can carry about half
+    # its mass; the LP took n^2 bound-flip pivots to prove it
+    n = 100
+    rng = np.random.default_rng(0)
+    mu = ScalarMeasure(space(n, "x"), rng.uniform(0.5, 1.5, n))
+    w = rng.uniform(0.5, 1.5, n)
+    nu = ScalarMeasure(space(n, "y"), w * (mu.total() / w.sum()))
+    capm = np.full((n, n), mu.total() / (2 * n * n))
+    cert, pivots = _capacity_raise(mu, nu, capm)
+    assert pivots == 0
+    # the unit potential sits on the most deficient row or column
+    short = np.concatenate([capm.sum(axis=1) - mu.weights, capm.sum(axis=0) - nu.weights])
+    assert np.array_equal(np.concatenate([cert["psi"], cert["phi"]]), np.eye(2 * n)[np.argmin(short)])
+
+
+def test_capacity_short_column_certified_without_pivots():
+    sp = space(3)
+    mu, nu = uniform(sp), uniform(sp)
+    capm = np.array([[0.1, 1.0, 1.0], [0.1, 1.0, 1.0], [0.05, 1.0, 1.0]])
+    cert, pivots = _capacity_raise(mu, nu, capm)
+    assert pivots == 0
+    assert not cert["psi"].any() and np.array_equal(cert["phi"], [1.0, 0.0, 0.0])
+
+
+def test_capacity_infeasible_without_short_line_left_to_the_lp():
+    # every row and column can carry its mass, but rows 0 and 1 both
+    # need column 0, which takes only one of them
+    sp = space(3)
+    mu, nu = uniform(sp), uniform(sp)
+    capm = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    _, pivots = _capacity_raise(mu, nu, capm)
+    assert pivots > 0
 
 
 def test_capacity_monotone_in_cap():

@@ -18,6 +18,16 @@ Such a step strictly lowers the objective and any longer degenerate run is
 pure Bland, so the method cannot cycle.  Among blocking rows of the ratio
 test the smallest basic variable index leaves.
 
+There is no presolve: every row and column of ``A`` goes into the
+simplex, and the bounded simplex covers the cases a presolve would
+remove.  A fixed column (``lower == upper``) has no room to move, so it
+never enters the basis and keeps its value exactly.  An all-zero row that
+holds keeps its slack or its phase-one artificial basic (the artificial at
+zero, as a redundant row); one that fails leaves phase one with a positive
+infeasibility, whose duals are the Farkas certificate.  An all-zero
+column is priced like any other: it stays at or flips to its better
+bound, or, when that bound is infinite, gives the unbounded ray.
+
 Conventions
 -----------
 Problems are ``min/max c.x  s.t.  A x (=, <=, >=) b,  lower <= x <= upper``.
@@ -112,6 +122,8 @@ class LpProblem:
             raise ValueError("c, A, b must be finite")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds must not be NaN")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
@@ -197,13 +209,15 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
 def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> None:
     """Raise NumericalBreakdown unless (x, y) is an optimal pair worth `value`.
 
-    Checks the primal rows and bounds, the dual signs, complementary
-    slackness and the duality gap, in the conventions of the module
-    docstring.  ``problem.A`` is read only through ``A @ x`` and
-    ``A.T @ y``, so a constraint operator that never forms the dense
-    matrix is checked the same way as an array.
+    Checks that x, y and value are finite, then the primal rows and
+    bounds, the dual signs, complementary slackness and the duality gap,
+    in the conventions of the module docstring.  ``problem.A`` is read
+    only through ``A @ x`` and ``A.T @ y``, so a constraint operator that
+    never forms the dense matrix is checked the same way as an array.
     """
     p = problem
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.isfinite(value)):
+        raise NumericalBreakdown("non-finite primal, dual or value")
     sign = 1.0 if p.sense == "min" else -1.0
     kinds = np.asarray(p.kinds)
     eq, le, ge = kinds == "eq", kinds == "le", kinds == "ge"
@@ -253,82 +267,18 @@ class _Engine:
         self.sense_sign = 1.0 if problem.sense == "min" else -1.0
         self.pivot_limit = pivot_limit
         self.iterations = 0
-        self.col_origin = []   # internal structural column -> original column
-        self.fixed_value = {}  # original column -> pinned value
-        self.kept_rows = []
-        self.row_infeasible_cert = None
-
-    # ----- presolve ---------------------------------------------------------
-
-    def _presolve(self):
-        p = self.p
-        cmin = self.sense_sign * p.c
-        keep_cols = []
-        for j in range(p.nvars):
-            if p.lower[j] == p.upper[j]:
-                self.fixed_value[j] = p.lower[j]
-            else:
-                keep_cols.append(j)
-        # structurally empty columns settle at the favourable bound when it is
-        # finite; otherwise the simplex decides (feasibility must come first)
-        for j in keep_cols:
-            if np.any(p.A[:, j] != 0.0):
-                continue
-            cj = cmin[j]
-            if cj > 0.0:
-                target = p.lower[j]
-            elif cj < 0.0:
-                target = p.upper[j]
-            else:
-                target = p.lower[j] if np.isfinite(p.lower[j]) else p.upper[j]
-                if not np.isfinite(target):
-                    target = 0.0
-            if np.isfinite(target):
-                self.fixed_value[j] = target
-        keep_cols = [j for j in keep_cols if j not in self.fixed_value]
-        self.keep_cols = keep_cols
-
-        fixed_js = sorted(self.fixed_value)
-        shift = np.zeros(p.nrows)
-        if fixed_js:
-            vals = np.array([self.fixed_value[j] for j in fixed_js])
-            shift = p.A[:, fixed_js] @ vals
-        b_eff = p.b - shift
-
-        for i in range(p.nrows):
-            live = bool(keep_cols) and np.any(p.A[i, keep_cols] != 0.0)
-            if live:
-                self.kept_rows.append(i)
-                continue
-            resid = b_eff[i]
-            k = p.kinds[i]
-            bad = (
-                (k == "eq" and abs(resid) > FEAS_TOL)
-                or (k == "le" and resid < -FEAS_TOL)
-                or (k == "ge" and resid > FEAS_TOL)
-            )
-            if bad and self.row_infeasible_cert is None:
-                y = np.zeros(p.nrows)
-                if k == "eq":
-                    y[i] = -float(np.sign(resid))
-                elif k == "le":
-                    y[i] = 1.0
-                else:
-                    y[i] = -1.0
-                self.row_infeasible_cert = y
-        self.b_eff = b_eff
+        self.col_origin = []  # internal structural column -> original column
 
     # ----- standard-form construction --------------------------------------
 
     def _build(self):
         p = self.p
         cmin = self.sense_sign * p.c
-        rows = self.kept_rows
-        mh = len(rows)
+        mh = p.nrows
         cols, costs, lo, hi = [], [], [], []
-        bh = self.b_eff[rows].copy() if mh else np.zeros(0)
-        for j in self.keep_cols:
-            aj = p.A[rows, j] if mh else np.zeros(0)
+        bh = p.b.copy()
+        for j in range(p.nvars):
+            aj = p.A[:, j]
             if np.isfinite(p.lower[j]):
                 self.col_origin.append(("direct", j))
                 cols.append(aj)
@@ -355,15 +305,13 @@ class _Engine:
                 costs.append(-cmin[j])
                 lo.append(0.0)
                 hi.append(np.inf)
-        self.n_struct = len(cols)
         self.slack_of_row = {}
-        for pos, i in enumerate(rows):
-            k = p.kinds[i]
+        for i, k in enumerate(p.kinds):
             if k == "eq":
                 continue
             e = np.zeros(mh)
-            e[pos] = 1.0 if k == "le" else -1.0
-            self.slack_of_row[pos] = len(cols)
+            e[i] = 1.0 if k == "le" else -1.0
+            self.slack_of_row[i] = len(cols)
             cols.append(e)
             costs.append(0.0)
             lo.append(0.0)
@@ -373,17 +321,16 @@ class _Engine:
         self.lohat = np.array(lo)
         self.hihat = np.array(hi)
         self.bhat = bh
-        self.mhat = mh
 
     # ----- simplex state ----------------------------------------------------
 
     def _init_phase1(self):
-        mh = self.mhat
+        mh = self.p.nrows
         nh = self.Ahat.shape[1]
         x = self.lohat.copy()
-        resid = self.bhat - (self.Ahat @ x if nh else np.zeros(mh))
+        resid = self.bhat - self.Ahat @ x
         basis = np.full(mh, -1, dtype=int)
-        art_cols, art_lo, art_hi = [], [], []
+        sigmas, art_hi = [], []
         for pos in range(mh):
             t = float(resid[pos])
             spos = self.slack_of_row.get(pos)
@@ -394,23 +341,18 @@ class _Engine:
                     basis[pos] = spos
                     x[spos] = val
                     took_slack = True
-            sigma = 1.0 if t >= 0.0 else -1.0
-            e = np.zeros(mh)
-            e[pos] = sigma
-            art_cols.append(e)
+            sigmas.append(1.0 if t >= 0.0 else -1.0)
             if took_slack:
-                art_lo.append(0.0)
                 art_hi.append(0.0)
             else:
                 basis[pos] = nh + pos
-                art_lo.append(0.0)
                 art_hi.append(np.inf)
         self.first_art = nh
-        if art_cols:
-            self.Ahat = np.hstack([self.Ahat, np.column_stack(art_cols)])
+        # artificial column of row pos: sigma_pos * e_pos
+        self.Ahat = np.hstack([self.Ahat, np.diag(sigmas)])
         self.chat = np.concatenate([self.chat, np.zeros(mh)])
         self.phase1_cost = np.concatenate([np.zeros(nh), np.ones(mh)])
-        self.lohat = np.concatenate([self.lohat, np.array(art_lo)])
+        self.lohat = np.concatenate([self.lohat, np.zeros(mh)])
         self.hihat = np.concatenate([self.hihat, np.array(art_hi)])
         x = np.concatenate([x, np.zeros(mh)])
         for pos in range(mh):
@@ -421,19 +363,12 @@ class _Engine:
         self.basis = basis
         ncols = self.Ahat.shape[1]
         self.in_basis = np.zeros(ncols, dtype=bool)
-        if mh:
-            self.in_basis[basis] = True
+        self.in_basis[basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
-        if mh:
-            diag = np.array([self.Ahat[pos, basis[pos]] for pos in range(mh)])
-            self.Binv = np.diag(1.0 / diag)
-        else:
-            self.Binv = np.zeros((0, 0))
+        self.Binv = np.diag(1.0 / self.Ahat[np.arange(mh), basis])
         self.since_refactor = 0
 
     def _refactor(self):
-        if self.mhat == 0:
-            return
         B = self.Ahat[:, self.basis]
         try:
             self.Binv = np.linalg.inv(B)
@@ -446,7 +381,7 @@ class _Engine:
 
     def _loop(self, costs: np.ndarray, allow_unbounded: bool):
         """Iterate until optimal or unbounded under the given cost vector."""
-        mh = self.mhat
+        mh = self.p.nrows
         range_open = self.hihat - self.lohat > 0.0
         stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
@@ -456,9 +391,8 @@ class _Engine:
                 )
             if self.since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-            cB = costs[self.basis] if mh else np.zeros(0)
-            y = self.Binv.T @ cB if mh else np.zeros(0)
-            r = costs - (self.Ahat.T @ y) if mh else costs.copy()
+            y = self.Binv.T @ costs[self.basis]
+            r = costs - self.Ahat.T @ y
             eligible = (~self.in_basis) & range_open & (
                 ((~self.at_upper) & (r < -DUAL_TOL)) | (self.at_upper & (r > DUAL_TOL))
             )
@@ -470,28 +404,27 @@ class _Engine:
             else:
                 j = int(idx[0])  # Bland: smallest eligible index enters
             sigma = -1.0 if self.at_upper[j] else 1.0
-            d = self.Binv @ self.Ahat[:, j] if mh else np.zeros(0)
+            d = self.Binv @ self.Ahat[:, j]
             rate = -sigma * d  # change of basic values per unit step
             t_best = self.hihat[j] - self.lohat[j]
             leave_pos = -1
             leave_hits_upper = False
-            if mh:
-                xB = self.x[self.basis]
-                loB = self.lohat[self.basis]
-                hiB = self.hihat[self.basis]
-                down = rate < -PIV_TOL
-                up = rate > PIV_TOL
-                t_rows = np.full(mh, np.inf)
-                t_rows[down] = (xB[down] - loB[down]) / (-rate[down])
-                t_rows[up] = (hiB[up] - xB[up]) / rate[up]
-                t_rows = np.maximum(t_rows, 0.0)
-                tmin = float(np.min(t_rows)) if t_rows.size else np.inf
-                if tmin < t_best:
-                    # Bland: among blocking rows the smallest variable index leaves
-                    ties = np.nonzero(t_rows <= tmin)[0]
-                    leave_pos = int(ties[np.argmin(self.basis[ties])])
-                    t_best = tmin
-                    leave_hits_upper = rate[leave_pos] > 0.0
+            xB = self.x[self.basis]
+            loB = self.lohat[self.basis]
+            hiB = self.hihat[self.basis]
+            down = rate < -PIV_TOL
+            up = rate > PIV_TOL
+            t_rows = np.full(mh, np.inf)
+            t_rows[down] = (xB[down] - loB[down]) / (-rate[down])
+            t_rows[up] = (hiB[up] - xB[up]) / rate[up]
+            t_rows = np.maximum(t_rows, 0.0)
+            tmin = float(np.min(t_rows)) if mh else np.inf
+            if tmin < t_best:
+                # Bland: among blocking rows the smallest variable index leaves
+                ties = np.nonzero(t_rows <= tmin)[0]
+                leave_pos = int(ties[np.argmin(self.basis[ties])])
+                t_best = tmin
+                leave_hits_upper = rate[leave_pos] > 0.0
             if not np.isfinite(t_best):
                 if not allow_unbounded:
                     raise NumericalBreakdown("phase-one subproblem reported unbounded")
@@ -500,8 +433,7 @@ class _Engine:
             stalled = stalled + 1 if t_best == 0.0 else 0
             if leave_pos < 0:
                 # bound flip, no basis change
-                if mh:
-                    self.x[self.basis] += rate * t_best
+                self.x[self.basis] += rate * t_best
                 self.x[j] = self.hihat[j] if sigma > 0 else self.lohat[j]
                 self.at_upper[j] = not self.at_upper[j]
                 continue
@@ -525,13 +457,20 @@ class _Engine:
             self.since_refactor += 1
 
     def _drive_out_artificials(self):
-        """Swap basic artificials for structural columns where possible."""
-        for pos in range(self.mhat):
+        """Swap basic artificials for structural columns where possible.
+
+        Fixed columns are not candidates, so they stay nonbasic at their
+        exact value.  An artificial left basic sits at zero with bounds
+        [0, 0] in phase two, where it blocks any step that would move it.
+        """
+        movable = self.hihat[: self.first_art] > self.lohat[: self.first_art]
+        for pos in range(self.p.nrows):
             bi = int(self.basis[pos])
             if bi < self.first_art:
                 continue
             row = self.Binv[pos, :] @ self.Ahat[:, : self.first_art]
-            cand = np.nonzero((~self.in_basis[: self.first_art]) & (np.abs(row) > DRIVE_TOL))[0]
+            pickable = movable & ~self.in_basis[: self.first_art]
+            cand = np.nonzero(pickable & (np.abs(row) > DRIVE_TOL))[0]
             if cand.size == 0:
                 continue  # redundant row; the artificial stays basic at zero
             j = int(cand[0])
@@ -571,36 +510,17 @@ class _Engine:
         x = self._lift_dir(self.x)
         mirror = [j for kind, j in self.col_origin if kind == "mirror"]
         x[mirror] += self.p.upper[mirror]
-        for j, v in self.fixed_value.items():
-            x[j] = v
         return x
-
-    def _lift_y(self, y_kept: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.p.nrows)
-        for pos, i in enumerate(self.kept_rows):
-            y[i] = y_kept[pos]
-        return y
 
     # ----- main -------------------------------------------------------------
 
     def run(self) -> LpSolution:
         p = self.p
-        self._presolve()
-        if self.row_infeasible_cert is not None:
-            y = self.row_infeasible_cert
-            if not farkas_margin(p, y) < -CERT_TOL:
-                raise NumericalBreakdown("empty-row infeasibility certificate failed validation")
-            return LpSolution(
-                status="infeasible",
-                value=np.inf if p.sense == "min" else -np.inf,
-                farkas=y,
-                iterations=self.iterations,
-            )
         self._build()
         self._init_phase1()
         status, y1, _ = self._loop(self.phase1_cost, allow_unbounded=False)
         w = float(self.phase1_cost @ self.x)
-        if w > FEAS_TOL * max(1.0, float(np.max(np.abs(self.bhat))) if self.mhat else 1.0):
+        if w > FEAS_TOL * max(1.0, float(np.max(np.abs(self.bhat))) if p.nrows else 1.0):
             cert = self._certified_farkas(y1)
             return LpSolution(
                 status="infeasible",
@@ -617,8 +537,7 @@ class _Engine:
             _, j, sigma = out
             dhat = np.zeros(self.Ahat.shape[1])
             dhat[j] = sigma
-            if self.mhat:
-                dhat[self.basis] = -sigma * (self.Binv @ self.Ahat[:, j])
+            dhat[self.basis] = -sigma * (self.Binv @ self.Ahat[:, j])
             d = self._lift_dir(dhat)
             mx = float(np.max(np.abs(d))) if d.size else 0.0
             if mx > 0:
@@ -633,12 +552,8 @@ class _Engine:
             )
         # recompute the final quantities from a fresh factorization
         self._refactor()
-        cB = self.chat[self.basis] if self.mhat else np.zeros(0)
-        y2 = self.Binv.T @ cB if self.mhat else np.zeros(0)
         x = self._lift_x()
-        y = self._lift_y(y2)
-        if p.sense == "max":
-            y = -y
+        y = self.sense_sign * (self.Binv.T @ self.chat[self.basis])
         value = float(p.c @ x)
         reduced = p.c - p.A.T @ y
         certify(p, x, y, value)
@@ -652,22 +567,17 @@ class _Engine:
         )
 
     def _certified_farkas(self, y_phase1: np.ndarray) -> np.ndarray:
-        y = self._lift_y(-y_phase1)
-        scale = float(np.max(np.abs(y))) if y.size else 0.0
-        if scale > 0:
-            y = y / scale
-        if farkas_margin(self.p, y) < -CERT_TOL:
-            return y
-        # one retry from a fresh factorization
-        self._refactor()
-        cB = self.phase1_cost[self.basis] if self.mhat else np.zeros(0)
-        y1 = self.Binv.T @ cB if self.mhat else np.zeros(0)
-        y = self._lift_y(-y1)
-        scale = float(np.max(np.abs(y))) if y.size else 0.0
-        if scale > 0:
-            y = y / scale
-        if farkas_margin(self.p, y) < -CERT_TOL:
-            return y
+        # the phase-one duals, then once more from a fresh factorization
+        for retry in (False, True):
+            if retry:
+                self._refactor()
+                y_phase1 = self.Binv.T @ self.phase1_cost[self.basis]
+            y = -y_phase1
+            scale = float(np.max(np.abs(y))) if y.size else 0.0
+            if scale > 0:
+                y = y / scale
+            if farkas_margin(self.p, y) < -CERT_TOL:
+                return y
         raise NumericalBreakdown("infeasibility certificate failed validation")
 
 

@@ -107,11 +107,6 @@ def space_from_json(obj, path) -> FiniteSpace:
         raise SchemaError(path, str(exc))
 
 
-def space_to_json(space: FiniteSpace) -> dict:
-    out = {"labels": list(space.labels)}
-    if space.coords is not None:
-        out["coords"] = [list(map(float, row)) for row in space.coords]
-    return out
 
 
 def scalar_measure_from_json(obj, path) -> ScalarMeasure:
@@ -120,8 +115,6 @@ def scalar_measure_from_json(obj, path) -> ScalarMeasure:
     return ScalarMeasure(space, w)
 
 
-def scalar_measure_to_json(mu: ScalarMeasure) -> dict:
-    return {"space": space_to_json(mu.space), "weights": list(map(float, mu.weights))}
 
 
 def vector_measure_from_json(obj, path) -> VectorMeasure:
@@ -136,12 +129,6 @@ def vector_measure_from_json(obj, path) -> VectorMeasure:
         raise SchemaError(path, str(exc))
 
 
-def vector_measure_to_json(mu: VectorMeasure) -> dict:
-    return {
-        "space": space_to_json(mu.space),
-        "values": [list(map(float, row)) for row in mu.values],
-        "refWeights": list(map(float, mu.ref_weights)),
-    }
 
 
 def plan_from_json(obj, path) -> TransportPlan:
@@ -153,12 +140,6 @@ def plan_from_json(obj, path) -> TransportPlan:
     return TransportPlan(source, target, mat)
 
 
-def plan_to_json(plan: TransportPlan) -> dict:
-    return {
-        "source": space_to_json(plan.source),
-        "target": space_to_json(plan.target),
-        "matrix": [list(map(float, row)) for row in plan.matrix],
-    }
 
 
 def _decode_two_marginals(payload, path):

@@ -424,9 +424,8 @@ def blackwell_check(
     }
 
     if dom and cond_dens:
-        plan = _collapsed_solve(
-            mu, mu.density, np.zeros((mu.space.size, ny)), nu.values, nu.space
-        ).plan.matrix
+        # the plan behind the kernel `dominates` returned
+        plan = cert.payload.rows * mu.ref_weights[:, None]
         colsum = plan.sum(axis=0)
         Q = np.full((ny, mu.space.size), 1.0 / mu.space.size)
         alive = colsum > 0.0

@@ -30,6 +30,24 @@ def check_farkas(problem, y):
     assert y @ problem.b - box_min < -1e-9
 
 
+def check_ray(problem, d):
+    """Independent recession-direction check: feasible cone, improving objective."""
+    assert d is not None and np.max(np.abs(d)) > 0
+    tol = 1e-9 * np.max(np.abs(d))
+    assert np.all(d[np.isfinite(problem.lower)] >= -tol)
+    assert np.all(d[np.isfinite(problem.upper)] <= tol)
+    Ad = problem.A @ d
+    for i, k in enumerate(problem.kinds):
+        if k == "eq":
+            assert abs(Ad[i]) <= tol
+        elif k == "le":
+            assert Ad[i] <= tol
+        else:
+            assert Ad[i] >= -tol
+    sign = 1.0 if problem.sense == "min" else -1.0
+    assert sign * float(problem.c @ d) < -1e-9
+
+
 def vertex_oracle(problem):
     """Enumerate candidate vertices of a small LP and return the best value."""
     A, b, kinds = problem.A, problem.b, problem.kinds
@@ -186,6 +204,22 @@ def test_no_rows_bound_flips():
     assert abs(sol.value - 2.0) < 1e-9
 
 
+def test_no_rows_unbounded_ray():
+    # only bounds: column 1 falls without limit below its upper bound and
+    # column 2 rises without limit above its lower bound
+    p = LpProblem(
+        c=[1.0, 2.0, -3.0],
+        A=np.zeros((0, 3)),
+        b=np.zeros(0),
+        kinds=[],
+        lower=[0.0, -np.inf, 1.0],
+        upper=[2.0, 1.0, np.inf],
+    )
+    sol = solve(p)
+    assert sol.status == "unbounded"
+    check_ray(p, sol.ray)
+
+
 def test_fixed_variables_and_empty_row():
     # second variable pinned, first row becomes empty after substitution
     p = LpProblem(
@@ -286,6 +320,29 @@ def test_problem_validation():
         LpProblem(c=[1.0, 2.0], A=[[1.0]], b=[1.0], kinds=["eq"])
 
 
+def test_bounds_that_admit_no_point_are_rejected():
+    # no finite x satisfies a lower bound of +inf or an upper bound of -inf
+    with pytest.raises(ValueError):
+        LpProblem(c=[0.0, 0.0], A=[[1.0, 1.0]], b=[1.0], kinds=["eq"],
+                  lower=[np.inf, 0.0], upper=[np.inf, np.inf])
+    with pytest.raises(ValueError):
+        LpProblem(c=[0.0], A=[[1.0]], b=[1.0], kinds=["eq"],
+                  lower=[-np.inf], upper=[-np.inf])
+
+
+@pytest.mark.parametrize("which", ["x", "y", "value"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_non_finite_numbers(which, bad):
+    # x = 1, y = 1 is the optimal pair of min x s.t. x = 1; NaN compares
+    # false, so without the finiteness check every later test would pass
+    p = LpProblem(c=[1.0], A=[[1.0]], b=[1.0], kinds=["eq"])
+    args = {"x": np.array([1.0]), "y": np.array([1.0]), "value": 1.0}
+    lp.certify(p, **args)
+    args[which] = bad if which == "value" else np.array([bad])
+    with pytest.raises(NumericalBreakdown):
+        lp.certify(p, **args)
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(4, 6))
@@ -334,17 +391,84 @@ def test_agrees_with_scipy_on_random_instances():
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+# bound types of the all-zero columns: [0, inf), a box, (-inf, u], free
+_BOUND_TYPES = ((0.0, np.inf), (-1.0, 2.0), (-np.inf, 1.0), (-np.inf, np.inf))
+
+
+def _problem_with_trivial_parts(rng, seen):
+    """A small LP plus fixed columns, all-zero rows and all-zero columns, shuffled."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b = rng.integers(-4, 5, size=m).astype(float)
+    c = rng.integers(-5, 6, size=n).astype(float)
+    kinds = [str(k) for k in rng.choice(["eq", "le", "ge"], size=m)]
+    lower = np.zeros(n)
+    upper = np.where(rng.random(n) < 0.5, rng.integers(1, 6, size=n).astype(float), np.inf)
+    sense = "min" if rng.random() < 0.5 else "max"
+    sign = 1.0 if sense == "min" else -1.0
+    for _ in range(int(rng.integers(0, 3))):
+        v = float(rng.choice([-1.0, 0.0, 1.5]))
+        A = np.column_stack([A, rng.integers(-3, 4, size=m)])
+        c = np.append(c, rng.integers(-5, 6))
+        lower, upper = np.append(lower, v), np.append(upper, v)
+        seen.add("fixed column")
+    for _ in range(int(rng.integers(0, 3))):
+        cmin, t = int(rng.integers(-1, 2)), int(rng.integers(0, 4))
+        A = np.column_stack([A, np.zeros(m)])
+        c = np.append(c, 2.0 * sign * cmin)
+        lower, upper = np.append(lower, _BOUND_TYPES[t][0]), np.append(upper, _BOUND_TYPES[t][1])
+        seen.add(("zero column", cmin, t))
+    for _ in range(int(rng.integers(0, 3))):
+        kind = str(rng.choice(["eq", "le", "ge"]))
+        rhs = 0.0 if rng.random() < 0.6 else float(rng.choice([-2.0, 2.0]))
+        A = np.vstack([A, np.zeros(A.shape[1])])
+        b, kinds = np.append(b, rhs), kinds + [kind]
+        seen.add(("zero row", kind, rhs == 0.0))
+    rows, cols = rng.permutation(A.shape[0]), rng.permutation(A.shape[1])
+    return LpProblem(c=c[cols], A=A[rows][:, cols], b=b[rows], kinds=[kinds[i] for i in rows],
+                     lower=lower[cols], upper=upper[cols], sense=sense)
+
+
+def test_fixed_and_empty_rows_and_columns_agree_with_scipy():
+    rng = np.random.default_rng(808)
+    seen, statuses = set(), set()
+    for _ in range(400):
+        p = _problem_with_trivial_parts(rng, seen)
+        sol = solve(p)
+        statuses.add(sol.status)
+        # feasibility first, so "infeasible and unbounded" has one answer
+        feas = to_scipy(LpProblem(c=np.zeros(p.nvars), A=p.A, b=p.b, kinds=p.kinds,
+                                  lower=p.lower, upper=p.upper))
+        assert feas.status in (0, 2)
+        if feas.status == 2:
+            assert sol.status == "infeasible"
+            check_farkas(p, sol.farkas)
+            continue
+        ref = to_scipy(p)
+        assert ref.status in (0, 3)
+        if ref.status == 3:
+            assert sol.status == "unbounded"
+            check_ray(p, sol.ray)
+            continue
+        ref_value = ref.fun if p.sense == "min" else -ref.fun
+        assert sol.status == "optimal"
+        assert abs(sol.value - ref_value) <= 1e-7 * (1 + abs(ref_value))
+        fixed = p.lower == p.upper
+        assert np.array_equal(sol.x[fixed], p.lower[fixed])
+    kinds = {("zero row", k, z) for k in ("eq", "le", "ge") for z in (True, False)}
+    columns = {("zero column", s, t) for s in (-1, 0, 1) for t in range(4)}
+    assert seen == {"fixed column"} | kinds | columns
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 def test_lift_x_matches_per_column_reference(monkeypatch):
     # x is lifted through _lift_dir; it must equal, bit for bit, the per-column
-    # lift: x_j = w (direct), upper_j - w (mirror), w+ - w- (split), or pinned
+    # lift: x_j = w (direct), upper_j - w (mirror) or w+ - w- (split)
     seen = set()
     lift = lp._Engine._lift_x
 
     def checked(engine):
         ref = np.zeros(engine.p.nvars)
-        for j, v in engine.fixed_value.items():
-            ref[j] = v
-            seen.add("fixed")
         for k, (kind, j) in enumerate(engine.col_origin):
             w = engine.x[k]
             if kind == "direct":
@@ -358,6 +482,8 @@ def test_lift_x_matches_per_column_reference(monkeypatch):
             seen.add(kind)
         x = lift(engine)
         assert x.tobytes() == ref.tobytes()
+        # the pinned column is a direct column that never leaves its value
+        assert x[0] == 0.25
         return x
 
     monkeypatch.setattr(lp._Engine, "_lift_x", checked)
@@ -372,7 +498,7 @@ def test_lift_x_matches_per_column_reference(monkeypatch):
         p = LpProblem(c=rng.normal(size=n), A=A, b=A @ point, kinds=["eq"] * m,
                       lower=lower, upper=upper)
         solve(p)
-    assert seen == {"fixed", "direct", "mirror", "splitp", "splitn"}
+    assert seen == {"direct", "mirror", "splitp", "splitn"}
 
 
 def _farkas_margin_loop(problem, y):

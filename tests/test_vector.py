@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vecot import vector
 from vecot.lp import NumericalBreakdown
 from vecot.measures import (
     FiniteSpace,
@@ -366,6 +367,30 @@ class TestBlackwell:
         assert rk["density_average_residual"] <= 1e-8
         assert rep["jensen"]["min_gap"] >= -1e-8
         assert rep["jensen"]["asserted"]
+
+    def test_reversed_kernel_reuses_the_dominance_plan(self, monkeypatch):
+        # two LPs: the dominance plan and the kernel-variable encoding; the
+        # reversed kernel is read from the dominance kernel, not solved again
+        mu = two_atom_measure()
+        nu = VectorMeasure(
+            FiniteSpace(["y0", "y1"]), np.array([[0.3, 0.3], [0.7, 0.7]])
+        )
+        calls = []
+        real = vector.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vector, "solve", counted)
+        rep = blackwell_check(mu, nu, g_samples=8, seed=3)
+        assert len(calls) == 2
+        plan = vector._collapsed_solve(
+            mu, mu.density, np.zeros((2, 2)), nu.values, nu.space
+        ).plan.matrix
+        colsum = plan.sum(axis=0)
+        Q = plan.T / colsum[:, None]
+        np.testing.assert_allclose(rep["reversed_kernel"]["Q"], Q, rtol=0, atol=1e-12)
 
     def test_witness_g_on_failure(self):
         mu = two_atom_measure()

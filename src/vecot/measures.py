@@ -243,7 +243,6 @@ class TransportPlan:
     source: FiniteSpace
     target: FiniteSpace
     matrix: np.ndarray
-    density_tag: Optional[np.ndarray] = None
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -255,11 +254,6 @@ class TransportPlan:
         if not np.all(np.isfinite(m)):
             raise ValueError("plan entries must be finite")
         self.matrix = _freeze(_clean_nonneg(m, "plan"))
-        if self.density_tag is not None:
-            t = np.atleast_2d(np.asarray(self.density_tag, dtype=float))
-            if t.shape[0] != self.source.size:
-                raise ValueError("density_tag rows do not match the source space")
-            self.density_tag = _freeze(t)
 
     def mass(self) -> float:
         return float(self.matrix.sum())
@@ -340,7 +334,7 @@ def product(P: Kernel, mu: VectorMeasure) -> TransportPlan:
     if not P.source.matches(mu.space):
         raise SpaceMismatch("kernel source does not match the measure's space")
     matrix = P.rows * mu.ref_weights[:, None]
-    return TransportPlan(P.source, P.target, matrix, density_tag=mu.density.copy())
+    return TransportPlan(P.source, P.target, matrix)
 
 
 def disintegrate(plan: TransportPlan, axis: Union[int, str] = 0):

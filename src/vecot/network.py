@@ -14,7 +14,11 @@ its unshipped supply to a dummy sink.  There is no dummy-to-dummy arc,
 so exactly m crosses the real arcs.  An artificial root joins every
 node by one arc pointing the way the node's balance flows.
 
-Basis.  A spanning tree over all nodes, rooted at the artificial root.
+Zero balances.  The solvers state their LP over every atom; a source or
+sink (a dummy too) whose balance is exactly 0 carries no flow, so the
+tree leaves it out and `solve_network` prices it afterwards.
+
+Basis.  A spanning tree over the other nodes, rooted at the artificial root.
 Nonbasic arcs sit at 0 or at their cap.  Node potentials pi make the
 reduced cost c_a - pi[tail] + pi[head] of every tree arc zero; the LP
 duals are read off them (`_lp_duals`).
@@ -265,6 +269,27 @@ def _lp_duals(A: TransportIncidence, pi: np.ndarray) -> np.ndarray:
     return np.concatenate([src - dt, ds - snk, [dt - ds]])
 
 
+def _price_dropped(pi: np.ndarray, live: np.ndarray, tail, head, cost) -> None:
+    """Price the dropped nodes in `pi`, in place, as tightly as their arcs allow.
+
+    Dropped sinks first, from the live sources: pi[h] = max(pi[t] - cost).
+    Then dropped sources, from every sink: pi[t] = min(cost + pi[h]).  Each
+    arc at a dropped node then has reduced cost cost - pi[t] + pi[h] >= 0,
+    the sign an arc without flow needs.  A dropped node with no such arc
+    keeps its potential.
+    """
+    into = live[tail] & ~live[head]
+    bound = np.full(pi.size, -np.inf)
+    np.maximum.at(bound, head[into], pi[tail[into]] - cost[into])
+    priced = np.isfinite(bound)
+    pi[priced] = bound[priced]
+    out = ~live[tail]
+    bound = np.full(pi.size, np.inf)
+    np.minimum.at(bound, tail[out], cost[out] + pi[head[out]])
+    priced = np.isfinite(bound)
+    pi[priced] = bound[priced]
+
+
 def solve_network(problem, pivot_limit: int) -> LpSolution:
     """Solve an LP whose ``A`` is a `TransportIncidence`.
 
@@ -273,6 +298,17 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     result carries the same guarantees as the dense engine's: an optimum
     that passes `lp.certify`, or a Farkas certificate that passes
     `lp.farkas_margin`.
+
+    Zero balances.  A source or sink whose balance is exactly 0 carries no
+    flow, and that includes a dummy node of the total row.  The tree runs
+    without such nodes and their arcs, the others renumbered in order;
+    afterwards `_price_dropped` gives each dropped node a potential, under
+    the phase's arc costs for an optimum and under phase one's zero arc
+    costs for a Farkas vector.  Every arc of the full problem then has a
+    reduced cost of the right sign, so both gates pass on the full LP.
+    The rule holds only because every node here is a pure source or a
+    pure sink; a transshipment node with zero balance may pass flow
+    through and must stay.
     """
     A = problem.A
     nx, ny = A.nx, A.ny
@@ -287,23 +323,37 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     tail, head = A.tail, nx + A.head
     cost, cap = sign * problem.c, problem.upper
     balance = np.concatenate([b[:nx], -b[nx : nx + ny]])
+    live = balance != 0.0
     if A.total:
         ds, dt = nx + ny, nx + ny + 1
         tail = np.concatenate([tail, np.arange(nx), np.full(ny, ds)])
         head = np.concatenate([head, np.full(nx, dt), nx + np.arange(ny)])
         cost = np.concatenate([cost, np.zeros(nx + ny)])
         cap = np.concatenate([cap, np.full(nx + ny, np.inf)])
-        balance = np.concatenate([balance, [b[nx:-1].sum() - b[-1], b[-1] - b[:nx].sum()]])
-    c_max = float(np.max(np.abs(cost))) if cost.size else 0.0
-    nodes, arcs = balance.size, tail.size
-    tree = _Tree(tail, head, cap, balance, pivot_limit, DUAL_TOL * max(1.0, c_max))
-    tree.run(np.concatenate([cost, np.full(nodes, (1.0 + c_max) * (nodes + 1))]))
+        # summed over the live nodes alone, so that the tree's network is
+        # exactly the one without the dropped nodes
+        supply, demand = b[:nx][live[:nx]].sum(), b[nx:-1][live[nx:]].sum()
+        dummy = np.array([demand - b[-1], b[-1] - supply])
+        balance = np.concatenate([balance, dummy])
+        live = np.concatenate([live, dummy != 0.0])
+    keep = live[tail] & live[head]
+    number = np.cumsum(live) - 1
+    nodes, arcs = int(live.sum()), int(keep.sum())
+    c_max = float(np.max(np.abs(cost[keep]))) if arcs else 0.0
+    tree = _Tree(
+        number[tail[keep]], number[head[keep]], cap[keep], balance[live],
+        pivot_limit, DUAL_TOL * max(1.0, c_max),
+    )
+    tree.run(np.concatenate([cost[keep], np.full(nodes, (1.0 + c_max) * (nodes + 1))]))
     b_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    pi = np.zeros(balance.size)
     if tree.artificial_flow() > b_tol:
         tree.run(np.concatenate([np.zeros(arcs), np.ones(nodes)]))
         if not tree.artificial_flow() > b_tol:
             raise NumericalBreakdown("phase one found a feasible flow the priced start missed")
-        y = -_lp_duals(A, tree.pi)
+        pi[live] = tree.pi[:-1]
+        _price_dropped(pi, live, tail, head, np.zeros(tail.size))
+        y = -_lp_duals(A, pi)
         scale = float(np.max(np.abs(y))) if y.size else 0.0
         if scale > 0:
             y = y / scale
@@ -315,13 +365,17 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
             farkas=y,
             iterations=tree.pivots,
         )
-    x = np.array(tree.flow[: A.shape[1]])
+    real = keep[: A.shape[1]]
+    x = np.zeros(A.shape[1])
+    x[real] = tree.flow[: int(real.sum())]
     # shifting every potential alike changes no reduced cost; anchor the
     # first node hung from the root at zero, so that the duals do not carry
     # the artificial price M
     anchor = tree.pi[tree.children[-1][0]] if nodes else 0.0
-    y = sign * _lp_duals(A, tree.pi - anchor)
-    value = float(problem.c @ x)
+    pi[live] = tree.pi[:-1] - anchor
+    _price_dropped(pi, live, tail, head, cost)
+    y = sign * _lp_duals(A, pi)
+    value = float(problem.c[real] @ x[real])
     certify(problem, x, y, value)
     return LpSolution(
         status="optimal",

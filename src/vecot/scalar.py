@@ -1,12 +1,14 @@
 """Scalar transport problems and their variants, each solved as one LP.
 
 The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`
-and `local_constraint_feasible`) state their LP with a
+and `local_constraint_feasible`) state their LP over every atom with a
 `network.TransportIncidence`, so `lp.solve` runs them on the network
-simplex and never forms the dense marginal matrix; the others are dense
-LPs.  `_marginal_index` is the single owner of the plan-to-column
-layout: every dense LP here and in `vector` and `chain` scatters its
-marginal rows from it.  Every solver returns dual potentials along with
+simplex and never forms the dense marginal matrix; the network engine
+leaves zero-mass atoms out of its tree and prices them, so their
+potentials are plain LP duals here.  The others are dense LPs.
+`_marginal_index` is the single owner of the plan-to-column layout:
+every dense LP here and in `vector` and `chain` scatters its marginal
+rows from it.  Every solver returns dual potentials along with
 the optimal plan and checks the certificate inequality of any
 infeasibility before raising.
 
@@ -108,12 +110,6 @@ def _marginal_index(shape, axes) -> np.ndarray:
     return index.ravel()
 
 
-def _reinsert(mat, li, lj, nx, ny) -> np.ndarray:
-    out = np.zeros((nx, ny))
-    out[np.ix_(li, lj)] = mat
-    return out
-
-
 def _mass_mismatch_cert(mu: ScalarMeasure, nu: ScalarMeasure) -> dict:
     s = 1.0 if mu.total() > nu.total() else -1.0
     psi = np.full(mu.space.size, -s)
@@ -138,35 +134,13 @@ def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
             f"total masses differ: {mu.total()!r} vs {nu.total()!r}",
             _mass_mismatch_cert(mu, nu),
         )
-    li = np.nonzero(mu.weights > 0.0)[0]
-    lj = np.nonzero(nu.weights > 0.0)[0]
-    if li.size == 0 or lj.size == 0:
-        phi = np.zeros(ny)
-        psi = c.min(axis=1) if ny else np.zeros(nx)
-        plan = TransportPlan(mu.space, nu.space, np.zeros((nx, ny)))
-        return OtResult(0.0, plan, psi, phi)
-    kx, ky = li.size, lj.size
-    A = TransportIncidence.complete(kx, ky)
-    b = np.concatenate([mu.weights[li], nu.weights[lj]])
-    sub = c[np.ix_(li, lj)]
-    sol = solve(LpProblem(c=sub.ravel(), A=A, b=b, kinds=["eq"] * (kx + ky)))
+    A = TransportIncidence.complete(nx, ny)
+    b = np.concatenate([mu.weights, nu.weights])
+    sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * (nx + ny)))
     if sol.status != "optimal":
         raise NumericalBreakdown(f"transport LP returned {sol.status}")
-    psi_l, phi_l = sol.y[:kx], sol.y[kx:]
-    psi = np.empty(nx)
-    phi = np.empty(ny)
-    psi[li] = psi_l
-    phi[lj] = phi_l
-    dead_y = np.setdiff1d(np.arange(ny), lj)
-    for j in dead_y:
-        phi[j] = np.min(c[li, j] - psi_l)
-    dead_x = np.setdiff1d(np.arange(nx), li)
-    for i in dead_x:
-        psi[i] = np.min(c[i, :] - phi)
-    plan = TransportPlan(
-        mu.space, nu.space, _reinsert(np.maximum(sol.x, 0.0).reshape(kx, ky), li, lj, nx, ny)
-    )
-    return OtResult(sol.value, plan, psi, phi)
+    plan = TransportPlan(mu.space, nu.space, np.maximum(sol.x, 0.0).reshape(nx, ny))
+    return OtResult(sol.value, plan, sol.y[:nx], sol.y[nx:])
 
 
 def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtResult:
@@ -182,48 +156,22 @@ def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtRes
     if m < -FEAS_TOL or m > cap + FEAS_TOL:
         raise ValueError(f"mass {m!r} outside [0, {cap!r}]")
     m = min(max(m, 0.0), cap)
-    li = np.nonzero(mu.weights > 0.0)[0]
-    lj = np.nonzero(nu.weights > 0.0)[0]
-    kx, ky = li.size, lj.size
-    A = TransportIncidence.complete(kx, ky, total=True)
-    b = np.concatenate([mu.weights[li], nu.weights[lj], [m]])
-    kinds = ["le"] * (kx + ky) + ["eq"]
-    sol = solve(LpProblem(c=c[np.ix_(li, lj)].ravel(), A=A, b=b, kinds=kinds))
+    A = TransportIncidence.complete(nx, ny, total=True)
+    b = np.concatenate([mu.weights, nu.weights, [m]])
+    kinds = ["le"] * (nx + ny) + ["eq"]
+    sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=kinds))
     if sol.status != "optimal":
         raise NumericalBreakdown(f"partial transport LP returned {sol.status}")
-    lam = float(sol.y[-1])
-    psi = np.empty(nx)
-    phi = np.empty(ny)
-    psi[li] = sol.y[:kx]
-    phi[lj] = sol.y[kx : kx + ky]
-    dead_y = np.setdiff1d(np.arange(ny), lj)
-    for j in dead_y:
-        lo = np.min(c[li, j] - psi[li] - lam) if kx else 0.0
-        phi[j] = min(0.0, lo)
-    dead_x = np.setdiff1d(np.arange(nx), li)
-    for i in dead_x:
-        psi[i] = min(0.0, np.min(c[i, :] - phi - lam))
-    plan = TransportPlan(
-        mu.space, nu.space, _reinsert(np.maximum(sol.x, 0.0).reshape(kx, ky), li, lj, nx, ny)
+    plan = TransportPlan(mu.space, nu.space, np.maximum(sol.x, 0.0).reshape(nx, ny))
+    return OtResult(
+        sol.value, plan, sol.y[:nx], sol.y[nx : nx + ny], extras={"lam": float(sol.y[-1])}
     )
-    return OtResult(sol.value, plan, psi, phi, extras={"lam": lam})
 
 
 def _kellerer_slack(psi, phi, mu: ScalarMeasure, nu: ScalarMeasure, cap: TransportPlan) -> float:
     """sum([psi + phi]_+ * cap) - psi.mu - phi.nu; below zero, no plan fits under cap."""
     pos_part = np.maximum(psi[:, None] + phi[None, :], 0.0)
     return float((pos_part * cap.matrix).sum() - psi @ mu.weights - phi @ nu.weights)
-
-
-def _capacity_dead_potentials(c, psi, phi, li, lj):
-    """Fill dropped atoms so that [c - psi - phi]_+ vanishes off the live block."""
-    nx, ny = c.shape
-    dead_y = np.setdiff1d(np.arange(ny), lj)
-    for j in dead_y:
-        phi[j] = np.max(c[li, j] - psi[li]) if li.size else np.max(c[:, j])
-    dead_x = np.setdiff1d(np.arange(nx), li)
-    for i in dead_x:
-        psi[i] = np.max(c[i, :] - phi)
 
 
 def solve_capacity(
@@ -256,44 +204,21 @@ def solve_capacity(
             "capacity admits no coupling of the marginals",
             {"psi": unit[:nx], "phi": unit[nx:], "kellerer_slack": slack},
         )
-    li = np.nonzero(mu.weights > 0.0)[0]
-    lj = np.nonzero(nu.weights > 0.0)[0]
-    kx, ky = li.size, lj.size
-    psi = np.zeros(nx)
-    phi = np.zeros(ny)
-    if kx == 0 or ky == 0:
-        _capacity_dead_potentials(c, psi, phi, li, lj)
-        return OtResult(
-            0.0,
-            TransportPlan(mu.space, nu.space, np.zeros((nx, ny))),
-            psi,
-            phi,
-            extras={"xi": np.zeros((nx, ny))},
-        )
-    A = TransportIncidence.complete(kx, ky)
-    b = np.concatenate([mu.weights[li], nu.weights[lj]])
-    upper = cap.matrix[np.ix_(li, lj)].ravel()
+    A = TransportIncidence.complete(nx, ny)
+    b = np.concatenate([mu.weights, nu.weights])
     p = LpProblem(
-        c=c[np.ix_(li, lj)].ravel(),
+        c=c.ravel(),
         A=A,
         b=b,
-        kinds=["eq"] * (kx + ky),
-        upper=upper,
+        kinds=["eq"] * (nx + ny),
+        upper=cap.matrix.ravel(),
         sense="max",
     )
     sol = solve(p)
     if sol.status == "infeasible":
         # Farkas row duals negate into potentials violating the
         # Kellerer-style feasibility inequality
-        psi_l, phi_l = -sol.farkas[:kx], -sol.farkas[kx:]
-        psi_c = np.zeros(nx)
-        phi_c = np.zeros(ny)
-        psi_c[li] = psi_l
-        phi_c[lj] = phi_l
-        # zero-mass atoms add nothing to psi.mu + phi.nu; choose them so
-        # that [psi + phi]_+ vanishes on every pair involving one
-        phi_c[np.setdiff1d(np.arange(ny), lj)] = -psi_l.max()
-        psi_c[np.setdiff1d(np.arange(nx), li)] = -phi_c.max()
+        psi_c, phi_c = -sol.farkas[:nx], -sol.farkas[nx:]
         slack = _kellerer_slack(psi_c, phi_c, mu, nu, cap)
         if not slack < -CERT_TOL:
             raise NumericalBreakdown("capacity certificate failed validation")
@@ -303,13 +228,9 @@ def solve_capacity(
         )
     if sol.status != "optimal":
         raise NumericalBreakdown(f"capacity LP returned {sol.status}")
-    psi[li] = sol.y[:kx]
-    phi[lj] = sol.y[kx:]
-    _capacity_dead_potentials(c, psi, phi, li, lj)
+    psi, phi = sol.y[:nx], sol.y[nx:]
     xi = np.maximum(c - psi[:, None] - phi[None, :], 0.0)
-    plan = TransportPlan(
-        mu.space, nu.space, _reinsert(np.maximum(sol.x, 0.0).reshape(kx, ky), li, lj, nx, ny)
-    )
+    plan = TransportPlan(mu.space, nu.space, np.maximum(sol.x, 0.0).reshape(nx, ny))
     return OtResult(sol.value, plan, psi, phi, extras={"xi": xi})
 
 

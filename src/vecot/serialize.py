@@ -77,6 +77,15 @@ def _matrix(x, path, rows=None, cols=None) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+def _tensor(x, path, shape):
+    """Nested arrays of the given shape, each entry checked by `_number`."""
+    if not shape:
+        return _number(x, path)
+    if not isinstance(x, list) or len(x) != shape[0]:
+        raise SchemaError(path, f"expected an array of length {shape[0]}")
+    return [_tensor(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(x)]
+
+
 def _weights(x, path, length=None) -> np.ndarray:
     vals = _float_list(x, path, length)
     for i, v in enumerate(vals):
@@ -196,16 +205,8 @@ def _decode_multi(payload, path):
         scalar_measure_from_json(m, f"{path}.measures[{i}]") for i, m in enumerate(raw)
     ]
     sizes = tuple(m.space.size for m in measures)
-    cost = np.asarray(_require(payload, "cost", path), dtype=object)
-    try:
-        cost = cost.astype(float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}.cost", "expected a numeric tensor")
-    if cost.shape != sizes:
-        raise SchemaError(f"{path}.cost", f"expected shape {sizes}, got {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise SchemaError(f"{path}.cost", "non-finite entry")
-    return {"measures": measures, "cost": cost}
+    cost = _tensor(_require(payload, "cost", path), f"{path}.cost", sizes)
+    return {"measures": measures, "cost": np.array(cost, dtype=float)}
 
 
 def _decode_glue(payload, path):

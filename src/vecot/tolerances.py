@@ -8,8 +8,6 @@ import os
 
 # entrywise equality of matrices / vectors
 ENTRY_TOL = 1e-12
-# mass balance (marginal sums, kernel row sums)
-MASS_TOL = 1e-10
 # constraint feasibility residuals
 FEAS_TOL = 1e-9
 # strict-violation margin a certificate must clear

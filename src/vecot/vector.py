@@ -238,7 +238,7 @@ def _collapsed_solve(
             phi = -nu_values * (10.0 * CERT_TOL / float((nu_values**2).sum()))
             cert = _finalize_cert(np.zeros((nx, d)), phi, eta, mu.values, nu_values)
             raise InfeasibleTransport("empty source cannot reach a nonzero target", cert)
-        plan = TransportPlan(mu.space, nu_space, np.zeros((nx, ny)), density_tag=eta)
+        plan = TransportPlan(mu.space, nu_space, np.zeros((nx, ny)))
         return OtResult(
             0.0, plan, np.zeros((nx, d)), np.zeros((ny, d)),
             extras={"Psi": cost.min(axis=1), "t": np.zeros(nx)},
@@ -271,7 +271,7 @@ def _collapsed_solve(
     t_full[live] = t_live
     mat = np.zeros((nx, ny))
     mat[live] = np.maximum(sol.x, 0.0).reshape(k, ny)
-    plan = TransportPlan(mu.space, nu_space, mat, density_tag=eta)
+    plan = TransportPlan(mu.space, nu_space, mat)
     return OtResult(sol.value, plan, psi, phi, extras={"Psi": Psi, "t": t_full})
 
 

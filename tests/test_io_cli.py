@@ -195,6 +195,22 @@ class TestSchema:
         with pytest.raises(SchemaError):
             parse_problem(bad)
 
+    def test_multimarginal_cost_entries_must_be_numbers(self):
+        def multi(cost):
+            measure = {"space": {"labels": ["a", "b"]}, "weights": [0.5, 0.5]}
+            return {"kind": "multi", "payload": {"measures": [measure, measure], "cost": cost}}
+
+        assert parse_problem(multi([[0, 1.5], [1, 0]])).data["cost"].tolist() == [[0, 1.5], [1, 0]]
+        for cost, where in (
+            ([[True, 2], [0, 1]], "cost[0][0]"),
+            ([[1, "2"], [0, 1]], "cost[0][1]"),
+            ([[1, 2], [0]], "cost[1]"),
+            ([[1, 2], [0, 1], [2, 2]], "cost"),
+        ):
+            with pytest.raises(SchemaError) as exc:
+                parse_problem(multi(cost))
+            assert exc.value.path.endswith(where), (cost, exc.value.path)
+
     def test_nonpositive_tol_rejected(self):
         bad = json.loads(canonical_dumps(MINIMAL_OT))
         bad["tol"] = 0.0

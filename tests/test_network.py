@@ -209,3 +209,88 @@ def test_solve_ot_300_certifies_without_a_dense_matrix(monkeypatch):
     assert res.value == sol.value
     # the dense (600 x 90000) matrix alone would take 432 MB
     assert peak < 64 * 2**20, peak
+
+
+def zero_balance_pair(seed, sparse, total):
+    """An LP with zero-balance sources and sinks, and the same LP without them.
+
+    With `total` the total row moves every unit both sides hold, so the
+    dummy source and sink have zero balance as well, and the LP without
+    them is the eq LP on the live sources and sinks.  Returns (full,
+    reduced, live arcs of the full LP).
+    """
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(2, 9, 2)
+    if sparse:
+        tail, head = np.nonzero(rng.random((nx, ny)) < 0.5)
+        order = rng.permutation(tail.size)
+        tail, head = tail[order], head[order]
+    else:
+        tail, head = np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)
+    dead_x, dead_y = rng.random(nx) < 0.4, rng.random(ny) < 0.4
+    flow = rng.integers(0, 3, tail.size) * ~(dead_x[tail] | dead_y[head])
+    b_x = np.bincount(tail, weights=flow, minlength=nx)
+    b_y = np.bincount(head, weights=flow, minlength=ny)
+    c = rng.integers(0, 5, tail.size).astype(float)
+    cap = rng.integers(0, 3, tail.size) + (flow if rng.random() < 0.5 else 0)
+    b = np.concatenate([b_x, b_y] + ([[b_x.sum()]] if total else []))
+    kinds = ["le" if total else "eq"] * (nx + ny) + (["eq"] if total else [])
+    full = LpProblem(c=c, A=TransportIncidence(nx, ny, tail, head, total), b=b, kinds=kinds, upper=cap)
+    live_x, live_y = b_x != 0, b_y != 0
+    live = live_x[tail] & live_y[head]
+    A = TransportIncidence(
+        live_x.sum(), live_y.sum(),
+        (np.cumsum(live_x) - 1)[tail[live]], (np.cumsum(live_y) - 1)[head[live]],
+    )
+    b = np.concatenate([b_x[live_x], b_y[live_y]])
+    reduced = LpProblem(c=c[live], A=A, b=b, kinds=["eq"] * b.size, upper=cap[live])
+    return full, reduced, live
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("total", [False, True])
+def test_zero_balance_nodes_are_pruned_and_priced(sparse, total):
+    # the tree runs without zero-balance nodes: the same pivots and flows
+    # as the LP without them, and the full LP's gates still pass
+    statuses = set()
+    for seed in range(40):
+        full, reduced, live = zero_balance_pair(seed, sparse, total)
+        if live.all():
+            continue
+        sol, ref = lp.solve(full), lp.solve(reduced)
+        assert sol.status == ref.status
+        assert sol.iterations == ref.iterations, seed
+        statuses.add(sol.status)
+        if sol.status == "optimal":
+            assert np.array_equal(sol.x[live], ref.x) and not sol.x[~live].any()
+            assert sol.value == ref.value
+            certify(full, sol.x, sol.y, sol.value)
+        else:
+            assert farkas_margin(full, sol.farkas) < -CERT_TOL
+    assert statuses == {"optimal", "infeasible"}
+
+
+@pytest.mark.parametrize("solver", ["ot", "partial", "capacity"])
+def test_all_zero_marginals_make_one_certified_lp_call(monkeypatch, solver):
+    sx, sy = FiniteSpace(["a", "b", "c"]), FiniteSpace(["u", "v"])
+    mu, nu = ScalarMeasure(sx, np.zeros(3)), ScalarMeasure(sy, np.zeros(2))
+    c = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.0]])
+    seen = []
+
+    def spy(problem, pivot_limit=None):
+        sol = lp.solve(problem, pivot_limit)
+        seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(scalar, "solve", spy)
+    if solver == "ot":
+        res = scalar.solve_ot(mu, nu, c)
+    elif solver == "partial":
+        res = scalar.solve_partial(mu, nu, c, 0.0)
+    else:
+        res = scalar.solve_capacity(mu, nu, c, TransportPlan(sx, sy, np.ones((3, 2))))
+    (problem, sol), = seen
+    assert problem.nvars == 6 and sol.status == "optimal"
+    certify(problem, sol.x, sol.y, sol.value)
+    assert res.value == sol.value == 0.0 and not res.plan.matrix.any()
+    assert np.array_equal(res.psi, sol.y[:3]) and np.array_equal(res.phi, sol.y[3:5])

@@ -18,6 +18,15 @@ Such a step strictly lowers the objective and any longer degenerate run is
 pure Bland, so the method cannot cycle.  Among blocking rows of the ratio
 test the smallest basic variable index leaves.
 
+The engine works on the problem's own columns and bounds: its matrix is
+``[A | slacks]``, one slack per inequality row, and its point's first
+``n`` entries are the returned primal.  A nonbasic column starts at its
+finite lower bound, else at its finite upper bound, else (free) at 0.  It
+enters in the direction its reduced cost improves, up from below its
+upper bound or down from above its lower bound, so a free column may
+enter either way; it steps from its current value.  A free basic column
+never blocks the ratio test, so it never leaves the basis.
+
 There is no presolve: every row and column of ``A`` goes into the
 simplex, and the bounded simplex covers the cases a presolve would
 remove.  A fixed column (``lower == upper``) has no room to move, so it
@@ -142,17 +151,16 @@ class LpSolution:
     """Outcome of a solve.
 
     status is one of "optimal", "infeasible", "unbounded".  For "optimal",
-    x and y hold the primal and dual solutions and `reduced` the reduced
-    costs c - A.T y.  For "infeasible", `farkas` holds the certificate
-    described in the module docstring.  For "unbounded", `ray` holds a
-    feasible recession direction that strictly improves the objective.
+    x and y hold the primal and dual solutions.  For "infeasible", `farkas`
+    holds the certificate described in the module docstring.  For
+    "unbounded", `ray` holds a feasible recession direction that strictly
+    improves the objective.
     """
 
     status: str
     value: float
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
-    reduced: Optional[np.ndarray] = None
     farkas: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     iterations: int = 0
@@ -267,67 +275,32 @@ class _Engine:
         self.sense_sign = 1.0 if problem.sense == "min" else -1.0
         self.pivot_limit = pivot_limit
         self.iterations = 0
-        self.col_origin = []  # internal structural column -> original column
 
     # ----- standard-form construction --------------------------------------
 
     def _build(self):
         p = self.p
-        cmin = self.sense_sign * p.c
-        mh = p.nrows
-        cols, costs, lo, hi = [], [], [], []
-        bh = p.b.copy()
-        for j in range(p.nvars):
-            aj = p.A[:, j]
-            if np.isfinite(p.lower[j]):
-                self.col_origin.append(("direct", j))
-                cols.append(aj)
-                costs.append(cmin[j])
-                lo.append(p.lower[j])
-                hi.append(p.upper[j])
-            elif np.isfinite(p.upper[j]):
-                # substitute x_j = upper_j - w with w >= 0
-                self.col_origin.append(("mirror", j))
-                cols.append(-aj)
-                costs.append(-cmin[j])
-                lo.append(0.0)
-                hi.append(np.inf)
-                bh = bh - aj * p.upper[j]
-            else:
-                # free variable, split into a positive and a negative part
-                self.col_origin.append(("splitp", j))
-                cols.append(aj)
-                costs.append(cmin[j])
-                lo.append(0.0)
-                hi.append(np.inf)
-                self.col_origin.append(("splitn", j))
-                cols.append(-aj)
-                costs.append(-cmin[j])
-                lo.append(0.0)
-                hi.append(np.inf)
+        slack_rows = [i for i, k in enumerate(p.kinds) if k != "eq"]
+        ns = len(slack_rows)
+        slacks = np.zeros((p.nrows, ns))
         self.slack_of_row = {}
-        for i, k in enumerate(p.kinds):
-            if k == "eq":
-                continue
-            e = np.zeros(mh)
-            e[i] = 1.0 if k == "le" else -1.0
-            self.slack_of_row[i] = len(cols)
-            cols.append(e)
-            costs.append(0.0)
-            lo.append(0.0)
-            hi.append(np.inf)
-        self.Ahat = np.column_stack(cols) if cols else np.zeros((mh, 0))
-        self.chat = np.array(costs)
-        self.lohat = np.array(lo)
-        self.hihat = np.array(hi)
-        self.bhat = bh
+        for k, i in enumerate(slack_rows):
+            slacks[i, k] = 1.0 if p.kinds[i] == "le" else -1.0
+            self.slack_of_row[i] = p.nvars + k
+        self.Ahat = np.hstack([p.A, slacks])
+        self.chat = np.concatenate([self.sense_sign * p.c, np.zeros(ns)])
+        self.lohat = np.concatenate([p.lower, np.zeros(ns)])
+        self.hihat = np.concatenate([p.upper, np.full(ns, np.inf)])
+        self.bhat = p.b
 
     # ----- simplex state ----------------------------------------------------
 
     def _init_phase1(self):
         mh = self.p.nrows
         nh = self.Ahat.shape[1]
-        x = self.lohat.copy()
+        lo_finite, hi_finite = np.isfinite(self.lohat), np.isfinite(self.hihat)
+        start_upper = ~lo_finite & hi_finite
+        x = np.where(lo_finite, self.lohat, np.where(hi_finite, self.hihat, 0.0))
         resid = self.bhat - self.Ahat @ x
         basis = np.full(mh, -1, dtype=int)
         sigmas, art_hi = [], []
@@ -364,7 +337,7 @@ class _Engine:
         ncols = self.Ahat.shape[1]
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.in_basis[basis] = True
-        self.at_upper = np.zeros(ncols, dtype=bool)
+        self.at_upper = np.concatenate([start_upper, np.zeros(mh, dtype=bool)])
         self.Binv = np.diag(1.0 / self.Ahat[np.arange(mh), basis])
         self.since_refactor = 0
 
@@ -383,6 +356,7 @@ class _Engine:
         """Iterate until optimal or unbounded under the given cost vector."""
         mh = self.p.nrows
         range_open = self.hihat - self.lohat > 0.0
+        free = ~np.isfinite(self.lohat) & ~np.isfinite(self.hihat)
         stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
             if self.iterations > self.pivot_limit:
@@ -394,7 +368,7 @@ class _Engine:
             y = self.Binv.T @ costs[self.basis]
             r = costs - self.Ahat.T @ y
             eligible = (~self.in_basis) & range_open & (
-                ((~self.at_upper) & (r < -DUAL_TOL)) | (self.at_upper & (r > DUAL_TOL))
+                ((~self.at_upper) & (r < -DUAL_TOL)) | ((self.at_upper | free) & (r > DUAL_TOL))
             )
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
@@ -403,7 +377,7 @@ class _Engine:
                 j = int(idx[np.argmax(np.abs(r[idx]))])  # Dantzig; ties to the smallest index
             else:
                 j = int(idx[0])  # Bland: smallest eligible index enters
-            sigma = -1.0 if self.at_upper[j] else 1.0
+            sigma = -1.0 if r[j] > 0.0 else 1.0
             d = self.Binv @ self.Ahat[:, j]
             rate = -sigma * d  # change of basic values per unit step
             t_best = self.hihat[j] - self.lohat[j]
@@ -437,9 +411,8 @@ class _Engine:
                 self.x[j] = self.hihat[j] if sigma > 0 else self.lohat[j]
                 self.at_upper[j] = not self.at_upper[j]
                 continue
-            start = self.hihat[j] if self.at_upper[j] else self.lohat[j]
             self.x[self.basis] += rate * t_best
-            self.x[j] = start + sigma * t_best
+            self.x[j] += sigma * t_best
             lv = int(self.basis[leave_pos])
             self.x[lv] = self.hihat[lv] if leave_hits_upper else self.lohat[lv]
             self.at_upper[lv] = leave_hits_upper
@@ -490,28 +463,6 @@ class _Engine:
             self.Binv -= np.outer(col, self.Binv[pos, :])
             self.iterations += 1
 
-    # ----- lifting back to the original space -------------------------------
-
-    def _lift_dir(self, dhat: np.ndarray) -> np.ndarray:
-        d = np.zeros(self.p.nvars)
-        for k, (kind, j) in enumerate(self.col_origin):
-            if kind == "direct":
-                d[j] = dhat[k]
-            elif kind == "mirror":
-                d[j] = -dhat[k]
-            elif kind == "splitp":
-                d[j] += dhat[k]
-            else:
-                d[j] -= dhat[k]
-        return d
-
-    def _lift_x(self) -> np.ndarray:
-        # _lift_dir lifts a mirrored column w to -w, and x_j = upper_j - w
-        x = self._lift_dir(self.x)
-        mirror = [j for kind, j in self.col_origin if kind == "mirror"]
-        x[mirror] += self.p.upper[mirror]
-        return x
-
     # ----- main -------------------------------------------------------------
 
     def run(self) -> LpSolution:
@@ -538,7 +489,7 @@ class _Engine:
             dhat = np.zeros(self.Ahat.shape[1])
             dhat[j] = sigma
             dhat[self.basis] = -sigma * (self.Binv @ self.Ahat[:, j])
-            d = self._lift_dir(dhat)
+            d = dhat[: p.nvars]
             mx = float(np.max(np.abs(d))) if d.size else 0.0
             if mx > 0:
                 d = d / mx
@@ -552,19 +503,11 @@ class _Engine:
             )
         # recompute the final quantities from a fresh factorization
         self._refactor()
-        x = self._lift_x()
+        x = self.x[: p.nvars].copy()
         y = self.sense_sign * (self.Binv.T @ self.chat[self.basis])
         value = float(p.c @ x)
-        reduced = p.c - p.A.T @ y
         certify(p, x, y, value)
-        return LpSolution(
-            status="optimal",
-            value=value,
-            x=x,
-            y=y,
-            reduced=reduced,
-            iterations=self.iterations,
-        )
+        return LpSolution(status="optimal", value=value, x=x, y=y, iterations=self.iterations)
 
     def _certified_farkas(self, y_phase1: np.ndarray) -> np.ndarray:
         # the phase-one duals, then once more from a fresh factorization
@@ -611,9 +554,11 @@ def solve_vertex(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSol
     """Solve and verify the primal is a basic (vertex) solution."""
     sol = solve(problem, pivot_limit=pivot_limit)
     if sol.status == "optimal":
-        interior = int(
-            np.sum((sol.x > problem.lower + FEAS_TOL) & (sol.x < problem.upper - FEAS_TOL))
-        )
+        x = sol.x
+        # a nonbasic free column sits at 0, so it is interior only away from 0
+        free = ~np.isfinite(problem.lower) & ~np.isfinite(problem.upper)
+        inside = (x > problem.lower + FEAS_TOL) & (x < problem.upper - FEAS_TOL)
+        interior = int(np.sum(inside & ~(free & (np.abs(x) <= FEAS_TOL))))
         if interior > problem.nrows:
             raise NumericalBreakdown(
                 f"vertex solve returned {interior} interior entries for {problem.nrows} rows"

@@ -377,11 +377,4 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     y = sign * _lp_duals(A, pi)
     value = float(problem.c[real] @ x[real])
     certify(problem, x, y, value)
-    return LpSolution(
-        status="optimal",
-        value=value,
-        x=x,
-        y=y,
-        reduced=problem.c - A.T @ y,
-        iterations=tree.pivots,
-    )
+    return LpSolution(status="optimal", value=value, x=x, y=y, iterations=tree.pivots)

@@ -367,14 +367,11 @@ class ProblemFile:
 
     kind: str
     payload: dict
-    tol: Optional[float] = None
     seed: Optional[int] = None
     data: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "payload": self.payload}
-        if self.tol is not None:
-            out["tol"] = self.tol
         if self.seed is not None:
             out["seed"] = self.seed
         return out
@@ -392,16 +389,14 @@ def parse_problem(obj) -> ProblemFile:
     payload = _require(obj, "payload", "$")
     if not isinstance(payload, dict):
         raise SchemaError("$.payload", "expected an object")
-    tol = None
-    if obj.get("tol") is not None:
-        tol = _number(obj["tol"], "$.tol")
-        if tol <= 0:
-            raise SchemaError("$.tol", f"tolerance must be positive, got {tol!r}")
+    for key in obj:
+        if key not in ("kind", "payload", "seed"):
+            raise SchemaError(f"$.{key}", f"unknown top-level key {key!r}")
     seed = None
     if obj.get("seed") is not None:
         seed = _integer(obj["seed"], "$.seed")
     data = _DECODERS[kind](payload, "$.payload")
-    return ProblemFile(kind, payload, tol, seed, data)
+    return ProblemFile(kind, payload, seed, data)
 
 
 def _parse_json(text: str):

@@ -212,10 +212,13 @@ class TestSchema:
             assert exc.value.path.endswith(where), (cost, exc.value.path)
 
     def test_nonpositive_tol_rejected(self):
-        bad = json.loads(canonical_dumps(MINIMAL_OT))
-        bad["tol"] = 0.0
-        with pytest.raises(SchemaError):
-            parse_problem(bad)
+        # no command reads a tolerance from the file, so any "tol" is rejected
+        for tol in (0.0, 1e-300):
+            bad = json.loads(canonical_dumps(MINIMAL_OT))
+            bad["tol"] = tol
+            with pytest.raises(SchemaError) as exc:
+                parse_problem(bad)
+            assert exc.value.path == "$.tol"
 
     def test_load_payload_accepts_both_shapes(self, tmp_path):
         wrapped = write(tmp_path, "w.json", MINIMAL_OT)

@@ -429,76 +429,78 @@ def _problem_with_trivial_parts(rng, seen):
                      lower=lower[cols], upper=upper[cols], sense=sense)
 
 
+def _assert_agrees_with_scipy(p):
+    """Solve p and check its status, certificate or value against HiGHS.
+
+    Every fixed column must come back exactly at its value.
+    """
+    sol = solve(p)
+    # feasibility first, so "infeasible and unbounded" has one answer
+    feas = to_scipy(LpProblem(c=np.zeros(p.nvars), A=p.A, b=p.b, kinds=p.kinds,
+                              lower=p.lower, upper=p.upper))
+    assert feas.status in (0, 2)
+    if feas.status == 2:
+        assert sol.status == "infeasible"
+        check_farkas(p, sol.farkas)
+        return sol.status
+    ref = to_scipy(p)
+    assert ref.status in (0, 3)
+    if ref.status == 3:
+        assert sol.status == "unbounded"
+        check_ray(p, sol.ray)
+        return sol.status
+    ref_value = ref.fun if p.sense == "min" else -ref.fun
+    assert sol.status == "optimal"
+    assert abs(sol.value - ref_value) <= 1e-7 * (1 + abs(ref_value))
+    fixed = p.lower == p.upper
+    assert np.array_equal(sol.x[fixed], p.lower[fixed])
+    return sol.status
+
+
 def test_fixed_and_empty_rows_and_columns_agree_with_scipy():
     rng = np.random.default_rng(808)
     seen, statuses = set(), set()
     for _ in range(400):
         p = _problem_with_trivial_parts(rng, seen)
-        sol = solve(p)
-        statuses.add(sol.status)
-        # feasibility first, so "infeasible and unbounded" has one answer
-        feas = to_scipy(LpProblem(c=np.zeros(p.nvars), A=p.A, b=p.b, kinds=p.kinds,
-                                  lower=p.lower, upper=p.upper))
-        assert feas.status in (0, 2)
-        if feas.status == 2:
-            assert sol.status == "infeasible"
-            check_farkas(p, sol.farkas)
-            continue
-        ref = to_scipy(p)
-        assert ref.status in (0, 3)
-        if ref.status == 3:
-            assert sol.status == "unbounded"
-            check_ray(p, sol.ray)
-            continue
-        ref_value = ref.fun if p.sense == "min" else -ref.fun
-        assert sol.status == "optimal"
-        assert abs(sol.value - ref_value) <= 1e-7 * (1 + abs(ref_value))
-        fixed = p.lower == p.upper
-        assert np.array_equal(sol.x[fixed], p.lower[fixed])
+        statuses.add(_assert_agrees_with_scipy(p))
     kinds = {("zero row", k, z) for k in ("eq", "le", "ge") for z in (True, False)}
     columns = {("zero column", s, t) for s in (-1, 0, 1) for t in range(4)}
     assert seen == {"fixed column"} | kinds | columns
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
-def test_lift_x_matches_per_column_reference(monkeypatch):
-    # x is lifted through _lift_dir; it must equal, bit for bit, the per-column
-    # lift: x_j = w (direct), upper_j - w (mirror) or w+ - w- (split)
-    seen = set()
-    lift = lp._Engine._lift_x
+def _problem_with_mixed_bounds(rng, seen):
+    """A small LP whose columns draw [0, inf), [l, inf) with l < 0, a box,
+    (-inf, u], free or fixed bounds; half of them are built feasible."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    c = rng.integers(-5, 6, size=n).astype(float)
+    kinds = [str(k) for k in rng.choice(["eq", "le", "ge"], size=m)]
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    for j, t in enumerate(rng.integers(0, 6, size=n)):
+        l, u = -float(rng.integers(1, 4)), float(rng.integers(0, 4))
+        lower[j], upper[j] = (
+            (0.0, np.inf), (l, np.inf), (l, u), (-np.inf, u), (-np.inf, np.inf), (u - 1.5, u - 1.5)
+        )[t]
+        seen.add(int(t))
+    if rng.random() < 0.5:
+        point = np.clip(rng.integers(-3, 4, size=n).astype(float), lower, upper)
+        b = A @ point
+    else:
+        b = rng.integers(-4, 5, size=m).astype(float)
+    sense = "min" if rng.random() < 0.5 else "max"
+    return LpProblem(c=c, A=A, b=b, kinds=kinds, lower=lower, upper=upper, sense=sense)
 
-    def checked(engine):
-        ref = np.zeros(engine.p.nvars)
-        for k, (kind, j) in enumerate(engine.col_origin):
-            w = engine.x[k]
-            if kind == "direct":
-                ref[j] = w
-            elif kind == "mirror":
-                ref[j] = engine.p.upper[j] - w
-            elif kind == "splitp":
-                ref[j] += w
-            else:
-                ref[j] -= w
-            seen.add(kind)
-        x = lift(engine)
-        assert x.tobytes() == ref.tobytes()
-        # the pinned column is a direct column that never leaves its value
-        assert x[0] == 0.25
-        return x
 
-    monkeypatch.setattr(lp._Engine, "_lift_x", checked)
+def test_every_bound_type_agrees_with_scipy():
+    # the engine runs on the problem's own columns and bounds: free and
+    # (-inf, u] columns are priced and moved as they are, fixed ones never move
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        n, m = int(rng.integers(3, 7)), int(rng.integers(1, 4))
-        lower = rng.choice([0.0, -1.5, -np.inf], size=n)
-        upper = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, size=n), np.inf)
-        upper[0] = lower[0] = 0.25  # one pinned column
-        A = rng.normal(size=(m, n))
-        point = np.clip(rng.uniform(-1.0, 1.0, size=n), lower, upper)
-        p = LpProblem(c=rng.normal(size=n), A=A, b=A @ point, kinds=["eq"] * m,
-                      lower=lower, upper=upper)
-        solve(p)
-    assert seen == {"direct", "mirror", "splitp", "splitn"}
+    seen, statuses = set(), set()
+    for _ in range(400):
+        statuses.add(_assert_agrees_with_scipy(_problem_with_mixed_bounds(rng, seen)))
+    assert seen == set(range(6))
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def _farkas_margin_loop(problem, y):
@@ -619,9 +621,10 @@ def test_duality_and_slackness_on_transport():
     # dual value matches (all lower bounds zero, no finite uppers bind)
     assert abs(sol.value - sol.y @ p.b) <= 1e-7 * (1 + abs(sol.value))
     # complementary slackness
+    reduced = p.c - p.A.T @ sol.y
     for k in range(nx * ny):
         if sol.x[k] > 1e-7:
-            assert abs(sol.reduced[k]) <= 1e-6
+            assert abs(reduced[k]) <= 1e-6
 
 
 def test_solve_vertex_support_size():
@@ -637,6 +640,15 @@ def test_solve_vertex_support_size():
     sol = solve_vertex(p)
     assert sol.status == "optimal"
     assert int(np.sum(sol.x > 1e-9)) <= 2 * n
+
+
+def test_solve_vertex_accepts_a_free_column_at_zero():
+    # x2 is free and in no row: it stays nonbasic at 0, which is a vertex
+    p = LpProblem(c=[1.0, 0.0, 0.0], A=[[1.0, 1.0, 0.0]], b=[1.0], kinds=["eq"],
+                  lower=[0.0, -np.inf, -np.inf], upper=[np.inf] * 3)
+    sol = solve_vertex(p)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_solve_vertex_monotone_cost_gives_identity():

@@ -613,7 +613,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = golden.run_suite(only=args.only, tol_override=args.tol, jobs=args.jobs or 1)
+    report = golden.run_suite(only=args.only, tol_override=args.tol)
     for item in report["items"]:
         if item["ok"]:
             if not args.quiet:
@@ -650,7 +650,6 @@ _INPUT = _flag("--input", required=True, help="input file")
 _INPUT_OPTIONAL = _flag("--input", help="input file")
 _TOL = _flag("--tol", type=float, help="tolerance override")
 _SEED = _flag("--seed", type=int, help="random seed")
-_JOBS = _flag("--jobs", type=int, help="parallel workers")
 
 
 def build_parser() -> _Parser:
@@ -711,7 +710,7 @@ def build_parser() -> _Parser:
     p = command("gen", "generate a seeded instance", [_SEED], fn=_cmd_gen)
     p.add_argument("--kind", required=True, choices=serialize.KINDS)
 
-    p = command("verify", "run the golden suite", [_TOL, _JOBS], fn=_cmd_verify)
+    p = command("verify", "run the golden suite", [_TOL], fn=_cmd_verify)
     p.add_argument("--only", default=None, help="name substring filter")
 
     return parser

@@ -6,7 +6,6 @@ the LP engine, vector dominance, chain transport, and the duality extras all
 get exercised from their public entry points.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -218,7 +217,7 @@ def _passes(check, tol_override: Optional[float]) -> bool:
     return abs(m - e) <= tol
 
 
-def run_suite(only=None, tol_override=None, jobs=1) -> dict:
+def run_suite(only=None, tol_override=None) -> dict:
     """Run the golden items, optionally filtered by a name substring."""
     selected = [it for it in ITEMS if only is None or only in it[0]]
     if not selected:
@@ -234,9 +233,5 @@ def run_suite(only=None, tol_override=None, jobs=1) -> dict:
             c["ok"] = _passes(c, tol_override)
         return {"name": name, "ok": all(c["ok"] for c in checks), "checks": checks}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_item, selected))
-    else:
-        results = [run_item(it) for it in selected]
+    results = [run_item(it) for it in selected]
     return {"items": results, "ok": all(r["ok"] for r in results)}

@@ -105,14 +105,6 @@ class VectorOtProblem:
         self.cost = c
         self.live = _live_atoms(mu, self.eta)
 
-    def normalizing_f(self) -> np.ndarray:
-        """Per-atom least-norm f with <f(x), eta(x)> = 1 on live atoms."""
-        f = np.zeros_like(self.eta)
-        for x in self.live:
-            e = self.eta[x]
-            f[x] = e / float(e @ e)
-        return f
-
 
 def _live_atoms(mu: VectorMeasure, eta: np.ndarray) -> np.ndarray:
     live = np.nonzero(mu.ref_weights > 0.0)[0]

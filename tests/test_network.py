@@ -1,4 +1,9 @@
-"""The network simplex against the dense engine and HiGHS, and its certificates."""
+"""The network simplex against the dense engine and HiGHS, and its certificates.
+
+`reference_run` below is `_Tree.run` as it was before pricing became
+incremental: it prices every arc on every pivot.  The engine must pick the
+same entering arcs and end with the same flows and potentials, bit for bit.
+"""
 
 import tracemalloc
 
@@ -160,6 +165,128 @@ def test_pivot_limit_applies_to_the_network():
         lp.solve(p, pivot_limit=5)
 
 
+# --- reference: every arc priced on every pivot -------------------------------
+
+
+def reference_run(tree, cost):
+    tree._potentials(cost)
+    tail, head, state, pi = tree.tail, tree.head, tree.state, tree.pi
+    rc = np.empty(cost.size)
+    buf = np.empty(cost.size)
+    while rc.size:
+        pi.take(tail, out=rc)
+        np.subtract(cost, rc, out=rc)
+        rc += pi.take(head, out=buf)
+        np.multiply(state, rc, out=buf)
+        e = int(buf.argmin())
+        if not buf[e] < -tree.tol:
+            return
+        if tree.pivots >= tree.pivot_limit:
+            raise NumericalBreakdown(
+                f"pivot limit {tree.pivot_limit} exceeded after {tree.pivots} iterations"
+            )
+        tree.pivots += 1
+        tree._pivot(e, float(rc[e]))
+
+
+def traced_solve(problem, run):
+    """Solve `problem` with `run` as `_Tree.run`: the entering arcs, each
+    run's (pivots, flows, potentials) at its end, and the solution."""
+    entering, ends = [], []
+    pivot = _Tree._pivot
+
+    def traced_pivot(tree, e, rc_e):
+        entering.append(e)
+        return pivot(tree, e, rc_e)
+
+    def traced_run(tree, cost):
+        run(tree, cost)
+        ends.append((tree.pivots, list(tree.flow), tree.pi.tobytes()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tree, "_pivot", traced_pivot)
+        mp.setattr(_Tree, "run", traced_run)
+        sol = lp.solve(problem)
+    return entering, ends, sol
+
+
+@st.composite
+def network_lps(draw):
+    """A transportation LP over complete or sparse arcs, with zero-balance
+    nodes, tight caps (so arcs flip, and some LPs are infeasible) and,
+    with the total row, a mass that may not fit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    density, total = draw(st.sampled_from([1.0, 0.6, 0.25])), draw(st.booleans())
+    tail, head = np.nonzero(rng.random((nx, ny)) < density)
+    order = rng.permutation(tail.size)
+    tail, head = tail[order], head[order]
+    dead_x, dead_y = rng.random(nx) < 0.2, rng.random(ny) < 0.2
+    flow = rng.integers(0, 4, tail.size) * ~(dead_x[tail] | dead_y[head])
+    b_x = np.bincount(tail, weights=flow, minlength=nx)
+    b_y = np.bincount(head, weights=flow, minlength=ny)
+    c = rng.integers(0, 5, tail.size).astype(float) if draw(st.booleans()) else rng.normal(size=tail.size)
+    cap = draw(st.sampled_from(["none", "tight", "loose"]))
+    if cap == "none":
+        upper = np.full(tail.size, np.inf)
+    else:
+        upper = rng.integers(0, 3, tail.size) + (flow if cap == "loose" else 0)
+    m = [[float(rng.integers(0, b_x.sum() + 2))]] if total else []
+    b = np.concatenate([b_x, b_y] + m)
+    kinds = ["le" if total else "eq"] * (nx + ny) + (["eq"] if total else [])
+    return LpProblem(
+        c=c, A=TransportIncidence(nx, ny, tail, head, total), b=b, kinds=kinds,
+        upper=upper, sense=draw(st.sampled_from(["min", "max"])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=network_lps())
+def test_incremental_pricing_pivots_as_full_pricing(problem):
+    entering, ends, sol = traced_solve(problem, _Tree.run)
+    ref_entering, ref_ends, ref = traced_solve(problem, reference_run)
+    assert entering == ref_entering
+    assert ends == ref_ends
+    assert sol.status == ref.status and sol.iterations == ref.iterations
+    for got, want in ((sol.x, ref.x), (sol.y, ref.y), (sol.farkas, ref.farkas)):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_pricing_passes_over_all_arcs_are_rare(monkeypatch):
+    # a bound flip reprices one entry and a basis change the arcs at the
+    # re-hung nodes; all arcs are priced only when a run starts or after a
+    # basis change that re-hangs many nodes
+    events = []
+    run, price, pivot = _Tree.run, _Tree._price, _Tree._pivot
+
+    def counted_run(tree, cost):
+        events.append("run")
+        run(tree, cost)
+
+    def counted_price(tree, *args):
+        events.append("all")
+        price(tree, *args)
+
+    def counted_pivot(tree, e, rc_e):
+        moved = pivot(tree, e, rc_e)
+        events.append("move" if moved else "flip")
+        return moved
+
+    monkeypatch.setattr(_Tree, "run", counted_run)
+    monkeypatch.setattr(_Tree, "_price", counted_price)
+    monkeypatch.setattr(_Tree, "_pivot", counted_pivot)
+    data = generate.gen("capacity", 1, {"nx": 30, "ny": 30}).data
+    scalar.solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
+    assert events.count("flip") > events.count("move") > 0
+    assert all(prev in ("run", "move") for prev, ev in zip(events, events[1:]) if ev == "all")
+    events.clear()
+    data = generate.gen("scalar_ot", 1, {"nx": 300, "ny": 300}).data
+    scalar.solve_ot(data["mu"], data["nu"], data["cost"])
+    pivots = events.count("move") + events.count("flip")
+    # measured: 918 pivots, 103 passes over all 90600 arcs
+    assert (pivots, events.count("all")) == (918, 103)
+
+
 def test_trees_stay_strongly_feasible_on_degenerate_instances(monkeypatch):
     # the leaving rule's guard against cycling: after every pivot each tree
     # arc with zero flow points to the root and each arc at its cap away
@@ -167,13 +294,14 @@ def test_trees_stay_strongly_feasible_on_degenerate_instances(monkeypatch):
     checked = []
 
     def checked_pivot(tree, e, rc_e):
-        pivot(tree, e, rc_e)
+        moved = pivot(tree, e, rc_e)
         for v, a in enumerate(tree.pred[:-1]):
             if tree.flow[a] == 0.0:
                 assert tree.up[v]
             if tree.flow[a] == tree.cap[a]:
                 assert not tree.up[v]
         checked.append(e)
+        return moved  # run reprices the arcs at these nodes
 
     monkeypatch.setattr(_Tree, "_pivot", checked_pivot)
     rng = np.random.default_rng(7)

@@ -114,8 +114,7 @@ def _plan_residuals(data, extra=None):
 
 
 def _write(path, text, quiet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    serialize.write_text(path, text)
     if not quiet:
         print(f"wrote {path}")
 

@@ -10,13 +10,19 @@ infeasibility or unboundedness claim is validated numerically against the
 original data before it is returned), and native handling of equality rows
 so their dual multipliers are unconstrained in sign.
 
-Pivot rules: the eligible column with the largest reduced cost in absolute
-value enters (Dantzig; ties go to the smallest index).  After
-``_BLAND_AFTER`` degenerate (zero-length) pivots in a row the smallest
-eligible index enters instead (Bland), until a step of positive length.
-Such a step strictly lowers the objective and any longer degenerate run is
-pure Bland, so the method cannot cycle.  Among blocking rows of the ratio
-test the smallest basic variable index leaves.
+Pivot rules: each pivot prices every column in one signed array,
+``priced = r * way``, where ``way`` is +1 for a nonbasic column at its
+lower bound, -1 at its upper bound and 0 for a basic or fixed one; a
+nonbasic free column, which may move either way, prices at ``-|r|``.  A
+column is eligible when it prices below ``-DUAL_TOL``, and then its price
+is ``-|r|``.  A pivot changes ``way`` only at its entering and leaving
+columns.  The eligible column with the largest reduced cost in absolute
+value enters (Dantzig: the smallest price; ties go to the smallest
+index).  After ``_BLAND_AFTER`` degenerate (zero-length) pivots in a row
+the smallest eligible index enters instead (Bland), until a step of
+positive length.  Such a step strictly lowers the objective and any longer
+degenerate run is pure Bland, so the method cannot cycle.  Among blocking
+rows of the ratio test the smallest basic variable index leaves.
 
 The engine works on the problem's own columns and bounds: its matrix is
 ``[A | slacks]``, one slack per inequality row, and its point's first
@@ -202,13 +208,10 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
         return False
     Ad = problem.A @ d
     row_tol = tol * max(1.0, float(np.max(np.abs(problem.A))) if problem.A.size else 1.0)
-    for i, k in enumerate(problem.kinds):
-        if k == "eq" and abs(Ad[i]) > row_tol:
-            return False
-        if k == "le" and Ad[i] > row_tol:
-            return False
-        if k == "ge" and Ad[i] < -row_tol:
-            return False
+    kinds = np.array(problem.kinds, dtype=str)
+    eq, le, ge = kinds == "eq", kinds == "le", kinds == "ge"
+    if np.any((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))):
+        return False
     rate = sense_sign * float(problem.c @ d)
     c_scale = max(1.0, float(np.max(np.abs(problem.c))) if problem.c.size else 1.0)
     return rate < -CERT_TOL * c_scale
@@ -280,13 +283,12 @@ class _Engine:
 
     def _build(self):
         p = self.p
-        slack_rows = [i for i, k in enumerate(p.kinds) if k != "eq"]
-        ns = len(slack_rows)
+        kinds = np.array(p.kinds, dtype=str)
+        slack_rows = np.flatnonzero(kinds != "eq")
+        ns = slack_rows.size
         slacks = np.zeros((p.nrows, ns))
-        self.slack_of_row = {}
-        for k, i in enumerate(slack_rows):
-            slacks[i, k] = 1.0 if p.kinds[i] == "le" else -1.0
-            self.slack_of_row[i] = p.nvars + k
+        slacks[slack_rows, np.arange(ns)] = np.where(kinds[slack_rows] == "le", 1.0, -1.0)
+        self.slack_rows = slack_rows  # row slack_rows[k] owns column nvars + k
         self.Ahat = np.hstack([p.A, slacks])
         self.chat = np.concatenate([self.sense_sign * p.c, np.zeros(ns)])
         self.lohat = np.concatenate([p.lower, np.zeros(ns)])
@@ -302,36 +304,25 @@ class _Engine:
         start_upper = ~lo_finite & hi_finite
         x = np.where(lo_finite, self.lohat, np.where(hi_finite, self.hihat, 0.0))
         resid = self.bhat - self.Ahat @ x
-        basis = np.full(mh, -1, dtype=int)
-        sigmas, art_hi = [], []
-        for pos in range(mh):
-            t = float(resid[pos])
-            spos = self.slack_of_row.get(pos)
-            took_slack = False
-            if spos is not None:
-                val = t / self.Ahat[pos, spos]
-                if val >= 0.0:
-                    basis[pos] = spos
-                    x[spos] = val
-                    took_slack = True
-            sigmas.append(1.0 if t >= 0.0 else -1.0)
-            if took_slack:
-                art_hi.append(0.0)
-            else:
-                basis[pos] = nh + pos
-                art_hi.append(np.inf)
+        # a row's slack starts basic when it can absorb the residual, else
+        # the row's artificial, sigma_pos * e_pos, starts basic
+        rows = self.slack_rows
+        cols = self.p.nvars + np.arange(rows.size)
+        val = resid[rows] / self.Ahat[rows, cols]
+        fits = val >= 0.0
+        x[cols[fits]] = val[fits]
+        basis = nh + np.arange(mh)
+        basis[rows[fits]] = cols[fits]
+        took = basis < nh
+        sigmas = np.where(resid >= 0.0, 1.0, -1.0)
         self.first_art = nh
-        # artificial column of row pos: sigma_pos * e_pos
         self.Ahat = np.hstack([self.Ahat, np.diag(sigmas)])
         self.chat = np.concatenate([self.chat, np.zeros(mh)])
         self.phase1_cost = np.concatenate([np.zeros(nh), np.ones(mh)])
         self.lohat = np.concatenate([self.lohat, np.zeros(mh)])
-        self.hihat = np.concatenate([self.hihat, np.array(art_hi)])
+        self.hihat = np.concatenate([self.hihat, np.where(took, 0.0, np.inf)])
         x = np.concatenate([x, np.zeros(mh)])
-        for pos in range(mh):
-            bi = basis[pos]
-            if bi >= nh:
-                x[bi] = resid[pos] / self.Ahat[pos, bi]
+        x[basis[~took]] = resid[~took] / sigmas[~took]
         self.x = x
         self.basis = basis
         ncols = self.Ahat.shape[1]
@@ -355,8 +346,15 @@ class _Engine:
     def _loop(self, costs: np.ndarray, allow_unbounded: bool):
         """Iterate until optimal or unbounded under the given cost vector."""
         mh = self.p.nrows
-        range_open = self.hihat - self.lohat > 0.0
-        free = ~np.isfinite(self.lohat) & ~np.isfinite(self.hihat)
+        lo, hi = self.lohat, self.hihat
+        range_open = hi - lo > 0.0
+        free = ~np.isfinite(lo) & ~np.isfinite(hi)
+        # the way a nonbasic column may move: +1 up from its lower bound,
+        # -1 down from its upper one; 0 when basic, fixed or free
+        way = np.where(self.at_upper, -1.0, 1.0)
+        way[self.in_basis | ~range_open | free] = 0.0
+        free_nb = (free & ~self.in_basis).astype(float)  # may move either way
+        any_free = bool(free_nb.any())
         stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
             if self.iterations > self.pivot_limit:
@@ -367,36 +365,32 @@ class _Engine:
                 self._refactor()
             y = self.Binv.T @ costs[self.basis]
             r = costs - self.Ahat.T @ y
-            eligible = (~self.in_basis) & range_open & (
-                ((~self.at_upper) & (r < -DUAL_TOL)) | ((self.at_upper | free) & (r > DUAL_TOL))
-            )
-            idx = np.nonzero(eligible)[0]
-            if idx.size == 0:
+            # an eligible column prices at -|r| < -DUAL_TOL, any other at >= -DUAL_TOL
+            priced = r * way
+            if any_free:
+                priced -= np.abs(r) * free_nb
+            j = int(priced.argmin()) if priced.size else 0  # Dantzig; ties to the smallest index
+            if not (priced.size and priced[j] < -DUAL_TOL):
                 return "optimal", y, r
-            if stalled < _BLAND_AFTER:
-                j = int(idx[np.argmax(np.abs(r[idx]))])  # Dantzig; ties to the smallest index
-            else:
-                j = int(idx[0])  # Bland: smallest eligible index enters
+            if stalled >= _BLAND_AFTER:
+                j = int((priced < -DUAL_TOL).argmax())  # Bland: smallest eligible index enters
             sigma = -1.0 if r[j] > 0.0 else 1.0
             d = self.Binv @ self.Ahat[:, j]
             rate = -sigma * d  # change of basic values per unit step
-            t_best = self.hihat[j] - self.lohat[j]
+            t_best = hi[j] - lo[j]
             leave_pos = -1
             leave_hits_upper = False
-            xB = self.x[self.basis]
-            loB = self.lohat[self.basis]
-            hiB = self.hihat[self.basis]
-            down = rate < -PIV_TOL
-            up = rate > PIV_TOL
-            t_rows = np.full(mh, np.inf)
-            t_rows[down] = (xB[down] - loB[down]) / (-rate[down])
-            t_rows[up] = (hiB[up] - xB[up]) / rate[up]
-            t_rows = np.maximum(t_rows, 0.0)
-            tmin = float(np.min(t_rows)) if mh else np.inf
+            basis = self.basis
+            xB = self.x[basis]
+            speed = np.abs(rate)
+            room = np.where(rate > 0.0, hi[basis] - xB, xB - lo[basis])
+            t_rows = np.divide(room, speed, out=np.full(mh, np.inf), where=speed > PIV_TOL)
+            np.maximum(t_rows, 0.0, out=t_rows)
+            tmin = float(t_rows.min()) if mh else np.inf
             if tmin < t_best:
                 # Bland: among blocking rows the smallest variable index leaves
                 ties = np.nonzero(t_rows <= tmin)[0]
-                leave_pos = int(ties[np.argmin(self.basis[ties])])
+                leave_pos = int(ties[np.argmin(basis[ties])])
                 t_best = tmin
                 leave_hits_upper = rate[leave_pos] > 0.0
             if not np.isfinite(t_best):
@@ -407,26 +401,32 @@ class _Engine:
             stalled = stalled + 1 if t_best == 0.0 else 0
             if leave_pos < 0:
                 # bound flip, no basis change
-                self.x[self.basis] += rate * t_best
-                self.x[j] = self.hihat[j] if sigma > 0 else self.lohat[j]
+                self.x[basis] += rate * t_best
+                self.x[j] = hi[j] if sigma > 0 else lo[j]
                 self.at_upper[j] = not self.at_upper[j]
+                way[j] = -way[j]
                 continue
-            self.x[self.basis] += rate * t_best
+            self.x[basis] += rate * t_best
             self.x[j] += sigma * t_best
-            lv = int(self.basis[leave_pos])
-            self.x[lv] = self.hihat[lv] if leave_hits_upper else self.lohat[lv]
+            lv = int(basis[leave_pos])
+            self.x[lv] = hi[lv] if leave_hits_upper else lo[lv]
             self.at_upper[lv] = leave_hits_upper
             self.in_basis[lv] = False
-            self.basis[leave_pos] = j
+            way[lv] = (-1.0 if leave_hits_upper else 1.0) if range_open[lv] else 0.0
+            basis[leave_pos] = j
             self.in_basis[j] = True
+            way[j] = 0.0
+            if free_nb[j]:
+                free_nb[j] = 0.0
+                any_free = bool(free_nb.any())
             piv = d[leave_pos]
             if abs(piv) < PIV_TOL:
                 self._refactor()
                 continue
-            self.Binv[leave_pos, :] /= piv
-            col = d.copy()
-            col[leave_pos] = 0.0
-            self.Binv -= np.outer(col, self.Binv[leave_pos, :])
+            row = self.Binv[leave_pos]
+            row /= piv
+            d[leave_pos] = 0.0
+            self.Binv -= d[:, None] * row
             self.since_refactor += 1
 
     def _drive_out_artificials(self):

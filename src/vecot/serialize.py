@@ -9,6 +9,8 @@ measure constructors.
 """
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -481,5 +483,22 @@ def save(obj, path: str) -> None:
     """Write a ProblemFile or plain JSON-able object canonically."""
     if isinstance(obj, ProblemFile):
         obj = obj.as_dict()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+    write_text(path, canonical_dumps(obj))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` as UTF-8 to `path`, overwriting the file in place.
+
+    The file is opened without truncation, written, and then cut at the
+    end of the new text, so a rewrite leaves exactly the new bytes under
+    the same inode.  Truncating on open instead makes ext4 (with its
+    default ``auto_da_alloc``) start writeback when the file is closed,
+    which costs every overwrite a disk flush.  Nothing is fsynced.  A
+    symlink is followed, an existing file keeps its mode, and a pipe or
+    device is only written to, never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()

@@ -307,10 +307,13 @@ def dominates(mu: VectorMeasure, nu: Union[VectorMeasure, np.ndarray]):
         res = _collapsed_solve(mu, mu.density, np.zeros((nx, ny)), nu_values, nu_space)
     except InfeasibleTransport as exc:
         return False, DominanceCert("farkas", exc.cert)
-    t = res.extras["t"]
+    # each row over its own sum: the LP meets a row's equation sum = t only
+    # to its tolerance, and a Kernel row must sum to 1 to rounding
+    plan = res.plan.matrix
+    sums = plan.sum(axis=1)
     rows = np.full((nx, ny), 1.0 / ny)
-    alive = t > 0.0
-    rows[alive] = res.plan.matrix[alive] / t[alive, None]
+    alive = sums > 0.0
+    rows[alive] = plan[alive] / sums[alive, None]
     kernel = Kernel(mu.space, nu_space, rows)
     pushed = kernel_apply(kernel, mu)
     err = float(np.max(np.abs(pushed.values - nu_values)))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import contextlib
+import os
 import re
 import shlex
 import subprocess
@@ -723,6 +724,80 @@ class TestGenCli:
     def test_gen_rejects_unknown_kind(self):
         rc, _, _ = run_cli(["gen", "--kind", "mystery"])
         assert rc == 3
+
+
+class TestWriteText:
+    """Outputs are overwritten in place: opened without O_TRUNC, then cut."""
+
+    def test_shorter_rewrite_leaves_no_old_tail(self, tmp_path):
+        path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        serialize.write_text(str(path), canonical_dumps(generate.gen("game", 1).as_dict()))
+        inode = path.stat().st_ino
+        short = canonical_dumps(MINIMAL_OT)
+        serialize.write_text(str(path), short)
+        serialize.write_text(str(fresh), short)
+        assert path.read_bytes() == fresh.read_bytes() == short.encode()
+        assert path.stat().st_ino == inode
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 100)
+        link.symlink_to(target)
+        serialize.write_text(str(link), "{}\n")
+        assert link.is_symlink()
+        assert target.read_text() == "{}\n"
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("x" * 100)
+        path.chmod(0o640)
+        serialize.write_text(str(path), "{}\n")
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.read_text() == "{}\n"
+
+    def test_output_to_dev_null_exits_0(self, tmp_path):
+        prob = write(tmp_path, "p.json", MINIMAL_OT)
+        for argv in (["gen", "--kind", "game", "--seed", "1"], ["solve-ot", "--input", prob],
+                     ["verify", "--only", "chain"]):
+            rc, _, _ = run_cli(argv + ["--output", os.devnull, "--quiet"])
+            assert rc == 0, argv
+
+    def test_gen_and_verify_output_go_through_write_text(self, tmp_path, monkeypatch):
+        written = []
+        write_text = serialize.write_text
+
+        def recorded(path, text):
+            written.append(path)
+            write_text(path, text)
+
+        monkeypatch.setattr(serialize, "write_text", recorded)
+        gen_out, report = str(tmp_path / "g.json"), str(tmp_path / "report.json")
+        assert run_cli(["gen", "--kind", "game", "--seed", "1", "--output", gen_out, "--quiet"])[0] == 0
+        assert run_cli(["verify", "--only", "chain", "--output", report, "--quiet"])[0] == 0
+        serialize.save(generate.gen("game", 1), str(tmp_path / "saved.json"))
+        assert written == [gen_out, report, str(tmp_path / "saved.json")]
+        assert json.loads(open(report).read())["ok"] is True
+
+    def test_outputs_are_never_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        flags = {}
+        os_open = os.open
+
+        def recorded(path, flag, *args, **kwargs):
+            flags.setdefault(os.fspath(path), []).append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        prob, out = str(tmp_path / "p.json"), str(tmp_path / "o.json")
+        report = str(tmp_path / "report.json")
+        for _ in range(2):  # the second round overwrites every file
+            assert run_cli(["gen", "--kind", "scalar_ot", "--seed", "6", "--output", prob,
+                            "--quiet"])[0] == 0
+            assert run_cli(["solve-ot", "--input", prob, "--output", out, "--quiet"])[0] == 0
+            assert run_cli(["verify", "--only", "chain", "--output", report, "--quiet"])[0] == 0
+            serialize.save(generate.gen("game", 1), str(tmp_path / "saved.json"))
+        for path in (prob, out, report, str(tmp_path / "saved.json")):
+            assert len(flags.get(path, [])) == 2, path
+        assert not any(f & os.O_TRUNC for fs in flags.values() for f in fs)
 
 
 WALL = re.compile(r'"wallMillis":[-+0-9.eE]+')

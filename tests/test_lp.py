@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from vecot import generate, lp
 from vecot.lp import LpProblem, NumericalBreakdown, farkas_margin, solve, solve_vertex
 from vecot.scalar import solve_ot
+from vecot.tolerances import DUAL_TOL, PIV_TOL
 
 
 def check_farkas(problem, y):
@@ -692,3 +693,220 @@ def test_feasible_equality_systems(data):
         np.testing.assert_allclose(p.A @ d, 0.0, atol=1e-8)
         assert float(p.c @ d) < 0
         assert np.all(d >= -1e-9)
+
+
+# --- reference pivot loop ----------------------------------------------------
+
+
+class _ReferenceEngine(lp._Engine):
+    """The dense engine with the builders and the pivot loop it had before
+    pricing moved to one signed array: per-row Python loops, an eligibility
+    mask rebuilt on every pivot and a ratio test over boolean masks.  The
+    engine must enter, leave and return exactly what this one does."""
+
+    longest_stall = 0  # most degenerate pivots in a row
+
+    def _build(self):
+        p = self.p
+        slack_rows = [i for i, k in enumerate(p.kinds) if k != "eq"]
+        ns = len(slack_rows)
+        slacks = np.zeros((p.nrows, ns))
+        self.slack_of_row = {}
+        for k, i in enumerate(slack_rows):
+            slacks[i, k] = 1.0 if p.kinds[i] == "le" else -1.0
+            self.slack_of_row[i] = p.nvars + k
+        self.Ahat = np.hstack([p.A, slacks])
+        self.chat = np.concatenate([self.sense_sign * p.c, np.zeros(ns)])
+        self.lohat = np.concatenate([p.lower, np.zeros(ns)])
+        self.hihat = np.concatenate([p.upper, np.full(ns, np.inf)])
+        self.bhat = p.b
+
+    def _init_phase1(self):
+        mh = self.p.nrows
+        nh = self.Ahat.shape[1]
+        lo_finite, hi_finite = np.isfinite(self.lohat), np.isfinite(self.hihat)
+        start_upper = ~lo_finite & hi_finite
+        x = np.where(lo_finite, self.lohat, np.where(hi_finite, self.hihat, 0.0))
+        resid = self.bhat - self.Ahat @ x
+        basis = np.full(mh, -1, dtype=int)
+        sigmas, art_hi = [], []
+        for pos in range(mh):
+            t = float(resid[pos])
+            spos = self.slack_of_row.get(pos)
+            took_slack = False
+            if spos is not None:
+                val = t / self.Ahat[pos, spos]
+                if val >= 0.0:
+                    basis[pos] = spos
+                    x[spos] = val
+                    took_slack = True
+            sigmas.append(1.0 if t >= 0.0 else -1.0)
+            if took_slack:
+                art_hi.append(0.0)
+            else:
+                basis[pos] = nh + pos
+                art_hi.append(np.inf)
+        self.first_art = nh
+        # artificial column of row pos: sigma_pos * e_pos
+        self.Ahat = np.hstack([self.Ahat, np.diag(sigmas)])
+        self.chat = np.concatenate([self.chat, np.zeros(mh)])
+        self.phase1_cost = np.concatenate([np.zeros(nh), np.ones(mh)])
+        self.lohat = np.concatenate([self.lohat, np.zeros(mh)])
+        self.hihat = np.concatenate([self.hihat, np.array(art_hi)])
+        x = np.concatenate([x, np.zeros(mh)])
+        for pos in range(mh):
+            bi = basis[pos]
+            if bi >= nh:
+                x[bi] = resid[pos] / self.Ahat[pos, bi]
+        self.x = x
+        self.basis = basis
+        ncols = self.Ahat.shape[1]
+        self.in_basis = np.zeros(ncols, dtype=bool)
+        self.in_basis[basis] = True
+        self.at_upper = np.concatenate([start_upper, np.zeros(mh, dtype=bool)])
+        self.Binv = np.diag(1.0 / self.Ahat[np.arange(mh), basis])
+        self.since_refactor = 0
+
+    def _loop(self, costs: np.ndarray, allow_unbounded: bool):
+        """Iterate until optimal or unbounded under the given cost vector."""
+        mh = self.p.nrows
+        range_open = self.hihat - self.lohat > 0.0
+        free = ~np.isfinite(self.lohat) & ~np.isfinite(self.hihat)
+        stalled = 0  # degenerate (zero-length) pivots in a row
+        while True:
+            if self.iterations > self.pivot_limit:
+                raise NumericalBreakdown(
+                    f"pivot limit {self.pivot_limit} exceeded after {self.iterations} iterations"
+                )
+            if self.since_refactor >= lp._REFACTOR_EVERY:
+                self._refactor()
+            y = self.Binv.T @ costs[self.basis]
+            r = costs - self.Ahat.T @ y
+            eligible = (~self.in_basis) & range_open & (
+                ((~self.at_upper) & (r < -DUAL_TOL)) | ((self.at_upper | free) & (r > DUAL_TOL))
+            )
+            idx = np.nonzero(eligible)[0]
+            if idx.size == 0:
+                return "optimal", y, r
+            if stalled < lp._BLAND_AFTER:
+                j = int(idx[np.argmax(np.abs(r[idx]))])  # Dantzig; ties to the smallest index
+            else:
+                j = int(idx[0])  # Bland: smallest eligible index enters
+            sigma = -1.0 if r[j] > 0.0 else 1.0
+            d = self.Binv @ self.Ahat[:, j]
+            rate = -sigma * d  # change of basic values per unit step
+            t_best = self.hihat[j] - self.lohat[j]
+            leave_pos = -1
+            leave_hits_upper = False
+            xB = self.x[self.basis]
+            loB = self.lohat[self.basis]
+            hiB = self.hihat[self.basis]
+            down = rate < -PIV_TOL
+            up = rate > PIV_TOL
+            t_rows = np.full(mh, np.inf)
+            t_rows[down] = (xB[down] - loB[down]) / (-rate[down])
+            t_rows[up] = (hiB[up] - xB[up]) / rate[up]
+            t_rows = np.maximum(t_rows, 0.0)
+            tmin = float(np.min(t_rows)) if mh else np.inf
+            if tmin < t_best:
+                # Bland: among blocking rows the smallest variable index leaves
+                ties = np.nonzero(t_rows <= tmin)[0]
+                leave_pos = int(ties[np.argmin(self.basis[ties])])
+                t_best = tmin
+                leave_hits_upper = rate[leave_pos] > 0.0
+            if not np.isfinite(t_best):
+                if not allow_unbounded:
+                    raise NumericalBreakdown("phase-one subproblem reported unbounded")
+                return "unbounded", j, sigma
+            self.iterations += 1
+            stalled = stalled + 1 if t_best == 0.0 else 0
+            self.longest_stall = max(self.longest_stall, stalled)  # not in the engine
+            if leave_pos < 0:
+                # bound flip, no basis change
+                self.x[self.basis] += rate * t_best
+                self.x[j] = self.hihat[j] if sigma > 0 else self.lohat[j]
+                self.at_upper[j] = not self.at_upper[j]
+                continue
+            self.x[self.basis] += rate * t_best
+            self.x[j] += sigma * t_best
+            lv = int(self.basis[leave_pos])
+            self.x[lv] = self.hihat[lv] if leave_hits_upper else self.lohat[lv]
+            self.at_upper[lv] = leave_hits_upper
+            self.in_basis[lv] = False
+            self.basis[leave_pos] = j
+            self.in_basis[j] = True
+            piv = d[leave_pos]
+            if abs(piv) < PIV_TOL:
+                self._refactor()
+                continue
+            self.Binv[leave_pos, :] /= piv
+            col = d.copy()
+            col[leave_pos] = 0.0
+            self.Binv -= np.outer(col, self.Binv[leave_pos, :])
+            self.since_refactor += 1
+
+
+def _outcome(engine):
+    """Everything a solve returns, as bytes where it is an array."""
+    try:
+        sol = engine.run()
+    except NumericalBreakdown as exc:
+        return ("breakdown", str(exc))
+    arrays = (sol.x, sol.y, sol.farkas, sol.ray)
+    return (sol.status, sol.iterations, repr(sol.value),
+            *(None if a is None else a.tobytes() for a in arrays))
+
+
+def _assert_same_pivots(p):
+    limit = 10 * (p.nrows + p.nvars) ** 2
+    ref = _ReferenceEngine(p, limit)
+    want = _outcome(ref)
+    assert _outcome(lp._Engine(p, limit)) == want
+    return want[0], ref.longest_stall
+
+
+BOUND_TYPES = (  # [0, inf), [l, inf) with l < 0, box, (-inf, u], free, fixed
+    lambda l, u: (0.0, np.inf), lambda l, u: (l, np.inf), lambda l, u: (l, u),
+    lambda l, u: (-np.inf, u), lambda l, u: (-np.inf, np.inf), lambda l, u: (u, u),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pivot_loop_matches_the_reference(data):
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4))
+    ints = lambda k, lo, hi: np.array(data.draw(st.lists(st.integers(lo, hi), min_size=k,
+                                                          max_size=k)), dtype=float)
+    A, c = ints(m * n, -3, 3).reshape(m, n), ints(n, -5, 5)
+    kinds = data.draw(st.lists(st.sampled_from(["eq", "le", "ge"]), min_size=m, max_size=m))
+    types = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    lu = [BOUND_TYPES[t](-float(l), float(u))
+          for t, l, u in zip(types, ints(n, 1, 3), ints(n, 0, 3))]
+    lower, upper = np.array(lu).reshape(n, 2).T
+    if data.draw(st.booleans()):  # feasible: b is the image of a point in the box
+        b = A @ np.clip(ints(n, -3, 3), lower, upper)
+    else:
+        b = ints(m, -4, 4)
+    sense = data.draw(st.sampled_from(["min", "max"]))
+    p = LpProblem(c=c, A=A, b=b, kinds=kinds, lower=lower, upper=upper, sense=sense)
+    # a small threshold reaches Bland's rule on short degenerate runs too
+    bland_after = data.draw(st.sampled_from([lp._BLAND_AFTER, 0, 1, 2]))
+    saved = lp._BLAND_AFTER
+    lp._BLAND_AFTER = bland_after
+    try:
+        _assert_same_pivots(p)
+    finally:
+        lp._BLAND_AFTER = saved
+
+
+def test_pivot_loop_matches_the_reference_through_bland():
+    # Beale's example, with slack rows either way round and in either
+    # sense, stalls for more than _BLAND_AFTER pivots, so Bland's rule
+    # decides the last entering columns
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    for A, b, kind in ((BEALE_A, [0.0, 0.0, 1.0], "le"), (-BEALE_A, [0.0, 0.0, -1.0], "ge")):
+        for sense, sign in (("min", 1.0), ("max", -1.0)):
+            p = LpProblem(c=sign * c, A=A, b=b, kinds=[kind] * 3, sense=sense)
+            status, longest = _assert_same_pivots(p)
+            assert status == "optimal"
+            assert longest > lp._BLAND_AFTER

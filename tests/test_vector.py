@@ -168,6 +168,21 @@ class TestDominance:
         ok, cert = dominates(mu, nu)
         assert ok and cert.kind == "kernel"
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_kernel_rows_are_normalized_by_their_own_sums(self, m):
+        # a draw of test_pushforward_is_dominated whose plan row 1 sums to
+        # t + 8e-12: dividing by t gave a row Kernel rejects
+        vals = np.array([[2.0, 1.46875, 0.6328125],
+                         [1.890625, 1.1574211428099381, 0.1875],
+                         [0.3359375, 1.3125, 2.0]])
+        mu = VectorMeasure(FiniteSpace(["x0", "x1", "x2"]), vals)
+        target = FiniteSpace([f"y{j}" for j in range(m)])
+        nu = pushforward(mu, [0, 0, 0], target=target)
+        ok, cert = dominates(mu, nu)
+        assert ok and cert.kind == "kernel"
+        pushed = kernel_apply(cert.payload, mu)
+        assert np.max(np.abs(pushed.values - nu.values)) <= 1e-9
+
 
 def _random_rows(rng, n, m):
     rows = rng.uniform(0.05, 1.0, size=(n, m))

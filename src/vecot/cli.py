@@ -16,8 +16,11 @@ reused: flags are parsed afresh on every call and `VECOT_TOL` is read
 per call, so `main(argv)` may be called repeatedly in one process.  The
 `fn`, `load` and `solve` defaults of each subcommand are bound when the
 parser is built; they are this module's functions, which look up the
-library functions they call by name at call time.  `build_parser()`
-still returns a fresh parser.
+library functions they call by name at call time.  Only the scalar
+solvers are imported with this module; a command imports what else it
+calls (`vector`, `chain`, `applications`, `generate`, `golden`) when it
+runs, so `solve-ot` never loads them.  `build_parser()` still returns a
+fresh parser.
 
 Exit codes: 0 success, 1 golden-suite failure, 2 infeasible with
 certificate, 3 schema or usage error, 4 numerical breakdown.
@@ -32,18 +35,7 @@ import time
 
 import numpy as np
 
-from . import generate, golden, serialize
-from .applications import (
-    GridFunction,
-    MomentProblem,
-    conjugate,
-    game_value,
-    game_value_restricted,
-    inf_convolution,
-    moment_feasible,
-    trig_moment,
-)
-from .chain import ChainProblem, chain_free_medium, chain_ot
+from . import serialize
 from .lp import NumericalBreakdown, pivot_total
 from .scalar import (
     InfeasibleTransport,
@@ -58,15 +50,6 @@ from .scalar import (
 )
 from .serialize import SchemaError, canonical_dumps
 from .tolerances import REVALIDATE_TOL, default_tol
-from .vector import (
-    VectorOtProblem,
-    blackwell_check,
-    dominates,
-    dominates_n,
-    dual_refinement_study,
-    solve_vector_ot,
-    strong_dominates,
-)
 
 EXIT_OK = 0
 EXIT_GOLDEN = 1
@@ -316,6 +299,8 @@ def _payload(kind):
 
 
 def _solve_vot(args, data):
+    from .vector import VectorOtProblem, solve_vector_ot
+
     problem = VectorOtProblem(data["mu"], data["nu"], data["cost"], data["eta"])
     res = solve_vector_ot(problem)
     t, eta, nu_vals = res.extras["t"], problem.eta, data["nu"].values
@@ -352,6 +337,8 @@ def _load_dominate(args):
 
 
 def _solve_dominate(args, data):
+    from .vector import blackwell_check, dominates, dominates_n, strong_dominates
+
     mu, nu = data["mu"], data["nu"]
     residuals = None
     if args.blackwell:
@@ -417,7 +404,7 @@ def _load_refine(args):
     ny = vals.shape[0]
     anchors = [j / max(ny - 1, 1) for j in range(ny)]
     if obj.get("anchors") is not None:
-        anchors = serialize._float_list(obj["anchors"], "$.anchors", ny)
+        anchors = serialize._float_list(obj["anchors"], "$.anchors", ny).tolist()
     power = obj.get("power", 2)
     if not isinstance(power, (int, float)) or isinstance(power, bool) or power <= 0:
         raise SchemaError("$.power", f"expected a positive exponent, got {power!r}")
@@ -430,6 +417,8 @@ def _load_refine(args):
 
 
 def _solve_refine(args, data):
+    from .vector import dual_refinement_study
+
     anchors, power = data["anchors"], data["power"]
 
     def cost(x, j):
@@ -446,6 +435,8 @@ def _solve_refine(args, data):
 
 
 def _solve_chain(args, data):
+    from .chain import ChainProblem, chain_free_medium, chain_ot
+
     hops = args.n if args.n is not None else data["hops"]
     if args.free_medium:
         value = chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
@@ -487,6 +478,8 @@ def _load_game(args):
 
 
 def _solve_game(args, data):
+    from .applications import game_value, game_value_restricted
+
     payoff, reference = data["payoff"], data["restrict"]
     if reference is not None:
         res = game_value_restricted(payoff, reference)
@@ -527,10 +520,12 @@ def _load_moment(args):
         raise SchemaError("moment", "provide --input, or both --M and --m")
     M = _field(args.functions, "functions", serialize._matrix)
     m = _field(args.target, "target", lambda x, p: serialize._float_list(x, p, M.shape[0]))
-    return {"functions": M, "target": np.array(m)}
+    return {"functions": M, "target": m}
 
 
 def _solve_moment(args, data):
+    from .applications import MomentProblem, moment_feasible
+
     M, m = data["functions"], data["target"]
     res = moment_feasible(MomentProblem(M, m))
     if res.feasible:
@@ -562,6 +557,8 @@ def _load_trig(args):
 
 
 def _solve_trig(args, data):
+    from .applications import trig_moment
+
     rep = trig_moment(data["coeffs"], data["gridSize"])
     result = {
         "status": "feasible" if rep["lp_feasible"] else "infeasible",
@@ -574,6 +571,8 @@ def _solve_trig(args, data):
 
 
 def _load_conj(args):
+    from .applications import GridFunction
+
     obj = serialize._read_json(args.input)
     if isinstance(obj, dict) and ("f" in obj or "kind" in obj and "payload" in obj):
         payload = serialize._payload_data(obj, "conjugate")
@@ -593,6 +592,8 @@ def _load_conj(args):
 
 
 def _solve_conj(args, data):
+    from .applications import conjugate, inf_convolution
+
     if data["others"]:
         out = inf_convolution(data["f"], *data["others"])
         op = "infConvolution"
@@ -603,6 +604,8 @@ def _solve_conj(args, data):
 
 
 def _cmd_gen(args) -> int:
+    from . import generate
+
     text = canonical_dumps(generate.gen(args.kind, args.seed or 0).as_dict())
     if args.output:
         _write(args.output, text, args.quiet)
@@ -612,6 +615,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import golden
+
     report = golden.run_suite(only=args.only, tol_override=args.tol)
     for item in report["items"]:
         if item["ok"]:

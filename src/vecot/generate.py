@@ -10,22 +10,34 @@ feasibility is guaranteed by construction rather than by rejection.
 
 from typing import Optional
 
+import numpy as np
+
 from .serialize import KINDS, ProblemFile, parse_problem
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64_GAMMA, _U64_MIX1, _U64_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U64_30, _U64_27, _U64_31, _U64_11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 
 class SplitMix64:
-    """Standard splitmix64: deterministic, platform-independent."""
+    """Standard splitmix64: deterministic, platform-independent.
+
+    The state is a counter, ``state_k = seed + k * _GAMMA (mod 2**64)``, so
+    `floats` and `matrix` draw a block of the stream at once in numpy
+    ``uint64`` arithmetic, which wraps exactly as the masked Python ints of
+    `next64` do: a block equals the same number of scalar draws, bit for bit.
+    """
 
     def __init__(self, seed: int):
         self.state = int(seed) & _MASK
 
     def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -36,11 +48,29 @@ class SplitMix64:
         # hi exclusive; modulo bias is irrelevant for instance generation
         return lo + self.next64() % (hi - lo)
 
+    def _uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """The next n draws of `uniform(lo, hi)`, as one float array."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64_GAMMA
+        z += np.uint64(self.state)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z ^= z >> _U64_30
+        z *= _U64_MIX1
+        z ^= z >> _U64_27
+        z *= _U64_MIX2
+        z ^= z >> _U64_31
+        z >>= _U64_11
+        u = z.astype(float)
+        u *= 2.0 ** -53
+        u *= hi - lo
+        u += lo
+        return u
+
     def floats(self, n: int, lo: float = 0.0, hi: float = 1.0) -> list:
-        return [self.uniform(lo, hi) for _ in range(n)]
+        return self._uniforms(n, lo, hi).tolist()
 
     def matrix(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> list:
-        return [self.floats(cols, lo, hi) for _ in range(rows)]
+        return self._uniforms(rows * cols, lo, hi).reshape(rows, cols).tolist()
 
     def permutation(self, n: int) -> list:
         out = list(range(n))

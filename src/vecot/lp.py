@@ -121,6 +121,9 @@ class LpProblem:
         for k in self.kinds:
             if k not in ("eq", "le", "ge"):
                 raise ValueError(f"unknown row kind {k!r}")
+        # row masks, derived once: certify, farkas_margin and _ray_valid read them
+        kinds = np.array(self.kinds, dtype=str)
+        self._eq, self._le, self._ge = kinds == "eq", kinds == "le", kinds == "ge"
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.lower = (
@@ -130,17 +133,18 @@ class LpProblem:
             np.full(n, np.inf) if self.upper is None else _as_float_vector(self.upper, n, "upper")
         )
         if not (
-            np.all(np.isfinite(self.c))
-            and (isinstance(self.A, TransportIncidence) or np.all(np.isfinite(self.A)))
-            and np.all(np.isfinite(self.b))
+            np.isfinite(self.c).all()
+            and (isinstance(self.A, TransportIncidence) or np.isfinite(self.A).all())
+            and np.isfinite(self.b).all()
         ):
             raise ValueError("c, A, b must be finite")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
             raise ValueError("bounds must not be NaN")
-        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+        if (self.lower == np.inf).any() or (self.upper == -np.inf).any():
             raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
+        crossed = self.lower > self.upper
+        if crossed.any():
+            j = int(crossed.argmax())
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
 
     @property
@@ -181,15 +185,14 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != problem.nrows:
         return np.inf
-    kinds = np.array(problem.kinds, dtype=str)
-    if np.any((kinds == "le") & (y < -FEAS_TOL)) or np.any((kinds == "ge") & (y > FEAS_TOL)):
+    if (problem._le & (y < -FEAS_TOL)).any() or (problem._ge & (y > FEAS_TOL)).any():
         return np.inf
     r = problem.A.T @ y
-    scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+    scale = max(1.0, float(np.abs(y).max()) if y.size else 1.0)
     tol_r = FEAS_TOL * scale
     lo, up = problem.lower, problem.upper
     pos, neg = r > tol_r, r < -tol_r
-    if np.any(pos & ~np.isfinite(lo)) or np.any(neg & ~np.isfinite(up)):
+    if (pos & ~np.isfinite(lo)).any() or (neg & ~np.isfinite(up)).any():
         return np.inf
     r_lo = r * np.where(np.isfinite(lo), lo, 0.0)
     r_up = r * np.where(np.isfinite(up), up, 0.0)
@@ -201,19 +204,18 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
 
 def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
     """Check d is a recession direction that strictly improves the objective."""
-    tol = FEAS_TOL * max(1.0, float(np.max(np.abs(d))))
-    if np.any(np.isfinite(problem.lower) & (d < -tol)):
+    tol = FEAS_TOL * max(1.0, float(np.abs(d).max()))
+    if (np.isfinite(problem.lower) & (d < -tol)).any():
         return False
-    if np.any(np.isfinite(problem.upper) & (d > tol)):
+    if (np.isfinite(problem.upper) & (d > tol)).any():
         return False
     Ad = problem.A @ d
-    row_tol = tol * max(1.0, float(np.max(np.abs(problem.A))) if problem.A.size else 1.0)
-    kinds = np.array(problem.kinds, dtype=str)
-    eq, le, ge = kinds == "eq", kinds == "le", kinds == "ge"
-    if np.any((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))):
+    row_tol = tol * max(1.0, float(np.abs(problem.A).max()) if problem.A.size else 1.0)
+    eq, le, ge = problem._eq, problem._le, problem._ge
+    if ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any():
         return False
     rate = sense_sign * float(problem.c @ d)
-    c_scale = max(1.0, float(np.max(np.abs(problem.c))) if problem.c.size else 1.0)
+    c_scale = max(1.0, float(np.abs(problem.c).max()) if problem.c.size else 1.0)
     return rate < -CERT_TOL * c_scale
 
 
@@ -227,29 +229,28 @@ def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> N
     never forms the dense matrix is checked the same way as an array.
     """
     p = problem
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.isfinite(value)):
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(value)):
         raise NumericalBreakdown("non-finite primal, dual or value")
     sign = 1.0 if p.sense == "min" else -1.0
-    kinds = np.asarray(p.kinds)
-    eq, le, ge = kinds == "eq", kinds == "le", kinds == "ge"
-    b_scale = max(1.0, float(np.max(np.abs(p.b))) if p.b.size else 1.0)
-    x_scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    eq, le, ge = p._eq, p._le, p._ge
+    b_scale = max(1.0, float(np.abs(p.b).max()) if p.b.size else 1.0)
+    x_scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
     resid = p.A @ x - p.b
     tol = FEAS_TOL * b_scale
     bad = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if bad.any():
+        i = int(bad.argmax())
         raise NumericalBreakdown(f"primal residual {resid[i]:.2e} on row {i}")
-    if np.any(x < p.lower - FEAS_TOL * x_scale) or np.any(x > p.upper + FEAS_TOL * x_scale):
+    if (x < p.lower - FEAS_TOL * x_scale).any() or (x > p.upper + FEAS_TOL * x_scale).any():
         raise NumericalBreakdown("primal bounds violated")
     # dual checks in the min convention
     y_min = sign * y
-    c_scale = max(1.0, float(np.max(np.abs(p.c))) if p.c.size else 1.0)
+    c_scale = max(1.0, float(np.abs(p.c).max()) if p.c.size else 1.0)
     dual_tol = CERT_DUAL_TOL * c_scale
     bad = (le & (y_min > dual_tol)) | (ge & (y_min < -dual_tol))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalBreakdown(f"dual sign violated on {kinds[i]} row {i}")
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalBreakdown(f"dual sign violated on {p.kinds[i]} row {i}")
     r_min = sign * p.c - p.A.T @ y_min
     pos, neg = r_min > dual_tol, r_min < -dual_tol
     at_lo = x <= p.lower + FEAS_TOL * x_scale
@@ -257,8 +258,8 @@ def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> N
     free_pos = pos & ~np.isfinite(p.lower)
     free_neg = neg & ~np.isfinite(p.upper)
     bad = free_pos | free_neg | (pos & ~at_lo) | (neg & ~at_hi)
-    if np.any(bad):
-        j = int(np.argmax(bad))
+    if bad.any():
+        j = int(bad.argmax())
         if free_pos[j]:
             raise NumericalBreakdown(f"dual infeasibility at free variable {j}")
         if free_neg[j]:

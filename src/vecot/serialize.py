@@ -3,15 +3,18 @@
 Files are canonical JSON: sorted keys, compact separators, shortest
 round-trip float text, one trailing newline.  Readers reject NaN and
 infinity and name the offending key on any schema violation, so a bad
-file fails loudly instead of poisoning a solve.  Negative weights below
--1e-9 are rejected; tiny negatives above that are clamped to zero by the
-measure constructors.
+file fails loudly instead of poisoning a solve.  An array is checked
+whole, with array operations; only an array that fails is walked entry by
+entry, to name the first bad entry.  Negative weights below -1e-9 are
+rejected; tiny negatives above that are clamped to zero by the measure
+constructors.
 """
 
 import json
 import os
 import stat
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -51,15 +54,51 @@ def _integer(x, path) -> int:
     return x
 
 
-def _float_list(x, path, length=None) -> list:
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _plain_array(x, depth: int):
+    """`x` as a float array if it is a valid array of `depth` levels, else None.
+
+    Valid means `depth` levels of lists, the lists of each level of one
+    length, holding plain JSON numbers (`int` or `float`, not `bool`) that
+    are finite as floats.  Each test runs over a whole level at once.  On
+    None the caller walks `x` entry by entry, which names the first bad
+    entry, so this decides only how fast a valid array is read.
+    """
+    level = [x]
+    for _ in range(depth):
+        if set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.array(x, dtype=float)
+    except OverflowError:  # an int past the float range: the walk raises it in order
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _float_list(x, path, length=None) -> np.ndarray:
+    arr = _plain_array(x, 1)
+    if arr is not None and (length is None or arr.size == length):
+        return arr
     if not isinstance(x, list):
         raise SchemaError(path, "expected an array")
     if length is not None and len(x) != length:
         raise SchemaError(path, f"expected length {length}, got {len(x)}")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(x)]
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(x)], dtype=float)
 
 
 def _matrix(x, path, rows=None, cols=None) -> np.ndarray:
+    arr = _plain_array(x, 2)
+    if (
+        arr is not None
+        and (rows is None or arr.shape[0] == rows)
+        and (cols is None or arr.shape[1] == cols)
+    ):
+        return arr
     if not isinstance(x, list) or len(x) == 0:
         raise SchemaError(path, "expected a nonempty array of rows")
     if rows is not None and len(x) != rows:
@@ -79,21 +118,29 @@ def _matrix(x, path, rows=None, cols=None) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def _tensor(x, path, shape):
-    """Nested arrays of the given shape, each entry checked by `_number`."""
+def _tensor(x, path, shape) -> np.ndarray:
+    """Nested arrays of the given shape, as a float array."""
+    arr = _plain_array(x, len(shape))
+    if arr is not None and arr.shape == tuple(shape):
+        return arr
+    return np.array(_tensor_walk(x, path, shape), dtype=float)
+
+
+def _tensor_walk(x, path, shape):
     if not shape:
         return _number(x, path)
     if not isinstance(x, list) or len(x) != shape[0]:
         raise SchemaError(path, f"expected an array of length {shape[0]}")
-    return [_tensor(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(x)]
+    return [_tensor_walk(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(x)]
 
 
 def _weights(x, path, length=None) -> np.ndarray:
     vals = _float_list(x, path, length)
-    for i, v in enumerate(vals):
-        if v < -NEG_TOL:
-            raise SchemaError(f"{path}[{i}]", f"negative weight {v!r}")
-    return np.maximum(np.array(vals), 0.0)
+    neg = vals < -NEG_TOL
+    if neg.any():
+        i = int(neg.argmax())
+        raise SchemaError(f"{path}[{i}]", f"negative weight {float(vals[i])!r}")
+    return np.maximum(vals, 0.0)
 
 
 def _nonneg_matrix(x, path, rows=None, cols=None) -> np.ndarray:
@@ -208,7 +255,7 @@ def _decode_multi(payload, path):
     ]
     sizes = tuple(m.space.size for m in measures)
     cost = _tensor(_require(payload, "cost", path), f"{path}.cost", sizes)
-    return {"measures": measures, "cost": np.array(cost, dtype=float)}
+    return {"measures": measures, "cost": cost}
 
 
 def _decode_glue(payload, path):
@@ -307,7 +354,7 @@ def _decode_game(payload, path):
 def _decode_moment(payload, path):
     M = _matrix(_require(payload, "functions", path), f"{path}.functions")
     m = _float_list(_require(payload, "target", path), f"{path}.target", M.shape[0])
-    return {"functions": M, "target": np.array(m)}
+    return {"functions": M, "target": m}
 
 
 def _decode_trig(payload, path):
@@ -321,9 +368,9 @@ def _decode_trig(payload, path):
 def _grid_function_json(obj, path):
     grid = _float_list(_require(obj, "grid", path), f"{path}.grid")
     values = _float_list(_require(obj, "values", path), f"{path}.values", len(grid))
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] <= grid[:-1]).any():
         raise SchemaError(f"{path}.grid", "grid must be strictly increasing")
-    return {"grid": np.array(grid), "values": np.array(values)}
+    return {"grid": grid, "values": values}
 
 
 def _decode_conjugate(payload, path):
@@ -336,7 +383,7 @@ def _decode_conjugate(payload, path):
         others = [_grid_function_json(o, f"{path}.others[{i}]") for i, o in enumerate(raw)]
     out["others"] = others
     if payload.get("dualGrid") is not None:
-        out["dualGrid"] = np.array(_float_list(payload["dualGrid"], f"{path}.dualGrid"))
+        out["dualGrid"] = _float_list(payload["dualGrid"], f"{path}.dualGrid")
     else:
         out["dualGrid"] = None
     return out
@@ -439,11 +486,36 @@ def _payload_data(obj, kind: str) -> dict:
     return _DECODERS[kind](obj, "$")
 
 
+def _number_list(x):
+    """A copy of `x` if it is a list of plain numbers or of such lists, else None.
+
+    Ints stay ints.  Floats must be finite: the first one that is not, in
+    row-major order, raises the same ValueError as `to_jsonable`.  A list
+    mixing ints and floats is left to the element walk, which checks only
+    the floats.
+    """
+    if type(x) is not list:
+        return None
+    nested = bool(x) and set(map(type, x)) == {list}
+    flat = list(chain.from_iterable(x)) if nested else x
+    types = set(map(type, flat))
+    if not types <= _NUMBER_TYPES or types == _NUMBER_TYPES:
+        return None
+    if float in types:
+        bad = ~np.isfinite(np.array(flat, dtype=float))
+        if bad.any():
+            raise ValueError(f"cannot serialize non-finite value {flat[int(bad.argmax())]!r}")
+    return [list(row) for row in x] if nested else list(x)
+
+
 def to_jsonable(x):
     """Recursively convert numpy containers to plain JSON values."""
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        plain = _number_list(x)
+        if plain is not None:
+            return plain
         return [to_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         if x.ndim == 0:  # not iterable: serialize the scalar it holds

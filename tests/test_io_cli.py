@@ -25,6 +25,16 @@ from vecot.serialize import (
 )
 
 GAME_SEED1_SHA256 = "a7535f3e487287b00e9a1d8bc6fa9f594aa9da9b2734820b847027cdcec6fc34"
+# canonical gen output over GEN_DIGEST_CASES, concatenated in order
+GEN_DIGEST_SHA256 = "cb67b1912041d31304d72745fbbdfede74d7d90cc38672ee7524e0be2213d37b"
+GEN_DIGEST_CASES = (
+    [(kind, seed, None) for kind in sorted(serialize.KINDS) for seed in range(20)]
+    + [
+        (kind, seed, {"nx": n, "ny": n})
+        for kind, n in (("scalar_ot", 50), ("partial", 50), ("capacity", 30))
+        for seed in range(5)
+    ]
+)
 
 
 def run_cli(argv):
@@ -123,6 +133,11 @@ class TestCanonicalJson:
             "o": np.array([1, 2.5, np.float64(3.0)], dtype=object),
             "empty": [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0), dtype=int)],
             "nested": [{"x": np.eye(2), "y": (np.int64(4), np.float64(0.5))}],
+            # plain Python lists: numbers, and lists of numbers, go in one step
+            "rows": [[0.5, 0.1 + 0.2, -0.0], [5e-324, 1e308]],
+            "ints": [[1, -2], [2**70, 0]],
+            "mixed": [[1, 2.5], [3.0, 4]],
+            "others": [[True, 1.0], [np.float64(0.5), 2.0], (1.0, 2), [[1.5]], [], [[], []]],
         }
         assert canonical_dumps(obj) == self.element_dumps(obj)
         for zero_d in (np.array(1.5), np.array(2), np.array(True), np.array(1j)):
@@ -132,11 +147,12 @@ class TestCanonicalJson:
             canonical_dumps({"z": np.array(np.inf)})
         for bad in (np.nan, np.inf, -np.inf):
             arr = np.array([[0.0, 1.0], [bad, np.nan]])
-            with pytest.raises(ValueError) as want:
-                self.element_dumps({"a": [arr]})
-            with pytest.raises(ValueError) as got:
-                canonical_dumps({"a": [arr]})
-            assert str(got.value) == str(want.value)
+            for a in ([arr], arr.tolist(), [0.5, bad], [1, bad], [[1, 0.5], [bad]]):
+                with pytest.raises(ValueError) as want:
+                    self.element_dumps({"a": a})
+                with pytest.raises(ValueError) as got:
+                    canonical_dumps({"a": a})
+                assert str(got.value) == str(want.value)
 
     def test_shortest_float_repr_survives(self):
         # repr round-trips doubles exactly, so reparsing cannot drift
@@ -212,6 +228,19 @@ class TestSchema:
                 parse_problem(multi(cost))
             assert exc.value.path.endswith(where), (cost, exc.value.path)
 
+    def test_valid_arrays_are_read_without_the_entry_walk(self, monkeypatch):
+        obj = generate.gen("scalar_ot", 3, {"nx": 300, "ny": 300}).as_dict()
+        calls = []
+
+        def counted(x, path):
+            calls.append(path)
+            return number(x, path)
+
+        number = serialize._number
+        monkeypatch.setattr(serialize, "_number", counted)
+        assert parse_problem(obj).data["cost"].shape == (300, 300)
+        assert calls == []
+
     def test_nonpositive_tol_rejected(self):
         # no command reads a tolerance from the file, so any "tol" is rejected
         for tol in (0.0, 1e-300):
@@ -251,6 +280,20 @@ class TestGenerate:
             pf = generate.gen(kind, 3)
             again = parse_problem(json.loads(canonical_dumps(pf.as_dict())))
             assert again.kind == kind
+
+    def test_gen_output_digest_frozen(self):
+        digest = hashlib.sha256()
+        for kind, seed, size in GEN_DIGEST_CASES:
+            digest.update(canonical_dumps(generate.gen(kind, seed, size).as_dict()).encode())
+        assert digest.hexdigest() == GEN_DIGEST_SHA256
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_block_draws_equal_scalar_draws(self, seed):
+        block, scalar = generate.SplitMix64(seed), generate.SplitMix64(seed)
+        assert block.floats(7, -1.0, 3.0) == [scalar.uniform(-1.0, 3.0) for _ in range(7)]
+        assert block.matrix(3, 4) == [[scalar.uniform() for _ in range(4)] for _ in range(3)]
+        assert block.state == scalar.state
+        assert block.next64() == scalar.next64()
 
     def test_game_seed1_digest_frozen(self):
         text = canonical_dumps(generate.gen("game", 1).as_dict())

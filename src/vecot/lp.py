@@ -60,6 +60,7 @@ unbounded above, and
 which contradicts feasibility of the box-constrained system.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,7 +111,7 @@ class LpProblem:
     sense: str = "min"
 
     def __post_init__(self):
-        if not isinstance(self.A, TransportIncidence):
+        if not isinstance(self.A, network.TransportIncidence):
             self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         m, n = self.A.shape
         self.c = _as_float_vector(self.c, n, "c")
@@ -134,7 +135,7 @@ class LpProblem:
         )
         if not (
             np.isfinite(self.c).all()
-            and (isinstance(self.A, TransportIncidence) or np.isfinite(self.A).all())
+            and (isinstance(self.A, network.TransportIncidence) or np.isfinite(self.A).all())
             and np.isfinite(self.b).all()
         ):
             raise ValueError("c, A, b must be finite")
@@ -345,7 +346,13 @@ class _Engine:
         self.since_refactor = 0
 
     def _loop(self, costs: np.ndarray, allow_unbounded: bool):
-        """Iterate until optimal or unbounded under the given cost vector."""
+        """Iterate until optimal or unbounded under the given cost vector.
+
+        The basic columns' values and bounds are kept in basis order
+        (`xB`, `loB`, `hiB`) from one pivot to the next; ``self.x`` holds
+        the nonbasic values throughout and the basic ones again when the
+        loop returns.
+        """
         mh = self.p.nrows
         lo, hi = self.lohat, self.hihat
         range_open = hi - lo > 0.0
@@ -356,6 +363,9 @@ class _Engine:
         way[self.in_basis | ~range_open | free] = 0.0
         free_nb = (free & ~self.in_basis).astype(float)  # may move either way
         any_free = bool(free_nb.any())
+        basis, x = self.basis, self.x
+        xB, loB, hiB = x[basis], lo[basis], hi[basis]
+        t_rows = np.empty(mh)  # the ratio test's steps, one per row
         stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
             if self.iterations > self.pivot_limit:
@@ -364,7 +374,8 @@ class _Engine:
                 )
             if self.since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-            y = self.Binv.T @ costs[self.basis]
+                xB = x[basis]
+            y = self.Binv.T @ costs[basis]
             r = costs - self.Ahat.T @ y
             # an eligible column prices at -|r| < -DUAL_TOL, any other at >= -DUAL_TOL
             priced = r * way
@@ -372,6 +383,7 @@ class _Engine:
                 priced -= np.abs(r) * free_nb
             j = int(priced.argmin()) if priced.size else 0  # Dantzig; ties to the smallest index
             if not (priced.size and priced[j] < -DUAL_TOL):
+                x[basis] = xB
                 return "optimal", y, r
             if stalled >= _BLAND_AFTER:
                 j = int((priced < -DUAL_TOL).argmax())  # Bland: smallest eligible index enters
@@ -381,40 +393,39 @@ class _Engine:
             t_best = hi[j] - lo[j]
             leave_pos = -1
             leave_hits_upper = False
-            basis = self.basis
-            xB = self.x[basis]
             speed = np.abs(rate)
-            room = np.where(rate > 0.0, hi[basis] - xB, xB - lo[basis])
-            t_rows = np.divide(room, speed, out=np.full(mh, np.inf), where=speed > PIV_TOL)
+            room = np.where(rate > 0.0, hiB - xB, xB - loB)
+            t_rows.fill(np.inf)
+            np.divide(room, speed, out=t_rows, where=speed > PIV_TOL)
             np.maximum(t_rows, 0.0, out=t_rows)
             tmin = float(t_rows.min()) if mh else np.inf
             if tmin < t_best:
                 # Bland: among blocking rows the smallest variable index leaves
-                ties = np.nonzero(t_rows <= tmin)[0]
-                leave_pos = int(ties[np.argmin(basis[ties])])
+                ties = (t_rows <= tmin).nonzero()[0]
+                leave_pos = int(ties[basis[ties].argmin()])
                 t_best = tmin
                 leave_hits_upper = rate[leave_pos] > 0.0
-            if not np.isfinite(t_best):
+            if not math.isfinite(t_best):
                 if not allow_unbounded:
                     raise NumericalBreakdown("phase-one subproblem reported unbounded")
+                x[basis] = xB
                 return "unbounded", j, sigma
             self.iterations += 1
             stalled = stalled + 1 if t_best == 0.0 else 0
+            xB += rate * t_best
             if leave_pos < 0:
                 # bound flip, no basis change
-                self.x[basis] += rate * t_best
-                self.x[j] = hi[j] if sigma > 0 else lo[j]
+                x[j] = hi[j] if sigma > 0 else lo[j]
                 self.at_upper[j] = not self.at_upper[j]
                 way[j] = -way[j]
                 continue
-            self.x[basis] += rate * t_best
-            self.x[j] += sigma * t_best
             lv = int(basis[leave_pos])
-            self.x[lv] = hi[lv] if leave_hits_upper else lo[lv]
+            x[lv] = hi[lv] if leave_hits_upper else lo[lv]
             self.at_upper[lv] = leave_hits_upper
             self.in_basis[lv] = False
             way[lv] = (-1.0 if leave_hits_upper else 1.0) if range_open[lv] else 0.0
             basis[leave_pos] = j
+            xB[leave_pos], loB[leave_pos], hiB[leave_pos] = x[j] + sigma * t_best, lo[j], hi[j]
             self.in_basis[j] = True
             way[j] = 0.0
             if free_nb[j]:
@@ -423,6 +434,7 @@ class _Engine:
             piv = d[leave_pos]
             if abs(piv) < PIV_TOL:
                 self._refactor()
+                xB = x[basis]
                 continue
             row = self.Binv[leave_pos]
             row /= piv
@@ -543,8 +555,8 @@ def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
     global _pivot_total
     if pivot_limit is None:
         pivot_limit = 10 * (problem.nrows + problem.nvars) ** 2
-    if isinstance(problem.A, TransportIncidence):
-        sol = solve_network(problem, pivot_limit)
+    if isinstance(problem.A, network.TransportIncidence):
+        sol = network.solve_network(problem, pivot_limit)
     else:
         sol = _Engine(problem, pivot_limit).run()
     _pivot_total += sol.iterations
@@ -567,5 +579,7 @@ def solve_vertex(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSol
     return sol
 
 
-# the network engine builds on the definitions above, so it is imported last
-from .network import TransportIncidence, solve_network  # noqa: E402
+# the network engine builds on the definitions above, so it is imported
+# last, and as a module: when `network` is imported first, it is still
+# incomplete here, and its names are read only when a problem is built or solved
+from . import network  # noqa: E402

@@ -28,7 +28,14 @@ and priced at M = (1 + max|c|) * (nodes + 1).  A cycle that moves flow
 off the root costs at most (nodes - 1) * max|c| - 2M < 0, so an optimum
 still routing flow through the root proves the LP infeasible.  The
 engine then prices artificial arcs at 1 and the rest at 0 (phase one)
-and turns the phase-one potentials into a Farkas certificate.
+and turns the phase-one potentials into a Farkas certificate.  While the
+tree is still this star, the cycle of an arc (i, j) at its lower bound
+is i -> j -> root, and the arc is a bound flip exactly when the flow left
+on i's artificial arc is at least its cap and the flow left on j's is
+more than its cap (the ratio test's strict and non-strict comparisons).
+A flip moves no potential, so a leading streak of flips is replayed in
+one pass, in the order Dantzig pricing would take them, to its first
+arc that is not a flip.
 
 Pivots.  The nonbasic arc with the most negative signed reduced cost
 enters (Dantzig; ties to the smallest index).  The leaving arc is the
@@ -41,12 +48,14 @@ the node the entering flow leaves; the re-hung subtree holds that node,
 and all its potentials fall by |reduced cost|.  The sum of the
 potentials strictly falls, no tree repeats, and the method cannot cycle.
 
-Pricing is incremental and exact.  The reduced costs are kept from one
-pivot to the next: a bound flip changes only the entering arc's sign,
-and a basis change moves only the potentials of the re-hung subtree, so
-only the arcs at its nodes are repriced.  Every reduced cost is then bit
-for bit what pricing all arcs would give, the pivots are the ones full
-pricing takes, and the argument above holds unchanged.
+Pricing is incremental and exact.  Each arc's state (+1 at its lower
+bound, -1 at its cap, 0 otherwise) times its reduced cost is kept from
+one pivot to the next: a bound flip negates the entering arc's entry,
+and a basis change moves only the potentials of the re-hung subtree,
+each shifted as the walk that re-hangs it visits the node, so only the
+arcs at its nodes are repriced.  Every entry is then bit for bit what
+pricing all arcs would give, the pivots are the ones full pricing takes,
+and the argument above holds unchanged.
 """
 
 import numpy as np
@@ -129,9 +138,10 @@ class _Tree:
 
     Nodes are 0..n-1 and the root is n; flow conservation is
     out - in = balance.  Arc k < E is given, arc E + v joins node v and
-    the root.  The walks run on Python lists, which index faster than
-    arrays one element at a time; pricing runs on arrays and is exact and
-    incremental (`run`); the module docstring's termination argument stands.
+    the root.  The walks run on Python lists, and on memoryviews of the
+    arrays that pricing reads, which index faster than arrays one element
+    at a time; pricing runs on arrays and is exact and incremental
+    (`run`); the module docstring's termination argument stands.
     """
 
     def __init__(self, tail, head, cap, balance, pivot_limit: int, tol: float):
@@ -139,21 +149,28 @@ class _Tree:
         nodes = np.arange(n)
         supply = balance >= 0.0
         self.n_real = E
-        self.tail = np.concatenate([tail, np.where(supply, nodes, n)])
-        self.head = np.concatenate([head, np.where(supply, n, nodes)])
-        self.tails, self.heads = self.tail.tolist(), self.head.tolist()
-        self.cap = np.concatenate([cap, np.full(n, np.inf)]).tolist()
+        # row 0 the tails, row 1 the heads, so one gather reads both ends
+        self.ends = np.concatenate(
+            [tail, np.where(supply, nodes, n), head, np.where(supply, n, nodes)]
+        ).reshape(2, E + n)
+        self.tail, self.head = self.ends
+        self.tails, self.heads = memoryview(self.tail), memoryview(self.head)
+        self.real_cap = cap
+        self.cap = [np.inf] * (E + n) if np.isinf(cap).all() else cap.tolist() + [np.inf] * n
         self.flow = [0.0] * E + np.abs(balance).tolist()
         # +1 at the lower bound, -1 at the cap, 0 in the tree or never movable
         self.state = np.concatenate([(cap > 0.0).astype(float), np.zeros(n)])
+        self.states = memoryview(self.state)
         self.parent = [n] * n + [-1]
         self.pred = list(range(E, E + n)) + [-1]
         self.up = supply.tolist() + [False]  # pred arc points from the node to its parent
         self.depth = [1] * n + [0]
         self.children = [[] for _ in range(n)] + [list(range(n))]
+        self.star = True  # the tree is still the artificial arcs
         self.pi = np.zeros(n + 1)
+        self.pis = memoryview(self.pi)
         # arcs at each node, the root included; their lists when needed
-        self.degree = np.bincount(np.concatenate([self.tail, self.head]), minlength=n + 1)
+        self.degree = np.bincount(self.ends.ravel(), minlength=n + 1)
         self.incident = None
         self.pivots = 0
         self.pivot_limit = pivot_limit
@@ -162,47 +179,116 @@ class _Tree:
     def artificial_flow(self) -> float:
         return float(sum(self.flow[self.n_real :]))
 
+    def arc_flow(self) -> np.ndarray:
+        """The flow on the E given arcs, as an array.
+
+        A nonbasic arc carries exactly 0.0 or, at its cap, exactly its cap,
+        so only the tree arcs are read from the flow list.
+        """
+        E, flow = self.n_real, self.flow
+        x = np.zeros(E)
+        at_cap = self.state[:E] < 0.0
+        x[at_cap] = self.real_cap[at_cap]
+        arcs = [a for a in self.pred[:-1] if a < E]
+        x[arcs] = [flow[a] for a in arcs]
+        return x
+
     def run(self, cost: np.ndarray) -> None:
         """Pivot to an optimal tree under `cost` (one entry per arc).
 
-        `rc` holds each arc's reduced cost and `priced` its state * rc from
-        one pivot to the next, and a pivot recomputes only the entries it
+        `priced` holds each arc's state times its reduced cost from one
+        pivot to the next, and a pivot recomputes only the entries it
         changed (see the module docstring), with the expression `_price`
-        uses.  All arcs are priced when the run starts, and after a basis
-        change whose re-hung nodes may hold a quarter of the arcs less 128
-        (the largest degree times their number), where one pass is the
-        cheaper; a network of at most 512 arcs is always priced in full.
+        uses: a bound flip negates its arc's entry, a basis change
+        reprices the arcs at the re-hung nodes.  The entering arc's state
+        is +1 or -1, so its reduced cost is its entry times its state,
+        exactly.  All arcs are priced when the run starts, and after a
+        basis change whose re-hung nodes may hold a quarter of the arcs
+        less 128 (the largest degree times their number), where one pass
+        is the cheaper; a network of at most 512 arcs is always priced in
+        full.  While the tree is the artificial star, a streak of bound
+        flips is replayed in one pass (`_replay_flips`).
         """
         self._potentials(cost)
-        rc, priced = np.empty(cost.size), np.empty(cost.size)
-        self._price(cost, rc, priced)
-        tail, head, state, pi = self.tail, self.head, self.state, self.pi
+        scratch, priced = np.empty(cost.size), np.empty(cost.size)
+        self._price(cost, scratch, priced)
+        ends, state, pi = self.ends, self.state, self.pi
+        prices, states, limit = memoryview(priced), self.states, -self.tol
         # repricing k arcs through an index costs about as much as one pass
         # over 4k + 512 arcs; a re-hung node has at most `reach` arcs
         reach = int(self.degree[:-1].max(initial=0))
         full_at = (cost.size - 512) / 4
-        while rc.size:
+        while priced.size:
             e = int(priced.argmin())
-            if not priced[e] < -self.tol:
+            if not prices[e] < limit:
                 return
+            if self.star and self._star_flips(e) and self._replay_flips(priced):
+                continue
             if self.pivots >= self.pivot_limit:
                 raise NumericalBreakdown(
                     f"pivot limit {self.pivot_limit} exceeded after {self.pivots} iterations"
                 )
             self.pivots += 1
-            moved = self._pivot(e, float(rc[e]))
+            moved = self._pivot(e, prices[e] * states[e])
             if not moved:  # a bound flip: the tree and the potentials stand
-                priced[e] = state[e] * rc[e]
+                prices[e] = -prices[e]
             elif reach * len(moved) >= full_at:
-                self._price(cost, rc, priced)
+                self._price(cost, scratch, priced)
             else:
                 arcs = self._arcs_at(moved)
+                at = pi.take(ends.take(arcs, axis=1))
                 r = cost[arcs]
-                r -= pi[tail[arcs]]
-                r += pi[head[arcs]]
-                rc[arcs] = r
+                r -= at[0]
+                r += at[1]
                 r *= state[arcs]
                 priced[arcs] = r
+
+    def _star_flips(self, e: int) -> bool:
+        """Whether entering arc `e` at its lower bound, with the tree still
+        the star, is a bound flip: `_pivot`'s ratio test over the cycle
+        tail -> head -> root, with its strict and non-strict comparisons."""
+        if self.states[e] <= 0.0:
+            return False
+        cap, flow, pred, up = self.cap, self.flow, self.pred, self.up
+        a, b, c = self.tails[e], self.heads[e], cap[e]
+        pa, pb = pred[a], pred[b]
+        room_a = flow[pa] if up[a] else cap[pa] - flow[pa]
+        room_b = cap[pb] - flow[pb] if up[b] else flow[pb]
+        return not room_a < c and not room_b <= c
+
+    def _replay_flips(self, priced: np.ndarray) -> list:
+        """Apply the streak of bound flips that starts at the entering arc.
+
+        While the tree is the star a flip moves no potential, so no reduced
+        cost changes and only the flipped arc's price does: Dantzig pricing
+        then visits the eligible arcs in stable sorted order of `priced`.
+        The replay walks that order and stops at the first arc that is not
+        a flip, with the flows, states, prices and pivot count that
+        pivoting each arc in turn gives.  Returns the flipped arcs.
+        """
+        eligible = np.flatnonzero(priced < -self.tol)
+        order = eligible[priced[eligible].argsort(kind="stable")].tolist()
+        cap, flow, pred, up = self.cap, self.flow, self.pred, self.up
+        tails, heads, states = self.tails, self.heads, self.states
+        prices = memoryview(priced)
+        flipped = []
+        for e in order:
+            if not self._star_flips(e):
+                break
+            if self.pivots >= self.pivot_limit:
+                raise NumericalBreakdown(
+                    f"pivot limit {self.pivot_limit} exceeded after {self.pivots} iterations"
+                )
+            self.pivots += 1
+            delta = cap[e]
+            a, b = tails[e], heads[e]
+            flow[e] = delta
+            flow[pred[a]] += -delta if up[a] else delta
+            flow[pred[b]] += delta if up[b] else -delta
+            states[e] = -1.0
+            prices[e] = -prices[e]
+            flipped.append(e)
+        return flipped
 
     def _price(self, cost: np.ndarray, rc: np.ndarray, priced: np.ndarray) -> None:
         """Every arc's reduced cost into `rc`, and state * rc into `priced`."""
@@ -218,8 +304,9 @@ class _Tree:
         never reprices a subtree never builds them.
         """
         if self.incident is None:
-            order = np.argsort(np.concatenate([self.tail, self.head]), kind="stable")
-            arcs, start = order % self.tail.size, [0] + np.cumsum(self.degree).tolist()
+            arcs = np.argsort(self.ends.ravel(), kind="stable")
+            np.subtract(arcs, self.tail.size, out=arcs, where=arcs >= self.tail.size)
+            start = [0] + np.cumsum(self.degree).tolist()
             self.incident = [arcs[i:j] for i, j in zip(start, start[1:])]
         incident = self.incident
         if len(nodes) == 1:
@@ -228,47 +315,47 @@ class _Tree:
 
     def _potentials(self, cost: np.ndarray) -> None:
         """Potentials from the tree, root first, under a new cost vector."""
-        c = cost.tolist()
-        pi = [0.0] * len(self.parent)
-        stack = [len(self.parent) - 1]
+        pi, up, children = self.pis, self.up, self.children
+        c = cost.take(self.pred[:-1]).tolist()
+        root = len(c)
+        pi[root] = 0.0
+        stack = [root]
         while stack:
             w = stack.pop()
-            for v in self.children[w]:
-                a = self.pred[v]
-                pi[v] = pi[w] + c[a] if self.up[v] else pi[w] - c[a]
+            for v in children[w]:
+                pi[v] = pi[w] + c[v] if up[v] else pi[w] - c[v]
                 stack.append(v)
-        self.pi[:] = pi
 
     def _pivot(self, e: int, rc_e: float) -> list:
         """Pivot arc `e` in; return the re-hung nodes, none for a bound flip."""
         parent, pred, up, depth = self.parent, self.pred, self.up, self.depth
-        flow, cap = self.flow, self.cap
-        forward = self.state[e] > 0.0  # at its lower bound: flow grows tail -> head
+        flow, cap, states = self.flow, self.cap, self.states
+        forward = states[e] > 0.0  # at its lower bound: flow grows tail -> head
         a, b = self.tails[e], self.heads[e]
         first, second = (a, b) if forward else (b, a)
-        # the cycle: apex -> ... -> first -> second -> ... -> apex
+        # walk the cycle apex -> ... -> first -> second -> ... -> apex up
+        # from both ends; the leaving arc is the last blocking arc met from
+        # the apex: on side 1 the one nearest `first` (strict <), then the
+        # entering arc, then on side 2 the one nearest the apex (<=), so the
+        # two sides may be met in any interleaving
+        delta, out, out_side1 = cap[e], -1, False
         side1, side2 = [], []
         u, v = first, second
         while u != v:
-            if depth[u] >= depth[v]:
+            if depth[u] >= depth[v]:  # flow runs down side 1, towards `first`
+                p = pred[u]
+                d = flow[p] if up[u] else cap[p] - flow[p]
+                if d < delta:
+                    delta, out, out_side1 = d, len(side1), True
                 side1.append(u)
                 u = parent[u]
-            else:
+            else:  # flow runs up side 2, away from `second`
+                p = pred[v]
+                d = cap[p] - flow[p] if up[v] else flow[p]
+                if d <= delta:
+                    delta, out, out_side1 = d, len(side2), False
                 side2.append(v)
                 v = parent[v]
-        # last blocking arc from the apex: on side 1 the one nearest `first`,
-        # then the entering arc, then on side 2 the one nearest the apex
-        delta, out, out_side1 = cap[e], -1, False
-        for k, u in enumerate(side1):  # flow runs down, towards `first`
-            f = flow[pred[u]]
-            d = f if up[u] else cap[pred[u]] - f
-            if d < delta:
-                delta, out, out_side1 = d, k, True
-        for k, u in enumerate(side2):  # flow runs up, away from `second`
-            f = flow[pred[u]]
-            d = cap[pred[u]] - f if up[u] else f
-            if d <= delta:
-                delta, out, out_side1 = d, k, False
         if delta == np.inf:
             raise NumericalBreakdown("network has a cycle of unbounded arcs with negative cost")
         if delta > 0.0:
@@ -279,15 +366,16 @@ class _Tree:
                 flow[pred[u]] += delta if up[u] else -delta
         if out < 0:  # the entering arc blocks itself: a bound flip
             flow[e] = cap[e] if forward else 0.0
-            self.state[e] = -self.state[e]
+            states[e] = -states[e]
             return []
+        self.star = False
         path = (side1 if out_side1 else side2)[: out + 1]
         u_out = path[-1]
         leave = pred[u_out]
         at_cap = up[u_out] != out_side1
         flow[leave] = cap[leave] if at_cap else 0.0
-        self.state[leave] = -1.0 if at_cap else 1.0
-        self.state[e] = 0.0
+        states[leave] = -1.0 if at_cap else 1.0
+        states[e] = 0.0
         u_in, v_in = (first, second) if out_side1 else (second, first)
         # re-hang the subtree under u_out from u_in, reversing the path between
         children = self.children
@@ -300,18 +388,18 @@ class _Tree:
             parent[w], pred[w], up[w] = prev, prev_pred, prev_up
             children[prev].append(w)
             prev, prev_pred, prev_up = w, old_pred, not old_up
-        # the whole subtree moves by one potential shift: e's reduced cost
-        # becomes zero
+        # the whole subtree moves by one potential shift, applied as the
+        # walk visits each node: e's reduced cost becomes zero
+        shift = rc_e if u_in == a else -rc_e
+        pi = self.pis
         depth[u_in] = depth[v_in] + 1
-        moved, stack = [], [u_in]
-        while stack:
-            w = stack.pop()
-            moved.append(w)
+        moved = [u_in]
+        for w in moved:  # breadth first: `moved` grows as it is walked
+            pi[w] += shift
             dw = depth[w] + 1
             for ch in children[w]:
                 depth[ch] = dw
-                stack.append(ch)
-        self.pi[moved] += rc_e if u_in == a else -rc_e
+                moved.append(ch)
         return moved
 
 
@@ -334,6 +422,8 @@ def _price_dropped(pi: np.ndarray, live: np.ndarray, tail, head, cost) -> None:
     the sign an arc without flow needs.  A dropped node with no such arc
     keeps its potential.
     """
+    if live.all():
+        return
     into = live[tail] & ~live[head]
     bound = np.full(pi.size, -np.inf)
     np.maximum.at(bound, head[into], pi[tail[into]] - cost[into])
@@ -423,7 +513,7 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
         )
     real = keep[: A.shape[1]]
     x = np.zeros(A.shape[1])
-    x[real] = tree.flow[: int(real.sum())]
+    x[real] = tree.arc_flow()[: int(real.sum())]
     # shifting every potential alike changes no reduced cost; anchor the
     # first node hung from the root at zero, so that the duals do not carry
     # the artificial price M

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import vecot
 from vecot import generate, serialize
 
@@ -38,9 +40,23 @@ print(json.dumps({"rc": rc, "loaded": sorted(m for m in sys.modules if m.startsw
         assert json.load(fh)["status"] == "optimal"
 
 
+SUBMODULES = ("applications", "chain", "cli", "generate", "golden", "lp", "measures",
+              "network", "scalar", "serialize", "tolerances", "vector")
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_imports_first_in_a_fresh_process(module):
+    code = """
+import importlib, json, sys
+m = importlib.import_module("vecot." + sys.argv[1])
+print(json.dumps({"name": m.__name__}))
+"""
+    assert _run(code, module) == {"name": f"vecot.{module}"}
+
+
 def test_exports_resolve_to_the_objects_their_modules_define():
     code = """
-import importlib, json
+import importlib, json, sys
 import vecot
 names = {}
 for name in vecot.__all__:
@@ -48,8 +64,7 @@ for name in vecot.__all__:
     names[name] = obj is getattr(importlib.import_module(obj.__module__), name)
 star = {}
 exec("from vecot import *", star)
-submodules = ["applications", "chain", "cli", "generate", "golden", "lp", "measures",
-              "network", "scalar", "serialize", "tolerances", "vector"]
+submodules = sys.argv[1:]
 print(json.dumps({
     "all": vecot.__all__,
     "names": names,
@@ -58,7 +73,7 @@ print(json.dumps({
     "dir": set(vecot.__all__) <= set(dir(vecot)),
 }))
 """
-    out = _run(code)
+    out = _run(code, *SUBMODULES)
     assert len(out["all"]) == 71 and out["all"] == sorted(set(out["all"]))
     assert all(out["names"].values()), [n for n, ok in out["names"].items() if not ok]
     assert out["star"] == out["all"]

@@ -48,6 +48,20 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_json(path):
+    return json.loads(read_text(path))
+
+
 def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(canonical_dumps(obj) if not isinstance(obj, str) else obj)
@@ -340,7 +354,7 @@ class TestGoldenSuite:
 
 
 def residuals_of(path):
-    out = json.loads(open(path).read())
+    out = read_json(path)
     return out, out["diagnostics"]["residuals"]
 
 
@@ -373,8 +387,8 @@ class TestCliSolve:
         run_cli(["gen", "--kind", "scalar_ot", "--seed", "8", "--output", prob, "--quiet"])
         rc, _, _ = run_cli(["solve-ot", "--input", prob, "--output", out, "--quiet"])
         assert rc == 0
-        result = json.loads(open(out).read())
-        payload = json.loads(open(prob).read())["payload"]
+        result = read_json(out)
+        payload = read_json(prob)["payload"]
         plan = np.array(result["plan"])
         src = np.abs(plan.sum(axis=1) - payload["mu"]["weights"]).max()
         tgt = np.abs(plan.sum(axis=0) - payload["nu"]["weights"]).max()
@@ -394,7 +408,7 @@ class TestCliSolve:
         out = str(tmp_path / "o.json")
         rc, _, _ = run_cli(["solve-ot", "--input", path, "--output", out, "--quiet"])
         assert rc == 2
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert result["status"] == "infeasible"
         assert "psi" in result["cert"] and "phi" in result["cert"]
 
@@ -444,7 +458,7 @@ class TestCliDominate:
         rc, _, _ = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p,
                             "--output", out, "--quiet"])
         assert rc == 0
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert result["dominates"] is True
         rows = np.array(result["kernel"])
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
@@ -459,7 +473,7 @@ class TestCliDominate:
         rc, _, _ = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p,
                             "--output", out, "--quiet"])
         assert rc == 2
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert result["dominates"] is False
         assert "psi" in result["cert"] and "phi" in result["cert"]
 
@@ -481,7 +495,7 @@ class TestCliDominate:
         rc, _, _ = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p, "--blackwell",
                             "--samples", "16", "--seed", "7", "--output", out, "--quiet"])
         assert rc == 0
-        rep = json.loads(open(out).read())["report"]
+        rep = read_json(out)["report"]
         assert rep["plan_feasible"] == rep["kernel_feasible"] is True
         assert rep["jensen"]["min_gap"] >= -1e-8
         assert rep["cert"]["kind"] == "kernel"
@@ -499,7 +513,7 @@ class TestCliDominate:
                 out = str(tmp_path / "o.json")
                 rc, _, _ = run_cli(["dominate", *source, *mode, "--output", out, "--quiet"])
                 assert rc == 0, mode
-                texts.append(re.sub(r'"wallMillis":[^,}]+', "", open(out).read()))
+                texts.append(re.sub(r'"wallMillis":[^,}]+', "", read_text(out)))
             assert texts[0] == texts[1] == texts[2], mode
 
 
@@ -510,7 +524,7 @@ class TestCliOther:
         rc, _, _ = run_cli(["refine", "--density", "1,2x", "--targets", targets,
                             "--grids", "25,100", "--output", out, "--quiet"])
         assert rc == 0
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert [e["N"] for e in result["entries"]] == [25, 100]
         assert result["spreadTrend"] in ("stable", "increasing", "mixed")
         assert all(e["gap"] <= 1e-7 for e in result["entries"])
@@ -529,7 +543,7 @@ class TestCliOther:
         rc, _, _ = run_cli(["chain", "--input", prob, "--output", out, "--quiet"])
         assert rc == 0
         result, residuals = residuals_of(out)
-        hops = json.loads(open(prob).read())["payload"]["hops"]
+        hops = read_json(prob)["payload"]["hops"]
         assert result["hops"] == hops
         assert len(result["plans"]) == hops + 1
         assert max(residuals.values()) <= 1e-9
@@ -540,11 +554,11 @@ class TestCliOther:
         run_cli(["gen", "--kind", "chain", "--seed", "11", "--output", prob, "--quiet"])
         rc, _, _ = run_cli(["chain", "--input", prob, "--n", "3", "--output", out, "--quiet"])
         assert rc == 0
-        assert len(json.loads(open(out).read())["plans"]) == 4
+        assert len(read_json(out)["plans"]) == 4
         rc, _, _ = run_cli(["chain", "--input", prob, "--free-medium",
                             "--output", out, "--quiet"])
         assert rc == 0
-        free = json.loads(open(out).read())
+        free = read_json(out)
         assert free["freeMedium"] is True
 
     def test_game_value_and_restriction(self, tmp_path):
@@ -553,9 +567,9 @@ class TestCliOther:
         run_cli(["gen", "--kind", "game", "--seed", "1", "--output", prob, "--quiet"])
         rc, _, _ = run_cli(["game", "--input", prob, "--output", out, "--quiet"])
         assert rc == 0
-        full = json.loads(open(out).read())
+        full = read_json(out)
         assert max(full["diagnostics"]["residuals"].values()) <= 1e-8
-        ny = len(json.loads(open(prob).read())["payload"]["payoff"][0])
+        ny = len(read_json(prob)["payload"]["payoff"][0])
         restrict = write(tmp_path, "r.json", {
             "space": {"labels": [f"y{j}" for j in range(ny)]},
             "weights": [1.0, 1.0] + [0.0] * (ny - 2),
@@ -563,7 +577,7 @@ class TestCliOther:
         rc, _, _ = run_cli(["game", "--input", prob, "--restrict", restrict,
                             "--output", out, "--quiet"])
         assert rc == 0
-        sub = json.loads(open(out).read())
+        sub = read_json(out)
         # fewer columns can only help the row player
         assert sub["value"] >= full["value"] - 1e-8
         assert sum(sub["colStrategy"][2:]) == 0.0
@@ -574,7 +588,7 @@ class TestCliOther:
         out = str(tmp_path / "o.json")
         rc, _, _ = run_cli(["moment", "--M", M, "--m", m, "--output", out, "--quiet"])
         assert rc == 2
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert result["certFloor"] >= -1e-12
         assert result["certMargin"] < -1e-9
 
@@ -598,13 +612,13 @@ class TestCliOther:
         rc, _, _ = run_cli(["trig", "--coeffs", coeffs, "--grid", "64",
                             "--output", out, "--quiet"])
         assert rc == 2
-        result = json.loads(open(out).read())
+        result = read_json(out)
         assert result["psd"] is False and result["lpFeasible"] is False
         prob = str(tmp_path / "p.json")
         run_cli(["gen", "--kind", "trig", "--seed", "2", "--output", prob, "--quiet"])
         rc, _, _ = run_cli(["trig", "--input", prob, "--output", out, "--quiet"])
         assert rc == 0
-        assert json.loads(open(out).read())["status"] == "feasible"
+        assert read_json(out)["status"] == "feasible"
 
     def test_conj_and_infconv(self, tmp_path):
         xs = np.linspace(-1.0, 1.0, 33)
@@ -613,7 +627,7 @@ class TestCliOther:
         out = str(tmp_path / "o.json")
         rc, _, _ = run_cli(["conj", "--input", f, "--output", out, "--quiet"])
         assert rc == 0
-        result = json.loads(open(out).read())
+        result = read_json(out)
         # x^2/2 is its own conjugate on a symmetric grid
         assert result["operation"] == "conjugate"
         assert np.max(np.abs(np.array(result["values"])
@@ -621,7 +635,7 @@ class TestCliOther:
         rc, _, _ = run_cli(["conj", "--input", f, "--infconv", g,
                             "--output", out, "--quiet"])
         assert rc == 0
-        assert json.loads(open(out).read())["operation"] == "infConvolution"
+        assert read_json(out)["operation"] == "infConvolution"
 
 
 class TestCliExitCodes:
@@ -731,7 +745,7 @@ class TestCliVerify:
         lines = [l for l in stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 8
         assert all(l.startswith("PASS") for l in lines)
-        report = json.loads(open(out).read())
+        report = read_json(out)
         assert report["ok"] is True
 
     def test_only_filter(self):
@@ -755,7 +769,7 @@ class TestGenCli:
         rc, _, _ = run_cli(["gen", "--kind", "game", "--seed", "1",
                             "--output", out, "--quiet"])
         assert rc == 0
-        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        digest = hashlib.sha256(read_bytes(out)).hexdigest()
         assert digest == GAME_SEED1_SHA256
 
     def test_gen_stdout(self):
@@ -819,7 +833,7 @@ class TestWriteText:
         assert run_cli(["verify", "--only", "chain", "--output", report, "--quiet"])[0] == 0
         serialize.save(generate.gen("game", 1), str(tmp_path / "saved.json"))
         assert written == [gen_out, report, str(tmp_path / "saved.json")]
-        assert json.loads(open(report).read())["ok"] is True
+        assert read_json(report)["ok"] is True
 
     def test_outputs_are_never_opened_with_o_trunc(self, tmp_path, monkeypatch):
         flags = {}
@@ -877,7 +891,7 @@ class TestParserReuse:
                                  ("capacity", "capacity", 3), ("ot", "scalar_ot", 3),
                                  ("game", "game", 1)):
             paths[name] = write(tmp_path, f"{name}.json", generate.gen(kind, seed).as_dict())
-        ny = len(json.loads(open(paths["game"]).read())["payload"]["payoff"][0])
+        ny = len(read_json(paths["game"])["payload"]["payoff"][0])
         paths["restrict"] = write(tmp_path, "r.json", {
             "space": {"labels": [f"y{j}" for j in range(ny)]},
             "weights": [1.0, 1.0] + [0.0] * (ny - 2),
@@ -966,7 +980,7 @@ def test_console_script_round_trip(tmp_path):
         capture_output=True, text=True,
     )
     assert r2.returncode == 0, r2.stderr
-    result = json.loads(open(out).read())
+    result = read_json(out)
     assert result["status"] == "optimal"
 
 

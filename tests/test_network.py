@@ -1,8 +1,11 @@
 """The network simplex against the dense engine and HiGHS, and its certificates.
 
 `reference_run` below is `_Tree.run` as it was before pricing became
-incremental: it prices every arc on every pivot.  The engine must pick the
-same entering arcs and end with the same flows and potentials, bit for bit.
+incremental: it prices every arc on every pivot, and pivots one arc at a
+time with the tree walks the engine had then (`reference_potentials`,
+`reference_pivot`).  The engine must pick the same entering arcs, bound
+flips replayed in one pass included, and end with the same flows and
+potentials, bit for bit.
 """
 
 import tracemalloc
@@ -168,8 +171,90 @@ def test_pivot_limit_applies_to_the_network():
 # --- reference: every arc priced on every pivot -------------------------------
 
 
+def reference_potentials(tree, cost):
+    c = cost.tolist()
+    pi = [0.0] * len(tree.parent)
+    stack = [len(tree.parent) - 1]
+    while stack:
+        w = stack.pop()
+        for v in tree.children[w]:
+            a = tree.pred[v]
+            pi[v] = pi[w] + c[a] if tree.up[v] else pi[w] - c[a]
+            stack.append(v)
+    tree.pi[:] = pi
+
+
+def reference_pivot(tree, e, rc_e):
+    parent, pred, up, depth = tree.parent, tree.pred, tree.up, tree.depth
+    flow, cap = tree.flow, tree.cap
+    forward = tree.state[e] > 0.0
+    a, b = int(tree.tail[e]), int(tree.head[e])
+    first, second = (a, b) if forward else (b, a)
+    side1, side2 = [], []
+    u, v = first, second
+    while u != v:
+        if depth[u] >= depth[v]:
+            side1.append(u)
+            u = parent[u]
+        else:
+            side2.append(v)
+            v = parent[v]
+    delta, out, out_side1 = cap[e], -1, False
+    for k, u in enumerate(side1):
+        f = flow[pred[u]]
+        d = f if up[u] else cap[pred[u]] - f
+        if d < delta:
+            delta, out, out_side1 = d, k, True
+    for k, u in enumerate(side2):
+        f = flow[pred[u]]
+        d = cap[pred[u]] - f if up[u] else f
+        if d <= delta:
+            delta, out, out_side1 = d, k, False
+    if delta == np.inf:
+        raise NumericalBreakdown("network has a cycle of unbounded arcs with negative cost")
+    if delta > 0.0:
+        flow[e] += delta if forward else -delta
+        for u in side1:
+            flow[pred[u]] += -delta if up[u] else delta
+        for u in side2:
+            flow[pred[u]] += delta if up[u] else -delta
+    if out < 0:
+        flow[e] = cap[e] if forward else 0.0
+        tree.state[e] = -tree.state[e]
+        return []
+    path = (side1 if out_side1 else side2)[: out + 1]
+    u_out = path[-1]
+    leave = pred[u_out]
+    at_cap = up[u_out] != out_side1
+    flow[leave] = cap[leave] if at_cap else 0.0
+    tree.state[leave] = -1.0 if at_cap else 1.0
+    tree.state[e] = 0.0
+    u_in, v_in = (first, second) if out_side1 else (second, first)
+    children = tree.children
+    children[parent[u_out]].remove(u_out)
+    prev, prev_pred, prev_up = v_in, e, a == u_in
+    for w in path:
+        old_parent, old_pred, old_up = parent[w], pred[w], up[w]
+        if w != u_out:
+            children[old_parent].remove(w)
+        parent[w], pred[w], up[w] = prev, prev_pred, prev_up
+        children[prev].append(w)
+        prev, prev_pred, prev_up = w, old_pred, not old_up
+    depth[u_in] = depth[v_in] + 1
+    moved, stack = [], [u_in]
+    while stack:
+        w = stack.pop()
+        moved.append(w)
+        dw = depth[w] + 1
+        for ch in children[w]:
+            depth[ch] = dw
+            stack.append(ch)
+    tree.pi[moved] += rc_e if u_in == a else -rc_e
+    return moved
+
+
 def reference_run(tree, cost):
-    tree._potentials(cost)
+    reference_potentials(tree, cost)
     tail, head, state, pi = tree.tail, tree.head, tree.state, tree.pi
     rc = np.empty(cost.size)
     buf = np.empty(cost.size)
@@ -189,15 +274,25 @@ def reference_run(tree, cost):
         tree._pivot(e, float(rc[e]))
 
 
-def traced_solve(problem, run):
-    """Solve `problem` with `run` as `_Tree.run`: the entering arcs, each
+def traced_solve(problem, run, pivot=_Tree._pivot, pivot_limit=None):
+    """Solve `problem` with `run` as `_Tree.run` and `pivot` as
+    `_Tree._pivot`.  Returns the entering arcs (each replayed flip too),
+    the replayed flips, whether each `pivot` call was a bound flip, each
     run's (pivots, flows, potentials) at its end, and the solution."""
-    entering, ends = [], []
-    pivot = _Tree._pivot
+    entering, replayed, flips, ends = [], [], [], []
+    replay = _Tree._replay_flips
 
     def traced_pivot(tree, e, rc_e):
         entering.append(e)
-        return pivot(tree, e, rc_e)
+        moved = pivot(tree, e, rc_e)
+        flips.append(not moved)
+        return moved
+
+    def traced_replay(tree, priced):
+        flipped = replay(tree, priced)
+        entering.extend(flipped)
+        replayed.extend(flipped)
+        return flipped
 
     def traced_run(tree, cost):
         run(tree, cost)
@@ -205,9 +300,10 @@ def traced_solve(problem, run):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tree, "_pivot", traced_pivot)
+        mp.setattr(_Tree, "_replay_flips", traced_replay)
         mp.setattr(_Tree, "run", traced_run)
-        sol = lp.solve(problem)
-    return entering, ends, sol
+        sol = lp.solve(problem, pivot_limit)
+    return entering, replayed, flips, ends, sol
 
 
 @st.composite
@@ -243,13 +339,78 @@ def network_lps(draw):
 @settings(max_examples=80, deadline=None)
 @given(problem=network_lps())
 def test_incremental_pricing_pivots_as_full_pricing(problem):
-    entering, ends, sol = traced_solve(problem, _Tree.run)
-    ref_entering, ref_ends, ref = traced_solve(problem, reference_run)
+    assert_pivots_as_full_pricing(problem)
+
+
+def assert_pivots_as_full_pricing(problem):
+    """The engine against `reference_run`, bit for bit; returns the arcs
+    the engine flipped in replayed streaks, and whether each of the
+    reference's pivots was a bound flip."""
+    entering, replayed, _, ends, sol = traced_solve(problem, _Tree.run)
+    ref_entering, ref_replayed, ref_flips, ref_ends, ref = traced_solve(
+        problem, reference_run, reference_pivot
+    )
+    assert not ref_replayed
     assert entering == ref_entering
     assert ends == ref_ends
     assert sol.status == ref.status and sol.iterations == ref.iterations
     for got, want in ((sol.x, ref.x), (sol.y, ref.y), (sol.farkas, ref.farkas)):
-        assert (got is None and want is None) or np.array_equal(got, want)
+        assert (got is None and want is None) or (got.tobytes() == want.tobytes())
+    return replayed, ref_flips
+
+
+def capacity_lp(seed):
+    """The LP `solve_capacity` states for the 30x30 `capacity` instance."""
+    data = generate.gen("capacity", seed, {"nx": 30, "ny": 30}).data
+    seen = []
+
+    def spy(problem, pivot_limit=None):
+        seen.append(problem)
+        return lp.solve(problem, pivot_limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "solve", spy)
+        scalar.solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
+    (problem,) = seen
+    return problem
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_replayed_star_flips_pivot_as_full_pricing(seed):
+    # caps below the balances make the star's first pivots a streak of
+    # bound flips, which the engine replays in one pass, all of it
+    replayed, ref_flips = assert_pivots_as_full_pricing(capacity_lp(seed))
+    assert replayed and ref_flips[: len(replayed) + 1] == [True] * len(replayed) + [False]
+
+
+@pytest.mark.parametrize("left_at", ["source", "sink"])
+def test_a_cap_equal_to_what_is_left_at_one_end(left_at):
+    # arc 0 costs least; its cap equals the supply its source has left
+    # (a bound flip, replayed) or the demand its sink has left (the sink's
+    # artificial arc leaves the tree instead)
+    if left_at == "source":
+        A, b = TransportIncidence(2, 1, [0, 1], [0, 0]), [2.0, 1.0, 3.0]
+    else:
+        A, b = TransportIncidence(1, 2, [0, 0], [0, 1]), [3.0, 2.0, 1.0]
+    problem = LpProblem(c=[-1.0, 0.0], A=A, b=b, kinds=["eq"] * 3, upper=[2.0, np.inf])
+    replayed, ref_flips = assert_pivots_as_full_pricing(problem)
+    assert replayed == ([0] if left_at == "source" else [])
+    assert ref_flips[0] == (left_at == "source")
+
+
+def test_pivot_limit_inside_the_replayed_streak():
+    problem = capacity_lp(0)
+    entering, replayed, _, _, _ = traced_solve(problem, _Tree.run)
+    assert entering[: len(replayed)] == replayed and len(replayed) > 2
+    for limit in (1, len(replayed) // 2, len(replayed) - 1, len(replayed)):
+        messages = []
+        for run, pivot in ((_Tree.run, _Tree._pivot), (reference_run, reference_pivot)):
+            with pytest.raises(NumericalBreakdown) as exc:
+                traced_solve(problem, run, pivot, pivot_limit=limit)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            f"pivot limit {limit} exceeded after {limit} iterations"
+        )
 
 
 def test_pricing_passes_over_all_arcs_are_rare(monkeypatch):
@@ -257,7 +418,7 @@ def test_pricing_passes_over_all_arcs_are_rare(monkeypatch):
     # re-hung nodes; all arcs are priced only when a run starts or after a
     # basis change that re-hangs many nodes
     events = []
-    run, price, pivot = _Tree.run, _Tree._price, _Tree._pivot
+    run, price, pivot, replay = _Tree.run, _Tree._price, _Tree._pivot, _Tree._replay_flips
 
     def counted_run(tree, cost):
         events.append("run")
@@ -272,9 +433,15 @@ def test_pricing_passes_over_all_arcs_are_rare(monkeypatch):
         events.append("move" if moved else "flip")
         return moved
 
+    def counted_replay(tree, priced):
+        flipped = replay(tree, priced)
+        events.extend(["flip"] * len(flipped))
+        return flipped
+
     monkeypatch.setattr(_Tree, "run", counted_run)
     monkeypatch.setattr(_Tree, "_price", counted_price)
     monkeypatch.setattr(_Tree, "_pivot", counted_pivot)
+    monkeypatch.setattr(_Tree, "_replay_flips", counted_replay)
     data = generate.gen("capacity", 1, {"nx": 30, "ny": 30}).data
     scalar.solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
     assert events.count("flip") > events.count("move") > 0

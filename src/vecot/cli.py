@@ -7,7 +7,9 @@ result text is parsed back and its residuals recomputed from the
 serialized numbers; a mismatch aborts with the numerical-breakdown exit
 code rather than publishing an inconsistent file.
 
-Each solve command is a (load, solve) pair; solve returns ``(result,
+Each solve command names the problem kind it reads, and `_load` reads it
+through that kind's `serialize` decoder, from `--input` or from the flag
+files that stand in for it.  The command's solve returns ``(result,
 residuals)``, where ``residuals`` maps a result, in memory or re-parsed
 from its own text, to its residuals (or is None).  `_run` does the rest.
 
@@ -96,10 +98,14 @@ def _plan_residuals(data, extra=None):
     return residuals
 
 
-def _write(path, text, quiet) -> None:
-    serialize.write_text(path, text)
-    if not quiet:
-        print(f"wrote {path}")
+def _emit(args, text) -> None:
+    """Write `text` to --output, or else to stdout; --quiet silences stdout."""
+    if args.output:
+        serialize.write_text(args.output, text)
+        if not args.quiet:
+            print(f"wrote {args.output}")
+    elif not args.quiet:
+        sys.stdout.write(text)
 
 
 def _run(args) -> int:
@@ -132,10 +138,7 @@ def _run(args) -> int:
             if abs(val - stored[key]) > REVALIDATE_TOL:
                 raise NumericalBreakdown(f"serialized result fails revalidation on {key}: "
                                          f"{val!r} vs stored {stored[key]!r}")
-    if args.output:
-        _write(args.output, text, args.quiet)
-    elif not args.quiet:
-        sys.stdout.write(text)
+    _emit(args, text)
     return EXIT_INFEASIBLE if result["status"] == "infeasible" else EXIT_OK
 
 
@@ -293,9 +296,36 @@ _SOLVE_OT = {
 VARIANT_KIND = {variant: kind for variant, (kind, _) in _SOLVE_OT.items()}
 
 
-def _payload(kind):
-    """Loader of a wrapped or bare problem of this kind from --input."""
-    return lambda args: serialize.load_payload(args.input, kind)
+class _Variant(argparse.Action):
+    """`solve-ot --variant`, which also sets the problem kind the command reads."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.variant, namespace.kind = value, VARIANT_KIND[value]
+
+
+def _load(args):
+    """The command's problem, read through the decoder of its kind.
+
+    `--input` holds the problem, wrapped or bare.  In its place, each flag
+    of `args.files` names a file that holds one payload key, bare or as
+    ``{key: value}``, and each flag of `args.values` gives a key's value;
+    together they make the payload.  A value flag given with `--input`
+    replaces its key there.  The flags' argparse dests are their payload keys.
+    """
+    files = {key: getattr(args, key) for _, key in args.files}
+    values = {key: getattr(args, key) for _, key in args.values if getattr(args, key) is not None}
+    if args.input:
+        if any(files.values()):
+            stand_ins = "/".join(flag for flag, _ in args.files)
+            raise SchemaError(args.cmd, f"give either --input or {stand_ins}, not both")
+        return {**serialize.load_payload(args.input, args.kind), **values}
+    if not all(files.values()) or len(values) < len(args.values):
+        flags = " and ".join(flag for flag, _ in (*args.files, *args.values))
+        raise SchemaError(args.cmd, f"provide --input, or {flags}")
+    for key, path in files.items():
+        obj = serialize._read_json(path)
+        values[key] = obj[key] if isinstance(obj, dict) and key in obj else obj
+    return serialize.payload_from_json(values, args.kind)
 
 
 def _solve_vot(args, data):
@@ -321,24 +351,11 @@ def _solve_vot(args, data):
     return result, residuals
 
 
-def _load_dominate(args):
-    if not args.blackwell and (args.samples is not None or args.seed is not None):
-        raise SchemaError("dominate", "--samples and --seed apply only with --blackwell")
-    if args.input:
-        if args.mu or args.nu:
-            raise SchemaError("dominate", "give either --input or --mu/--nu, not both")
-        return serialize.load_payload(args.input, "dominance")
-    if not (args.mu and args.nu):
-        raise SchemaError("dominate", "provide --input, or both --mu and --nu")
-    return {
-        side: serialize.vector_measure_from_json(serialize._read_json(path), "$")
-        for side, path in (("mu", args.mu), ("nu", args.nu))
-    }
-
-
 def _solve_dominate(args, data):
     from .vector import blackwell_check, dominates, dominates_n, strong_dominates
 
+    if not args.blackwell and (args.samples is not None or args.seed is not None):
+        raise SchemaError("dominate", "--samples and --seed apply only with --blackwell")
     mu, nu = data["mu"], data["nu"]
     residuals = None
     if args.blackwell:
@@ -437,7 +454,7 @@ def _solve_refine(args, data):
 def _solve_chain(args, data):
     from .chain import ChainProblem, chain_free_medium, chain_ot
 
-    hops = args.n if args.n is not None else data["hops"]
+    hops = data["hops"]
     if args.free_medium:
         value = chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
         return {"status": "optimal", "value": value, "hops": hops, "freeMedium": True}, None
@@ -469,18 +486,12 @@ def _solve_chain(args, data):
     return result, residuals
 
 
-def _load_game(args):
-    data = serialize.load_payload(args.input, "game")
-    if args.restrict:
-        restrict = serialize._read_json(args.restrict)
-        data["restrict"] = serialize.scalar_measure_from_json(restrict, "$")
-    return data
-
-
 def _solve_game(args, data):
     from .applications import game_value, game_value_restricted
 
     payoff, reference = data["payoff"], data["restrict"]
+    if args.restrict:  # one scalar measure, in place of the problem's own
+        reference = serialize.scalar_measure_from_json(serialize._read_json(args.restrict), "$")
     if reference is not None:
         res = game_value_restricted(payoff, reference)
     else:
@@ -503,26 +514,6 @@ def _solve_game(args, data):
     return result, residuals
 
 
-def _field(path: str, key: str, reader):
-    """Read `key` from a JSON object file, or the whole file if it is bare."""
-    obj = serialize._read_json(path)
-    if isinstance(obj, dict):
-        return reader(serialize._require(obj, key, "$"), f"$.{key}")
-    return reader(obj, "$")
-
-
-def _load_moment(args):
-    if args.input:
-        if args.functions or args.target:
-            raise SchemaError("moment", "give either --input or --M/--m, not both")
-        return serialize.load_payload(args.input, "moment")
-    if not (args.functions and args.target):
-        raise SchemaError("moment", "provide --input, or both --M and --m")
-    M = _field(args.functions, "functions", serialize._matrix)
-    m = _field(args.target, "target", lambda x, p: serialize._float_list(x, p, M.shape[0]))
-    return {"functions": M, "target": m}
-
-
 def _solve_moment(args, data):
     from .applications import MomentProblem, moment_feasible
 
@@ -540,22 +531,6 @@ def _solve_moment(args, data):
     return result, None
 
 
-def _load_trig(args):
-    if args.input:
-        if args.coeffs:
-            raise SchemaError("trig", "give either --input or --coeffs, not both")
-        data = serialize.load_payload(args.input, "trig")
-        if args.grid is not None:
-            data["gridSize"] = args.grid
-        return data
-    if not args.coeffs:
-        raise SchemaError("trig", "provide --input or --coeffs")
-    pairs = _field(args.coeffs, "coeffs", lambda x, p: serialize._matrix(x, p, cols=2))
-    if args.grid is None:
-        raise SchemaError("--grid", "required when --coeffs is used")
-    return {"coeffs": pairs[:, 0] + 1j * pairs[:, 1], "gridSize": args.grid}
-
-
 def _solve_trig(args, data):
     from .applications import trig_moment
 
@@ -571,24 +546,20 @@ def _solve_trig(args, data):
 
 
 def _load_conj(args):
+    """A conjugate problem, or a bare grid function; each --infconv file likewise."""
     from .applications import GridFunction
 
-    obj = serialize._read_json(args.input)
-    if isinstance(obj, dict) and ("f" in obj or "kind" in obj and "payload" in obj):
-        payload = serialize._payload_data(obj, "conjugate")
-    else:  # a bare grid function
-        payload = {"f": serialize._grid_function_json(obj, "$"), "others": [], "dualGrid": None}
-    f = GridFunction(payload["f"]["grid"], payload["f"]["values"])
-    others = [GridFunction(o["grid"], o["values"]) for o in payload["others"]]
+    def read(path):
+        obj = serialize._read_json(path)
+        if not (isinstance(obj, dict) and ("f" in obj or "kind" in obj and "payload" in obj)):
+            obj = {"f": obj}  # a bare grid function
+        return serialize.payload_from_json(obj, args.kind)
+
+    data = read(args.input)
     if args.infconv:
-        others = []
-        for p in args.infconv:
-            o = serialize._read_json(p)
-            if isinstance(o, dict) and "f" in o:
-                o = o["f"]
-            d = serialize._grid_function_json(o, "$")
-            others.append(GridFunction(d["grid"], d["values"]))
-    return {"f": f, "others": others, "dualGrid": payload["dualGrid"]}
+        data["others"] = [read(path)["f"] for path in args.infconv]
+    return {"f": GridFunction(**data["f"]), "dualGrid": data["dualGrid"],
+            "others": [GridFunction(**o) for o in data["others"]]}
 
 
 def _solve_conj(args, data):
@@ -607,10 +578,7 @@ def _cmd_gen(args) -> int:
     from . import generate
 
     text = canonical_dumps(generate.gen(args.kind, args.seed or 0).as_dict())
-    if args.output:
-        _write(args.output, text, args.quiet)
-    elif not args.quiet:
-        sys.stdout.write(text)
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -633,7 +601,7 @@ def _cmd_verify(args) -> int:
                     f"expected {c['expected']!r} ({c['op']}, tol {c['tol']!r})"
                 )
     if args.output:
-        _write(args.output, canonical_dumps(report), quiet=True)
+        serialize.write_text(args.output, canonical_dumps(report))
     if not args.quiet:
         n_ok = sum(1 for i in report["items"] if i["ok"])
         print(f"{n_ok}/{len(report['items'])} golden items passed")
@@ -660,23 +628,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vecot", description="transport and duality toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def command(name, help, parents, load=None, solve=None, fn=_run):
+    def command(name, help, parents, solve=None, kind=None, load=_load, files=(), values=(),
+                fn=_run):
         p = sub.add_parser(name, parents=[*parents, _OUTPUT, _QUIET], help=help)
-        p.set_defaults(fn=fn, load=load, solve=solve)
+        p.set_defaults(fn=fn, kind=kind, load=load, solve=solve, files=files, values=values)
         return p
 
-    p = command(
-        "solve-ot", "scalar transport variants", [_INPUT, _TOL],
-        lambda args: serialize.load_payload(args.input, VARIANT_KIND[args.variant]),
-        lambda args, data: _SOLVE_OT[args.variant][1](data),
-    )
-    p.add_argument("--variant", choices=sorted(VARIANT_KIND), default="plain")
+    p = command("solve-ot", "scalar transport variants", [_INPUT, _TOL],
+                lambda args, data: _SOLVE_OT[args.variant][1](data), VARIANT_KIND["plain"])
+    p.add_argument("--variant", choices=sorted(VARIANT_KIND), default="plain", action=_Variant)
 
-    command("solve-vot", "vector-valued transport", [_INPUT, _TOL],
-            _payload("vector_ot"), _solve_vot)
+    command("solve-vot", "vector-valued transport", [_INPUT, _TOL], _solve_vot, "vector_ot")
 
-    p = command("dominate", "dominance queries", [_INPUT_OPTIONAL, _SEED],
-                _load_dominate, _solve_dominate)
+    p = command("dominate", "dominance queries", [_INPUT_OPTIONAL, _SEED], _solve_dominate,
+                "dominance", files=(("--mu", "mu"), ("--nu", "nu")))
     p.add_argument("--mu", help="source vector measure file")
     p.add_argument("--nu", help="target vector measure file")
     mode = p.add_mutually_exclusive_group()
@@ -686,28 +651,31 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None,
                    help="convex test functions for --blackwell (default 64)")
 
-    p = command("refine", "grid refinement study", [], _load_refine, _solve_refine)
+    p = command("refine", "grid refinement study", [], _solve_refine, load=_load_refine)
     p.add_argument("--density", required=True, help='component spec, e.g. "1,2x"')
     p.add_argument("--targets", required=True, help="target values file")
     p.add_argument("--grids", required=True, help="comma-separated grid sizes")
 
-    p = command("chain", "multi-hop transport", [_INPUT], _payload("chain"), _solve_chain)
-    p.add_argument("--n", type=int, default=None, help="override the hop count")
+    p = command("chain", "multi-hop transport", [_INPUT], _solve_chain, "chain",
+                values=(("--n", "hops"),))
+    p.add_argument("--n", dest="hops", type=int, default=None, help="override the hop count")
     p.add_argument("--free-medium", action="store_true", help="leave the medium free")
 
-    p = command("game", "matrix game value", [_INPUT], _load_game, _solve_game)
+    p = command("game", "matrix game value", [_INPUT], _solve_game, "game")
     p.add_argument("--restrict", help="scalar measure restricting the column player")
 
-    p = command("moment", "moment feasibility", [_INPUT_OPTIONAL],
-                _load_moment, _solve_moment)
+    p = command("moment", "moment feasibility", [_INPUT_OPTIONAL], _solve_moment, "moment",
+                files=(("--M", "functions"), ("--m", "target")))
     p.add_argument("--M", dest="functions", help="moment functions file")
     p.add_argument("--m", dest="target", help="target vector file")
 
-    p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL], _load_trig, _solve_trig)
+    p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL], _solve_trig, "trig",
+                files=(("--coeffs", "coeffs"),), values=(("--grid", "gridSize"),))
     p.add_argument("--coeffs", help="coefficient file")
-    p.add_argument("--grid", type=int, default=None, help="circle grid size")
+    p.add_argument("--grid", dest="gridSize", type=int, default=None, help="circle grid size")
 
-    p = command("conj", "discrete convex conjugate", [_INPUT], _load_conj, _solve_conj)
+    p = command("conj", "discrete convex conjugate", [_INPUT], _solve_conj, "conjugate",
+                load=_load_conj)
     p.add_argument("--infconv", nargs="+", default=None,
                    help="convolve the input with these grid functions instead")
 

@@ -80,26 +80,6 @@ class SplitMix64:
         return out
 
 
-DEFAULT_SIZES = {
-    "scalar_ot": {"nx": 6, "ny": 6},
-    "partial": {"nx": 6, "ny": 6},
-    "capacity": {"nx": 4, "ny": 4},
-    "invariant": {"nx": 4, "ny": 4},
-    "multi": {"sizes": [3, 3, 3]},
-    "glue": {"nx": 3, "ny": 3, "nz": 3},
-    "local": {"nx": 5, "ny": 5},
-    "strassen": {"nx": 4, "ny": 4},
-    "vector_ot": {"nx": 5, "ny": 3, "d": 2},
-    "dominance": {"nx": 4, "ny": 3, "d": 2},
-    "martingale": {"nx": 5, "ny": 4, "d": 1},
-    "chain": {"k": 5, "hops": 2},
-    "game": {"nx": 5, "ny": 5},
-    "moment": {"k": 3, "n": 64},
-    "trig": {"n": 3, "gridSize": 32},
-    "conjugate": {"n": 65},
-}
-
-
 def _space(prefix: str, n: int) -> dict:
     return {"labels": [f"{prefix}{i}" for i in range(n)]}
 
@@ -116,8 +96,7 @@ def _matched_pair(rng: SplitMix64, nx: int, ny: int):
     return mu, nu
 
 
-def _gen_scalar_ot(rng, size):
-    nx, ny = size["nx"], size["ny"]
+def _gen_scalar_ot(rng, nx=6, ny=6):
     mu, nu = _matched_pair(rng, nx, ny)
     return {
         "mu": _scalar("x", mu),
@@ -126,8 +105,7 @@ def _gen_scalar_ot(rng, size):
     }
 
 
-def _gen_partial(rng, size):
-    nx, ny = size["nx"], size["ny"]
+def _gen_partial(rng, nx=6, ny=6):
     mu = rng.floats(nx, 0.2, 1.0)
     nu = rng.floats(ny, 0.2, 1.0)
     mass = rng.uniform(0.2, 0.8) * min(sum(mu), sum(nu))
@@ -139,9 +117,8 @@ def _gen_partial(rng, size):
     }
 
 
-def _gen_capacity(rng, size):
+def _gen_capacity(rng, nx=4, ny=4):
     # plan drawn first, capacity above it: a feasible instance by design
-    nx, ny = size["nx"], size["ny"]
     plan = rng.matrix(nx, ny, 0.1, 1.0)
     cap = [[v * rng.uniform(1.1, 2.0) for v in row] for row in plan]
     return {
@@ -152,8 +129,7 @@ def _gen_capacity(rng, size):
     }
 
 
-def _gen_invariant(rng, size):
-    nx, ny = size["nx"], size["ny"]
+def _gen_invariant(rng, nx=4, ny=4):
     return {
         "mu": _scalar("x", rng.floats(nx, 0.2, 1.0)),
         "target": _space("y", ny),
@@ -162,8 +138,7 @@ def _gen_invariant(rng, size):
     }
 
 
-def _gen_multi(rng, size):
-    sizes = list(size["sizes"])
+def _gen_multi(rng, sizes=(3, 3, 3)):
     total = None
     measures = []
     for i, n in enumerate(sizes):
@@ -183,9 +158,8 @@ def _gen_multi(rng, size):
     return {"measures": measures, "cost": tensor(sizes)}
 
 
-def _gen_glue(rng, size):
+def _gen_glue(rng, nx=3, ny=3, nz=3):
     # second plan's rows are built on the first plan's middle marginal
-    nx, ny, nz = size["nx"], size["ny"], size["nz"]
     first = rng.matrix(nx, ny, 0.1, 1.0)
     ymarg = [sum(col) for col in zip(*first)]
     second = []
@@ -199,9 +173,8 @@ def _gen_glue(rng, size):
     }
 
 
-def _gen_local(rng, size):
+def _gen_local(rng, nx=5, ny=5):
     # support plan first; cheap on-support costs, dear off-support ones
-    nx, ny = size["nx"], size["ny"]
     plan = [[0.0] * ny for _ in range(nx)]
     for i in range(nx):
         j = rng.integer(0, ny)
@@ -223,8 +196,7 @@ def _gen_local(rng, size):
     }
 
 
-def _gen_strassen(rng, size):
-    nx, ny = size["nx"], size["ny"]
+def _gen_strassen(rng, nx=4, ny=4):
     plan = rng.matrix(nx, ny, 0.1, 1.0)
     G = rng.matrix(nx, ny, -1.0, 1.0)
     attained = sum(G[i][j] * plan[i][j] for i in range(nx) for j in range(ny))
@@ -256,8 +228,7 @@ def _kernel_push(rng, values, ny):
     return out
 
 
-def _gen_vector_ot(rng, size):
-    nx, ny, d = size["nx"], size["ny"], size["d"]
+def _gen_vector_ot(rng, nx=5, ny=3, d=2):
     values = rng.matrix(nx, d, 0.1, 1.0)
     target = _kernel_push(rng, values, ny)
     return {
@@ -267,8 +238,7 @@ def _gen_vector_ot(rng, size):
     }
 
 
-def _gen_dominance(rng, size):
-    nx, ny, d = size["nx"], size["ny"], size["d"]
+def _gen_dominance(rng, nx=4, ny=3, d=2):
     values = rng.matrix(nx, d, 0.1, 1.0)
     return {
         "mu": _vector_measure("x", values),
@@ -276,9 +246,8 @@ def _gen_dominance(rng, size):
     }
 
 
-def _gen_martingale(rng, size):
+def _gen_martingale(rng, nx=5, ny=4, d=1):
     # barycenter targets computed from a drawn plan, so rows already match
-    nx, ny, d = size["nx"], size["ny"], size["d"]
     plan = rng.matrix(nx, ny, 0.1, 1.0)
     f = rng.matrix(nx, d, -1.0, 1.0)
     colsums = [sum(col) for col in zip(*plan)]
@@ -298,8 +267,7 @@ def _gen_martingale(rng, size):
     }
 
 
-def _gen_chain(rng, size):
-    k, hops = size["k"], size["hops"]
+def _gen_chain(rng, k=5, hops=2):
     mu = rng.floats(k, 0.2, 1.0)
     nu = rng.floats(k, 0.2, 1.0)
     med = rng.floats(k, 0.2, 1.0)
@@ -316,13 +284,12 @@ def _gen_chain(rng, size):
     }
 
 
-def _gen_game(rng, size):
-    return {"payoff": rng.matrix(size["nx"], size["ny"], -1.0, 1.0)}
+def _gen_game(rng, nx=5, ny=5):
+    return {"payoff": rng.matrix(nx, ny, -1.0, 1.0)}
 
 
-def _gen_moment(rng, size):
+def _gen_moment(rng, k=3, n=64):
     # mass, mean, raw second moment on a uniform grid of [-2, 2]
-    k, n = size["k"], size["n"]
     xs = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
     M = [[x ** p for x in xs] for p in range(k)]
     w = [0.0] * n
@@ -332,19 +299,17 @@ def _gen_moment(rng, size):
     return {"functions": M, "target": target}
 
 
-def _gen_trig(rng, size):
+def _gen_trig(rng, n=3, gridSize=32):
     # diagonally dominant Toeplitz data: strictly inside the feasible cone
-    n, grid = size["n"], size["gridSize"]
     c0 = rng.uniform(0.5, 2.0)
     r = c0 / (2.0 * (n + 1))
     coeffs = [[c0, 0.0]]
     for _ in range(n):
         coeffs.append([rng.uniform(-r, r), rng.uniform(-r, r)])
-    return {"coeffs": coeffs, "gridSize": grid}
+    return {"coeffs": coeffs, "gridSize": gridSize}
 
 
-def _gen_conjugate(rng, size):
-    n = size["n"]
+def _gen_conjugate(rng, n=65):
     h = 2.0 / (n - 1)
     grid = [-1.0 + h * i for i in range(n)]
     slopes = sorted(rng.floats(n - 1, -0.9, 0.9))
@@ -375,12 +340,12 @@ _GENERATORS = {
 
 
 def gen(kind: str, seed: int, size: Optional[dict] = None) -> ProblemFile:
-    """Generate one schema-valid instance of the given kind."""
+    """Generate one schema-valid instance of the given kind.
+
+    `size` holds keyword arguments of the kind's generator; the defaults
+    are in its signature, and an unknown key raises TypeError.
+    """
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
-    merged = dict(DEFAULT_SIZES[kind])
-    if size:
-        merged.update(size)
-    rng = SplitMix64(seed)
-    payload = _GENERATORS[kind](rng, merged)
+    payload = _GENERATORS[kind](SplitMix64(seed), **(size or {}))
     return parse_problem({"kind": kind, "payload": payload, "seed": int(seed)})

@@ -474,10 +474,11 @@ def load(path: str) -> ProblemFile:
 
 def load_payload(path: str, kind: str) -> dict:
     """Read either a wrapped problem of the given kind or its bare payload."""
-    return _payload_data(_read_json(path), kind)
+    return payload_from_json(_read_json(path), kind)
 
 
-def _payload_data(obj, kind: str) -> dict:
+def payload_from_json(obj, kind: str) -> dict:
+    """Decode an already-parsed wrapped problem of the given kind or its bare payload."""
     if isinstance(obj, dict) and "kind" in obj and "payload" in obj:
         pf = parse_problem(obj)
         if pf.kind != kind:

@@ -384,6 +384,8 @@ def blackwell_check(
     over sampled convex functions (maxima of affine maps).  Without such
     an s* the Jensen direction is reported but not asserted.
     """
+    if g_samples < 1:
+        raise ValueError(f"g_samples must be at least 1, got {g_samples}")
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     d = mu.dim

@@ -1,5 +1,6 @@
 """Serialization schema, seeded generation, golden suite, and CLI exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -325,6 +326,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate.gen("mystery", 1)
 
+    def test_unknown_size_key_raises(self):
+        with pytest.raises(TypeError, match="'n'"):
+            generate.gen("scalar_ot", 1, {"n": 300})
+
 
 class TestGoldenSuite:
     def test_all_items_pass(self):
@@ -515,6 +520,128 @@ class TestCliDominate:
                 assert rc == 0, mode
                 texts.append(re.sub(r'"wallMillis":[^,}]+', "", read_text(out)))
             assert texts[0] == texts[1] == texts[2], mode
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_blackwell_rejects_fewer_than_one_sample(self, tmp_path, samples):
+        dom = write(tmp_path, "dom.json", generate.gen("dominance", 4).as_dict())
+        rc, _, err = run_cli(["dominate", "--input", dom, "--blackwell",
+                              "--samples", samples, "--quiet"])
+        assert rc == 3
+        assert f"g_samples must be at least 1, got {samples}" in err
+
+
+def masked_result(tmp_path, argv):
+    """Exit code and output text of a CLI run, with its wall time removed."""
+    out = str(tmp_path / "o.json")
+    rc, _, err = run_cli([*argv, "--output", out, "--quiet"])
+    assert rc in (0, 2), (argv, err)
+    return rc, re.sub(r'"wallMillis":[^,}]+', "", read_text(out))
+
+
+class TestCliInputForms:
+    """A problem gives the same bytes through --input, wrapped or bare, and
+    through the flag files that stand in for --input."""
+
+    def same_result(self, tmp_path, command, *sources):
+        results = [masked_result(tmp_path, [*command, *source]) for source in sources]
+        assert all(r == results[0] for r in results), command
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_moment(self, tmp_path, seed):
+        pf = generate.gen("moment", seed)
+        M, m = pf.payload["functions"], pf.payload["target"]
+        self.same_result(
+            tmp_path, ["moment"],
+            ["--input", write(tmp_path, "w.json", pf.as_dict())],
+            ["--input", write(tmp_path, "b.json", pf.payload)],
+            ["--M", write(tmp_path, "M.json", M), "--m", write(tmp_path, "m.json", m)],
+            ["--M", write(tmp_path, "Mk.json", {"functions": M}),
+             "--m", write(tmp_path, "mk.json", {"target": m})],
+        )
+
+    @pytest.mark.parametrize("grid", [None, "48"])
+    def test_trig(self, tmp_path, grid):
+        pf = generate.gen("trig", 2)
+        coeffs = pf.payload["coeffs"]
+        size = ["--grid", grid or str(pf.payload["gridSize"])]
+        override = ["--grid", grid] if grid else []
+        self.same_result(
+            tmp_path, ["trig"],
+            ["--input", write(tmp_path, "w.json", pf.as_dict()), *override],
+            ["--input", write(tmp_path, "b.json", pf.payload), *override],
+            ["--coeffs", write(tmp_path, "c.json", coeffs), *size],
+            ["--coeffs", write(tmp_path, "ck.json", {"coeffs": coeffs}), *size],
+        )
+
+    def test_conj_and_infconv(self, tmp_path):
+        pf = generate.gen("conjugate", 3)
+        forms = [write(tmp_path, "w.json", pf.as_dict()), write(tmp_path, "b.json", pf.payload),
+                 write(tmp_path, "f.json", pf.payload["f"])]
+        self.same_result(tmp_path, ["conj"], *(["--input", p] for p in forms))
+        other = generate.gen("conjugate", 4)
+        others = [write(tmp_path, "ow.json", other.as_dict()),
+                  write(tmp_path, "ob.json", other.payload),
+                  write(tmp_path, "of.json", other.payload["f"])]
+        self.same_result(tmp_path, ["conj", "--input", forms[2]],
+                         *(["--infconv", p] for p in others))
+
+    def test_infconv_reads_a_wrapped_problem(self, tmp_path):
+        wrapped = write(tmp_path, "p.json", generate.gen("conjugate", 1).as_dict())
+        out = str(tmp_path / "o.json")
+        rc, _, err = run_cli(["conj", "--input", wrapped, "--infconv", wrapped,
+                              "--output", out, "--quiet"])
+        assert rc == 0, err
+        assert read_json(out)["operation"] == "infConvolution"
+
+    def test_game_restrict(self, tmp_path):
+        pf = generate.gen("game", 1)
+        ny = len(pf.payload["payoff"][0])
+        restrict = {"space": {"labels": [f"y{j}" for j in range(ny)]},
+                    "weights": [1.0, 1.0] + [0.0] * (ny - 2)}
+        held = {**pf.payload, "restrict": restrict}
+        self.same_result(
+            tmp_path, ["game"],
+            ["--input", write(tmp_path, "w.json", pf.as_dict()),
+             "--restrict", write(tmp_path, "r.json", restrict)],
+            ["--input", write(tmp_path, "wr.json", {"kind": "game", "payload": held})],
+            ["--input", write(tmp_path, "br.json", held)],
+        )
+
+    def test_bad_flag_file_names_its_payload_key(self, tmp_path):
+        pf = generate.gen("dominance", 1)
+        bad_mu = json.loads(canonical_dumps(pf.payload["mu"]))
+        bad_mu["values"][0][1] = -1.0
+        rc, _, err = run_cli(["dominate", "--mu", write(tmp_path, "mu.json", bad_mu),
+                              "--nu", write(tmp_path, "nu.json", pf.payload["nu"])])
+        assert rc == 3 and "$.mu.values[0][1]" in err
+        rc, _, err = run_cli(["moment", "--M", write(tmp_path, "M.json", [[1.0, "x"]]),
+                              "--m", write(tmp_path, "m.json", [1.0])])
+        assert rc == 3 and "$.functions[0][1]" in err
+
+
+def test_every_problem_command_reads_its_kind_wrapped_and_bare(tmp_path):
+    """Each subcommand that takes --input names a kind of `serialize.KINDS`,
+    and gives the same bytes for a gen instance of it, wrapped or bare."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shapes = []
+    for name, sub in commands.choices.items():
+        if not any("--input" in a.option_strings for a in sub._actions):
+            continue
+        if name == "solve-ot":
+            shapes += [([name, "--variant", v], kind) for v, kind in cli.VARIANT_KIND.items()]
+        else:
+            shapes.append(([name], sub.get_default("kind")))
+    assert {argv[0] for argv, _ in shapes} == {
+        "solve-ot", "solve-vot", "dominate", "chain", "game", "moment", "trig", "conj"}
+    for argv, kind in shapes:
+        assert kind in serialize.KINDS, argv
+        for seed in range(3):
+            pf = generate.gen(kind, seed)
+            wrapped = write(tmp_path, "w.json", pf.as_dict())
+            bare = write(tmp_path, "b.json", pf.payload)
+            assert (masked_result(tmp_path, [*argv, "--input", wrapped])
+                    == masked_result(tmp_path, [*argv, "--input", bare])), (argv, seed)
 
 
 class TestCliOther:

@@ -441,6 +441,12 @@ class TestBlackwell:
                 assert rep["jensen"]["min_gap"] >= -1e-8
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_sample_count_below_one_is_rejected(self, samples):
+        mu = two_atom_measure()
+        with pytest.raises(ValueError, match=f"g_samples must be at least 1, got {samples}"):
+            blackwell_check(mu, mu, g_samples=samples)
+
 
 class TestPartitionOrder:
     def test_one_block_iff_equal_totals(self):

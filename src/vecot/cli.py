@@ -51,7 +51,7 @@ from .scalar import (
     strassen_feasible,
 )
 from .serialize import SchemaError, canonical_dumps
-from .tolerances import REVALIDATE_TOL, default_tol
+from .tolerances import REVALIDATE_TOL, default_tol, tolerance
 
 EXIT_OK = 0
 EXIT_GOLDEN = 1
@@ -310,7 +310,8 @@ def _load(args):
     of `args.files` names a file that holds one payload key, bare or as
     ``{key: value}``, and each flag of `args.values` gives a key's value;
     together they make the payload.  A value flag given with `--input`
-    replaces its key there.  The flags' argparse dests are their payload keys.
+    replaces its key in the file's payload before it is decoded.  The
+    flags' argparse dests are their payload keys.
     """
     files = {key: getattr(args, key) for _, key in args.files}
     values = {key: getattr(args, key) for _, key in args.values if getattr(args, key) is not None}
@@ -318,7 +319,7 @@ def _load(args):
         if any(files.values()):
             stand_ins = "/".join(flag for flag, _ in args.files)
             raise SchemaError(args.cmd, f"give either --input or {stand_ins}, not both")
-        return {**serialize.load_payload(args.input, args.kind), **values}
+        return serialize.load_payload(args.input, args.kind, values)
     if not all(files.values()) or len(values) < len(args.values):
         flags = " and ".join(flag for flag, _ in (*args.files, *args.values))
         raise SchemaError(args.cmd, f"provide --input, or {flags}")
@@ -620,7 +621,7 @@ _OUTPUT = _flag("--output", help="write the result here instead of stdout")
 _QUIET = _flag("--quiet", action="store_true", help="suppress chatter")
 _INPUT = _flag("--input", required=True, help="input file")
 _INPUT_OPTIONAL = _flag("--input", help="input file")
-_TOL = _flag("--tol", type=float, help="tolerance override")
+_TOL = _flag("--tol", type=tolerance, help="tolerance override")
 _SEED = _flag("--seed", type=int, help="random seed")
 
 

@@ -359,9 +359,8 @@ def _decode_moment(payload, path):
 
 def _decode_trig(payload, path):
     pairs = _matrix(_require(payload, "coeffs", path), f"{path}.coeffs", cols=2)
+    # `applications.trig_moment` owns the size rule: at least 4 points per coefficient
     grid = _integer(_require(payload, "gridSize", path), f"{path}.gridSize")
-    if grid < 1:
-        raise SchemaError(f"{path}.gridSize", f"expected a positive size, got {grid}")
     return {"coeffs": pairs[:, 0] + 1j * pairs[:, 1], "gridSize": grid}
 
 
@@ -472,14 +471,27 @@ def load(path: str) -> ProblemFile:
     return parse_problem(_read_json(path))
 
 
-def load_payload(path: str, kind: str) -> dict:
-    """Read either a wrapped problem of the given kind or its bare payload."""
-    return payload_from_json(_read_json(path), kind)
+def load_payload(path: str, kind: str, values=None) -> dict:
+    """Read either a wrapped problem of the given kind or its bare payload.
+
+    Each key of `values` replaces that key of the payload before it is
+    decoded, so the decoder checks it as it checks the file.
+    """
+    obj = _read_json(path)
+    payload = obj["payload"] if _wrapped(obj) else obj
+    if values and isinstance(payload, dict):
+        payload.update(values)
+    return payload_from_json(obj, kind)
+
+
+def _wrapped(obj) -> bool:
+    """Whether a parsed document is a wrapped problem rather than a bare payload."""
+    return isinstance(obj, dict) and "kind" in obj and "payload" in obj
 
 
 def payload_from_json(obj, kind: str) -> dict:
     """Decode an already-parsed wrapped problem of the given kind or its bare payload."""
-    if isinstance(obj, dict) and "kind" in obj and "payload" in obj:
+    if _wrapped(obj):
         pf = parse_problem(obj)
         if pf.kind != kind:
             raise SchemaError("$.kind", f"expected {kind!r}, got {pf.kind!r}")

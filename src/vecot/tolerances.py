@@ -4,6 +4,7 @@ Every module compares against these constants instead of scattering
 magic numbers; tests import them so the contract stays in one place.
 """
 
+import math
 import os
 
 # entrywise equality of matrices / vectors
@@ -33,15 +34,27 @@ NEG_TOL = 1e-9
 REVALIDATE_TOL = 1e-9
 
 
+def tolerance(raw) -> float:
+    """A tolerance as a float; raise ValueError unless it is finite.
+
+    A NaN or infinite tolerance would make every comparison against it
+    pass or fail regardless of the measured value.
+    """
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"tolerance must be finite, got {raw!r}")
+    return value
+
+
 def default_tol() -> float:
     """Default gap tolerance; the VECOT_TOL environment variable overrides it."""
     raw = os.environ.get("VECOT_TOL")
     if raw is None:
         return GAP_TOL
     try:
-        value = float(raw)
+        value = tolerance(raw)
     except ValueError:
-        raise ValueError(f"VECOT_TOL must parse as a float, got {raw!r}") from None
+        raise ValueError(f"VECOT_TOL must parse as a finite float, got {raw!r}") from None
     if value <= 0.0:
         raise ValueError("VECOT_TOL must be positive")
     return value

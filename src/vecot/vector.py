@@ -11,6 +11,12 @@ to a single scalar t(x), solved per atom by least squares, or are
 contradictory, which yields an immediate analytic certificate.  The LP
 therefore carries one row per source atom plus d rows per target atom.
 
+Zero masses.  Every LP here is stated over all source atoms.  An atom
+with reference weight 0 carries no mass, so its row sum is t(x) = 0,
+which pins its cells at 0; the dense engine's certified dual or Farkas
+vector prices its row like any other, and its vector potential psi(x)
+is 0.
+
 Dominance of one measure over another is feasibility of this polytope
 with the dominating measure's own density; a feasible plan disintegrates
 into a Markov kernel pushing the source exactly onto the target, and
@@ -118,18 +124,18 @@ def _live_atoms(mu: VectorMeasure, eta: np.ndarray) -> np.ndarray:
     return live
 
 
-def _row_scalars(values_live: np.ndarray, eta_live: np.ndarray):
+def _row_scalars(values: np.ndarray, eta: np.ndarray, live: np.ndarray):
     """Reduce the per-atom d equations eta(x) * t = values(x) to t(x).
 
-    Returns (t, None) when consistent, or (None, (local_index, residual))
-    naming the first inconsistent live atom; residual is None when the
-    equations are proportional but force a negative row sum.
+    Atoms outside `live` carry no mass and get t(x) = 0.  Returns (t, None)
+    when consistent, or (None, (x, residual)) naming the first
+    inconsistent atom; residual is None when the equations are
+    proportional but force a negative row sum.
     """
-    k = values_live.shape[0]
-    t = np.empty(k)
-    for x in range(k):
-        e = values_live[x]
-        h = eta_live[x]
+    t = np.zeros(values.shape[0])
+    for x in live:
+        e = values[x]
+        h = eta[x]
         tx = float(h @ e) / float(h @ h)
         resid = e - tx * h
         scale = max(1.0, float(np.max(np.abs(e))))
@@ -172,38 +178,45 @@ def _finalize_cert(psi, phi, eta, mu_values, nu_values) -> dict:
     return {"psi": psi, "phi": phi, "total": total}
 
 
-def _analytic_cert(bad, eta_live, values_live, live, nx, ny, d):
+def _analytic_cert(bad, eta, values, ny):
     """Raw potentials certifying contradictory X-side equations at one atom."""
-    x_local, resid = bad
-    x_global = int(live[x_local])
-    psi = np.zeros((nx, d))
-    phi = np.zeros((ny, d))
-    h = eta_live[x_local]
+    x, resid = bad
+    psi = np.zeros(eta.shape)
+    phi = np.zeros((ny, eta.shape[1]))
+    h = eta[x]
     hh = float(h @ h)
-    e = values_live[x_local]
+    e = values[x]
     if resid is not None:
         # strip the density direction once more so the pairing is clean
         r2 = resid - (float(resid @ h) / hh) * h
         denom = float(r2 @ e)
-        psi[x_global] = -r2 * (10.0 * CERT_TOL / denom)
+        psi[x] = -r2 * (10.0 * CERT_TOL / denom)
     else:
         tx = float(h @ e) / hh
-        psi[x_global] = -(10.0 * CERT_TOL / (tx * hh)) * h
+        psi[x] = -(10.0 * CERT_TOL / (tx * hh)) * h
     return psi, phi
 
 
-def _plan_system(eta_live: np.ndarray, t_live: np.ndarray, nu_values: np.ndarray):
+def _plan_system(eta: np.ndarray, t: np.ndarray, nu_values: np.ndarray):
     """Equality system of the plan polytope in the collapsed encoding."""
-    k, d = eta_live.shape
+    k, d = eta.shape
     ny = nu_values.shape[0]
     cells = np.arange(k * ny)
     ix, iy = _marginal_index((k, ny), (0,)), _marginal_index((k, ny), (1,))
     A = np.zeros((k + d * ny, k * ny))
     A[ix, cells] = 1.0
     # component i of the target marginal, weighted by the density: row k + i * ny + y
-    A[k + ny * np.arange(d)[:, None] + iy, cells] = eta_live[ix].T
-    b = np.concatenate([t_live, nu_values.T.ravel()])
+    A[k + ny * np.arange(d)[:, None] + iy, cells] = eta[ix].T
+    b = np.concatenate([t, nu_values.T.ravel()])
     return A, b
+
+
+def _vector_potentials(Psi: np.ndarray, eta: np.ndarray, live: np.ndarray):
+    """psi(x) = Psi(x) eta(x) / |eta(x)|^2 at atoms with mass, 0 elsewhere."""
+    psi = np.zeros(eta.shape)
+    h = eta[live]
+    psi[live] = Psi[live, None] * h / np.einsum("xi,xi->x", h, h)[:, None]
+    return psi
 
 
 def _collapsed_solve(
@@ -217,54 +230,26 @@ def _collapsed_solve(
     nx, d = mu.space.size, mu.dim
     ny = nu_values.shape[0]
     live = _live_atoms(mu, eta)
-    eta_live = eta[live]
-    values_live = mu.values[live]
-    t_live, bad = _row_scalars(values_live, eta_live)
+    t, bad = _row_scalars(mu.values, eta, live)
     if bad is not None:
-        psi, phi = _analytic_cert(bad, eta_live, values_live, live, nx, ny, d)
+        psi, phi = _analytic_cert(bad, eta, mu.values, ny)
         cert = _finalize_cert(psi, phi, eta, mu.values, nu_values)
         raise InfeasibleTransport("source equations are contradictory at an atom", cert)
-    k = live.size
-    if k == 0:
-        if np.max(np.abs(nu_values)) > FEAS_TOL:
-            phi = -nu_values * (10.0 * CERT_TOL / float((nu_values**2).sum()))
-            cert = _finalize_cert(np.zeros((nx, d)), phi, eta, mu.values, nu_values)
-            raise InfeasibleTransport("empty source cannot reach a nonzero target", cert)
-        plan = TransportPlan(mu.space, nu_space, np.zeros((nx, ny)))
-        return OtResult(
-            0.0, plan, np.zeros((nx, d)), np.zeros((ny, d)),
-            extras={"Psi": cost.min(axis=1), "t": np.zeros(nx)},
-        )
-    A, b = _plan_system(eta_live, t_live, nu_values)
-    problem = LpProblem(c=cost[live].ravel(), A=A, b=b, kinds=["eq"] * A.shape[0])
+    A, b = _plan_system(eta, t, nu_values)
+    problem = LpProblem(c=cost.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0])
     sol = solve_vertex(problem) if vertex else solve(problem)
     if sol.status == "infeasible":
-        psi_t = sol.farkas[:k]
-        phi = sol.farkas[k:].reshape(d, ny).T
-        psi = np.zeros((nx, d))
-        psi[live] = psi_t[:, None] * eta_live / np.einsum(
-            "xi,xi->x", eta_live, eta_live
-        )[:, None]
+        psi = _vector_potentials(sol.farkas[:nx], eta, live)
+        phi = sol.farkas[nx:].reshape(d, ny).T
         cert = _finalize_cert(psi, phi, eta, mu.values, nu_values)
         raise InfeasibleTransport("the plan polytope is empty", cert)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"vector transport LP returned {sol.status}")
-    Psi = np.empty(nx)
-    Psi[live] = sol.y[:k]
-    phi = sol.y[k:].reshape(d, ny).T
-    dead = np.setdiff1d(np.arange(nx), live)
-    if dead.size:
-        Psi[dead] = np.min(cost[dead] - eta[dead] @ phi.T, axis=1)
-    psi = np.zeros((nx, d))
-    psi[live] = Psi[live, None] * eta_live / np.einsum(
-        "xi,xi->x", eta_live, eta_live
-    )[:, None]
-    t_full = np.zeros(nx)
-    t_full[live] = t_live
-    mat = np.zeros((nx, ny))
-    mat[live] = np.maximum(sol.x, 0.0).reshape(k, ny)
-    plan = TransportPlan(mu.space, nu_space, mat)
-    return OtResult(sol.value, plan, psi, phi, extras={"Psi": Psi, "t": t_full})
+    Psi = sol.y[:nx]
+    psi = _vector_potentials(Psi, eta, live)
+    phi = sol.y[nx:].reshape(d, ny).T
+    plan = TransportPlan(mu.space, nu_space, np.maximum(sol.x, 0.0).reshape(nx, ny))
+    return OtResult(sol.value, plan, psi, phi, extras={"Psi": Psi, "t": t})
 
 
 def solve_vector_ot(problem: VectorOtProblem) -> OtResult:
@@ -308,11 +293,12 @@ def dominates(mu: VectorMeasure, nu: Union[VectorMeasure, np.ndarray]):
     except InfeasibleTransport as exc:
         return False, DominanceCert("farkas", exc.cert)
     # each row over its own sum: the LP meets a row's equation sum = t only
-    # to its tolerance, and a Kernel row must sum to 1 to rounding
+    # to its tolerance, and a Kernel row must sum to 1 to rounding; a row
+    # without mass is 0 only up to rounding and stays uniform
     plan = res.plan.matrix
     sums = plan.sum(axis=1)
     rows = np.full((nx, ny), 1.0 / ny)
-    alive = sums > 0.0
+    alive = (sums > 0.0) & (mu.ref_weights > 0.0)
     rows[alive] = plan[alive] / sums[alive, None]
     kernel = Kernel(mu.space, nu_space, rows)
     pushed = kernel_apply(kernel, mu)
@@ -335,15 +321,12 @@ def feasible_range(
     direction = np.atleast_2d(np.asarray(direction, dtype=float))
     if base.shape != direction.shape or base.shape[1] != mu.dim:
         raise ValueError("base and direction must share the target shape")
-    live = _live_atoms(mu, mu.density)
-    eta_live = mu.density[live]
-    t_live, bad = _row_scalars(mu.values[live], eta_live)
+    t, bad = _row_scalars(mu.values, mu.density, _live_atoms(mu, mu.density))
     if bad is not None:
         return None
-    A, b = _plan_system(eta_live, t_live, base)
-    k = live.size
+    A, b = _plan_system(mu.density, t, base)
     # extra free variable for beta, entering the target rows as -direction
-    col = np.concatenate([np.zeros(k), -direction.T.ravel()])
+    col = np.concatenate([np.zeros(mu.space.size), -direction.T.ravel()])
     A = np.hstack([A, col[:, None]])
     nvar = A.shape[1]
     lower = np.zeros(nvar)
@@ -401,10 +384,9 @@ def blackwell_check(
     dom, cert = dominates(mu, nu)
 
     # second route: variables are kernel entries, rows force stochasticity
-    k = live_mu.size
-    ny = nu.space.size
-    A, b = _plan_system(mu.values[live_mu], np.ones(k), nu.values)
-    ksol = solve(LpProblem(c=np.zeros(k * ny), A=A, b=b, kinds=["eq"] * A.shape[0]))
+    nx, ny = mu.space.size, nu.space.size
+    A, b = _plan_system(mu.values, np.ones(nx), nu.values)
+    ksol = solve(LpProblem(c=np.zeros(nx * ny), A=A, b=b, kinds=["eq"] * A.shape[0]))
     kernel_feasible = ksol.status == "optimal"
     if kernel_feasible != dom:
         raise NumericalBreakdown("plan and kernel encodings disagree on feasibility")
@@ -424,7 +406,7 @@ def blackwell_check(
         # the plan behind the kernel `dominates` returned
         plan = cert.payload.rows * mu.ref_weights[:, None]
         colsum = plan.sum(axis=0)
-        Q = np.full((ny, mu.space.size), 1.0 / mu.space.size)
+        Q = np.full((ny, nx), 1.0 / nx)
         alive = colsum > 0.0
         Q[alive] = plan.T[alive] / colsum[alive, None]
         marg_resid = float(np.max(np.abs(Q.T @ nu.ref_weights - mu.ref_weights)))
@@ -682,13 +664,9 @@ class MultiRangeOracle:
         return self._contains_exact(s, tol)
 
     def _contains_relaxed(self, s) -> bool:
-        mu = self.mu
-        live = np.nonzero(mu.ref_weights > 0.0)[0]
-        vals = mu.values[live]
-        k = live.size
-        n, d = self.n, mu.dim
-        if k == 0:
-            return bool(np.max(np.abs(s)) <= FEAS_TOL)
+        vals = self.mu.values
+        k, d = vals.shape
+        n = self.n
         # variables G[i, x] in [0, 1]: the share of atom x given to part i;
         # row x sums atom x over the parts, row k + i * d + j is component j of part i
         cells = np.arange(n * k)

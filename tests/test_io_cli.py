@@ -607,6 +607,21 @@ class TestCliInputForms:
             ["--input", write(tmp_path, "br.json", held)],
         )
 
+    @pytest.mark.parametrize("kind,flag,key,value", [
+        ("chain", "--n", "hops", -1), ("trig", "--grid", "gridSize", 5),
+        ("trig", "--grid", "gridSize", 0),
+    ])
+    @pytest.mark.parametrize("wrapped", [True, False])
+    def test_value_flag_is_checked_as_the_file_is(self, tmp_path, kind, flag, key, value,
+                                                  wrapped):
+        pf = generate.gen(kind, 1)
+        doc = json.loads(canonical_dumps(pf.as_dict() if wrapped else pf.payload))
+        rc, _, err = run_cli([kind, "--input", write(tmp_path, "p.json", doc),
+                              flag, str(value)])
+        (doc["payload"] if wrapped else doc)[key] = value
+        rc_file, _, err_file = run_cli([kind, "--input", write(tmp_path, "v.json", doc)])
+        assert rc == rc_file == 3 and err == err_file, (err, err_file)
+
     def test_bad_flag_file_names_its_payload_key(self, tmp_path):
         pf = generate.gen("dominance", 1)
         bad_mu = json.loads(canonical_dumps(pf.payload["mu"]))
@@ -795,6 +810,22 @@ class TestCliExitCodes:
         rc, _, err = run_cli(["solve-ot", "--input", prob, "--tol", "0", "--quiet"])
         assert rc == 4
         assert "breakdown" in err
+
+    @pytest.mark.parametrize("flag,env", [
+        ("nan", None), ("inf", None), (None, "nan"), (None, "inf"),
+    ])
+    def test_non_finite_tolerance_exits_3(self, tmp_path, monkeypatch, flag, env):
+        # a NaN or infinite tolerance would let every gap pass unchecked
+        prob = str(tmp_path / "p.json")
+        run_cli(["gen", "--kind", "scalar_ot", "--seed", "1", "--output", prob, "--quiet"])
+        if env is not None:
+            monkeypatch.setenv("VECOT_TOL", env)
+        tol = [] if flag is None else ["--tol", flag]
+        rc, _, err = run_cli(["solve-ot", "--input", prob, *tol, "--quiet"])
+        assert rc == 3, err
+        if flag is not None:
+            rc, _, err = run_cli(["verify", "--tol", flag, "--quiet"])
+            assert rc == 3, err
 
     def test_env_tolerance_respected(self, tmp_path, monkeypatch):
         prob = str(tmp_path / "p.json")

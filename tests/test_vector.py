@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecot import vector
-from vecot.lp import NumericalBreakdown
+from vecot.lp import LpProblem, NumericalBreakdown, certify, farkas_margin
 from vecot.measures import (
     FiniteSpace,
     Kernel,
@@ -17,6 +18,7 @@ from vecot.measures import (
     pushforward,
 )
 from vecot.scalar import InfeasibleTransport, solve_ot
+from vecot.tolerances import CERT_TOL
 from vecot.vector import (
     VectorOtProblem,
     blackwell_check,
@@ -334,7 +336,7 @@ class TestSemiDiscrete:
 
         from vecot.vector import _plan_system, _row_scalars
 
-        t, bad = _row_scalars(mu.values, mu.density)
+        t, bad = _row_scalars(mu.values, mu.density, np.arange(n))
         assert bad is None
         A, b = _plan_system(mu.density, t, nu.values)
         lp = scipy.optimize.linprog(
@@ -730,3 +732,166 @@ class TestMultiRange:
         )
         with pytest.raises(ValueError):
             multi_range(wide, 3, mode="atomicExact")
+
+
+def zero_mass_instance(seed):
+    """A small vector problem with at least one atom of reference weight 0.
+
+    Every fifth seed has no mass at all; a third of the targets are
+    perturbed, so many are not dominated; every third source gives its
+    massless atoms a nonzero density row, and every fourth problem
+    rescales eta, with arbitrary rows at the massless atoms; one in eight
+    draws eta at random, which mostly contradicts the source's directions.
+    """
+    rng = np.random.default_rng(seed)
+    nx, ny, d = (int(v) for v in rng.integers([2, 1, 1], [7, 5, 4]))
+    dead = np.ones(nx, bool) if seed % 5 == 0 else rng.random(nx) < 0.4
+    dead[rng.integers(nx)] = True
+    vals = rng.integers(1, 9, size=(nx, d)) / 8.0
+    vals[dead] = 0.0
+    ref = vals.sum(axis=1)
+    dens = None
+    if seed % 3 == 0:
+        dens = np.divide(vals, ref[:, None], out=np.zeros((nx, d)), where=~dead[:, None])
+        dens[dead] = rng.integers(0, 5, size=(int(dead.sum()), d)) / 4.0
+    mu = VectorMeasure(FiniteSpace([f"x{i}" for i in range(nx)]), vals, ref, dens)
+    nu_vals = rng.dirichlet(np.ones(ny), size=nx).T @ vals
+    if seed % 3 == 1:
+        nu_vals = np.maximum(nu_vals + rng.normal(scale=0.2, size=nu_vals.shape), 0.0)
+    nu = VectorMeasure(FiniteSpace([f"y{j}" for j in range(ny)]), nu_vals)
+    cost = rng.integers(0, 16, size=(nx, ny)) / 4.0
+    eta = None
+    if seed % 4 == 1:
+        eta = mu.density * rng.integers(1, 5, size=(nx, 1)) / 2.0
+        eta[dead] = rng.integers(0, 3, size=(int(dead.sum()), d)) / 2.0
+    elif seed % 8 == 3:  # mostly contradicts the source's own directions
+        eta = rng.integers(1, 5, size=(nx, d)) / 4.0
+    return mu, nu, cost, eta, rng.normal(size=(ny, d)), rng
+
+
+class TestZeroMassAtoms:
+    """Atoms without mass sit in every vector LP as rows with t(x) = 0.
+
+    HiGHS on the LP over the atoms with mass is the oracle for verdicts and
+    values; every LP the engine solves has a row per atom, and its optimum
+    or Farkas vector passes the certificate checks on that whole LP.
+    """
+
+    @staticmethod
+    def highs(c, A, b, bounds):
+        if not len(c):  # no atom has mass: the system is 0 = b
+            return SimpleNamespace(status=0 if not b.any() else 2, fun=0.0)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        res = linprog(c, A_eq=A, b_eq=b, bounds=bounds, method="highs")
+        assert res.status in (0, 2, 3), res.message
+        return res
+
+    @staticmethod
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Every (problem, solution) the vector module's LPs return."""
+        out = []
+        for name in ("solve", "solve_vertex"):
+            real = getattr(vector, name)
+
+            def record(problem, *args, real=real, **kwargs):
+                sol = real(problem, *args, **kwargs)
+                out.append((problem, sol))
+                return sol
+
+            monkeypatch.setattr(vector, name, record)
+        return out
+
+    @staticmethod
+    def check_whole(solved, nrows):
+        for problem, sol in solved:
+            assert problem.nrows == nrows
+            if sol.status == "optimal":
+                certify(problem, sol.x, sol.y, sol.value)
+            elif sol.status == "infeasible":
+                assert farkas_margin(problem, sol.farkas) < -CERT_TOL
+        solved.clear()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_verdicts_values_and_certificates(self, seed, solved):
+        mu, nu, cost, eta, direction, rng = zero_mass_instance(seed)
+        nx, ny, d = mu.space.size, nu.space.size, mu.dim
+        live = mu.ref_weights > 0.0
+        plus = [(0, None)] * (int(live.sum()) * ny)
+
+        # solve_vector_ot against HiGHS on the atoms with mass
+        e = mu.density if eta is None else eta
+        t, bad = vector._row_scalars(mu.values, e, np.nonzero(live)[0])
+        if bad is None:
+            A, b = vector._plan_system(e, t, nu.values)
+            whole = LpProblem(c=cost.ravel(), A=A, b=b, kinds=["eq"] * len(b))
+            ref = self.highs(cost[live].ravel(), *vector._plan_system(e[live], t[live], nu.values),
+                             plus)
+        try:
+            res = solve_vector_ot(VectorOtProblem(mu, nu, cost, eta))
+        except InfeasibleTransport as exc:
+            assert bad is not None or ref.status == 2
+            check_dominance_cert(mu.values, nu.values, e, exc.cert)
+            if bad is None:
+                psi, phi = exc.cert["psi"], exc.cert["phi"]
+                y = np.concatenate([np.einsum("xi,xi->x", psi, e), phi.T.ravel()])
+                assert farkas_margin(whole, y) < -CERT_TOL
+        else:
+            assert bad is None and ref.status == 0
+            assert self.close(res.value, ref.fun)
+            y = np.concatenate([res.extras["Psi"], res.phi.T.ravel()])
+            certify(whole, res.plan.matrix.ravel(), y, res.value)
+            assert not res.psi[~live].any()
+        self.check_whole(solved, nx + d * ny)
+
+        # dominates: the zero-cost plan LP over the source's own density
+        t, bad = vector._row_scalars(mu.values, mu.density, np.nonzero(live)[0])
+        ok, cert = dominates(mu, nu)
+        if bad is None:
+            A, b = vector._plan_system(mu.density[live], t[live], nu.values)
+            assert ok == (self.highs(np.zeros(A.shape[1]), A, b, plus).status == 0)
+        if not ok:
+            check_dominance_cert(mu.values, nu.values, mu.density, cert.payload)
+        self.check_whole(solved, nx + d * ny)
+
+        # feasible_range: the same LP with a free column beta
+        span = feasible_range(mu, nu.values, direction)
+        if bad is None:
+            A = np.hstack([A, np.concatenate([np.zeros(int(live.sum())),
+                                              -direction.T.ravel()])[:, None]])
+            c = np.zeros(A.shape[1])
+            ends = []
+            for sign in (1.0, -1.0):
+                c[-1] = sign
+                r = self.highs(c, A, b, plus + [(None, None)])
+                ends.append(None if r.status == 2 else -sign * np.inf if r.status == 3
+                            else sign * r.fun)
+            if ends[0] is None:
+                assert span is None
+            else:
+                assert span is not None
+                assert all(p == q or self.close(p, q) for p, q in zip(span, ends))
+        self.check_whole(solved, nx + d * ny)
+
+        # blackwell_check: the kernel-variable LP agrees with the plan LP
+        rep = blackwell_check(mu, nu, g_samples=2, seed=seed)
+        assert rep["dominates"] == rep["kernel_feasible"] == ok
+        self.check_whole(solved, nx + d * ny)
+
+        # relaxed multi-range: allocations of each atom over two parts
+        s = rng.dirichlet(np.ones(2), size=nx).T @ mu.values
+        if seed % 2:
+            s = s + rng.normal(scale=0.3, size=s.shape)
+        vals = mu.values[live]
+        k = vals.shape[0]
+        A = np.zeros((k + 2 * d, 2 * k))
+        for i in range(2):
+            A[np.arange(k), i * k + np.arange(k)] = 1.0
+            A[k + i * d: k + (i + 1) * d, i * k: (i + 1) * k] = vals.T
+        b = np.concatenate([np.ones(k), s.ravel()])
+        expect = self.highs(np.zeros(2 * k), A, b, [(0, 1)] * (2 * k)).status == 0
+        assert multi_range(mu, 2).contains(s) == expect
+        self.check_whole(solved, nx + 2 * d)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import ScalarMeasure
-from .tolerances import CERT_TOL, FEAS_TOL, GAME_TOL
+from .tolerances import CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL
 
 __all__ = [
     "GameResult",
@@ -205,7 +205,7 @@ def moment_feasible(problem: MomentProblem) -> MomentResult:
     """Decide existence of a nonnegative measure with prescribed moments.
 
     Returns validated weights (residual within FEAS_TOL) or a validated
-    certificate: alpha.M(x) >= -1e-12 * scale at every atom and
+    certificate: alpha.M(x) >= -CERT_FLOOR_TOL * scale at every atom and
     alpha.target < -CERT_TOL.
     """
     M, m = problem.functions, problem.target
@@ -221,7 +221,7 @@ def moment_feasible(problem: MomentProblem) -> MomentResult:
         raise NumericalBreakdown(f"moment LP returned {sol.status}")
     alpha = sol.farkas.copy()
     floor = float((alpha @ M).min())
-    if floor < -1e-12 * scale:
+    if floor < -CERT_FLOOR_TOL * scale:
         fix = _uniformizer_row(M)
         if fix is None:
             raise NumericalBreakdown("certificate floor not repairable")
@@ -229,7 +229,7 @@ def moment_feasible(problem: MomentProblem) -> MomentResult:
         lift = -floor / float((sign * M[i]).min()) * (1.0 + 1e-9)
         alpha[i] += sign * lift
     margin = float(alpha @ m)
-    if float((alpha @ M).min()) < -1e-12 * scale or not margin < -CERT_TOL:
+    if float((alpha @ M).min()) < -CERT_FLOOR_TOL * scale or not margin < -CERT_TOL:
         raise NumericalBreakdown("moment certificate failed validation")
     return MomentResult(False, cert=alpha)
 
@@ -339,7 +339,7 @@ def conjugate(f: GridFunction, dual_grid=None) -> GridFunction:
         h1 = np.diff(ys)[:-1]
         h2 = np.diff(ys)[1:]
         second = out[2:] * h1 + out[:-2] * h2 - out[1:-1] * (h1 + h2)
-        if second.min() < -1e-12 * scale:
+        if second.min() < -CERT_FLOOR_TOL * scale:
             raise NumericalBreakdown("conjugate lost convexity")
     return GridFunction(ys, out)
 

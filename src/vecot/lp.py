@@ -25,13 +25,14 @@ degenerate run is pure Bland, so the method cannot cycle.  Among blocking
 rows of the ratio test the smallest basic variable index leaves.
 
 The engine works on the problem's own columns and bounds: its matrix is
-``[A | slacks]``, one slack per inequality row, and its point's first
-``n`` entries are the returned primal.  A nonbasic column starts at its
-finite lower bound, else at its finite upper bound, else (free) at 0.  It
-enters in the direction its reduced cost improves, up from below its
-upper bound or down from above its lower bound, so a free column may
-enter either way; it steps from its current value.  A free basic column
-never blocks the ratio test, so it never leaves the basis.
+``[A | slacks | artificials]``, one slack per inequality row and one
+phase-one artificial per row, and its point's first ``n`` entries are the
+returned primal.  A nonbasic column starts at its finite lower bound,
+else at its finite upper bound, else (free) at 0.  It enters in the
+direction its reduced cost improves, up from below its upper bound or
+down from above its lower bound, so a free column may enter either way;
+it steps from its current value.  A free basic column never blocks the
+ratio test, so it never leaves the basis.
 
 There is no presolve: every row and column of ``A`` goes into the
 simplex, and the bounded simplex covers the cases a presolve would
@@ -39,9 +40,12 @@ remove.  A fixed column (``lower == upper``) has no room to move, so it
 never enters the basis and keeps its value exactly.  An all-zero row that
 holds keeps its slack or its phase-one artificial basic (the artificial at
 zero, as a redundant row); one that fails leaves phase one with a positive
-infeasibility, whose duals are the Farkas certificate.  An all-zero
-column is priced like any other: it stays at or flips to its better
-bound, or, when that bound is infinite, gives the unbounded ray.
+infeasibility, whose duals are the Farkas certificate.  Phase two fixes
+every artificial at [0, 0], so a basic one blocks the first step that
+would move it and leaves by an ordinary degenerate pivot, or stays basic
+at zero on a redundant row.  An all-zero column is priced like any
+other: it stays at or flips to its better bound, or, when that bound is
+infinite, gives the unbounded ray.
 
 Conventions
 -----------
@@ -66,7 +70,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tolerances import CERT_DUAL_TOL, CERT_TOL, DRIVE_TOL, DUAL_TOL, FEAS_TOL, GAP_TOL, PIV_TOL
+from .tolerances import CERT_DUAL_TOL, CERT_TOL, DUAL_TOL, FEAS_TOL, GAP_TOL, PIV_TOL
 
 __all__ = [
     "LpProblem", "LpSolution", "NumericalBreakdown", "solve", "solve_vertex", "farkas_margin", "certify",
@@ -281,56 +285,47 @@ class _Engine:
         self.pivot_limit = pivot_limit
         self.iterations = 0
 
-    # ----- standard-form construction --------------------------------------
-
-    def _build(self):
-        p = self.p
-        kinds = np.array(p.kinds, dtype=str)
-        slack_rows = np.flatnonzero(kinds != "eq")
-        ns = slack_rows.size
-        slacks = np.zeros((p.nrows, ns))
-        slacks[slack_rows, np.arange(ns)] = np.where(kinds[slack_rows] == "le", 1.0, -1.0)
-        self.slack_rows = slack_rows  # row slack_rows[k] owns column nvars + k
-        self.Ahat = np.hstack([p.A, slacks])
-        self.chat = np.concatenate([self.sense_sign * p.c, np.zeros(ns)])
-        self.lohat = np.concatenate([p.lower, np.zeros(ns)])
-        self.hihat = np.concatenate([p.upper, np.full(ns, np.inf)])
-        self.bhat = p.b
-
     # ----- simplex state ----------------------------------------------------
 
     def _init_phase1(self):
-        mh = self.p.nrows
-        nh = self.Ahat.shape[1]
+        p = self.p
+        mh, n = p.nrows, p.nvars
+        slack_rows = np.flatnonzero(~p._eq)
+        signs = np.where(p._le[slack_rows], 1.0, -1.0)
+        nh = n + slack_rows.size  # row slack_rows[k] owns column n + k
+        cols = n + np.arange(slack_rows.size)
+        self.first_art = nh  # row i owns artificial column nh + i
+        self.Ahat = np.zeros((mh, nh + mh))
+        self.Ahat[:, :n] = p.A
+        self.Ahat[slack_rows, cols] = signs
+        self.chat = np.zeros(nh + mh)
+        self.chat[:n] = self.sense_sign * p.c
+        self.phase1_cost = np.zeros(nh + mh)
+        self.phase1_cost[nh:] = 1.0
+        self.lohat = np.zeros(nh + mh)
+        self.lohat[:n] = p.lower
+        self.hihat = np.full(nh + mh, np.inf)
+        self.hihat[:n] = p.upper
         lo_finite, hi_finite = np.isfinite(self.lohat), np.isfinite(self.hihat)
-        start_upper = ~lo_finite & hi_finite
+        self.at_upper = ~lo_finite & hi_finite
         x = np.where(lo_finite, self.lohat, np.where(hi_finite, self.hihat, 0.0))
-        resid = self.bhat - self.Ahat @ x
+        resid = p.b - self.Ahat[:, :nh] @ x[:nh]
         # a row's slack starts basic when it can absorb the residual, else
         # the row's artificial, sigma_pos * e_pos, starts basic
-        rows = self.slack_rows
-        cols = self.p.nvars + np.arange(rows.size)
-        val = resid[rows] / self.Ahat[rows, cols]
+        val = resid[slack_rows] / signs
         fits = val >= 0.0
         x[cols[fits]] = val[fits]
         basis = nh + np.arange(mh)
-        basis[rows[fits]] = cols[fits]
+        basis[slack_rows[fits]] = cols[fits]
         took = basis < nh
         sigmas = np.where(resid >= 0.0, 1.0, -1.0)
-        self.first_art = nh
-        self.Ahat = np.hstack([self.Ahat, np.diag(sigmas)])
-        self.chat = np.concatenate([self.chat, np.zeros(mh)])
-        self.phase1_cost = np.concatenate([np.zeros(nh), np.ones(mh)])
-        self.lohat = np.concatenate([self.lohat, np.zeros(mh)])
-        self.hihat = np.concatenate([self.hihat, np.where(took, 0.0, np.inf)])
-        x = np.concatenate([x, np.zeros(mh)])
+        self.Ahat[np.arange(mh), nh + np.arange(mh)] = sigmas
+        self.hihat[nh:] = np.where(took, 0.0, np.inf)
         x[basis[~took]] = resid[~took] / sigmas[~took]
         self.x = x
         self.basis = basis
-        ncols = self.Ahat.shape[1]
-        self.in_basis = np.zeros(ncols, dtype=bool)
+        self.in_basis = np.zeros(nh + mh, dtype=bool)
         self.in_basis[basis] = True
-        self.at_upper = np.concatenate([start_upper, np.zeros(mh, dtype=bool)])
         self.Binv = np.diag(1.0 / self.Ahat[np.arange(mh), basis])
         self.since_refactor = 0
 
@@ -342,7 +337,7 @@ class _Engine:
             raise NumericalBreakdown("basis matrix became singular") from None
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.Binv @ (self.bhat - self.Ahat @ xn)
+        self.x[self.basis] = self.Binv @ (self.p.b - self.Ahat @ xn)
         self.since_refactor = 0
 
     def _loop(self, costs: np.ndarray, allow_unbounded: bool):
@@ -442,49 +437,14 @@ class _Engine:
             self.Binv -= d[:, None] * row
             self.since_refactor += 1
 
-    def _drive_out_artificials(self):
-        """Swap basic artificials for structural columns where possible.
-
-        Fixed columns are not candidates, so they stay nonbasic at their
-        exact value.  An artificial left basic sits at zero with bounds
-        [0, 0] in phase two, where it blocks any step that would move it.
-        """
-        movable = self.hihat[: self.first_art] > self.lohat[: self.first_art]
-        for pos in range(self.p.nrows):
-            bi = int(self.basis[pos])
-            if bi < self.first_art:
-                continue
-            row = self.Binv[pos, :] @ self.Ahat[:, : self.first_art]
-            pickable = movable & ~self.in_basis[: self.first_art]
-            cand = np.nonzero(pickable & (np.abs(row) > DRIVE_TOL))[0]
-            if cand.size == 0:
-                continue  # redundant row; the artificial stays basic at zero
-            j = int(cand[0])
-            d = self.Binv @ self.Ahat[:, j]
-            piv = d[pos]
-            if abs(piv) < DRIVE_TOL:
-                continue
-            self.in_basis[bi] = False
-            self.at_upper[bi] = False
-            self.x[bi] = 0.0
-            self.basis[pos] = j
-            self.in_basis[j] = True
-            # zero-length step: x is unchanged
-            self.Binv[pos, :] /= piv
-            col = d.copy()
-            col[pos] = 0.0
-            self.Binv -= np.outer(col, self.Binv[pos, :])
-            self.iterations += 1
-
     # ----- main -------------------------------------------------------------
 
     def run(self) -> LpSolution:
         p = self.p
-        self._build()
         self._init_phase1()
         status, y1, _ = self._loop(self.phase1_cost, allow_unbounded=False)
         w = float(self.phase1_cost @ self.x)
-        if w > FEAS_TOL * max(1.0, float(np.max(np.abs(self.bhat))) if p.nrows else 1.0):
+        if w > FEAS_TOL * max(1.0, float(np.max(np.abs(p.b))) if p.nrows else 1.0):
             cert = self._certified_farkas(y1)
             return LpSolution(
                 status="infeasible",
@@ -492,7 +452,6 @@ class _Engine:
                 farkas=cert,
                 iterations=self.iterations,
             )
-        self._drive_out_artificials()
         # freeze artificials at zero for phase two
         self.lohat[self.first_art :] = 0.0
         self.hihat[self.first_art :] = 0.0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tolerances import ENTRY_TOL, NEG_TOL
+from .tolerances import ENTRY_TOL, KERNEL_NEG_TOL, NEG_TOL
 
 __all__ = [
     "SpaceMismatch",
@@ -214,7 +214,7 @@ class Kernel:
                 f"rows has shape {r.shape}, expected "
                 f"({self.source.size}, {self.target.size})"
             )
-        if np.any(r < -1e-15):
+        if np.any(r < -KERNEL_NEG_TOL):
             raise ValueError("kernel entries must be nonnegative")
         r = np.where(r < 0.0, 0.0, r)
         sums = r.sum(axis=1)

@@ -26,10 +26,16 @@ CERT_DUAL_TOL = 1e-7
 DUAL_TOL = 1e-9
 # ratio test and pivot elements: smaller entries count as zero
 PIV_TOL = 1e-10
-# pivot elements large enough to swap a zero artificial out of the basis
-DRIVE_TOL = 1e-8
 # readers reject entries below -NEG_TOL and clamp the rest to zero
 NEG_TOL = 1e-9
+# kernel rows reject entries below -KERNEL_NEG_TOL and clamp the rest to zero
+KERNEL_NEG_TOL = 1e-15
+# a certificate's pointwise pairing may dip this far below zero (relative
+# to the data scale where the check names one)
+CERT_FLOOR_TOL = 1e-12
+# a verified dominance kernel may miss its target by this much, relative
+# to max(1, max|target|)
+KERNEL_MISS_TOL = 1e-9
 # a result re-parsed from its own text must reproduce each residual this closely
 REVALIDATE_TOL = 1e-9
 

@@ -45,7 +45,7 @@ from .measures import (
     kernel_apply,
 )
 from .scalar import InfeasibleTransport, OtResult, _marginal_index
-from .tolerances import CERT_TOL, ENTRY_TOL, FEAS_TOL
+from .tolerances import CERT_FLOOR_TOL, CERT_TOL, ENTRY_TOL, FEAS_TOL, KERNEL_MISS_TOL
 
 __all__ = [
     "VectorOtProblem",
@@ -171,7 +171,7 @@ def _finalize_cert(psi, phi, eta, mu_values, nu_values) -> dict:
     pair = np.einsum("xi,xi->x", psi, eta)[:, None] + eta @ phi.T
     floor = float(pair[act].min()) if np.any(act) else 0.0
     total = float((psi * mu_values).sum() + (phi * nu_values).sum())
-    if floor < -1e-12 or not total < -CERT_TOL:
+    if floor < -CERT_FLOOR_TOL or not total < -CERT_TOL:
         raise NumericalBreakdown(
             f"dominance certificate failed validation (floor {floor:.2e}, total {total:.2e})"
         )
@@ -303,7 +303,7 @@ def dominates(mu: VectorMeasure, nu: Union[VectorMeasure, np.ndarray]):
     kernel = Kernel(mu.space, nu_space, rows)
     pushed = kernel_apply(kernel, mu)
     err = float(np.max(np.abs(pushed.values - nu_values)))
-    if err > 1e-9 * max(1.0, float(np.max(np.abs(nu_values)))):
+    if err > KERNEL_MISS_TOL * max(1.0, float(np.max(np.abs(nu_values)))):
         raise NumericalBreakdown(f"kernel certificate misses the target by {err:.2e}")
     return True, DominanceCert("kernel", kernel)
 
@@ -641,7 +641,9 @@ class MultiRangeOracle:
 
     mode "relaxed" decides via fractional allocations (an LP over
     partitions of unity), mode "atomicExact" by enumerating genuine atom
-    assignments.  The relaxed set is convex and contains the exact one.
+    assignments.  Both modes accept a point within `tol` of a part sum in
+    every component, so at every tolerance the relaxed set is convex and
+    contains the exact one.
     """
 
     mu: VectorMeasure
@@ -659,26 +661,31 @@ class MultiRangeOracle:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape != (self.n, self.mu.dim):
             raise ValueError(f"expected {self.n} vectors of dimension {self.mu.dim}")
+        if not tol >= 0.0:
+            raise ValueError(f"tol must be nonnegative, got {tol!r}")
         if self.mode == "relaxed":
-            return self._contains_relaxed(s)
+            return self._contains_relaxed(s, tol)
         return self._contains_exact(s, tol)
 
-    def _contains_relaxed(self, s) -> bool:
+    def _contains_relaxed(self, s, tol) -> bool:
         vals = self.mu.values
         k, d = vals.shape
         n = self.n
-        # variables G[i, x] in [0, 1]: the share of atom x given to part i;
-        # row x sums atom x over the parts, row k + i * d + j is component j of part i
+        # variables G[i, x] in [0, 1]: the share of atom x given to part i,
+        # then one error in [-tol, tol] per row k + i * d + j, which is
+        # component j of part i; row x sums atom x over the parts
         cells = np.arange(n * k)
         part, atom = _marginal_index((n, k), (0,)), _marginal_index((n, k), (1,))
-        A = np.zeros((k + n * d, n * k))
+        A = np.zeros((k + n * d, n * k + n * d))
         A[atom, cells] = 1.0
         A[k + d * part + np.arange(d)[:, None], cells] = vals[atom].T
+        A[k + np.arange(n * d), n * k + np.arange(n * d)] = 1.0
         b = np.concatenate([np.ones(k), s.ravel()])
         sol = solve(
             LpProblem(
-                c=np.zeros(n * k), A=A, b=b, kinds=["eq"] * A.shape[0],
-                upper=np.ones(n * k),
+                c=np.zeros(n * k + n * d), A=A, b=b, kinds=["eq"] * A.shape[0],
+                lower=np.concatenate([np.zeros(n * k), np.full(n * d, -tol)]),
+                upper=np.concatenate([np.ones(n * k), np.full(n * d, tol)]),
             )
         )
         return sol.status == "optimal"

@@ -505,6 +505,47 @@ class TestCliDominate:
         assert rep["jensen"]["min_gap"] >= -1e-8
         assert rep["cert"]["kind"] == "kernel"
 
+    def run_failing(self, tmp_path, mu_vals, nu_vals, mode):
+        """Run `dominate` on a pair that fails `mode`; return the written result."""
+        mu_p, nu_p = self.write_pair(tmp_path, mu_vals, nu_vals,
+                                     [1.0] * len(mu_vals), [1.0] * len(nu_vals))
+        out = str(tmp_path / "o.json")
+        rc, _, _ = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p, *mode,
+                            "--output", out, "--quiet"])
+        assert rc == 2
+        result = read_json(out)
+        assert result["status"] == "infeasible" and result["dominates"] is False
+        return result
+
+    def test_strong_failure_names_an_equal_mass_pair(self, tmp_path):
+        # the whole pair is dominated (identity kernel), but the two
+        # uninformative atoms x2, x3 cannot split into y0 = (1, 0), y1 = (0, 1)
+        mu_vals = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]]
+        nu_vals = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]]
+        result = self.run_failing(tmp_path, mu_vals, nu_vals, ["--strong"])
+        assert result["strong"] is False
+        source, target = result["witness"]["sourceAtoms"], result["witness"]["targetAtoms"]
+        assert source and target
+        np.testing.assert_allclose(np.array(mu_vals)[source].sum(axis=0),
+                                   np.array(nu_vals)[target].sum(axis=0), atol=1e-12)
+
+    def test_blockwise_failure_names_a_partition_into_n_blocks(self, tmp_path):
+        mu_vals = [[0.5, 0.5], [0.5, 0.5]]
+        nu_vals = [[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]]
+        result = self.run_failing(tmp_path, mu_vals, nu_vals, ["--n", "2"])
+        assert result["blocks"] == 2
+        blocks = result["witness"]["partition"]
+        assert len(blocks) == 2 and all(blocks)
+        assert sorted(j for block in blocks for j in block) == [0, 1, 2]
+
+    def test_blackwell_failure_carries_separating_potentials(self, tmp_path):
+        result = self.run_failing(tmp_path, [[0.5, 0.5], [0.5, 0.5]],
+                                  [[1.0, 0.0], [0.0, 1.0]], ["--blackwell"])
+        rep = result["report"]
+        assert rep["plan_feasible"] is rep["kernel_feasible"] is False
+        assert rep["cert"]["kind"] == "farkas"
+        assert {"psi", "phi"} <= set(rep["cert"]["payload"])
+
     def test_input_file_matches_split_files(self, tmp_path):
         pf = generate.gen("dominance", 4)
         mu_p = write(tmp_path, "mu.json", pf.payload["mu"])

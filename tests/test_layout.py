@@ -124,12 +124,13 @@ def ref_martingale(f, g, mu_w, nu_w):
 
 def ref_multi_range(vals, n, s):
     k, d = vals.shape
-    A = np.zeros((k + n * d, n * k))
+    A = np.zeros((k + n * d, n * k + n * d))
     for x in range(k):
-        A[x, x::k] = 1.0
+        A[x, x : n * k : k] = 1.0
     for i in range(n):
         for j in range(d):
             A[k + i * d + j, i * k : (i + 1) * k] = vals[:, j]
+            A[k + i * d + j, n * k + i * d + j] = 1.0
     return A, np.concatenate([np.ones(k), s.ravel()])
 
 

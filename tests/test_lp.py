@@ -344,6 +344,68 @@ def test_certify_rejects_non_finite_numbers(which, bad):
         lp.certify(p, **args)
 
 
+def _one_eq_row(lower, upper):
+    """min x s.t. x = 1 with bounds [lower, upper], solved: x = 1, y = 1."""
+    p = LpProblem(c=[1.0], A=[[1.0]], b=[1.0], kinds=["eq"], lower=[lower], upper=[upper])
+    return p, solve(p)
+
+
+def _one_le_row():
+    """min x0 + x1 s.t. x0 + x1 <= 1, x >= 0, solved: x = 0, y = 0."""
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0], kinds=["le"])
+    return p, solve(p)
+
+
+# each case moves one number of a certified pair just past its tolerance
+# (FEAS_TOL 1e-9, CERT_DUAL_TOL 1e-7, GAP_TOL 1e-7, all at unit scale)
+_CERTIFY_REJECTIONS = {
+    "primal residual": (lambda: _one_eq_row(0.0, np.inf), "x", 0, 2e-9,
+                        "primal residual 2.00e-09 on row 0"),
+    "bounds": (_one_le_row, "x", 1, -2e-9, "primal bounds violated"),
+    "dual sign": (_one_le_row, "y", 0, 2e-7, "dual sign violated on le row 0"),
+    "free variable": (lambda: _one_eq_row(-np.inf, np.inf), "y", 0, -2e-7,
+                      "dual infeasibility at free variable 0"),
+    "unbounded above": (lambda: _one_eq_row(0.0, np.inf), "y", 0, 2e-7,
+                        "dual infeasibility at variable 0"),
+    "slackness at the lower side": (lambda: _one_eq_row(0.0, 2.0), "y", 0, -2e-7,
+                                    "complementary slackness violated at variable 0"),
+    "slackness at the upper side": (lambda: _one_eq_row(0.0, 2.0), "y", 0, 2e-7,
+                                    "complementary slackness violated at variable 0"),
+    "duality gap": (lambda: _one_eq_row(0.0, np.inf), "value", None, 4e-7,
+                    "duality gap 4.000e-07 exceeds tolerance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFY_REJECTIONS))
+def test_certify_rejects_a_pair_just_past_each_tolerance(case):
+    build, which, index, delta, message = _CERTIFY_REJECTIONS[case]
+    p, sol = build()
+    args = {"x": sol.x.copy(), "y": sol.y.copy(), "value": sol.value}
+    lp.certify(p, **args)
+    if index is None:
+        args[which] += delta
+    else:
+        args[which][index] += delta
+    with pytest.raises(NumericalBreakdown) as exc:
+        lp.certify(p, **args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry, delta", [(2, -2e-9), (2, 2e-9), (0, 3e-9)])
+def test_ray_check_rejects_a_ray_just_past_each_tolerance(entry, delta):
+    # min -x0 s.t. x0 - x1 = 0 with x0, x1 >= 0 and an idle x2 in [0, 1]
+    # has the ray (1, 1, 0); the cases leave x2's lower bound, x2's upper
+    # bound and the row, each by more than FEAS_TOL
+    p = LpProblem(c=[-1.0, 0.0, 0.0], A=[[1.0, -1.0, 0.0]], b=[0.0], kinds=["eq"],
+                  upper=[np.inf, np.inf, 1.0])
+    sol = solve(p)
+    np.testing.assert_array_equal(sol.ray, [1.0, 1.0, 0.0])
+    assert lp._ray_valid(p, sol.ray, 1.0)
+    ray = sol.ray.copy()
+    ray[entry] += delta
+    assert not lp._ray_valid(p, ray, 1.0)
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(4, 6))
@@ -722,6 +784,7 @@ class _ReferenceEngine(lp._Engine):
         self.bhat = p.b
 
     def _init_phase1(self):
+        self._build()
         mh = self.p.nrows
         nh = self.Ahat.shape[1]
         lo_finite, hi_finite = np.isfinite(self.lohat), np.isfinite(self.hihat)

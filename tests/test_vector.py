@@ -716,6 +716,33 @@ class TestMultiRange:
         assert multi_range(mu, 2, mode="relaxed").contains(s)
         assert not multi_range(mu, 2, mode="atomicExact").contains(s)
 
+    def test_tolerance_reaches_both_modes(self):
+        # two unit atoms of R^2 in two parts; s misses the split by 1e-3
+        mu = VectorMeasure(FiniteSpace(["p", "q"]), np.eye(2))
+        s = np.eye(2) + 1e-3
+        for mode in ("relaxed", "atomicExact"):
+            oracle = multi_range(mu, 2, mode=mode)
+            assert oracle.contains(s, 1.0)
+            assert not oracle.contains(s)
+            with pytest.raises(ValueError):
+                oracle.contains(s, -1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_member_is_relaxed_member_at_every_tol(self, data):
+        k, d, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        ints = lambda size, lo, hi: np.array(
+            data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+        vals = ints(k * d, 0, 8).reshape(k, d) / 8.0
+        mu = VectorMeasure(FiniteSpace([f"x{i}" for i in range(k)]), vals)
+        s = np.zeros((n, d))
+        for x, part in enumerate(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))):
+            s[part] += vals[x]
+        s += data.draw(st.sampled_from([0.0, 1e-10, 1e-3, 0.1])) * ints(n * d, -4, 4).reshape(n, d)
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.5]))
+        if multi_range(mu, n, mode="atomicExact").contains(s, tol):
+            assert multi_range(mu, n, mode="relaxed").contains(s, tol)
+
     def test_guards(self):
         mu = two_atom_measure()
         with pytest.raises(ValueError):

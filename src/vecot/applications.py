@@ -17,7 +17,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import ScalarMeasure
-from .tolerances import CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL
+from .tolerances import CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL, HERMITIAN_TOL, PSD_TOL
 
 __all__ = [
     "GameResult",
@@ -150,10 +150,7 @@ def game_value_restricted(payoff, reference: ScalarMeasure) -> GameResult:
     tau[support] = _clean_simplex(sol.x[:k])
     value = float(row_side.value)
     sigma = row_side.row_strategy
-    lower_val = float(np.min((sigma @ F)[support]))
-    upper_val = float(np.max(F @ tau))
-    if lower_val < value - GAME_TOL * scale or upper_val > value + GAME_TOL * scale:
-        raise NumericalBreakdown("restricted saddle check failed")
+    _assert_saddle(sub, value, sigma, tau[support], scale)
     return GameResult(value, sigma, tau)
 
 
@@ -257,7 +254,7 @@ def trig_moment(coeffs, grid_size: int) -> dict:
     n = c.shape[0] - 1
     if n < 0:
         raise ValueError("need at least c_0")
-    if abs(c[0].imag) > 1e-12 * max(1.0, abs(c[0])):
+    if abs(c[0].imag) > HERMITIAN_TOL * max(1.0, abs(c[0])):
         raise ValueError("c_0 must be real for a Hermitian moment matrix")
     if grid_size < 4 * (n + 1):
         raise ValueError(f"grid_size must be at least {4 * (n + 1)}, got {grid_size}")
@@ -265,7 +262,7 @@ def trig_moment(coeffs, grid_size: int) -> dict:
     eigs = np.linalg.eigvalsh(C)
     norm = float(np.max(np.abs(eigs))) if c.shape[0] else 0.0
     min_eig = float(eigs.min())
-    psd = min_eig >= -1e-9 * max(1.0, norm)
+    psd = min_eig >= -PSD_TOL * max(1.0, norm)
 
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     # column j holds (e^{-ik theta_j})_k, split into real and imaginary rows

@@ -60,12 +60,7 @@ def reduced_cost(cost, n: int) -> np.ndarray:
     reconstructing paths.
     """
     c = _check_square(cost)
-    if n < 0:
-        raise ValueError(f"intermediate count must be >= 0, got {n}")
-    out = c.copy()
-    for _ in range(n):
-        out = _min_plus(out, c)
-    return out
+    return weighted_reduced_cost(c, np.zeros(c.shape[0]), n)
 
 
 def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
@@ -143,14 +138,11 @@ class ChainResult:
     stages: np.ndarray
 
 
-def _chain_system(k: int, n: int, with_medium_vars: bool):
-    # rows: endpoint row sums, n linking rows, medium average, endpoint
-    # column sums; variables: n+1 plans flattened, then optionally a free
-    # medium measure with coefficient -n in the average rows
+def _chain_system(k: int, n: int, pinned: bool):
+    # rows: endpoint row sums, n linking rows, the medium average when
+    # pinned, endpoint column sums; variables: the n+1 plans flattened
     src, dst = _marginal_index((k, k), (0,)), _marginal_index((k, k), (1,))
-    nplan = (n + 1) * k * k
-    nvar = nplan + (k if with_medium_vars else 0)
-    A = np.zeros(((n + 3) * k, nvar))
+    A = np.zeros(((n + 2 + pinned) * k, (n + 1) * k * k))
 
     def block(i):
         return i * k * k + np.arange(k * k)
@@ -159,41 +151,29 @@ def _chain_system(k: int, n: int, with_medium_vars: bool):
     for i in range(1, n + 1):
         A[i * k + dst, block(i - 1)] = 1.0
         A[i * k + src, block(i)] = -1.0
-        A[(n + 1) * k + src, block(i)] = 1.0
-    med = slice((n + 1) * k, (n + 2) * k)
-    if with_medium_vars:
-        A[med, nplan:] = -float(n) * np.eye(k)
-    A[(n + 2) * k + dst, block(n)] = 1.0
-    return A, med
+        if pinned:
+            A[(n + 1) * k + src, block(i)] = 1.0
+    A[A.shape[0] - k + dst, block(n)] = 1.0
+    return A, slice((n + 1) * k, (n + 2) * k) if pinned else None
 
 
-def _solve_chain_lp(problem: ChainProblem, free_medium: bool):
+def _solve_chain_lp(problem: ChainProblem, pinned: bool):
     k, n = problem.space.size, problem.hops
-    A, med = _chain_system(k, n, free_medium)
-    b = np.concatenate(
-        [
-            problem.mu.weights,
-            np.zeros(n * k),
-            np.zeros(k) if free_medium else n * problem.medium.weights,
-            problem.nu.weights,
-        ]
-    )
-    c_full = np.concatenate(
-        [np.tile(problem.cost.ravel(), n + 1), np.zeros(A.shape[1] - (n + 1) * k * k)]
-    )
-    sol = solve(LpProblem(c=c_full, A=A, b=b, kinds=["eq"] * A.shape[0]))
+    A, med = _chain_system(k, n, pinned)
+    medium = [n * problem.medium.weights] if pinned else []
+    b = np.concatenate([problem.mu.weights, np.zeros(n * k), *medium, problem.nu.weights])
+    sol = solve(LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * A.shape[0]))
     if sol.status == "infeasible":
         y = sol.farkas
-        raise InfeasibleTransport(
-            "no chain of plans meets the prescribed medium average",
-            {
-                "source": y[:k],
-                "linking": y[k : (n + 1) * k].reshape(n, k),
-                "medium": y[med],
-                "target": y[(n + 2) * k :],
-                "margin": float(y @ b),
-            },
-        )
+        cert = {
+            "source": y[:k],
+            "linking": y[k : (n + 1) * k].reshape(n, k),
+            "target": y[-k:],
+            "margin": float(y @ b),
+        }
+        if pinned:
+            cert["medium"] = y[med]
+        raise InfeasibleTransport("no chain of plans meets the prescribed medium average", cert)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"chain LP returned {sol.status}")
     return sol, med
@@ -216,7 +196,7 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
     if problem.hops < 1:
         raise ValueError("chain_ot needs at least one hop measure")
     k, n = problem.space.size, problem.hops
-    sol, med = _solve_chain_lp(problem, free_medium=False)
+    sol, med = _solve_chain_lp(problem, pinned=True)
     mats = [
         np.maximum(sol.x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k)
         for i in range(n + 1)
@@ -237,15 +217,16 @@ def chain_free_medium(
 ) -> float:
     """Best chain value when the medium average is left free.
 
-    Solved as the chain LP with the medium pinned to extra nonnegative
-    variables, then cross-checked against the one-coupling problem with
-    the plain shortcut cost; the two must agree within GAP_TOL.
+    Solved as the chain LP without medium rows: leaving the average free
+    constrains nothing, since any intermediates average to some medium.
+    The value is cross-checked against the one-coupling problem with the
+    plain shortcut cost; the two must agree within GAP_TOL.
     """
     if n < 1:
         raise ValueError("chain_free_medium needs at least one hop measure")
     placeholder = ScalarMeasure(mu.space, np.full(mu.space.size, mu.total() / mu.space.size))
     problem = ChainProblem(mu.space, cost, mu, nu, placeholder, n)
-    sol, _ = _solve_chain_lp(problem, free_medium=True)
+    sol, _ = _solve_chain_lp(problem, pinned=False)
     direct = solve_ot(mu, nu, reduced_cost(problem.cost, n))
     if abs(sol.value - direct.value) > GAP_TOL * (1.0 + abs(sol.value)):
         raise NumericalBreakdown(

@@ -9,8 +9,9 @@ potentials are plain LP duals here.  The others are dense LPs.
 `_marginal_index` is the single owner of the plan-to-column layout:
 every dense LP here and in `vector` and `chain` scatters its marginal
 rows from it.  Every solver returns dual potentials along with
-the optimal plan and checks the certificate inequality of any
-infeasibility before raising.
+the optimal plan, and every infeasible verdict is its LP's Farkas
+vector, which both engines check with `lp.farkas_margin` before
+returning it; a solver only splits it into named potentials.
 
 Sign conventions follow the LP duals directly:
 
@@ -110,33 +111,34 @@ def _marginal_index(shape, axes) -> np.ndarray:
     return index.ravel()
 
 
-def _mass_mismatch_cert(mu: ScalarMeasure, nu: ScalarMeasure) -> dict:
-    s = 1.0 if mu.total() > nu.total() else -1.0
-    psi = np.full(mu.space.size, -s)
-    phi = np.full(nu.space.size, s)
-    margin = float(psi @ mu.weights + phi @ nu.weights)
-    if not margin < -CERT_TOL:
-        raise NumericalBreakdown("mass-mismatch certificate failed validation")
-    return {"psi": psi, "phi": phi, "margin": margin}
+def _pair_cert(farkas: np.ndarray, mu: ScalarMeasure, nu: ScalarMeasure) -> dict:
+    """A bipartite LP's Farkas vector split into (psi, phi), with its margin.
+
+    `lp.farkas_margin` has checked it: psi(x) + phi(y) >= 0 on every arc
+    and margin = psi.mu + phi.nu < -CERT_TOL.
+    """
+    psi, phi = farkas[: mu.space.size], farkas[mu.space.size :]
+    return {"psi": psi, "phi": phi, "margin": float(psi @ mu.weights + phi @ nu.weights)}
 
 
 def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
     """Least-cost coupling of mu and nu.
 
-    Raises InfeasibleTransport with a separating (psi, phi) when the total
-    masses differ; otherwise returns the optimal plan and potentials with
-    duality gap at most GAP_TOL * (1 + |value|).
+    Returns the optimal plan and potentials with duality gap at most
+    GAP_TOL * (1 + |value|).  When the total masses differ, the LP is
+    infeasible and its Farkas vector splits into the separating (psi, phi)
+    raised with InfeasibleTransport: psi(x) + phi(y) >= 0 everywhere and
+    margin = psi.mu + phi.nu < 0.
     """
     nx, ny = mu.space.size, nu.space.size
     c = _check_cost(cost, nx, ny)
-    if abs(mu.total() - nu.total()) > FEAS_TOL * max(1.0, mu.total(), nu.total()):
-        raise InfeasibleTransport(
-            f"total masses differ: {mu.total()!r} vs {nu.total()!r}",
-            _mass_mismatch_cert(mu, nu),
-        )
     A = TransportIncidence.complete(nx, ny)
     b = np.concatenate([mu.weights, nu.weights])
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * (nx + ny)))
+    if sol.status == "infeasible":
+        raise InfeasibleTransport(
+            f"total masses differ: {mu.total()!r} vs {nu.total()!r}", _pair_cert(sol.farkas, mu, nu)
+        )
     if sol.status != "optimal":
         raise NumericalBreakdown(f"transport LP returned {sol.status}")
     plan = TransportPlan(mu.space, nu.space, np.maximum(sol.x, 0.0).reshape(nx, ny))
@@ -189,10 +191,6 @@ def solve_capacity(
     c = _check_cost(cost, nx, ny)
     if cap.matrix.shape != (nx, ny):
         raise ValueError("capacity shape does not match the marginals")
-    if abs(mu.total() - nu.total()) > FEAS_TOL * max(1.0, mu.total(), nu.total()):
-        raise InfeasibleTransport(
-            "total masses differ", _mass_mismatch_cert(mu, nu)
-        )
     # A row (column) whose caps sum below its mass is infeasible by itself,
     # certified by psi = e_i (phi = e_j); the LP could spend a bound flip
     # per cell proving it.  Try the most deficient line first.
@@ -217,11 +215,10 @@ def solve_capacity(
     sol = solve(p)
     if sol.status == "infeasible":
         # Farkas row duals negate into potentials violating the
-        # Kellerer-style feasibility inequality
+        # Kellerer-style feasibility inequality; for this LP the slack is
+        # the margin `lp.farkas_margin` has already checked
         psi_c, phi_c = -sol.farkas[:nx], -sol.farkas[nx:]
         slack = _kellerer_slack(psi_c, phi_c, mu, nu, cap)
-        if not slack < -CERT_TOL:
-            raise NumericalBreakdown("capacity certificate failed validation")
         raise InfeasibleTransport(
             "capacity admits no coupling of the marginals",
             {"psi": psi_c, "phi": phi_c, "kellerer_slack": slack},
@@ -333,31 +330,21 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
     ncells = int(np.prod(sizes))
     if ncells > 10**6:
         raise ValueError("product space exceeds 1e6 cells")
-    totals = [m.total() for m in measures]
-    for i in range(1, len(totals)):
-        if abs(totals[i] - totals[0]) > FEAS_TOL * max(1.0, *totals):
-            psis = [np.zeros(n) for n in sizes]
-            heavy, light = (0, i) if totals[0] > totals[i] else (i, 0)
-            psis[heavy] = np.full(sizes[heavy], -1.0)
-            psis[light] = np.full(sizes[light], 1.0)
-            margin = sum(float(p @ m.weights) for p, m in zip(psis, measures))
-            if not margin < -CERT_TOL:
-                raise NumericalBreakdown("mass-mismatch certificate failed validation")
-            raise InfeasibleTransport(
-                "marginal total masses differ", {"psis": psis, "margin": margin}
-            )
     b = np.concatenate([m.weights for m in measures])
     A = np.zeros((b.size, ncells))
     for axis in range(len(sizes)):
         A[sum(sizes[:axis]) + _marginal_index(sizes, (axis,)), np.arange(ncells)] = 1.0
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
+    cuts = np.cumsum(sizes)[:-1]
+    if sol.status == "infeasible":
+        # sum_i psis_i(x_i) >= 0 on every cell, yet sum_i psis_i.mu_i < 0
+        psis = np.split(sol.farkas, cuts)
+        raise InfeasibleTransport(
+            "marginal total masses differ", {"psis": psis, "margin": float(sol.farkas @ b)}
+        )
     if sol.status != "optimal":
         raise NumericalBreakdown(f"multimarginal LP returned {sol.status}")
-    psis = []
-    at = 0
-    for n in sizes:
-        psis.append(sol.y[at : at + n])
-        at += n
+    psis = np.split(sol.y, cuts)
     tensor = np.maximum(sol.x, 0.0).reshape(tuple(sizes))
     plan = None
     if len(sizes) == 2:
@@ -439,27 +426,13 @@ def local_constraint_feasible(
 
     Returns the cheapest such plan when one exists; otherwise a certificate
     (psi, phi) with psi(x) + phi(y) >= 0 on all admissible pairs and
-    negative total integral.
+    negative total integral: the split Farkas vector of the restricted LP.
     """
-    if D < 0:
+    if not D >= 0:
         raise ValueError("threshold D must be nonnegative")
     nx, ny = mu.space.size, nu.space.size
     c = _check_cost(cost, nx, ny)
-    allowed = c <= D
-    ax, ay = np.nonzero(allowed)
-    if ax.size == 0:
-        if mu.total() <= FEAS_TOL and nu.total() <= FEAS_TOL:
-            return FeasibilityResult(
-                True, TransportPlan(mu.space, nu.space, np.zeros((nx, ny)))
-            )
-        # no admissible pair at all: the pointwise condition is vacuous
-        if mu.total() > FEAS_TOL:
-            cert = {"psi": np.full(nx, -1.0), "phi": np.zeros(ny)}
-            cert["margin"] = -mu.total()
-        else:
-            cert = {"psi": np.zeros(nx), "phi": np.full(ny, -1.0)}
-            cert["margin"] = -nu.total()
-        return FeasibilityResult(False, cert=cert)
+    ax, ay = np.nonzero(c <= D)
     b = np.concatenate([mu.weights, nu.weights])
     p = LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
     sol = solve(p)
@@ -469,14 +442,7 @@ def local_constraint_feasible(
         return FeasibilityResult(True, TransportPlan(mu.space, nu.space, mat))
     if sol.status != "infeasible":
         raise NumericalBreakdown(f"restricted-support LP returned {sol.status}")
-    psi, phi = sol.farkas[:nx], sol.farkas[nx:]
-    pointwise = psi[:, None] + phi[None, :]
-    margin = float(psi @ mu.weights + phi @ nu.weights)
-    if np.min(pointwise[allowed]) < -CERT_TOL or not margin < -CERT_TOL:
-        raise NumericalBreakdown("support certificate failed validation")
-    return FeasibilityResult(
-        False, cert={"psi": psi, "phi": phi, "margin": margin}
-    )
+    return FeasibilityResult(False, cert=_pair_cert(sol.farkas, mu, nu))
 
 
 def strassen_feasible(

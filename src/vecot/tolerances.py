@@ -38,6 +38,14 @@ CERT_FLOOR_TOL = 1e-12
 KERNEL_MISS_TOL = 1e-9
 # a result re-parsed from its own text must reproduce each residual this closely
 REVALIDATE_TOL = 1e-9
+# strong_dominates matches subset masses this closely, bucketing them at this width
+SUBSET_MASS_TOL = 1e-9
+# blackwell_check: a common density s fits when every density row gives <row, s> = 1 this closely
+DENSITY_FIT_TOL = 1e-9
+# trig_moment: c_0's imaginary part relative to max(1, |c_0|), and the least
+# eigenvalue of the Toeplitz matrix relative to max(1, its norm)
+HERMITIAN_TOL = 1e-12
+PSD_TOL = 1e-9
 
 
 def tolerance(raw) -> float:

@@ -45,7 +45,9 @@ from .measures import (
     kernel_apply,
 )
 from .scalar import InfeasibleTransport, OtResult, _marginal_index
-from .tolerances import CERT_FLOOR_TOL, CERT_TOL, ENTRY_TOL, FEAS_TOL, KERNEL_MISS_TOL
+from .tolerances import (
+    CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, KERNEL_MISS_TOL, SUBSET_MASS_TOL,
+)
 
 __all__ = [
     "VectorOtProblem",
@@ -377,7 +379,7 @@ def blackwell_check(
     stacked = np.vstack([mu.density[live_mu], nu.density[live_nu]])
     if stacked.size:
         s_star, *_ = np.linalg.lstsq(stacked, np.ones(stacked.shape[0]), rcond=None)
-        cond_dens = bool(np.max(np.abs(stacked @ s_star - 1.0)) <= 1e-9)
+        cond_dens = bool(np.max(np.abs(stacked @ s_star - 1.0)) <= DENSITY_FIT_TOL)
     else:
         s_star = np.zeros(d)
         cond_dens = True
@@ -723,9 +725,10 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
     """Dominance of every pair of equal-mass restrictions.
 
     Scans subset pairs (A, B) with mu(A) = nu(B) componentwise within
-    1e-9, in descending bitmask order on both sides, and requires mu
-    restricted to A to dominate nu restricted to B.  Returns (True, None)
-    or (False, (A_indices, B_indices)) naming the first failing pair.
+    SUBSET_MASS_TOL, in descending bitmask order on both sides, and
+    requires mu restricted to A to dominate nu restricted to B.  Returns
+    (True, None) or (False, (A_indices, B_indices)) naming the first
+    failing pair.
     Scalar inputs short-circuit: equal totals already decide, because
     equal-mass scalar restrictions always admit a kernel.
     """
@@ -735,13 +738,13 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
     if nx > 16 or ny > 16:
         raise ValueError("subset scan limited to 16 atoms per side")
     tot_gap = float(np.max(np.abs(mu.component_totals() - nu.component_totals())))
-    if tot_gap > 1e-9:
+    if tot_gap > SUBSET_MASS_TOL:
         return False, None
     if mu.dim == 1:
         return True, None
     sums_a = _subset_sums(mu.values)
     sums_b = _subset_sums(nu.values)
-    quantum = 1e-9
+    quantum = SUBSET_MASS_TOL
     buckets = {}
     for mask in range((1 << ny) - 1, 0, -1):
         key = tuple(np.round(sums_b[mask] / quantum).astype(np.int64))
@@ -756,7 +759,7 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
         if len(cands) > 1:
             cands = sorted(set(cands), reverse=True)
         for bmask in cands:
-            if np.max(np.abs(sums_b[bmask] - target)) > 1e-9:
+            if np.max(np.abs(sums_b[bmask] - target)) > SUBSET_MASS_TOL:
                 continue
             a_idx = [i for i in range(nx) if amask >> i & 1]
             b_idx = [j for j in range(ny) if bmask >> j & 1]

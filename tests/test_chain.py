@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vecot import lp
 from vecot.chain import (
     ChainProblem,
     chain_free_medium,
@@ -264,8 +265,11 @@ class TestFreeMedium:
         mu = uniform_on(sp, [0, 2, 4, 6])
         nu = uniform_on(sp, [10, 14, 20, 24])
         direct = solve_ot(mu, nu, c).value
+        before = lp.pivot_total()
         chained = chain_free_medium(mu, nu, c, 1)
         assert chained == pytest.approx(0.5 * direct, rel=1e-9)
+        # the chain LP has no medium rows: 285 pivots, the cross-check included
+        assert lp.pivot_total() - before <= 400
 
     def test_zero_hops_rejected(self):
         p = random_chain(np.random.default_rng(13), 3, 1)

@@ -134,11 +134,10 @@ def ref_multi_range(vals, n, s):
     return A, np.concatenate([np.ones(k), s.ravel()])
 
 
-def ref_chain(k, n, with_medium_vars):
+def ref_chain(k, n, pinned):
     rowsum = np.kron(np.eye(k), np.ones(k))
     colsum = np.kron(np.ones(k), np.eye(k))
-    nplan = (n + 1) * k * k
-    A = np.zeros(((n + 3) * k, nplan + (k if with_medium_vars else 0)))
+    A = np.zeros(((n + 2 + pinned) * k, (n + 1) * k * k))
 
     def block(i):
         return slice(i * k * k, (i + 1) * k * k)
@@ -148,12 +147,12 @@ def ref_chain(k, n, with_medium_vars):
         rows = slice(i * k, (i + 1) * k)
         A[rows, block(i - 1)] = colsum
         A[rows, block(i)] = -rowsum
-    med = slice((n + 1) * k, (n + 2) * k)
-    for i in range(1, n + 1):
-        A[med, block(i)] += rowsum
-    if with_medium_vars:
-        A[med, nplan:] = -float(n) * np.eye(k)
-    A[(n + 2) * k :, block(n)] = colsum
+    med = None
+    if pinned:
+        med = slice((n + 1) * k, (n + 2) * k)
+        for i in range(1, n + 1):
+            A[med, block(i)] += rowsum
+    A[-k:, block(n)] = colsum
     return A, med
 
 
@@ -256,8 +255,8 @@ def test_marginal_layouts_match_hand_written_loops(monkeypatch, nx, ny, d):
     _same(p.A, p.b, *ref_multi_range(vmu.values, ny, s))
 
     # chain._chain_system with d hops, medium pinned or free
-    for free in (False, True):
-        A, med = chain._chain_system(nx, d, free)
-        ref_A, ref_med = ref_chain(nx, d, free)
+    for pinned in (True, False):
+        A, med = chain._chain_system(nx, d, pinned)
+        ref_A, ref_med = ref_chain(nx, d, pinned)
         assert med == ref_med
         assert A.shape == ref_A.shape and np.array_equal(A, ref_A)

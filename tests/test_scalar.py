@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from vecot import lp
+from vecot import lp, scalar
 from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
 from vecot.scalar import (
     InfeasibleTransport,
@@ -18,6 +18,7 @@ from vecot.scalar import (
     solve_partial,
     strassen_feasible,
 )
+from vecot.tolerances import CERT_TOL
 
 
 def space(n, prefix="p"):
@@ -519,6 +520,91 @@ def test_local_monotone_in_threshold():
         if seen_feasible:
             assert ok
         seen_feasible = seen_feasible or ok
+
+
+def test_local_nan_threshold_rejected():
+    sp = space(2)
+    with pytest.raises(ValueError, match="threshold D"):
+        local_constraint_feasible(uniform(sp), uniform(sp), np.zeros((2, 2)), float("nan"))
+
+
+# --- every infeasible verdict is the one LP's Farkas vector ------------------
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """(problem, solution) of every LP a scalar solver hands to `solve`."""
+    calls = []
+    real = scalar.solve
+
+    def spy(problem, *args, **kwargs):
+        sol = real(problem, *args, **kwargs)
+        calls.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(scalar, "solve", spy)
+    return calls
+
+
+def _the_farkas_vector(calls):
+    assert len(calls) == 1
+    problem, sol = calls[0]
+    assert sol.status == "infeasible"
+    assert lp.farkas_margin(problem, sol.farkas) < -CERT_TOL
+    return sol.farkas
+
+
+@pytest.mark.parametrize("bump", [0.1, 5e-8])
+def test_ot_mass_mismatch_certified_by_its_lp(lp_calls, bump):
+    # a bump of 5e-8 on 50 atoms of 2.0 lies between a relative mass test
+    # (1e-9 of the total 100) and the engine's phase-one residual test
+    sp = space(50)
+    w = np.full(50, 2.0)
+    mu, nu = ScalarMeasure(sp, w), ScalarMeasure(sp, w + bump * np.eye(1, 50, 3)[0])
+    with pytest.raises(InfeasibleTransport) as exc:
+        solve_ot(mu, nu, np.zeros((50, 50)))
+    y, cert = _the_farkas_vector(lp_calls), exc.value.cert
+    assert np.array_equal(cert["psi"], y[:50]) and np.array_equal(cert["phi"], y[50:])
+    assert cert["margin"] == pytest.approx(y @ np.concatenate([mu.weights, nu.weights]))
+    assert cert["margin"] < -CERT_TOL
+
+
+def test_capacity_mass_mismatch_certified_by_its_lp(lp_calls):
+    sx, sy = space(2, "x"), space(2, "y")
+    mu, nu = ScalarMeasure(sx, [1.0, 1.0]), ScalarMeasure(sy, [1.5, 1.0])
+    capm = np.full((2, 2), 10.0)  # no short line: only the totals differ
+    with pytest.raises(InfeasibleTransport) as exc:
+        solve_capacity(mu, nu, np.ones((2, 2)), TransportPlan(sx, sy, capm))
+    y, cert = _the_farkas_vector(lp_calls), exc.value.cert
+    assert np.array_equal(cert["psi"], -y[:2]) and np.array_equal(cert["phi"], -y[2:])
+    assert cert["kellerer_slack"] == pytest.approx(lp.farkas_margin(lp_calls[0][0], y))
+    assert cert["kellerer_slack"] < -CERT_TOL
+
+
+@pytest.mark.parametrize("weight,bump", [(0.5, 0.1), (2.0, 1e-8)])
+def test_multimarginal_mass_mismatch_certified_by_its_lp(lp_calls, weight, bump):
+    # 3 x 8 atoms of 2.0 with one raised by 1e-8 pass a relative mass test
+    # on the total 16 but not the engine's phase-one residual test
+    sps = [space(8, p) for p in "abc"]
+    ms = [ScalarMeasure(sp, np.full(8, weight)) for sp in sps]
+    ms[1] = ScalarMeasure(sps[1], ms[1].weights + bump * np.eye(1, 8, 0)[0])
+    with pytest.raises(InfeasibleTransport) as exc:
+        solve_multimarginal(ms, np.zeros((8, 8, 8)))
+    y, cert = _the_farkas_vector(lp_calls), exc.value.cert
+    for psi, part in zip(cert["psis"], np.split(y, [8, 16])):
+        assert np.array_equal(psi, part)
+    assert cert["margin"] == pytest.approx(y @ np.concatenate([m.weights for m in ms]))
+    assert cert["margin"] < -CERT_TOL
+
+
+def test_local_empty_support_certified_by_its_lp(lp_calls):
+    sx, sy = space(2, "x"), space(3, "y")
+    mu, nu = ScalarMeasure(sx, [0.5, 0.5]), uniform(sy)
+    res = local_constraint_feasible(mu, nu, np.ones((2, 3)), 0.5)  # no pair within D
+    assert not res.feasible
+    y = _the_farkas_vector(lp_calls)
+    assert np.array_equal(res.cert["psi"], y[:2]) and np.array_equal(res.cert["phi"], y[2:])
+    assert res.cert["margin"] < -CERT_TOL
 
 
 def test_strassen_unconstrained():

@@ -17,7 +17,9 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import ScalarMeasure
-from .tolerances import CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL, HERMITIAN_TOL, PSD_TOL
+from .tolerances import (
+    CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL, GRID_STEP_TOL, HERMITIAN_TOL, PSD_TOL, UNIFORMIZER_TOL,
+)
 
 __all__ = [
     "GameResult",
@@ -191,9 +193,9 @@ class MomentResult:
 def _uniformizer_row(M: np.ndarray) -> Optional[tuple]:
     # a row bounded away from zero lets certificates be shifted pointwise
     for i in range(M.shape[0]):
-        if M[i].min() > 1e-6:
+        if M[i].min() > UNIFORMIZER_TOL:
             return i, 1.0
-        if M[i].max() < -1e-6:
+        if M[i].max() < -UNIFORMIZER_TOL:
             return i, -1.0
     return None
 
@@ -316,7 +318,7 @@ class GridFunction:
             return None
         d = np.diff(self.grid)
         h = float(d[0])
-        return h if np.all(np.abs(d - h) <= 1e-9 * max(1.0, abs(h))) else None
+        return h if np.all(np.abs(d - h) <= GRID_STEP_TOL * max(1.0, abs(h))) else None
 
 
 def conjugate(f: GridFunction, dual_grid=None) -> GridFunction:
@@ -356,7 +358,7 @@ def inf_convolution(*functions: GridFunction) -> GridFunction:
     if any(s is None for s in steps):
         raise ValueError("infimal convolution needs uniform grids")
     h = steps[0]
-    if any(abs(s - h) > 1e-9 * max(1.0, h) for s in steps[1:]):
+    if any(abs(s - h) > GRID_STEP_TOL * max(1.0, h) for s in steps[1:]):
         raise ValueError(f"grid spacings differ: {steps}")
     out = functions[0]
     for g in functions[1:]:

@@ -25,9 +25,10 @@ class SplitMix64:
     """Standard splitmix64: deterministic, platform-independent.
 
     The state is a counter, ``state_k = seed + k * _GAMMA (mod 2**64)``, so
-    `floats` and `matrix` draw a block of the stream at once in numpy
-    ``uint64`` arithmetic, which wraps exactly as the masked Python ints of
-    `next64` do: a block equals the same number of scalar draws, bit for bit.
+    `uniforms` (and `floats`, `matrix` through it) draws a block of the
+    stream at once in numpy ``uint64`` arithmetic, which wraps exactly as
+    the masked Python ints of `next64` do: a block equals the same number
+    of scalar draws, bit for bit.
     """
 
     def __init__(self, seed: int):
@@ -48,7 +49,7 @@ class SplitMix64:
         # hi exclusive; modulo bias is irrelevant for instance generation
         return lo + self.next64() % (hi - lo)
 
-    def _uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
+    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """The next n draws of `uniform(lo, hi)`, as one float array."""
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= _U64_GAMMA
@@ -67,10 +68,10 @@ class SplitMix64:
         return u
 
     def floats(self, n: int, lo: float = 0.0, hi: float = 1.0) -> list:
-        return self._uniforms(n, lo, hi).tolist()
+        return self.uniforms(n, lo, hi).tolist()
 
     def matrix(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> list:
-        return self._uniforms(rows * cols, lo, hi).reshape(rows, cols).tolist()
+        return self.uniforms(rows * cols, lo, hi).reshape(rows, cols).tolist()
 
     def permutation(self, n: int) -> list:
         out = list(range(n))

@@ -42,10 +42,18 @@ REVALIDATE_TOL = 1e-9
 SUBSET_MASS_TOL = 1e-9
 # blackwell_check: a common density s fits when every density row gives <row, s> = 1 this closely
 DENSITY_FIT_TOL = 1e-9
+# blackwell_check: a sampled convex function is a Jensen witness when its gap
+# is below -JENSEN_WITNESS_TOL
+JENSEN_WITNESS_TOL = 1e-8
 # trig_moment: c_0's imaginary part relative to max(1, |c_0|), and the least
 # eigenvalue of the Toeplitz matrix relative to max(1, its norm)
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
+# moment_feasible: a moment row whose entries all clear this bound, in one
+# sign, can lift a certificate's floor pointwise
+UNIFORMIZER_TOL = 1e-6
+# two grid steps agree when they differ by at most this, relative to max(1, step)
+GRID_STEP_TOL = 1e-9
 
 
 def tolerance(raw) -> float:

@@ -46,7 +46,8 @@ from .measures import (
 )
 from .scalar import InfeasibleTransport, OtResult, _marginal_index
 from .tolerances import (
-    CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, KERNEL_MISS_TOL, SUBSET_MASS_TOL,
+    CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, JENSEN_WITNESS_TOL, KERNEL_MISS_TOL,
+    SUBSET_MASS_TOL,
 )
 
 __all__ = [
@@ -349,13 +350,6 @@ def feasible_range(
     return out[0], out[1]
 
 
-def _max_affine(rng, d: int):
-    k = int(rng.integers(2, 7))
-    slopes = rng.uniform(-1.0, 1.0, size=(k, d))
-    offsets = rng.uniform(-1.0, 1.0, size=k)
-    return slopes, offsets
-
-
 def blackwell_check(
     mu: VectorMeasure, nu: VectorMeasure, g_samples: int = 64, seed: int = 0
 ) -> dict:
@@ -368,9 +362,18 @@ def blackwell_check(
     its marginal and density-average residuals, plus a Jensen spot check
     over sampled convex functions (maxima of affine maps).  Without such
     an s* the Jensen direction is reported but not asserted.
+
+    The convex functions come from `generate.SplitMix64(seed)`, so a seed
+    gives the same functions on every platform.  The stream is read in a
+    fixed order: the piece count (2 to 6) of each of the g_samples
+    functions, then all slopes row by row, then all offsets, every slope
+    and offset uniform on [-1, 1).  The witness is the worst function's
+    (slopes, offsets) when its gap is below -JENSEN_WITNESS_TOL.
     """
     if g_samples < 1:
         raise ValueError(f"g_samples must be at least 1, got {g_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     d = mu.dim
@@ -424,20 +427,23 @@ def blackwell_check(
             "colsum_vs_ref": float(np.max(np.abs(colsum - nu.ref_weights))),
         }
 
-    rng = np.random.default_rng(seed)
-    gaps = np.empty(g_samples)
-    funcs = []
-    for s in range(g_samples):
-        slopes, offsets = _max_affine(rng, d)
-        g_mu = np.max(mu.density @ slopes.T + offsets, axis=1)
-        g_nu = np.max(nu.density @ slopes.T + offsets, axis=1)
-        gaps[s] = float(g_mu @ mu.ref_weights - g_nu @ nu.ref_weights)
-        funcs.append((slopes, offsets))
+    from .generate import SplitMix64
+
+    rng = SplitMix64(seed)
+    pieces = np.array([rng.integer(2, 7) for _ in range(g_samples)])
+    slopes = rng.uniforms(int(pieces.sum()) * d, -1.0, 1.0).reshape(-1, d)
+    offsets = rng.uniforms(slopes.shape[0], -1.0, 1.0)
+    starts = np.cumsum(pieces) - pieces
+    # column s of g_mu is the s-th function's max over its own pieces
+    g_mu = np.maximum.reduceat(mu.density @ slopes.T + offsets, starts, axis=1)
+    g_nu = np.maximum.reduceat(nu.density @ slopes.T + offsets, starts, axis=1)
+    gaps = mu.ref_weights @ g_mu - nu.ref_weights @ g_nu
     worst = int(np.argmin(gaps))
+    own = slice(starts[worst], starts[worst] + pieces[worst])
     report["jensen"] = {
         "n_samples": g_samples,
         "min_gap": float(gaps[worst]),
-        "witness": funcs[worst] if gaps[worst] < -1e-8 else None,
+        "witness": (slopes[own], offsets[own]) if gaps[worst] < -JENSEN_WITNESS_TOL else None,
         "asserted": bool(dom and cond_dens),
     }
     return report

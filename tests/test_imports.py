@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import vecot
-from vecot import generate, serialize
+from vecot import cli, generate, serialize
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
 
@@ -79,3 +79,38 @@ print(json.dumps({
     assert out["star"] == out["all"]
     assert all(out["submodules"])
     assert out["dir"]
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # every command shape of the CLI, then the golden suite, in one process;
+    # numpy loads numpy.random on first touch of the attribute
+    code = """
+import json, os, sys
+import vecot.cli
+from vecot import generate, serialize
+work = sys.argv[1]
+shapes = [(["solve-ot", "--variant", v], k) for v, k in sorted(vecot.cli.VARIANT_KIND.items())]
+shapes += [(["solve-vot"], "vector_ot"), (["dominate"], "dominance"),
+           (["dominate", "--n", "2"], "dominance"), (["dominate", "--blackwell"], "dominance"),
+           (["chain"], "chain"), (["chain", "--free-medium"], "chain"), (["game"], "game"),
+           (["moment"], "moment"), (["trig"], "trig"), (["conj"], "conjugate")]
+rcs = {}
+for i, (argv, kind) in enumerate(shapes):
+    pf = generate.gen(kind, 0)
+    base = os.path.join(work, str(i))
+    if kind == "dominance":
+        for side in ("mu", "nu"):
+            serialize.save(pf.payload[side], f"{base}.{side}.json")
+        files = ["--mu", f"{base}.mu.json", "--nu", f"{base}.nu.json"]
+    else:
+        serialize.save(pf, f"{base}.json")
+        files = ["--input", f"{base}.json"]
+    rcs[" ".join(argv)] = vecot.cli.main(argv + files + ["--output", f"{base}.out.json", "--quiet"])
+rcs["verify"] = vecot.cli.main(["verify", "--quiet"])
+print(json.dumps({"rcs": rcs, "random": sorted(m for m in sys.modules if m.startswith("numpy.random"))}))
+"""
+    out = _run(code, str(tmp_path))
+    assert out["rcs"].pop("verify") == 0
+    assert len(out["rcs"]) == len(cli.VARIANT_KIND) + 10
+    assert set(out["rcs"].values()) <= {0, 2}, out["rcs"]
+    assert out["random"] == []

@@ -417,6 +417,25 @@ class TestCliSolve:
         assert result["status"] == "infeasible"
         assert "psi" in result["cert"] and "phi" in result["cert"]
 
+    def test_glue_middle_marginal_gap_exits_2_with_cert(self, tmp_path):
+        # middle marginals 5e-8 apart on plans of mass 100: the LP's verdict
+        def plan(src, dst, matrix):
+            labels = [[f"{p}{i}" for i in range(10)] for p in (src, dst)]
+            return {"source": {"labels": labels[0]}, "target": {"labels": labels[1]},
+                    "matrix": matrix.tolist()}
+
+        second = np.ones((10, 10))
+        second[4, 0] += 5e-8
+        path = write(tmp_path, "glue.json", {"kind": "glue", "payload": {
+            "first": plan("x", "y", np.ones((10, 10))), "second": plan("y", "z", second)}})
+        out = str(tmp_path / "o.json")
+        rc, _, err = run_cli(["solve-ot", "--variant", "glue", "--input", path,
+                              "--output", out, "--quiet"])
+        assert rc == 2, err
+        result = read_json(out)
+        assert result["status"] == "infeasible"
+        assert result["cert"]["margin"] < -1e-9
+
     def test_vector_ot_solves(self, tmp_path):
         prob = str(tmp_path / "v.json")
         out = str(tmp_path / "o.json")
@@ -569,6 +588,12 @@ class TestCliDominate:
                               "--samples", samples, "--quiet"])
         assert rc == 3
         assert f"g_samples must be at least 1, got {samples}" in err
+
+    def test_blackwell_rejects_a_negative_seed(self, tmp_path):
+        dom = write(tmp_path, "dom.json", generate.gen("dominance", 4).as_dict())
+        rc, _, err = run_cli(["dominate", "--input", dom, "--blackwell", "--seed", "-1", "--quiet"])
+        assert rc == 3
+        assert "seed must be nonnegative, got -1" in err
 
 
 def masked_result(tmp_path, argv):

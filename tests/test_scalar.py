@@ -607,6 +607,22 @@ def test_local_empty_support_certified_by_its_lp(lp_calls):
     assert res.cert["margin"] < -CERT_TOL
 
 
+def test_glue_middle_marginal_gap_certified_by_its_lp(lp_calls):
+    # two 10 x 10 plans of ones whose middle marginals differ by 5e-8 at one
+    # atom: within a relative test on the mass 100, outside the engine's
+    sx, sy, sz = space(10, "x"), space(10, "y"), space(10, "z")
+    second = np.ones((10, 10))
+    second[4, 0] += 5e-8
+    mu, nu = TransportPlan(sx, sy, np.ones((10, 10))), TransportPlan(sy, sz, second)
+    res = glue_feasible(mu, nu)
+    assert not res.feasible
+    y = _the_farkas_vector(lp_calls)
+    assert np.array_equal(res.cert["psi"].ravel(), y[:100])
+    assert np.array_equal(res.cert["phi"].ravel(), y[100:])
+    assert res.cert["margin"] == pytest.approx(y @ np.concatenate([mu.matrix.ravel(), second.ravel()]))
+    assert res.cert["margin"] < -CERT_TOL
+
+
 def test_strassen_unconstrained():
     sp = space(3)
     mu, nu = uniform(sp), uniform(sp)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecot import vector
+from vecot import generate, vector
 from vecot.lp import LpProblem, NumericalBreakdown, certify, farkas_margin
 from vecot.measures import (
     FiniteSpace,
@@ -448,6 +448,42 @@ class TestBlackwell:
         mu = two_atom_measure()
         with pytest.raises(ValueError, match=f"g_samples must be at least 1, got {samples}"):
             blackwell_check(mu, mu, g_samples=samples)
+
+    def test_negative_seed_is_rejected(self):
+        mu = two_atom_measure()
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            blackwell_check(mu, mu, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
+    def test_functions_are_splitmix_draws_in_documented_order(self, seed):
+        # scalar draws, in order: every piece count, every slope row by
+        # row, every offset; each function is evaluated on its own
+        mu = two_atom_measure()
+        nu = VectorMeasure(
+            FiniteSpace(["y0", "y1"]), np.array([[0.0, 0.9], [1.0, 0.1]])
+        )
+        n, d = 40, mu.dim
+        rng = generate.SplitMix64(seed)
+        pieces = [rng.integer(2, 7) for _ in range(n)]
+        slopes = [[[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)] for k in pieces]
+        offsets = [[rng.uniform(-1.0, 1.0) for _ in range(k)] for k in pieces]
+        gaps = []
+        for a, b in zip(slopes, offsets):
+            a, b = np.array(a), np.array(b)
+            g_mu = np.max(mu.density @ a.T + b, axis=1)
+            g_nu = np.max(nu.density @ a.T + b, axis=1)
+            gaps.append(float(g_mu @ mu.ref_weights - g_nu @ nu.ref_weights))
+        worst = int(np.argmin(gaps))
+        rep = blackwell_check(mu, nu, g_samples=n, seed=seed)
+        jensen = rep["jensen"]
+        assert jensen["n_samples"] == n and not jensen["asserted"]
+        assert jensen["min_gap"] == pytest.approx(gaps[worst], rel=0, abs=1e-14)
+        assert jensen["min_gap"] < -1e-8  # this pair fails dominance visibly
+        w_slopes, w_offsets = jensen["witness"]
+        assert np.array_equal(w_slopes, slopes[worst]) and np.array_equal(w_offsets, offsets[worst])
+        again = blackwell_check(mu, nu, g_samples=n, seed=seed)["jensen"]
+        assert again["min_gap"] == jensen["min_gap"]
+        assert all(np.array_equal(x, y) for x, y in zip(again["witness"], jensen["witness"]))
 
 
 class TestPartitionOrder:

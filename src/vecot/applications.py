@@ -18,7 +18,8 @@ import numpy as np
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import ScalarMeasure
 from .tolerances import (
-    CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL, GRID_STEP_TOL, HERMITIAN_TOL, PSD_TOL, UNIFORMIZER_TOL,
+    CERT_FLOOR_TOL, CERT_TOL, FEAS_TOL, GAME_TOL, GRID_STEP_TOL, HERMITIAN_TOL, LIFT_FACTOR, PSD_TOL,
+    UNIFORMIZER_TOL,
 )
 
 __all__ = [
@@ -225,7 +226,7 @@ def moment_feasible(problem: MomentProblem) -> MomentResult:
         if fix is None:
             raise NumericalBreakdown("certificate floor not repairable")
         i, sign = fix
-        lift = -floor / float((sign * M[i]).min()) * (1.0 + 1e-9)
+        lift = -floor / float((sign * M[i]).min()) * LIFT_FACTOR
         alpha[i] += sign * lift
     margin = float(alpha @ m)
     if float((alpha @ M).min()) < -CERT_FLOOR_TOL * scale or not margin < -CERT_TOL:

@@ -12,14 +12,14 @@ with the two sides computed by independent code paths.
 """
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import FiniteSpace, ScalarMeasure, SpaceMismatch, TransportPlan
 from .scalar import InfeasibleTransport, _marginal_index, solve_ot
-from .tolerances import CHAIN_TOL, FEAS_TOL, GAP_TOL
+from .tolerances import CHAIN_TOL, GAP_TOL
 
 __all__ = [
     "ChainProblem",
@@ -91,15 +91,16 @@ class ChainProblem:
     """Self-transport chain data on one finite space.
 
     mu and nu are the endpoints, medium the prescribed average of the
-    hops intermediate measures, cost the per-hop matrix.  All three
-    measures must live on `space` and carry equal total mass.
+    hops intermediate measures (None leaves it free), cost the per-hop
+    matrix.  The measures must live on `space`; their masses are left to
+    the chain LP, whose Farkas vector certifies any gap between them.
     """
 
     space: FiniteSpace
     cost: np.ndarray
     mu: ScalarMeasure
     nu: ScalarMeasure
-    medium: ScalarMeasure
+    medium: Optional[ScalarMeasure]
     hops: int
 
     def __post_init__(self):
@@ -110,16 +111,10 @@ class ChainProblem:
                 f"cost shape {self.cost.shape} does not match space size {k}"
             )
         for name, m in (("mu", self.mu), ("nu", self.nu), ("medium", self.medium)):
-            if not self.space.matches(m.space):
+            if m is not None and not self.space.matches(m.space):
                 raise SpaceMismatch(f"{name} lives on a different space")
         if self.hops < 0:
             raise ValueError(f"hop count must be >= 0, got {self.hops}")
-        totals = [self.mu.total(), self.nu.total(), self.medium.total()]
-        scale = max(1.0, *totals)
-        if max(totals) - min(totals) > FEAS_TOL * scale:
-            raise ValueError(
-                f"mu, nu, medium must carry equal mass, got totals {totals}"
-            )
 
 
 @dataclass
@@ -157,8 +152,8 @@ def _chain_system(k: int, n: int, pinned: bool):
     return A, slice((n + 1) * k, (n + 2) * k) if pinned else None
 
 
-def _solve_chain_lp(problem: ChainProblem, pinned: bool):
-    k, n = problem.space.size, problem.hops
+def _solve_chain_lp(problem: ChainProblem):
+    k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
     A, med = _chain_system(k, n, pinned)
     medium = [n * problem.medium.weights] if pinned else []
     b = np.concatenate([problem.mu.weights, np.zeros(n * k), *medium, problem.nu.weights])
@@ -173,7 +168,8 @@ def _solve_chain_lp(problem: ChainProblem, pinned: bool):
         }
         if pinned:
             cert["medium"] = y[med]
-        raise InfeasibleTransport("no chain of plans meets the prescribed medium average", cert)
+        aim = "meets the prescribed medium average" if pinned else "carries mu to nu"
+        raise InfeasibleTransport(f"no chain of plans {aim}", cert)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"chain LP returned {sol.status}")
     return sol, med
@@ -191,12 +187,15 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
     The medium-row duals are returned as medium_potential and the value is
     verified against an independently computed single-coupling problem
     with the potential-discounted shortcut cost; disagreement beyond
-    CHAIN_TOL raises NumericalBreakdown.
+    CHAIN_TOL raises NumericalBreakdown.  Masses that differ raise
+    InfeasibleTransport with the chain LP's Farkas vector.
     """
     if problem.hops < 1:
         raise ValueError("chain_ot needs at least one hop measure")
+    if problem.medium is None:
+        raise ValueError("chain_ot needs a medium; chain_free_medium leaves it free")
     k, n = problem.space.size, problem.hops
-    sol, med = _solve_chain_lp(problem, pinned=True)
+    sol, med = _solve_chain_lp(problem)
     mats = [
         np.maximum(sol.x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k)
         for i in range(n + 1)
@@ -217,16 +216,16 @@ def chain_free_medium(
 ) -> float:
     """Best chain value when the medium average is left free.
 
-    Solved as the chain LP without medium rows: leaving the average free
-    constrains nothing, since any intermediates average to some medium.
-    The value is cross-checked against the one-coupling problem with the
-    plain shortcut cost; the two must agree within GAP_TOL.
+    Solved as the chain LP with no medium, hence no medium rows: leaving
+    the average free constrains nothing, since any intermediates average
+    to some medium, and a mass gap raises that LP's Farkas vector as
+    InfeasibleTransport.  The value is cross-checked against the
+    one-coupling problem with the plain shortcut cost within GAP_TOL.
     """
     if n < 1:
         raise ValueError("chain_free_medium needs at least one hop measure")
-    placeholder = ScalarMeasure(mu.space, np.full(mu.space.size, mu.total() / mu.space.size))
-    problem = ChainProblem(mu.space, cost, mu, nu, placeholder, n)
-    sol, _ = _solve_chain_lp(problem, pinned=False)
+    problem = ChainProblem(mu.space, cost, mu, nu, None, n)
+    sol, _ = _solve_chain_lp(problem)
     direct = solve_ot(mu, nu, reduced_cost(problem.cost, n))
     if abs(sol.value - direct.value) > GAP_TOL * (1.0 + abs(sol.value)):
         raise NumericalBreakdown(

@@ -29,10 +29,18 @@ class SplitMix64:
     stream at once in numpy ``uint64`` arithmetic, which wraps exactly as
     the masked Python ints of `next64` do: a block equals the same number
     of scalar draws, bit for bit.
+
+    A seed outside [0, 2**64) raises ValueError, so no two seeds share a
+    stream; `gen` and `vector.blackwell_check` take this rule from here.
     """
 
     def __init__(self, seed: int):
-        self.state = int(seed) & _MASK
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        if seed > _MASK:
+            raise ValueError(f"seed must be below 2**64, got {seed}")
+        self.state = seed
 
     def next64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK

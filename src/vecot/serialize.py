@@ -334,10 +334,8 @@ def _decode_chain(payload, path):
     for key in ("mu", "nu", "medium"):
         w = _weights(_require(payload, key, path), f"{path}.{key}", k)
         out[key] = ScalarMeasure(space, w)
-    hops = _integer(_require(payload, "hops", path), f"{path}.hops")
-    if hops < 0:
-        raise SchemaError(f"{path}.hops", f"negative hop count {hops}")
-    out["hops"] = hops
+    # `chain.ChainProblem` owns the range rule: at least 0 hops
+    out["hops"] = _integer(_require(payload, "hops", path), f"{path}.hops")
     return out
 
 

@@ -54,6 +54,12 @@ PSD_TOL = 1e-9
 UNIFORMIZER_TOL = 1e-6
 # two grid steps agree when they differ by at most this, relative to max(1, step)
 GRID_STEP_TOL = 1e-9
+# a certificate repair lifts a floor deficit by this factor, plus LIFT_PAD in
+# vector._finalize_cert, so the repaired floor lands just above zero
+LIFT_FACTOR = 1.0 + 1e-9
+LIFT_PAD = 1e-15
+# MultiRangeOracle.contains: default entrywise miss a member may show
+RANGE_MEMBER_TOL = 1e-9
 
 
 def tolerance(raw) -> float:

@@ -47,7 +47,7 @@ from .measures import (
 from .scalar import InfeasibleTransport, OtResult, _marginal_index
 from .tolerances import (
     CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, JENSEN_WITNESS_TOL, KERNEL_MISS_TOL,
-    SUBSET_MASS_TOL,
+    LIFT_FACTOR, LIFT_PAD, RANGE_MEMBER_TOL, SUBSET_MASS_TOL,
 )
 
 __all__ = [
@@ -169,7 +169,7 @@ def _finalize_cert(psi, phi, eta, mu_values, nu_values) -> dict:
         if not np.any(bad):
             break
         for x in np.nonzero(bad)[0]:
-            lift = -mins[x] * (1.0 + 1e-9) + 1e-15
+            lift = -mins[x] * LIFT_FACTOR + LIFT_PAD
             psi[x] = psi[x] + lift * eta[x] / norms2[x]
     pair = np.einsum("xi,xi->x", psi, eta)[:, None] + eta @ phi.T
     floor = float(pair[act].min()) if np.any(act) else 0.0
@@ -364,16 +364,18 @@ def blackwell_check(
     an s* the Jensen direction is reported but not asserted.
 
     The convex functions come from `generate.SplitMix64(seed)`, so a seed
-    gives the same functions on every platform.  The stream is read in a
-    fixed order: the piece count (2 to 6) of each of the g_samples
-    functions, then all slopes row by row, then all offsets, every slope
-    and offset uniform on [-1, 1).  The witness is the worst function's
-    (slopes, offsets) when its gap is below -JENSEN_WITNESS_TOL.
+    gives the same functions on every platform; it rejects a seed outside
+    [0, 2**64) before any LP runs.  The stream is read in a fixed order:
+    the piece count (2 to 6) of each of the g_samples functions, then all
+    slopes row by row, then all offsets, every slope and offset uniform on
+    [-1, 1).  The witness is the worst function's (slopes, offsets) when
+    its gap is below -JENSEN_WITNESS_TOL.
     """
     if g_samples < 1:
         raise ValueError(f"g_samples must be at least 1, got {g_samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    from .generate import SplitMix64
+
+    rng = SplitMix64(seed)
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     d = mu.dim
@@ -427,9 +429,6 @@ def blackwell_check(
             "colsum_vs_ref": float(np.max(np.abs(colsum - nu.ref_weights))),
         }
 
-    from .generate import SplitMix64
-
-    rng = SplitMix64(seed)
     pieces = np.array([rng.integer(2, 7) for _ in range(g_samples)])
     slopes = rng.uniforms(int(pieces.sum()) * d, -1.0, 1.0).reshape(-1, d)
     offsets = rng.uniforms(slopes.shape[0], -1.0, 1.0)
@@ -595,7 +594,10 @@ def martingale_polytope(
     sum_x pi(x,y) (f(x) - g(y)) = 0 in R^d: the f-average of the mass
     arriving at y must sit exactly at g(y).  Dual multipliers zeta(y)
     for those rows are reported in extras["zeta"]; the dual constraint
-    reads psi(x) + phi(y) + <zeta(y), f(x) - g(y)> <= c(x,y).
+    reads psi(x) + phi(y) + <zeta(y), f(x) - g(y)> <= c(x,y).  An empty
+    polytope, unequal reference masses included, raises InfeasibleTransport
+    with the engine-checked Farkas vector split into psi, phi, zeta and its
+    margin psi.mu_ref + phi.nu_ref < -CERT_TOL.
     """
     f = np.atleast_2d(np.asarray(f_values, dtype=float))
     g = np.atleast_2d(np.asarray(g_values, dtype=float))
@@ -606,8 +608,6 @@ def martingale_polytope(
     c = np.atleast_2d(np.asarray(cost, dtype=float))
     if c.shape != (nx, ny):
         raise ValueError("cost shape mismatch")
-    if abs(mu_ref.total() - nu_ref.total()) > FEAS_TOL * max(1.0, mu_ref.total()):
-        raise ValueError("reference masses differ")
     cells = np.arange(nx * ny)
     ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
     A = np.zeros((nx + ny + d * ny, nx * ny))
@@ -619,19 +619,10 @@ def martingale_polytope(
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
     if sol.status == "infeasible":
         y = sol.farkas
-        psi, phi = y[:nx], y[nx : nx + ny]
-        zeta = y[nx + ny :].reshape(d, ny).T
-        diffs = f[:, None, :] - g[None, :, :]
-        pointwise = psi[:, None] + phi[None, :] + np.einsum("yi,xyi->xy", zeta, diffs)
-        margin = float(psi @ mu_ref.weights + phi @ nu_ref.weights)
-        scale = max(1.0, float(np.max(np.abs(y)))) * max(
-            1.0, float(np.max(np.abs(diffs)))
-        )
-        if float(pointwise.min()) < -FEAS_TOL * scale or not margin < -CERT_TOL:
-            raise NumericalBreakdown("barycenter certificate failed validation")
         raise InfeasibleTransport(
             "no coupling satisfies the barycenter constraints",
-            {"psi": psi, "phi": phi, "zeta": zeta, "margin": margin},
+            {"psi": y[:nx], "phi": y[nx : nx + ny], "zeta": y[nx + ny :].reshape(d, ny).T,
+             "margin": float(y @ b)},
         )
     if sol.status != "optimal":
         raise NumericalBreakdown(f"barycenter-constrained LP returned {sol.status}")
@@ -665,7 +656,7 @@ class MultiRangeOracle:
         if self.mode == "atomicExact" and (nx > 20 or self.n**nx > 10**6):
             raise ValueError("atom enumeration guard exceeded")
 
-    def contains(self, s, tol: float = 1e-9) -> bool:
+    def contains(self, s, tol: float = RANGE_MEMBER_TOL) -> bool:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape != (self.n, self.mu.dim):
             raise ValueError(f"expected {self.n} vectors of dimension {self.mu.dim}")

@@ -13,7 +13,8 @@ from vecot.chain import (
     weighted_reduced_cost,
 )
 from vecot.measures import FiniteSpace, ScalarMeasure, SpaceMismatch
-from vecot.scalar import solve_ot
+from vecot.scalar import InfeasibleTransport, solve_ot
+from vecot.tolerances import CERT_TOL, FEAS_TOL
 
 
 def grid_cost(n_points, p):
@@ -215,8 +216,10 @@ class TestChainOt:
         sp = FiniteSpace(["a", "b"])
         m1 = ScalarMeasure(sp, np.array([0.5, 0.5]))
         m2 = ScalarMeasure(sp, np.array([0.4, 0.4]))
-        with pytest.raises(ValueError):
-            ChainProblem(sp, np.zeros((2, 2)), m1, m2, m1, 1)
+        # a mass gap is the chain LP's to decide, with its Farkas vector
+        with pytest.raises(InfeasibleTransport) as exc:
+            chain_ot(ChainProblem(sp, np.zeros((2, 2)), m1, m2, m1, 1))
+        assert exc.value.cert["margin"] < -CERT_TOL
         other = ScalarMeasure(FiniteSpace(["c", "d"]), np.array([0.5, 0.5]))
         with pytest.raises(SpaceMismatch):
             ChainProblem(sp, np.zeros((2, 2)), m1, other, m1, 1)
@@ -224,6 +227,63 @@ class TestChainOt:
             ChainProblem(sp, np.zeros((2, 3)), m1, m1, m1, 1)
         with pytest.raises(ValueError):
             ChainProblem(sp, np.zeros((2, 2)), m1, m1, m1, -1)
+
+
+def assert_chain_farkas(cert, mu, nu, medium, hops):
+    """Check a chain certificate from its named rows alone.
+
+    Leg i's cell (x, z) pairs to head_i(x) + tail_i(z): the source row or
+    the medium row less the incoming link, then the outgoing link or the
+    target row.  Every pairing must be nonnegative, and the rows' pairing
+    with (mu, medium, nu) is the margin, below -CERT_TOL.
+    """
+    src, link, tgt = cert["source"], cert["linking"], cert["target"]
+    med = cert.get("medium")
+    assert (med is None) == (medium is None)
+    pinned = 0.0 if med is None else med
+    heads = [src] + [pinned - link[i] for i in range(hops)]
+    tails = [link[i] for i in range(hops)] + [tgt]
+    scale = max(1.0, float(np.abs(np.concatenate([src, link.ravel(), tgt])).max()))
+    for head, tail in zip(heads, tails):
+        assert (head[:, None] + tail[None, :]).min() >= -FEAS_TOL * scale
+    margin = src @ mu.weights + tgt @ nu.weights
+    if med is not None:
+        margin += hops * (med @ medium.weights)
+    assert margin == pytest.approx(cert["margin"], rel=1e-9, abs=1e-12)
+    assert margin < -CERT_TOL
+
+
+def raised_copy(gap):
+    """50 atoms of 2.0 and a copy with its first atom raised by `gap`."""
+    sp = FiniteSpace([f"x{i}" for i in range(50)])
+    w = np.full(50, 2.0)
+    w[0] += gap
+    return ScalarMeasure(sp, np.full(50, 2.0)), ScalarMeasure(sp, w)
+
+
+class TestMassGap:
+    def test_chain_ot_certifies_an_endpoint_gap(self):
+        mu, nu = raised_copy(0.1)
+        with pytest.raises(InfeasibleTransport, match="prescribed medium average") as exc:
+            chain_ot(ChainProblem(mu.space, grid_cost(50, 1), mu, nu, mu, 2))
+        assert_chain_farkas(exc.value.cert, mu, nu, mu, 2)
+
+    def test_chain_ot_certifies_a_medium_gap(self):
+        sp = FiniteSpace(["a", "b", "c"])
+        mu = ScalarMeasure(sp, np.array([0.2, 0.3, 0.5]))
+        medium = ScalarMeasure(sp, np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(InfeasibleTransport) as exc:
+            chain_ot(ChainProblem(sp, grid_cost(3, 2), mu, mu, medium, 2))
+        assert_chain_farkas(exc.value.cert, mu, mu, medium, 2)
+
+    @pytest.mark.parametrize("gap", [0.1, 5e-8, -0.1])
+    def test_free_medium_certifies_an_endpoint_gap(self, gap):
+        mu, nu = raised_copy(gap)
+        with pytest.raises(InfeasibleTransport) as exc:
+            chain_free_medium(mu, nu, grid_cost(50, 1), 2)
+        # the free chain has no medium, and its message names none
+        assert str(exc.value) == "no chain of plans carries mu to nu"
+        assert_chain_farkas(exc.value.cert, mu, nu, None, 2)
 
 
 class TestFreeMedium:

@@ -24,6 +24,7 @@ from vecot.serialize import (
     parse_problem,
     to_jsonable,
 )
+from vecot.tolerances import CERT_TOL
 
 GAME_SEED1_SHA256 = "a7535f3e487287b00e9a1d8bc6fa9f594aa9da9b2734820b847027cdcec6fc34"
 # canonical gen output over GEN_DIGEST_CASES, concatenated in order
@@ -595,6 +596,13 @@ class TestCliDominate:
         assert rc == 3
         assert "seed must be nonnegative, got -1" in err
 
+    def test_blackwell_rejects_a_seed_of_2_to_the_64(self, tmp_path):
+        dom = write(tmp_path, "dom.json", generate.gen("dominance", 4).as_dict())
+        rc, _, err = run_cli(["dominate", "--input", dom, "--blackwell",
+                              "--seed", str(2**64), "--quiet"])
+        assert rc == 3
+        assert f"seed must be below 2**64, got {2**64}" in err
+
 
 def masked_result(tmp_path, argv):
     """Exit code and output text of a CLI run, with its wall time removed."""
@@ -768,6 +776,27 @@ class TestCliOther:
         assert rc == 0
         free = read_json(out)
         assert free["freeMedium"] is True
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_chain_mass_gap_exits_2_with_the_lps_certificate(self, tmp_path, free):
+        doc = json.loads(canonical_dumps(generate.gen("chain", 11).as_dict()))
+        doc["payload"]["nu"][0] += 0.1
+        out = str(tmp_path / "o.json")
+        rc, _, err = run_cli(["chain", "--input", write(tmp_path, "c.json", doc),
+                              *(["--free-medium"] if free else []), "--output", out, "--quiet"])
+        assert rc == 2, err
+        result = read_json(out)
+        assert result["status"] == "infeasible"
+        aim = "carries mu to nu" if free else "meets the prescribed medium average"
+        assert result["message"] == f"no chain of plans {aim}"
+        assert result["cert"]["margin"] < -CERT_TOL
+        assert ("medium" in result["cert"]) is not free
+
+    def test_chain_negative_hops_exit_3_with_the_problems_message(self, tmp_path):
+        prob = write(tmp_path, "c.json", generate.gen("chain", 11).as_dict())
+        rc, _, err = run_cli(["chain", "--input", prob, "--n", "-1", "--quiet"])
+        assert rc == 3
+        assert "hop count must be >= 0, got -1" in err
 
     def test_game_value_and_restriction(self, tmp_path):
         prob = str(tmp_path / "g.json")
@@ -1005,6 +1034,16 @@ class TestGenCli:
     def test_gen_rejects_unknown_kind(self):
         rc, _, _ = run_cli(["gen", "--kind", "mystery"])
         assert rc == 3
+
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (2**64, f"seed must be below 2**64, got {2**64}"),
+    ])
+    def test_gen_rejects_a_seed_outside_64_bits(self, seed, message):
+        rc, out, err = run_cli(["gen", "--kind", "scalar_ot", "--seed", str(seed)])
+        assert rc == 3
+        assert out == ""
+        assert message in err
 
 
 class TestWriteText:

@@ -641,6 +641,24 @@ def test_strassen_impossible_mass_certificate():
     assert res.cert["lhs"] > res.cert["sup_bound"] + 1e-9
 
 
+def test_strassen_certificate_is_the_engines_farkas_vector(lp_calls):
+    sp = space(2)
+    mu, nu = uniform(sp), uniform(sp)
+    G = np.zeros((2, 2))
+    G[0, 0] = 1.0
+    res = strassen_feasible(mu, nu, [(G, "ge", mu.total() + 1.0)])
+    assert not res.feasible
+    y, b = _the_farkas_vector(lp_calls), lp_calls[0][0].b
+    nx, ny = mu.space.size, nu.space.size
+    assert np.array_equal(res.cert["psi"], -y[:nx])
+    assert np.array_equal(res.cert["phi"], -y[nx : nx + ny])
+    assert np.array_equal(res.cert["multipliers"], y[nx + ny :])
+    # the separating gap is the margin the engine has already tested
+    gap = res.cert["lhs"] - res.cert["sup_bound"]
+    assert gap == pytest.approx(-(y @ b), rel=1e-12, abs=1e-15)
+    assert gap > CERT_TOL
+
+
 def test_strassen_matches_capacity_feasibility():
     rng = np.random.default_rng(23)
     sp = space(3)

@@ -712,12 +712,19 @@ class TestMartingale:
         assert abs(vres.value - mres.value) <= 1e-7 * (1.0 + abs(vres.value))
 
     def test_mass_mismatch_rejected(self):
+        # the LP decides the masses: its Farkas vector separates 1.0 from 2.0
         mref = ScalarMeasure(FiniteSpace(["x0"]), np.array([1.0]))
         nref = ScalarMeasure(FiniteSpace(["y0"]), np.array([2.0]))
-        with pytest.raises(ValueError):
-            martingale_polytope(
-                mref, nref, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
-            )
+        f = np.zeros((1, 1))
+        with pytest.raises(InfeasibleTransport) as exc:
+            martingale_polytope(mref, nref, f, np.zeros((1, 1)), np.zeros((1, 1)))
+        cert = exc.value.cert
+        sums = cert["psi"][:, None] + cert["phi"][None, :] + np.einsum(
+            "yi,xyi->xy", cert["zeta"], f[:, None, :] - np.zeros((1, 1, 1))
+        )
+        assert sums.min() >= -1e-9
+        assert cert["margin"] < -1e-9
+        assert cert["margin"] == pytest.approx(cert["psi"] @ mref.weights + cert["phi"] @ nref.weights)
 
 
 class TestMultiRange:

@@ -59,8 +59,8 @@ def reduced_cost(cost, n: int) -> np.ndarray:
     intermediate index (first minimum), which matters only to callers
     reconstructing paths.
     """
-    c = _check_square(cost)
-    return weighted_reduced_cost(c, np.zeros(c.shape[0]), n)
+    c = np.asarray(cost, dtype=float)  # weighted_reduced_cost checks it
+    return weighted_reduced_cost(c, np.zeros(c.shape[:1]), n)
 
 
 def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:

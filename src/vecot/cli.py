@@ -9,7 +9,9 @@ code rather than publishing an inconsistent file.
 
 Each solve command names the problem kind it reads, and `_load` reads it
 through that kind's `serialize` decoder, from `--input` or from the flag
-files that stand in for it.  The command's solve returns ``(result,
+files that stand in for it; an override flag (`--n`, `--grid`,
+`--restrict`, `--infconv`) replaces its payload key before that one
+decode.  The command's solve returns ``(result,
 residuals)``, where ``residuals`` maps a result, in memory or re-parsed
 from its own text, to its residuals (or is None).  `_run` does the rest.
 
@@ -187,9 +189,9 @@ def _ot_capacity(data):
 
 def _ot_invariant(data):
     mu_w = data["mu"].weights
-    mapping = np.asarray(data["mapping"], dtype=int)
     ny = data["target"].size
     res = solve_invariant(data["mu"], data["mapping"], data["cost"], data["target"])
+    mapping = np.asarray(data["mapping"], dtype=int)
     result = _optimal(
         res.value, res.psi @ mu_w,
         psi=res.psi, phi=res.phi, plan=res.plan.matrix,
@@ -303,30 +305,65 @@ class _Variant(argparse.Action):
         namespace.variant, namespace.kind = value, VARIANT_KIND[value]
 
 
-def _load(args):
-    """The command's problem, read through the decoder of its kind.
+def _document(path, bare):
+    """A problem document and its payload, read from `path`.
 
-    `--input` holds the problem, wrapped or bare.  In its place, each flag
+    The document is a wrapped problem or a bare payload; with `bare` set,
+    any other document stands for the value of that payload key.
+    """
+    obj = serialize._read_json(path)
+    if bare and not (isinstance(obj, dict) and (bare in obj or serialize._wrapped(obj))):
+        obj = {bare: obj}
+    return obj, obj["payload"] if serialize._wrapped(obj) else obj
+
+
+def _load(args):
+    """The command's problem, decoded once by the decoder of its kind.
+
+    `--input` holds the problem (see `_document`).  In its place, each flag
     of `args.files` names a file that holds one payload key, bare or as
-    ``{key: value}``, and each flag of `args.values` gives a key's value;
-    together they make the payload.  A value flag given with `--input`
-    replaces its key in the file's payload before it is decoded.  The
-    flags' argparse dests are their payload keys.
+    ``{key: value}``.  Each ``(flag, key, read)`` of `args.values` is an
+    override: when given, it replaces its key before the decode, with the
+    flag's value or, for a flag that names files, with ``read(value)``.
+    The flags' argparse dests are their payload keys.
     """
     files = {key: getattr(args, key) for _, key in args.files}
-    values = {key: getattr(args, key) for _, key in args.values if getattr(args, key) is not None}
+    values = {key: (getattr(args, key), read) for _, key, read in args.values
+              if getattr(args, key) is not None}
     if args.input:
         if any(files.values()):
             stand_ins = "/".join(flag for flag, _ in args.files)
             raise SchemaError(args.cmd, f"give either --input or {stand_ins}, not both")
-        return serialize.load_payload(args.input, args.kind, values)
-    if not all(files.values()) or len(values) < len(args.values):
-        flags = " and ".join(flag for flag, _ in (*args.files, *args.values))
+        obj, payload = _document(args.input, args.bare)
+    elif not all(files.values()) or len(values) < len(args.values):
+        flags = " and ".join(flag for flag, *_ in (*args.files, *args.values))
         raise SchemaError(args.cmd, f"provide --input, or {flags}")
-    for key, path in files.items():
-        obj = serialize._read_json(path)
-        values[key] = obj[key] if isinstance(obj, dict) and key in obj else obj
-    return serialize.payload_from_json(values, args.kind)
+    else:
+        obj = payload = {}
+        for key, path in files.items():
+            doc = serialize._read_json(path)
+            payload[key] = doc[key] if isinstance(doc, dict) and key in doc else doc
+    if isinstance(payload, dict):
+        for key, (value, read) in values.items():
+            payload[key] = value if read is None else read(value)
+    return serialize.payload_from_json(obj, args.kind)
+
+
+def _restrict_file(path):
+    """`game --restrict`: a bare scalar measure, checked as a file of its own."""
+    obj = serialize._read_json(path)
+    serialize.scalar_measure_from_json(obj, "$")
+    return obj
+
+
+def _infconv_files(paths):
+    """`conj --infconv`: the `f` of each file, checked as `conj --input` is."""
+    fs = []
+    for path in paths:
+        obj, payload = _document(path, "f")
+        serialize.payload_from_json(obj, "conjugate")
+        fs.append(payload["f"])
+    return fs
 
 
 def _solve_vot(args, data):
@@ -491,8 +528,6 @@ def _solve_game(args, data):
     from .applications import game_value, game_value_restricted
 
     payoff, reference = data["payoff"], data["restrict"]
-    if args.restrict:  # one scalar measure, in place of the problem's own
-        reference = serialize.scalar_measure_from_json(serialize._read_json(args.restrict), "$")
     if reference is not None:
         res = game_value_restricted(payoff, reference)
     else:
@@ -546,31 +581,15 @@ def _solve_trig(args, data):
     return result, None
 
 
-def _load_conj(args):
-    """A conjugate problem, or a bare grid function; each --infconv file likewise."""
-    from .applications import GridFunction
-
-    def read(path):
-        obj = serialize._read_json(path)
-        if not (isinstance(obj, dict) and ("f" in obj or "kind" in obj and "payload" in obj)):
-            obj = {"f": obj}  # a bare grid function
-        return serialize.payload_from_json(obj, args.kind)
-
-    data = read(args.input)
-    if args.infconv:
-        data["others"] = [read(path)["f"] for path in args.infconv]
-    return {"f": GridFunction(**data["f"]), "dualGrid": data["dualGrid"],
-            "others": [GridFunction(**o) for o in data["others"]]}
-
-
 def _solve_conj(args, data):
-    from .applications import conjugate, inf_convolution
+    from .applications import GridFunction, conjugate, inf_convolution
 
+    f = GridFunction(**data["f"])
     if data["others"]:
-        out = inf_convolution(data["f"], *data["others"])
+        out = inf_convolution(f, *(GridFunction(**o) for o in data["others"]))
         op = "infConvolution"
     else:
-        out = conjugate(data["f"], data["dualGrid"])
+        out = conjugate(f, data["dualGrid"])
         op = "conjugate"
     return {"status": "optimal", "operation": op, "grid": out.grid, "values": out.values}, None
 
@@ -630,9 +649,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     def command(name, help, parents, solve=None, kind=None, load=_load, files=(), values=(),
-                fn=_run):
+                bare=None, fn=_run):
         p = sub.add_parser(name, parents=[*parents, _OUTPUT, _QUIET], help=help)
-        p.set_defaults(fn=fn, kind=kind, load=load, solve=solve, files=files, values=values)
+        p.set_defaults(fn=fn, kind=kind, load=load, solve=solve, files=files, values=values,
+                       bare=bare)
         return p
 
     p = command("solve-ot", "scalar transport variants", [_INPUT, _TOL],
@@ -658,11 +678,12 @@ def build_parser() -> _Parser:
     p.add_argument("--grids", required=True, help="comma-separated grid sizes")
 
     p = command("chain", "multi-hop transport", [_INPUT], _solve_chain, "chain",
-                values=(("--n", "hops"),))
+                values=(("--n", "hops", None),))
     p.add_argument("--n", dest="hops", type=int, default=None, help="override the hop count")
     p.add_argument("--free-medium", action="store_true", help="leave the medium free")
 
-    p = command("game", "matrix game value", [_INPUT], _solve_game, "game")
+    p = command("game", "matrix game value", [_INPUT], _solve_game, "game",
+                values=(("--restrict", "restrict", _restrict_file),))
     p.add_argument("--restrict", help="scalar measure restricting the column player")
 
     p = command("moment", "moment feasibility", [_INPUT_OPTIONAL], _solve_moment, "moment",
@@ -671,13 +692,13 @@ def build_parser() -> _Parser:
     p.add_argument("--m", dest="target", help="target vector file")
 
     p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL], _solve_trig, "trig",
-                files=(("--coeffs", "coeffs"),), values=(("--grid", "gridSize"),))
+                files=(("--coeffs", "coeffs"),), values=(("--grid", "gridSize", None),))
     p.add_argument("--coeffs", help="coefficient file")
     p.add_argument("--grid", dest="gridSize", type=int, default=None, help="circle grid size")
 
     p = command("conj", "discrete convex conjugate", [_INPUT], _solve_conj, "conjugate",
-                load=_load_conj)
-    p.add_argument("--infconv", nargs="+", default=None,
+                bare="f", values=(("--infconv", "others", _infconv_files),))
+    p.add_argument("--infconv", dest="others", metavar="INFCONV", nargs="+", default=None,
                    help="convolve the input with these grid functions instead")
 
     p = command("gen", "generate a seeded instance", [_SEED], fn=_cmd_gen)

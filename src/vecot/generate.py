@@ -328,24 +328,8 @@ def _gen_conjugate(rng, n=65):
     return {"f": {"grid": grid, "values": values}}
 
 
-_GENERATORS = {
-    "scalar_ot": _gen_scalar_ot,
-    "partial": _gen_partial,
-    "capacity": _gen_capacity,
-    "invariant": _gen_invariant,
-    "multi": _gen_multi,
-    "glue": _gen_glue,
-    "local": _gen_local,
-    "strassen": _gen_strassen,
-    "vector_ot": _gen_vector_ot,
-    "dominance": _gen_dominance,
-    "martingale": _gen_martingale,
-    "chain": _gen_chain,
-    "game": _gen_game,
-    "moment": _gen_moment,
-    "trig": _gen_trig,
-    "conjugate": _gen_conjugate,
-}
+# one generator per kind of `serialize.KINDS`, found by name: a kind without one fails here
+_GENERATORS = {kind: globals()[f"_gen_{kind}"] for kind in KINDS}
 
 
 def gen(kind: str, seed: int, size: Optional[dict] = None) -> ProblemFile:

@@ -260,12 +260,11 @@ def solve_invariant(mu: ScalarMeasure, mapping, cost, target) -> OtResult:
     """
     nx, ny = mu.space.size, target.size
     c = _check_cost(cost, nx, ny)
-    if callable(mapping):
-        T = np.array([int(mapping(j)) for j in range(ny)])
-    else:
-        T = np.asarray(list(mapping), dtype=int)
-    if T.shape != (ny,) or np.any(T < 0) or np.any(T >= ny):
+    # compared as Python numbers, so an index past the int64 range is out of range too
+    T = np.asarray([mapping(j) for j in range(ny)] if callable(mapping) else list(mapping))
+    if T.shape != (ny,) or not all(0 <= t < ny for t in T.tolist()):
         raise ValueError("mapping must send every target atom to a target atom")
+    T = T.astype(int)
     cells = np.arange(nx * ny)
     ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
     A = np.zeros((nx + ny, nx * ny))

@@ -8,6 +8,12 @@ whole, with array operations; only an array that fails is walked entry by
 entry, to name the first bad entry.  Negative weights below -1e-9 are
 rejected; tiny negatives above that are clamped to zero by the measure
 constructors.
+
+The decoders own a payload's JSON types and shapes (its keys, their
+types, and array lengths against each other) and name the JSON path of a
+bad key.  A rule about a value (a mass in range, a mapping index that
+names an atom, an increasing grid) belongs to the constructor or solver
+that uses it, whose ValueError names no JSON path.
 """
 
 import json
@@ -215,10 +221,7 @@ def _decode_scalar_ot(payload, path):
 
 def _decode_partial(payload, path):
     out = _decode_two_marginals(payload, path)
-    mass = _number(_require(payload, "mass", path), f"{path}.mass")
-    if mass < 0:
-        raise SchemaError(f"{path}.mass", f"negative mass {mass!r}")
-    out["mass"] = mass
+    out["mass"] = _number(_require(payload, "mass", path), f"{path}.mass")
     return out
 
 
@@ -237,19 +240,16 @@ def _decode_invariant(payload, path):
     target = space_from_json(_require(payload, "target", path), f"{path}.target")
     cost = _matrix(_require(payload, "cost", path), f"{path}.cost", mu.space.size, target.size)
     raw = _require(payload, "mapping", path)
-    if not isinstance(raw, list) or len(raw) != target.size:
-        raise SchemaError(f"{path}.mapping", f"expected {target.size} target indices")
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}.mapping", "expected an array")
     mapping = [_integer(v, f"{path}.mapping[{i}]") for i, v in enumerate(raw)]
-    for i, v in enumerate(mapping):
-        if not 0 <= v < target.size:
-            raise SchemaError(f"{path}.mapping[{i}]", f"index {v} out of range")
     return {"mu": mu, "mapping": mapping, "cost": cost, "target": target}
 
 
 def _decode_multi(payload, path):
     raw = _require(payload, "measures", path)
-    if not isinstance(raw, list) or len(raw) < 2:
-        raise SchemaError(f"{path}.measures", "expected at least two measures")
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}.measures", "expected an array")
     measures = [
         scalar_measure_from_json(m, f"{path}.measures[{i}]") for i, m in enumerate(raw)
     ]
@@ -269,10 +269,7 @@ def _decode_glue(payload, path):
 
 def _decode_local(payload, path):
     out = _decode_two_marginals(payload, path)
-    D = _number(_require(payload, "threshold", path), f"{path}.threshold")
-    if D < 0:
-        raise SchemaError(f"{path}.threshold", f"negative threshold {D!r}")
-    out["threshold"] = D
+    out["threshold"] = _number(_require(payload, "threshold", path), f"{path}.threshold")
     return out
 
 
@@ -286,9 +283,7 @@ def _decode_strassen(payload, path):
     for i, c in enumerate(raw):
         cp = f"{path}.constraints[{i}]"
         G = _matrix(_require(c, "G", cp), f"{cp}.G", mu.space.size, nu.space.size)
-        kind = _require(c, "kind", cp)
-        if kind not in ("le", "ge", "eq"):
-            raise SchemaError(f"{cp}.kind", f"expected le/ge/eq, got {kind!r}")
+        kind = _require(c, "kind", cp)  # `strassen_feasible` owns the rule: le, ge or eq
         rhs = _number(_require(c, "rhs", cp), f"{cp}.rhs")
         cons.append((G, kind, rhs))
     return {"mu": mu, "nu": nu, "constraints": cons}
@@ -365,8 +360,6 @@ def _decode_trig(payload, path):
 def _grid_function_json(obj, path):
     grid = _float_list(_require(obj, "grid", path), f"{path}.grid")
     values = _float_list(_require(obj, "values", path), f"{path}.values", len(grid))
-    if (grid[1:] <= grid[:-1]).any():
-        raise SchemaError(f"{path}.grid", "grid must be strictly increasing")
     return {"grid": grid, "values": values}
 
 
@@ -379,10 +372,11 @@ def _decode_conjugate(payload, path):
             raise SchemaError(f"{path}.others", "expected an array")
         others = [_grid_function_json(o, f"{path}.others[{i}]") for i, o in enumerate(raw)]
     out["others"] = others
+    out["dualGrid"] = None
     if payload.get("dualGrid") is not None:
+        if others:
+            raise SchemaError(f"{path}.dualGrid", "applies only to a conjugate, not with others")
         out["dualGrid"] = _float_list(payload["dualGrid"], f"{path}.dualGrid")
-    else:
-        out["dualGrid"] = None
     return out
 
 
@@ -467,19 +461,6 @@ def loads(text: str) -> ProblemFile:
 def load(path: str) -> ProblemFile:
     """Read and schema-validate a problem file."""
     return parse_problem(_read_json(path))
-
-
-def load_payload(path: str, kind: str, values=None) -> dict:
-    """Read either a wrapped problem of the given kind or its bare payload.
-
-    Each key of `values` replaces that key of the payload before it is
-    decoded, so the decoder checks it as it checks the file.
-    """
-    obj = _read_json(path)
-    payload = obj["payload"] if _wrapped(obj) else obj
-    if values and isinstance(payload, dict):
-        payload.update(values)
-    return payload_from_json(obj, kind)
 
 
 def _wrapped(obj) -> bool:

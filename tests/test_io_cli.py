@@ -266,17 +266,14 @@ class TestSchema:
                 parse_problem(bad)
             assert exc.value.path == "$.tol"
 
-    def test_load_payload_accepts_both_shapes(self, tmp_path):
-        wrapped = write(tmp_path, "w.json", MINIMAL_OT)
-        bare = write(tmp_path, "b.json", MINIMAL_OT["payload"])
-        for path in (wrapped, bare):
-            data = serialize.load_payload(path, "scalar_ot")
+    def test_payload_from_json_accepts_both_shapes(self):
+        for obj in (MINIMAL_OT, MINIMAL_OT["payload"]):
+            data = serialize.payload_from_json(json.loads(canonical_dumps(obj)), "scalar_ot")
             assert data["mu"].space.size == 2
 
-    def test_load_payload_checks_kind(self, tmp_path):
-        wrapped = write(tmp_path, "w.json", MINIMAL_OT)
+    def test_payload_from_json_checks_kind(self):
         with pytest.raises(SchemaError):
-            serialize.load_payload(wrapped, "game")
+            serialize.payload_from_json(json.loads(canonical_dumps(MINIMAL_OT)), "game")
 
 
 class TestGenerate:
@@ -731,6 +728,97 @@ def test_every_problem_command_reads_its_kind_wrapped_and_bare(tmp_path):
             bare = write(tmp_path, "b.json", pf.payload)
             assert (masked_result(tmp_path, [*argv, "--input", wrapped])
                     == masked_result(tmp_path, [*argv, "--input", bare])), (argv, seed)
+
+
+def _reverse_grid(payload):
+    payload["f"]["grid"].reverse()
+
+
+# (argv with {p} for the edited gen instance and {ok} for the unedited one,
+#  gen kind, edit of its payload, exit code, start of the message)
+_LIBRARY_RULES = [
+    pytest.param(["solve-ot", "--variant", "partial", "--input", "{p}"], "partial",
+                 lambda p: p.update(mass=-1.0), 3, "mass -1.0 outside [0, ", id="partial-mass"),
+    pytest.param(["solve-ot", "--variant", "partial", "--input", "{p}"], "partial",
+                 lambda p: p.update(mass=-1e-12), 0, None, id="partial-tiny-mass"),
+    pytest.param(["solve-ot", "--variant", "local", "--input", "{p}"], "local",
+                 lambda p: p.update(threshold=-1.0), 3, "threshold D must be nonnegative",
+                 id="local-threshold"),
+    *(pytest.param(["solve-ot", "--variant", "invariant", "--input", "{p}"], "invariant",
+                   edit, 3, "mapping must send every target atom to a target atom", id=name)
+      for name, edit in (("invariant-index-9", lambda p: p["mapping"].__setitem__(0, 9)),
+                         ("invariant-index-neg", lambda p: p["mapping"].__setitem__(0, -1)),
+                         ("invariant-index-2**100",
+                          lambda p: p["mapping"].__setitem__(0, 2**100)),
+                         ("invariant-short", lambda p: p["mapping"].pop()))),
+    pytest.param(["solve-ot", "--variant", "multi", "--input", "{p}"], "multi",
+                 lambda p: p.update(measures=p["measures"][:1], cost=p["cost"][0][0]), 3,
+                 "need at least two marginals", id="multi-one-measure"),
+    pytest.param(["solve-ot", "--variant", "multi", "--input", "{p}"], "multi",
+                 lambda p: p.update(measures=[]), 3,
+                 "$.payload.cost: expected a number, got list", id="multi-no-measure"),
+    pytest.param(["solve-ot", "--variant", "strassen", "--input", "{p}"], "strassen",
+                 lambda p: p["constraints"][0].update(kind="xx"), 3,
+                 "unknown constraint kind 'xx'", id="strassen-kind"),
+    pytest.param(["conj", "--input", "{p}"], "conjugate", _reverse_grid, 3,
+                 "grid must be strictly increasing", id="conj-grid"),
+    pytest.param(["conj", "--input", "{ok}", "--infconv", "{p}"], "conjugate", _reverse_grid, 3,
+                 "grid must be strictly increasing", id="infconv-grid"),
+]
+
+
+@pytest.mark.parametrize("argv,kind,edit,rc,message", _LIBRARY_RULES)
+def test_value_rules_are_checked_by_the_library(tmp_path, argv, kind, edit, rc, message):
+    """A rule about a value has one owner, the solver or constructor; its
+    message names no JSON path.  The decoders check only types and shapes."""
+    pf = generate.gen(kind, 1)
+    doc = json.loads(canonical_dumps(pf.as_dict()))
+    edit(doc["payload"])
+    paths = {"p": write(tmp_path, "p.json", doc), "ok": write(tmp_path, "ok.json", pf.as_dict())}
+    got, _, err = run_cli([a.format(**paths) for a in argv] + ["--quiet"])
+    assert got == rc, err
+    if message is not None:
+        assert err.startswith(f"schema error: {message}"), err
+        if not message.startswith("$"):
+            assert "$" not in err
+
+
+def test_conj_rejects_a_dual_grid_it_would_ignore(tmp_path):
+    pf = generate.gen("conjugate", 1)
+    other = generate.gen("conjugate", 2).payload["f"]
+    gridded = {**pf.payload, "dualGrid": [-0.5, 0.0, 0.5]}
+    for argv, path in (
+        (["--input", write(tmp_path, "b.json", {**gridded, "others": [other]})], "$.dualGrid"),
+        (["--input", write(tmp_path, "w.json", {"kind": "conjugate", "payload": gridded}),
+          "--infconv", write(tmp_path, "f.json", other)], "$.payload.dualGrid"),
+    ):
+        rc, _, err = run_cli(["conj", *argv, "--quiet"])
+        assert rc == 3 and f"{path}: applies only to a conjugate" in err, err
+    out = str(tmp_path / "o.json")
+    rc, _, err = run_cli(["conj", "--input", write(tmp_path, "g.json", gridded),
+                          "--output", out, "--quiet"])
+    assert rc == 0, err
+    assert read_json(out)["grid"] == [-0.5, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("flag,content,message", [
+    ("--infconv", {"kind": "game", "payload": {"payoff": [[1.0]]}},
+     "$.kind: expected 'conjugate', got 'game'"),
+    ("--infconv", {**generate.gen("conjugate", 2).as_dict(), "extra": 1},
+     "$.extra: unknown top-level key 'extra'"),
+    ("--restrict", '{"space": ', "line 1, column 11: parse error: Expecting value"),
+    ("--restrict", "null", "$: expected an object"),
+    ("--restrict", {"space": {"labels": ["y0", "y1", "y2", "y3", "y4"]},
+                    "weights": [1.0, -1.0, 0.0, 0.0, 0.0]}, "$.weights[1]: negative weight -1.0"),
+])
+def test_override_files_are_checked_as_files_of_their_own(tmp_path, flag, content, message):
+    """An `--infconv` or `--restrict` file is checked on its own before it
+    replaces its payload key, so its errors name the file's own paths."""
+    command, kind = ("conj", "conjugate") if flag == "--infconv" else ("game", "game")
+    problem = write(tmp_path, "p.json", generate.gen(kind, 1).as_dict())
+    rc, _, err = run_cli([command, "--input", problem, flag, write(tmp_path, "o.json", content)])
+    assert rc == 3
+    assert err == f"schema error: {message}\n"
 
 
 class TestCliOther:

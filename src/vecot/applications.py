@@ -1,17 +1,18 @@
 """Duality applications: matrix games, moment feasibility, trigonometric
 moments, and discrete convex conjugates.
 
-Each operation carries its own cross-check: game values verify the saddle
-inequalities of the extracted strategies, moment queries validate whichever
-of solution or separating certificate they return, the trigonometric
-routine compares an eigenvalue verdict with an independent cone LP, and
-the infimal convolution verifies the conjugate-sum identity on the dual
-grid.  A failed cross-check raises NumericalBreakdown rather than
-returning a doubtful answer.
+`lp.solve` checks every LP answer these operations read.  Each operation
+also carries its own cross-check of what it derives from that answer:
+game values verify the saddle inequalities of the extracted strategies,
+moment queries validate whichever of solution or separating certificate
+they return, the trigonometric routine compares an eigenvalue verdict with
+an independent cone LP, and the infimal convolution verifies the
+conjugate-sum identity on the dual grid.  A failed cross-check raises
+NumericalBreakdown rather than returning a doubtful answer.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -111,12 +112,12 @@ def game_value(payoff) -> GameResult:
 def game_value_restricted(payoff, reference: ScalarMeasure) -> GameResult:
     """Game value when the column player may mix only over support(reference).
 
-    Both minimax orders are solved as separate LPs (row guarantee on the
-    restricted columns, column cap over all rows) and must agree within
-    GAME_TOL; each LP contributes its own player's strategy.
+    The game on the support's columns, solved by `game_value`, whose saddle
+    check certifies both strategies; the column strategy is 0 off the
+    support.
     """
     F = _check_payoff(payoff)
-    nx, ny = F.shape
+    ny = F.shape[1]
     if reference.space.size != ny:
         raise ValueError(
             f"reference has {reference.space.size} atoms, payoff has {ny} columns"
@@ -124,37 +125,10 @@ def game_value_restricted(payoff, reference: ScalarMeasure) -> GameResult:
     support = np.nonzero(reference.weights > 0.0)[0]
     if support.size == 0:
         raise ValueError("reference measure has empty support")
-    sub = F[:, support]
-    scale = max(1.0, float(np.abs(F).max()))
-    row_side = game_value(sub)
-
-    # independent column-order LP: min u with all row payoffs capped by u
-    k = support.size
-    A = np.zeros((nx + 1, k + 1))
-    A[:nx, :k] = sub
-    A[:nx, k] = -1.0
-    A[nx, :k] = 1.0
-    b = np.zeros(nx + 1)
-    b[nx] = 1.0
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    lower = np.zeros(k + 1)
-    lower[k] = -np.inf
-    sol = solve(
-        LpProblem(c=c, A=A, b=b, kinds=["le"] * nx + ["eq"], lower=lower, sense="min")
-    )
-    if sol.status != "optimal":
-        raise NumericalBreakdown(f"column-order game LP returned {sol.status}")
-    if abs(row_side.value - sol.value) > GAME_TOL * scale:
-        raise NumericalBreakdown(
-            f"minimax orders disagree: {row_side.value!r} vs {sol.value!r}"
-        )
+    res = game_value(F[:, support])
     tau = np.zeros(ny)
-    tau[support] = _clean_simplex(sol.x[:k])
-    value = float(row_side.value)
-    sigma = row_side.row_strategy
-    _assert_saddle(sub, value, sigma, tau[support], scale)
-    return GameResult(value, sigma, tau)
+    tau[support] = res.col_strategy
+    return GameResult(res.value, res.row_strategy, tau)
 
 
 @dataclass
@@ -326,22 +300,21 @@ def conjugate(f: GridFunction, dual_grid=None) -> GridFunction:
     """Discrete Legendre transform: sup over the grid of x*y - f(x).
 
     The transform is evaluated on dual_grid (default: the function's own
-    grid, which suits symmetric ranges).  Output convexity is validated
-    through second differences.
+    grid, which suits symmetric ranges), which the result's `GridFunction`
+    checks as it checks any grid.  Output convexity is validated through
+    second differences.
     """
     ys = f.grid if dual_grid is None else np.asarray(dual_grid, dtype=float).reshape(-1)
-    if ys.ndim != 1 or ys.shape[0] == 0 or np.any(np.diff(ys) <= 0.0):
-        raise ValueError("dual grid must be nonempty and strictly increasing")
-    table = np.outer(ys, f.grid) - f.values[None, :]
-    out = table.max(axis=1)
-    scale = max(1.0, float(np.abs(out).max()))
+    out = GridFunction(ys, (np.outer(ys, f.grid) - f.values[None, :]).max(axis=1))
+    scale = max(1.0, float(np.abs(out.values).max()))
     if ys.shape[0] >= 3:
         h1 = np.diff(ys)[:-1]
         h2 = np.diff(ys)[1:]
-        second = out[2:] * h1 + out[:-2] * h2 - out[1:-1] * (h1 + h2)
+        v = out.values
+        second = v[2:] * h1 + v[:-2] * h2 - v[1:-1] * (h1 + h2)
         if second.min() < -CERT_FLOOR_TOL * scale:
             raise NumericalBreakdown("conjugate lost convexity")
-    return GridFunction(ys, out)
+    return out
 
 
 def inf_convolution(*functions: GridFunction) -> GridFunction:

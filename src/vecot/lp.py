@@ -2,13 +2,15 @@
 
 `solve` runs this engine on every problem except those whose constraint
 matrix is a `network.TransportIncidence`, which go to the network
-simplex.  Both engines hand their optimum to the same gate, `certify`.
+simplex.  Neither engine checks its own answer: `solve` checks every
+answer either one returns, with `certify` for an optimum, `farkas_margin`
+for a Farkas vector and `_ray_valid` for an unbounded ray.
 
 Design goals, in order: determinism (fixed pricing and tie-breaking rules,
 fixed iteration order, no randomization), honest certificates (every
-infeasibility or unboundedness claim is validated numerically against the
-original data before it is returned), and native handling of equality rows
-so their dual multipliers are unconstrained in sign.
+optimum, infeasibility or unboundedness claim is validated numerically
+against the original data before `solve` returns it), and native handling
+of equality rows so their dual multipliers are unconstrained in sign.
 
 Pivot rules: each pivot prices every column in one signed array,
 ``priced = r * way``, where ``way`` is +1 for a nonbasic column at its
@@ -215,7 +217,9 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
     if (np.isfinite(problem.upper) & (d > tol)).any():
         return False
     Ad = problem.A @ d
-    row_tol = tol * max(1.0, float(np.abs(problem.A).max()) if problem.A.size else 1.0)
+    # every entry of a TransportIncidence is 1
+    network_A = isinstance(problem.A, network.TransportIncidence)
+    row_tol = tol * max(1.0, 1.0 if network_A else float(np.abs(problem.A).max(initial=0.0)))
     eq, le, ge = problem._eq, problem._le, problem._ge
     if ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any():
         return False
@@ -442,14 +446,15 @@ class _Engine:
     def run(self) -> LpSolution:
         p = self.p
         self._init_phase1()
-        status, y1, _ = self._loop(self.phase1_cost, allow_unbounded=False)
+        self._loop(self.phase1_cost, allow_unbounded=False)
         w = float(self.phase1_cost @ self.x)
         if w > FEAS_TOL * max(1.0, float(np.max(np.abs(p.b))) if p.nrows else 1.0):
-            cert = self._certified_farkas(y1)
+            # the phase-one duals, read from a fresh factorization
+            self._refactor()
             return LpSolution(
                 status="infeasible",
                 value=np.inf if p.sense == "min" else -np.inf,
-                farkas=cert,
+                farkas=-(self.Binv.T @ self.phase1_cost[self.basis]),
                 iterations=self.iterations,
             )
         # freeze artificials at zero for phase two
@@ -461,39 +466,17 @@ class _Engine:
             dhat = np.zeros(self.Ahat.shape[1])
             dhat[j] = sigma
             dhat[self.basis] = -sigma * (self.Binv @ self.Ahat[:, j])
-            d = dhat[: p.nvars]
-            mx = float(np.max(np.abs(d))) if d.size else 0.0
-            if mx > 0:
-                d = d / mx
-            if not _ray_valid(p, d, self.sense_sign):
-                raise NumericalBreakdown("unbounded ray failed validation")
             return LpSolution(
                 status="unbounded",
                 value=-np.inf if p.sense == "min" else np.inf,
-                ray=d,
+                ray=dhat[: p.nvars],
                 iterations=self.iterations,
             )
         # recompute the final quantities from a fresh factorization
         self._refactor()
         x = self.x[: p.nvars].copy()
         y = self.sense_sign * (self.Binv.T @ self.chat[self.basis])
-        value = float(p.c @ x)
-        certify(p, x, y, value)
-        return LpSolution(status="optimal", value=value, x=x, y=y, iterations=self.iterations)
-
-    def _certified_farkas(self, y_phase1: np.ndarray) -> np.ndarray:
-        # the phase-one duals, then once more from a fresh factorization
-        for retry in (False, True):
-            if retry:
-                self._refactor()
-                y_phase1 = self.Binv.T @ self.phase1_cost[self.basis]
-            y = -y_phase1
-            scale = float(np.max(np.abs(y))) if y.size else 0.0
-            if scale > 0:
-                y = y / scale
-            if farkas_margin(self.p, y) < -CERT_TOL:
-                return y
-        raise NumericalBreakdown("infeasibility certificate failed validation")
+        return LpSolution(status="optimal", value=float(p.c @ x), x=x, y=y, iterations=self.iterations)
 
 
 _pivot_total = 0
@@ -510,6 +493,11 @@ def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
     A problem whose ``A`` is a `TransportIncidence` goes to the network
     simplex (`network.solve_network`), every other one to the dense
     engine.  The default pivot limit is ``10 * (rows + columns) ** 2``.
+
+    Whichever engine ran, its answer passes one gate here: an optimum
+    must pass `certify`; a Farkas vector or an unbounded ray is scaled to
+    a largest entry of 1 and must pass `farkas_margin` or `_ray_valid`.
+    An answer that fails raises NumericalBreakdown.
     """
     global _pivot_total
     if pivot_limit is None:
@@ -518,8 +506,24 @@ def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
         sol = network.solve_network(problem, pivot_limit)
     else:
         sol = _Engine(problem, pivot_limit).run()
+    if sol.status == "optimal":
+        certify(problem, sol.x, sol.y, sol.value)
+    elif sol.status == "infeasible":
+        sol.farkas = _unit(sol.farkas)
+        if not farkas_margin(problem, sol.farkas) < -CERT_TOL:
+            raise NumericalBreakdown("infeasibility certificate failed validation")
+    else:
+        sol.ray = _unit(sol.ray)
+        if not _ray_valid(problem, sol.ray, 1.0 if problem.sense == "min" else -1.0):
+            raise NumericalBreakdown("unbounded ray failed validation")
     _pivot_total += sol.iterations
     return sol
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v over its largest absolute entry; a zero vector as it is."""
+    scale = float(np.max(np.abs(v))) if v.size else 0.0
+    return v / scale if scale > 0 else v
 
 
 def solve_vertex(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:

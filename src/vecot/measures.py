@@ -45,11 +45,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _clean_nonneg(arr: np.ndarray, name: str) -> np.ndarray:
-    """Reject entries below -1e-9, clamp tiny negatives to zero."""
+    """Reject entries below -1e-9, clamp tiny negatives (and -0.0) to zero."""
     if np.any(arr < -NEG_TOL):
         pos = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise ValueError(f"{name} has negative entry {arr[pos]:.3e} at {pos}")
-    return np.where(arr < 0.0, 0.0, arr)
+    return np.maximum(arr, 0.0)
 
 
 @dataclass(eq=False)
@@ -216,7 +216,7 @@ class Kernel:
             )
         if np.any(r < -KERNEL_NEG_TOL):
             raise ValueError("kernel entries must be nonnegative")
-        r = np.where(r < 0.0, 0.0, r)
+        r = np.maximum(r, 0.0)
         sums = r.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > ENTRY_TOL * max(1.0, self.target.size):
             bad = int(np.argmax(np.abs(sums - 1.0)))

@@ -5,7 +5,8 @@ sinks j < ny.  Row i sums the flow leaving source i, row nx + j the flow
 entering sink j, and an optional last row sums every arc.
 `TransportIncidence` is that constraint matrix as an operator: it gives
 ``A @ x`` and ``A.T @ y`` without the dense (rows x arcs) array, and
-`lp.solve` hands every problem whose ``A`` is one to `solve_network`.
+`lp.solve` hands every problem whose ``A`` is one to `solve_network`,
+then checks the answer it returns as it checks the dense engine's.
 
 Network.  Sources supply b_i and sinks demand b_j.  With the total row
 (marginal rows "le", total row "eq" with right-hand side m), a dummy
@@ -60,8 +61,8 @@ and the argument above holds unchanged.
 
 import numpy as np
 
-from .lp import LpSolution, NumericalBreakdown, certify, farkas_margin
-from .tolerances import CERT_TOL, DUAL_TOL, FEAS_TOL
+from .lp import LpSolution, NumericalBreakdown
+from .tolerances import DUAL_TOL, FEAS_TOL
 
 __all__ = ["TransportIncidence", "solve_network"]
 
@@ -440,10 +441,9 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     """Solve an LP whose ``A`` is a `TransportIncidence`.
 
     The marginal rows must all be "eq" (no total row) or all "le" with an
-    "eq" total row, and every lower bound 0; caps may be infinite.  The
-    result carries the same guarantees as the dense engine's: an optimum
-    that passes `lp.certify`, or a Farkas certificate that passes
-    `lp.farkas_margin`.
+    "eq" total row, and every lower bound 0; caps may be infinite.  It
+    returns an optimum or an unscaled Farkas vector and checks neither:
+    `lp.solve` does, as it does the dense engine's.
 
     Zero balances.  A source or sink whose balance is exactly 0 carries no
     flow, and that includes a dummy node of the total row.  The tree runs
@@ -451,7 +451,8 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     afterwards `_price_dropped` gives each dropped node a potential, under
     the phase's arc costs for an optimum and under phase one's zero arc
     costs for a Farkas vector.  Every arc of the full problem then has a
-    reduced cost of the right sign, so both gates pass on the full LP.
+    reduced cost of the right sign, so the answer passes `lp.solve`'s
+    check on the full LP.
     The rule holds only because every node here is a pure source or a
     pure sink; a transshipment node with zero balance may pass flow
     through and must stay.
@@ -499,16 +500,10 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
             raise NumericalBreakdown("phase one found a feasible flow the priced start missed")
         pi[live] = tree.pi[:-1]
         _price_dropped(pi, live, tail, head, np.zeros(tail.size))
-        y = -_lp_duals(A, pi)
-        scale = float(np.max(np.abs(y))) if y.size else 0.0
-        if scale > 0:
-            y = y / scale
-        if not farkas_margin(problem, y) < -CERT_TOL:
-            raise NumericalBreakdown("infeasibility certificate failed validation")
         return LpSolution(
             status="infeasible",
             value=np.inf if problem.sense == "min" else -np.inf,
-            farkas=y,
+            farkas=-_lp_duals(A, pi),
             iterations=tree.pivots,
         )
     real = keep[: A.shape[1]]
@@ -520,7 +515,5 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     anchor = tree.pi[tree.children[-1][0]] if nodes else 0.0
     pi[live] = tree.pi[:-1] - anchor
     _price_dropped(pi, live, tail, head, cost)
-    y = sign * _lp_duals(A, pi)
     value = float(problem.c[real] @ x[real])
-    certify(problem, x, y, value)
-    return LpSolution(status="optimal", value=value, x=x, y=y, iterations=tree.pivots)
+    return LpSolution(status="optimal", value=value, x=x, y=sign * _lp_duals(A, pi), iterations=tree.pivots)

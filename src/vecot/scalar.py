@@ -10,8 +10,9 @@ potentials are plain LP duals here.  The others are dense LPs.
 every dense LP here and in `vector` and `chain` scatters its marginal
 rows from it.  Every solver returns dual potentials along with
 the optimal plan, and every infeasible verdict is its LP's Farkas
-vector, which both engines check with `lp.farkas_margin` before
-returning it; a solver only splits it into named potentials.
+vector, which `lp.solve` checks with `lp.farkas_margin` before returning
+it, whichever engine found it; a solver only splits it into named
+potentials.
 
 Sign conventions follow the LP duals directly:
 
@@ -364,7 +365,7 @@ def glue_feasible(
 
     Two-measure mode (lam_xz None): a plan on X x Y x Z with (X,Y)-marginal
     mu_xy and (Y,Z)-marginal nu_yz exists iff the Y-marginals agree.  The
-    LP decides, and on failure its Farkas vector, which the engine has
+    LP decides, and on failure its Farkas vector, which `lp.solve` has
     checked with `lp.farkas_margin`, splits into (psi, phi) with
     psi(x,y) + phi(y,z) >= 0 everywhere but negative total against the
     data.  Passing lam_xz adds the (X,Z)-marginal constraint; matching pair
@@ -439,7 +440,7 @@ def strassen_feasible(
 
     constraints is a sequence of (G, kind, rhs) triples, each meaning
     sum(G * plan) kind rhs with kind in {"le", "ge", "eq"}.  On failure the
-    certificate is the engine-checked Farkas vector y: psi, phi = -y on the
+    certificate is the Farkas vector y `lp.solve` checked: psi, phi = -y on the
     marginal rows and multipliers = y on the rest, so that lhs = psi.mu +
     phi.nu exceeds sup_bound = sup over admissible gamma of
     sum((psi + phi) * gamma) by -(y @ b) > CERT_TOL.

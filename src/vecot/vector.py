@@ -13,9 +13,9 @@ therefore carries one row per source atom plus d rows per target atom.
 
 Zero masses.  Every LP here is stated over all source atoms.  An atom
 with reference weight 0 carries no mass, so its row sum is t(x) = 0,
-which pins its cells at 0; the dense engine's certified dual or Farkas
-vector prices its row like any other, and its vector potential psi(x)
-is 0.
+which pins its cells at 0; the dual or Farkas vector that `lp.solve`
+has checked prices its row like any other, and its vector potential
+psi(x) is 0.
 
 Dominance of one measure over another is feasibility of this polytope
 with the dominating measure's own density; a feasible plan disintegrates
@@ -37,12 +37,13 @@ import numpy as np
 from .lp import LpProblem, NumericalBreakdown, solve, solve_vertex
 from .measures import (
     FiniteSpace,
-    Kernel,
     ScalarMeasure,
     TransportPlan,
     VectorMeasure,
+    disintegrate,
     grid_space,
     kernel_apply,
+    product,
 )
 from .scalar import InfeasibleTransport, OtResult, _marginal_index
 from .tolerances import (
@@ -297,13 +298,9 @@ def dominates(mu: VectorMeasure, nu: Union[VectorMeasure, np.ndarray]):
         return False, DominanceCert("farkas", exc.cert)
     # each row over its own sum: the LP meets a row's equation sum = t only
     # to its tolerance, and a Kernel row must sum to 1 to rounding; a row
-    # without mass is 0 only up to rounding and stays uniform
-    plan = res.plan.matrix
-    sums = plan.sum(axis=1)
-    rows = np.full((nx, ny), 1.0 / ny)
-    alive = (sums > 0.0) & (mu.ref_weights > 0.0)
-    rows[alive] = plan[alive] / sums[alive, None]
-    kernel = Kernel(mu.space, nu_space, rows)
+    # without mass is 0 only up to rounding, so it is zeroed and stays uniform
+    plan = np.where(mu.ref_weights[:, None] > 0.0, res.plan.matrix, 0.0)
+    kernel, _ = disintegrate(TransportPlan(mu.space, nu_space, plan))
     pushed = kernel_apply(kernel, mu)
     err = float(np.max(np.abs(pushed.values - nu_values)))
     if err > KERNEL_MISS_TOL * max(1.0, float(np.max(np.abs(nu_values)))):
@@ -410,12 +407,10 @@ def blackwell_check(
     }
 
     if dom and cond_dens:
-        # the plan behind the kernel `dominates` returned
-        plan = cert.payload.rows * mu.ref_weights[:, None]
-        colsum = plan.sum(axis=0)
-        Q = np.full((ny, nx), 1.0 / nx)
+        # the plan behind the kernel `dominates` returned, split along Y
+        back, y_marginal = disintegrate(product(cert.payload, mu), axis=1)
+        Q, colsum = back.rows, y_marginal.weights
         alive = colsum > 0.0
-        Q[alive] = plan.T[alive] / colsum[alive, None]
         marg_resid = float(np.max(np.abs(Q.T @ nu.ref_weights - mu.ref_weights)))
         avg_resid = (
             float(np.max(np.abs((Q @ mu.density)[alive] - nu.density[alive])))
@@ -596,7 +591,7 @@ def martingale_polytope(
     for those rows are reported in extras["zeta"]; the dual constraint
     reads psi(x) + phi(y) + <zeta(y), f(x) - g(y)> <= c(x,y).  An empty
     polytope, unequal reference masses included, raises InfeasibleTransport
-    with the engine-checked Farkas vector split into psi, phi, zeta and its
+    with the Farkas vector `lp.solve` checked split into psi, phi, zeta and its
     margin psi.mu_ref + phi.nu_ref < -CERT_TOL.
     """
     f = np.atleast_2d(np.asarray(f_values, dtype=float))
@@ -650,6 +645,8 @@ class MultiRangeOracle:
     mode: str = "relaxed"
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need at least one part")
         if self.mode not in ("relaxed", "atomicExact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         nx = self.mu.space.size
@@ -703,8 +700,6 @@ class MultiRangeOracle:
 
 
 def multi_range(mu: VectorMeasure, n: int, mode: str = "relaxed") -> MultiRangeOracle:
-    if n < 1:
-        raise ValueError("need at least one part")
     return MultiRangeOracle(mu=mu, n=n, mode=mode)
 
 

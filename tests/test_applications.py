@@ -135,6 +135,16 @@ class TestGameRestricted:
         with pytest.raises(ValueError):
             game_value_restricted(F, ScalarMeasure(self.space(3), np.zeros(3)))
 
+    def test_is_the_game_on_the_support_columns(self):
+        rng = np.random.default_rng(31)
+        F = rng.normal(size=(4, 6))
+        weights = np.array([0.0, 1.0, 3.0, 0.0, 0.5, 1.0])
+        r = game_value_restricted(F, ScalarMeasure(self.space(6), weights))
+        sub = game_value(F[:, weights > 0])
+        assert r.value == sub.value
+        np.testing.assert_array_equal(r.row_strategy, sub.row_strategy)
+        np.testing.assert_array_equal(r.col_strategy[weights > 0], sub.col_strategy)
+
     def test_size_mismatch_rejected(self):
         F = np.ones((2, 3))
         with pytest.raises(ValueError):
@@ -348,6 +358,16 @@ class TestConjugate:
         assert out.grid.shape == (81,)
         with pytest.raises(ValueError):
             conjugate(GridFunction(xs, xs), dual_grid=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("grid,message", [
+        ([], "grid must be nonempty"),
+        ([1.0, 1.0], "grid must be strictly increasing"),
+        ([np.nan, 1.0], "grid data must be finite"),
+    ])
+    def test_dual_grid_is_checked_by_grid_function(self, grid, message):
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=message):
+            conjugate(GridFunction(xs, xs**2), dual_grid=np.array(grid))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -821,6 +821,27 @@ def test_override_files_are_checked_as_files_of_their_own(tmp_path, flag, conten
     assert err == f"schema error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,kind,edit,message", [
+    (["solve-ot", "--variant", "capacity", "--input", "{p}"], "capacity",
+     lambda doc: doc["payload"]["cap"][0].__setitem__(1, -1.0),
+     "$.payload.cap[0][1]: negative entry -1.0"),
+    (["dominate", "--mu", "{p}", "--nu", "{ok}"], "dominance",
+     lambda doc: doc["payload"]["mu"]["values"][0].__setitem__(1, -0.5),
+     "$.mu.values[0][1]: negative entry -0.5"),
+], ids=["capacity", "dominance"])
+def test_negative_matrix_entry_is_named_as_a_plain_number(tmp_path, argv, kind, edit, message):
+    doc = json.loads(canonical_dumps(generate.gen(kind, 1).as_dict()))
+    edit(doc)
+    if kind == "dominance":  # `dominate` reads each measure from a file of its own
+        paths = {"p": write(tmp_path, "p.json", doc["payload"]["mu"]),
+                 "ok": write(tmp_path, "ok.json", doc["payload"]["nu"])}
+    else:
+        paths = {"p": write(tmp_path, "p.json", doc)}
+    rc, _, err = run_cli([a.format(**paths) for a in argv] + ["--quiet"])
+    assert rc == 3
+    assert err == f"schema error: {message}\n"
+
+
 class TestCliOther:
     def test_refine_reports_spread_trend(self, tmp_path):
         targets = write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]]})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from vecot import generate, lp
+from vecot import generate, lp, network
 from vecot.lp import LpProblem, NumericalBreakdown, farkas_margin, solve, solve_vertex
 from vecot.scalar import solve_ot
 from vecot.tolerances import DUAL_TOL, PIV_TOL
@@ -992,3 +992,91 @@ def test_pivot_loop_matches_the_reference_through_bland():
             status, longest = _assert_same_pivots(p)
             assert status == "optimal"
             assert longest > lp._BLAND_AFTER
+
+
+# --- the gate in solve -------------------------------------------------------
+
+
+def _dense_case(status):
+    if status == "optimal":  # min x0 + 2 x1 s.t. x0 + x1 = 1: x = (1, 0)
+        return LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], kinds=["eq"])
+    if status == "infeasible":  # x0 + x1 <= -1 with x >= 0
+        return LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[-1.0], kinds=["le"])
+    # min -x0 s.t. x0 - x1 = 0, with an idle x2 >= 0: the ray (1, 1, 0)
+    return LpProblem(c=[-1.0, 0.0, 0.0], A=[[1.0, -1.0, 0.0]], b=[0.0], kinds=["eq"])
+
+
+def _network_case(status):
+    # 2 x 2 transport; the sinks ask for more than the sources hold when infeasible
+    nu = [1.0, 2.0] if status == "infeasible" else [1.0, 1.0]
+    return LpProblem(c=[1.0, 3.0, 2.0, 1.0], A=network.TransportIncidence.complete(2, 2),
+                     b=[1.0, 1.0, *nu], kinds=["eq"] * 4)
+
+
+def _engine_patch(monkeypatch, engine, tamper):
+    """Route the engine's answer through `tamper` before `solve` sees it."""
+    if engine == "dense":
+        run = lp._Engine.run
+        monkeypatch.setattr(lp._Engine, "run", lambda self: tamper(run(self)))
+    else:
+        solve_network = network.solve_network
+        monkeypatch.setattr(network, "solve_network", lambda p, limit: tamper(solve_network(p, limit)))
+
+
+def _nudge_x(sol):
+    sol.x[0] += 1e-6
+    return sol
+
+
+def _flip_farkas(sol):
+    sol.farkas = -sol.farkas
+    return sol
+
+
+def _idle_ray(sol):
+    # a ray along which the objective does not fall: the dense case's idle
+    # last column, or zero for the transport LP, which has no ray at all
+    if sol.ray is None:
+        ray = np.zeros(sol.x.size)
+    else:
+        ray = np.zeros(sol.ray.size)
+        ray[-1] = 1.0
+    return lp.LpSolution(status="unbounded", value=-np.inf, ray=ray, iterations=sol.iterations)
+
+
+_CASES = {"dense": _dense_case, "network": _network_case}
+
+_GATE_CASES = [
+    # engine, the status it returns untouched, tamper, message
+    ("dense", "optimal", _nudge_x, "primal residual 1.00e-06 on row 0"),
+    ("dense", "infeasible", _flip_farkas, "infeasibility certificate failed validation"),
+    ("dense", "unbounded", _idle_ray, "unbounded ray failed validation"),
+    ("network", "optimal", _nudge_x, "primal residual 1.00e-06 on row 0"),
+    ("network", "infeasible", _flip_farkas, "infeasibility certificate failed validation"),
+    ("network", "optimal", _idle_ray, "unbounded ray failed validation"),
+]
+
+
+@pytest.mark.parametrize("engine,status,tamper,message", _GATE_CASES,
+                         ids=[f"{c[0]}-{c[2].__name__[1:]}" for c in _GATE_CASES])
+def test_solve_checks_whatever_an_engine_returns(monkeypatch, engine, status, tamper, message):
+    p = _CASES[engine](status)
+    assert solve(p).status == status
+    _engine_patch(monkeypatch, engine, tamper)
+    with pytest.raises(NumericalBreakdown) as exc:
+        solve(p)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("engine,status", [
+    ("dense", "optimal"), ("dense", "infeasible"), ("dense", "unbounded"),
+    ("network", "optimal"), ("network", "infeasible"),
+])
+def test_solve_runs_one_check_per_answer(monkeypatch, engine, status):
+    calls = []
+    for name in ("certify", "farkas_margin", "_ray_valid"):
+        check = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *a, _n=name, _f=check: calls.append(_n) or _f(*a))
+    assert solve(_CASES[engine](status)).status == status
+    assert calls == [{"optimal": "certify", "infeasible": "farkas_margin",
+                      "unbounded": "_ray_valid"}[status]]

@@ -49,6 +49,24 @@ def test_scalar_measure_clamps_tiny_negative():
         ScalarMeasure(space(2), [1.0, -1e-8])
 
 
+def test_constructors_clear_the_sign_of_negative_zero():
+    # a clamped -0.0 must come out as 0.0, as the serialize readers give it
+    one, two = space(1), space(2)
+    vm = VectorMeasure(one, [[-0.0, 1.0]], ref_weights=[1.0])
+    dead = VectorMeasure(one, [[-0.0, -0.0]], ref_weights=[-0.0])
+    arrays = {
+        "scalar weights": ScalarMeasure(one, [-0.0]).weights,
+        "vector values": vm.values,
+        "vector density": vm.density,
+        "vector ref_weights": dead.ref_weights,
+        "vector values, dead atom": dead.values,
+        "plan": TransportPlan(one, two, [[-0.0, 1.0]]).matrix,
+        "kernel rows": Kernel(one, two, [[-0.0, 1.0]]).rows,
+    }
+    for name, arr in arrays.items():
+        assert not np.signbit(arr).any(), name
+
+
 def test_vector_measure_defaults():
     mu = VectorMeasure(space(2), [[1.0, 3.0], [0.0, 0.0]])
     np.testing.assert_allclose(mu.ref_weights, [4.0, 0.0])

@@ -75,7 +75,7 @@ def _ref_nonneg_matrix(x, path, rows=None, cols=None) -> np.ndarray:
     bad = np.argwhere(m < -NEG_TOL)
     if bad.size:
         i, j = bad[0]
-        raise SchemaError(f"{path}[{i}][{j}]", f"negative entry {m[i, j]!r}")
+        raise SchemaError(f"{path}[{i}][{j}]", f"negative entry {float(m[i, j])!r}")
     return np.maximum(m, 0.0)
 
 

@@ -803,6 +803,12 @@ class TestMultiRange:
         with pytest.raises(ValueError):
             multi_range(wide, 3, mode="atomicExact")
 
+    def test_the_oracle_owns_its_part_count(self):
+        # built directly, an oracle with no parts is refused, not asked
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need at least one part"):
+                vector.MultiRangeOracle(two_atom_measure(), n)
+
 
 def zero_mass_instance(seed):
     """A small vector problem with at least one atom of reference weight 0.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import FiniteSpace, ScalarMeasure, SpaceMismatch, TransportPlan
-from .scalar import InfeasibleTransport, _marginal_index, solve_ot
+from .scalar import InfeasibleTransport, _check_cost, _marginal_index, solve_ot
 from .tolerances import CHAIN_TOL, GAP_TOL
 
 __all__ = [
@@ -29,15 +29,6 @@ __all__ = [
     "reduced_cost",
     "weighted_reduced_cost",
 ]
-
-
-def _check_square(cost) -> np.ndarray:
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"cost must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost must be finite")
-    return c
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,8 +61,8 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
     hop cost from z, minus the potential collected at z.  A zero potential
     reduces to reduced_cost.
     """
-    c = _check_square(cost)
-    k = c.shape[0]
+    k = len(np.atleast_2d(cost))  # square: as many columns as rows
+    c = _check_cost(cost, (k, k))
     pot = np.asarray(potential, dtype=float).reshape(-1)
     if pot.shape != (k,):
         raise ValueError(f"potential must have length {k}, got shape {pot.shape}")
@@ -104,12 +95,8 @@ class ChainProblem:
     hops: int
 
     def __post_init__(self):
-        self.cost = _check_square(self.cost)
         k = self.space.size
-        if self.cost.shape != (k, k):
-            raise ValueError(
-                f"cost shape {self.cost.shape} does not match space size {k}"
-            )
+        self.cost = _check_cost(self.cost, (k, k))
         for name, m in (("mu", self.mu), ("nu", self.nu), ("medium", self.medium)):
             if m is not None and not self.space.matches(m.space):
                 raise SpaceMismatch(f"{name} lives on a different space")

@@ -305,6 +305,13 @@ class _Variant(argparse.Action):
         namespace.variant, namespace.kind = value, VARIANT_KIND[value]
 
 
+def _solve_ot(args, data):
+    # the feasibility variants report no duality gap for --tol to bound
+    if args.tol is not None and args.variant in ("glue", "local", "strassen"):
+        raise SchemaError("--tol", f"the {args.variant} variant has no duality gap to bound")
+    return _SOLVE_OT[args.variant][1](data)
+
+
 def _document(path, bare):
     """A problem document and its payload, read from `path`.
 
@@ -656,7 +663,7 @@ def build_parser() -> _Parser:
         return p
 
     p = command("solve-ot", "scalar transport variants", [_INPUT, _TOL],
-                lambda args, data: _SOLVE_OT[args.variant][1](data), VARIANT_KIND["plain"])
+                _solve_ot, VARIANT_KIND["plain"])
     p.add_argument("--variant", choices=sorted(VARIANT_KIND), default="plain", action=_Variant)
 
     command("solve-vot", "vector-valued transport", [_INPUT, _TOL], _solve_vot, "vector_ot")

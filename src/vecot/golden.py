@@ -14,6 +14,7 @@ from .chain import ChainProblem, chain_ot, reduced_cost, weighted_reduced_cost
 from .generate import gen
 from .measures import FiniteSpace, ScalarMeasure, VectorMeasure, grid_space
 from .scalar import solve_ot
+from .tolerances import tolerance
 from .vector import (
     VectorOtProblem,
     blackwell_check,
@@ -218,7 +219,10 @@ def _passes(check, tol_override: Optional[float]) -> bool:
 
 
 def run_suite(only=None, tol_override=None) -> dict:
-    """Run the golden items, optionally filtered by a name substring."""
+    """Run the golden items, optionally filtered by a name substring, each
+    check against `tol_override`, when given, in place of its own tolerance."""
+    if tol_override is not None:
+        tol_override = tolerance(tol_override)
     selected = [it for it in ITEMS if only is None or only in it[0]]
     if not selected:
         raise ValueError(f"no golden item matches {only!r}")

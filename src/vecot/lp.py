@@ -232,10 +232,11 @@ def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> N
     """Raise NumericalBreakdown unless (x, y) is an optimal pair worth `value`.
 
     Checks that x, y and value are finite, then the primal rows and
-    bounds, the dual signs, complementary slackness and the duality gap,
-    in the conventions of the module docstring.  ``problem.A`` is read
-    only through ``A @ x`` and ``A.T @ y``, so a constraint operator that
-    never forms the dense matrix is checked the same way as an array.
+    bounds, the dual signs, complementary slackness, the duality gap and
+    the gap between value and c @ x, in the conventions of the module
+    docstring.  ``problem.A`` is read only through ``A @ x`` and
+    ``A.T @ y``, so a constraint operator that never forms the dense
+    matrix is checked the same way as an array.
     """
     p = problem
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(value)):
@@ -278,6 +279,9 @@ def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> N
     value_min = sign * value
     if abs(value_min - dual_value) > GAP_TOL * (1.0 + abs(value_min)):
         raise NumericalBreakdown(f"duality gap {value_min - dual_value:.3e} exceeds tolerance")
+    primal_min = sign * float(p.c @ x)
+    if abs(value_min - primal_min) > GAP_TOL * (1.0 + abs(value_min)):
+        raise NumericalBreakdown(f"value misses c @ x by {value_min - primal_min:.3e}")
 
 
 class _Engine:

@@ -7,6 +7,11 @@ so that ``density(x) * refWeights(x) == values(x)`` atom by atom.  Kernels
 are row-stochastic matrices, and a transport plan is a nonnegative matrix
 on a product of two spaces.
 
+Every array a constructor takes is checked once, by `_clean_nonneg`: it
+must be finite and at least -NEG_TOL (-KERNEL_NEG_TOL for kernel rows)
+entrywise, and its small negatives and -0.0 become 0.0.  A given density
+is checked for finiteness only.
+
 Everything is immutable after construction (the arrays are frozen), so all
 operations are pure and safe to share across threads.
 """
@@ -44,10 +49,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _clean_nonneg(arr: np.ndarray, name: str) -> np.ndarray:
-    """Reject entries below -1e-9, clamp tiny negatives (and -0.0) to zero."""
-    if np.any(arr < -NEG_TOL):
-        pos = np.unravel_index(int(np.argmin(arr)), arr.shape)
+def _clean_nonneg(arr: np.ndarray, name: str, tol: float = NEG_TOL) -> np.ndarray:
+    """`arr` with entries in [-tol, 0] set to 0.0; ValueError on one non-finite or below -tol."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(arr < -tol):
+        pos = tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), arr.shape))
         raise ValueError(f"{name} has negative entry {arr[pos]:.3e} at {pos}")
     return np.maximum(arr, 0.0)
 
@@ -119,8 +126,6 @@ class ScalarMeasure:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != self.space.size:
             raise ValueError(f"weights has length {w.shape[0]} for {self.space.size} atoms")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         self.weights = _freeze(_clean_nonneg(w, "weights"))
 
     def total(self) -> float:
@@ -159,8 +164,6 @@ class VectorMeasure:
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if v.shape[0] != self.space.size:
             raise ValueError(f"values has {v.shape[0]} rows for {self.space.size} atoms")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
         v = _clean_nonneg(v, "values")
         if self.ref_weights is None:
             ref = v.sum(axis=1)
@@ -180,6 +183,9 @@ class VectorMeasure:
             dens = np.atleast_2d(np.asarray(self.density, dtype=float))
             if dens.shape != v.shape:
                 raise ValueError("density shape does not match values")
+            # not clamped: the row of an atom of reference weight 0 may hold any finite entries
+            if not np.all(np.isfinite(dens)):
+                raise ValueError("density must be finite")
             scale = max(1.0, float(np.max(np.abs(v))) if v.size else 1.0)
             if np.max(np.abs(dens * ref[:, None] - v)) > ENTRY_TOL * scale:
                 raise ValueError("density * ref_weights does not reproduce values")
@@ -214,9 +220,7 @@ class Kernel:
                 f"rows has shape {r.shape}, expected "
                 f"({self.source.size}, {self.target.size})"
             )
-        if np.any(r < -KERNEL_NEG_TOL):
-            raise ValueError("kernel entries must be nonnegative")
-        r = np.maximum(r, 0.0)
+        r = _clean_nonneg(r, "rows", KERNEL_NEG_TOL)
         sums = r.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > ENTRY_TOL * max(1.0, self.target.size):
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -251,8 +255,6 @@ class TransportPlan:
                 f"matrix has shape {m.shape}, expected "
                 f"({self.source.size}, {self.target.size})"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("plan entries must be finite")
         self.matrix = _freeze(_clean_nonneg(m, "plan"))
 
     def mass(self) -> float:

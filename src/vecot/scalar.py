@@ -88,12 +88,17 @@ class GlueResult:
     cert: Optional[dict] = None
 
 
-def _check_cost(cost, nx: int, ny: int) -> np.ndarray:
+def _check_cost(cost, shape, name: str = "cost") -> np.ndarray:
+    """`cost` as a float array of the given shape, finite in every entry.
+
+    The one check of every cost matrix or tensor a solver or constructor
+    takes, and of `strassen_feasible`'s constraint matrices (as `name`).
+    """
     c = np.atleast_2d(np.asarray(cost, dtype=float))
-    if c.shape != (nx, ny):
-        raise ValueError(f"cost has shape {c.shape}, expected ({nx}, {ny})")
+    if c.shape != tuple(shape):
+        raise ValueError(f"{name} has shape {c.shape}, expected {tuple(shape)}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("cost must be finite")
+        raise ValueError(f"{name} must be finite")
     return c
 
 
@@ -132,7 +137,7 @@ def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
     margin = psi.mu + phi.nu < 0.
     """
     nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, nx, ny)
+    c = _check_cost(cost, (nx, ny))
     A = TransportIncidence.complete(nx, ny)
     b = np.concatenate([mu.weights, nu.weights])
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * (nx + ny)))
@@ -154,7 +159,7 @@ def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtRes
     value = psi.mu + phi.nu + lam * m (lam in extras["lam"]).
     """
     nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, nx, ny)
+    c = _check_cost(cost, (nx, ny))
     cap = min(mu.total(), nu.total())
     if m < -FEAS_TOL or m > cap + FEAS_TOL:
         raise ValueError(f"mass {m!r} outside [0, {cap!r}]")
@@ -189,7 +194,7 @@ def solve_capacity(
     for which sum([psi + phi]_+ * cap) - psi.mu - phi.nu < 0.
     """
     nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, nx, ny)
+    c = _check_cost(cost, (nx, ny))
     if cap.matrix.shape != (nx, ny):
         raise ValueError("capacity shape does not match the marginals")
     # A row (column) whose caps sum below its mass is infeasible by itself,
@@ -240,7 +245,7 @@ def solve_capacity_min(
     Potentials are negated back, so value = psi.mu + phi.nu - sum(xi * cap)
     with xi = [psi + phi - c]_+ in extras["xi"].
     """
-    c = _check_cost(cost, mu.space.size, nu.space.size)
+    c = _check_cost(cost, (mu.space.size, nu.space.size))
     res = solve_capacity(mu, nu, -c, cap)
     psi, phi = -res.psi, -res.phi
     xi = np.maximum(psi[:, None] + phi[None, :] - c, 0.0)
@@ -260,7 +265,7 @@ def solve_invariant(mu: ScalarMeasure, mapping, cost, target) -> OtResult:
     are reported without asserting they coincide.
     """
     nx, ny = mu.space.size, target.size
-    c = _check_cost(cost, nx, ny)
+    c = _check_cost(cost, (nx, ny))
     # compared as Python numbers, so an index past the int64 range is out of range too
     T = np.asarray([mapping(j) for j in range(ny)] if callable(mapping) else list(mapping))
     if T.shape != (ny,) or not all(0 <= t < ny for t in T.tolist()):
@@ -324,9 +329,7 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
     if len(measures) < 2:
         raise ValueError("need at least two marginals")
     sizes = [m.space.size for m in measures]
-    c = np.asarray(cost, dtype=float)
-    if c.shape != tuple(sizes):
-        raise ValueError(f"cost has shape {c.shape}, expected {tuple(sizes)}")
+    c = _check_cost(cost, sizes)
     ncells = int(np.prod(sizes))
     if ncells > 10**6:
         raise ValueError("product space exceeds 1e6 cells")
@@ -419,7 +422,7 @@ def local_constraint_feasible(
     if not D >= 0:
         raise ValueError("threshold D must be nonnegative")
     nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, nx, ny)
+    c = _check_cost(cost, (nx, ny))
     ax, ay = np.nonzero(c <= D)
     b = np.concatenate([mu.weights, nu.weights])
     p = LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
@@ -455,9 +458,7 @@ def strassen_feasible(
     b = list(mu.weights) + list(nu.weights)
     kinds = ["eq"] * (nx + ny)
     for G, kind, rhs in constraints:
-        G = np.asarray(G, dtype=float)
-        if G.shape != (nx, ny):
-            raise ValueError("constraint matrix shape does not match the plan")
+        G = _check_cost(G, (nx, ny), "constraint matrix")
         if kind not in ("le", "ge", "eq"):
             raise ValueError(f"unknown constraint kind {kind!r}")
         A_rows.append(G.ravel()[None, :])

@@ -63,14 +63,18 @@ RANGE_MEMBER_TOL = 1e-9
 
 
 def tolerance(raw) -> float:
-    """A tolerance as a float; raise ValueError unless it is finite.
+    """A tolerance as a float; raise ValueError unless it is finite and >= 0.
 
-    A NaN or infinite tolerance would make every comparison against it
-    pass or fail regardless of the measured value.
+    This is the one tolerance rule: `--tol`, `VECOT_TOL`,
+    `MultiRangeOracle.contains` and `golden.run_suite` all read theirs
+    through it.  A NaN or infinite tolerance would make every comparison
+    against it pass or fail regardless of the measured value, and a
+    negative one would fail every comparison.  Zero is a tolerance: it
+    asks for exact agreement.
     """
     value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"tolerance must be finite, got {raw!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {raw!r}")
     return value
 
 
@@ -80,9 +84,6 @@ def default_tol() -> float:
     if raw is None:
         return GAP_TOL
     try:
-        value = tolerance(raw)
+        return tolerance(raw)
     except ValueError:
-        raise ValueError(f"VECOT_TOL must parse as a finite float, got {raw!r}") from None
-    if value <= 0.0:
-        raise ValueError("VECOT_TOL must be positive")
-    return value
+        raise ValueError(f"VECOT_TOL must be a finite float >= 0, got {raw!r}") from None

@@ -45,10 +45,10 @@ from .measures import (
     kernel_apply,
     product,
 )
-from .scalar import InfeasibleTransport, OtResult, _marginal_index
+from .scalar import InfeasibleTransport, OtResult, _check_cost, _marginal_index
 from .tolerances import (
     CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, JENSEN_WITNESS_TOL, KERNEL_MISS_TOL,
-    LIFT_FACTOR, LIFT_PAD, RANGE_MEMBER_TOL, SUBSET_MASS_TOL,
+    LIFT_FACTOR, LIFT_PAD, RANGE_MEMBER_TOL, SUBSET_MASS_TOL, tolerance,
 )
 
 __all__ = [
@@ -107,12 +107,7 @@ class VectorOtProblem:
         self.eta = mu.density if eta is None else np.atleast_2d(np.asarray(eta, dtype=float))
         if self.eta.shape != (mu.space.size, mu.dim):
             raise ValueError("eta shape does not match the source measure")
-        c = np.atleast_2d(np.asarray(cost, dtype=float))
-        if c.shape != (mu.space.size, nu.space.size):
-            raise ValueError(
-                f"cost has shape {c.shape}, expected ({mu.space.size}, {nu.space.size})"
-            )
-        self.cost = c
+        self.cost = _check_cost(cost, (mu.space.size, nu.space.size))
         self.live = _live_atoms(mu, self.eta)
 
 
@@ -600,9 +595,7 @@ def martingale_polytope(
     if f.shape[0] != nx or g.shape[0] != ny or f.shape[1] != g.shape[1]:
         raise ValueError("f and g must give same-dimension vectors per atom")
     d = f.shape[1]
-    c = np.atleast_2d(np.asarray(cost, dtype=float))
-    if c.shape != (nx, ny):
-        raise ValueError("cost shape mismatch")
+    c = _check_cost(cost, (nx, ny))
     cells = np.arange(nx * ny)
     ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
     A = np.zeros((nx + ny + d * ny, nx * ny))
@@ -657,8 +650,7 @@ class MultiRangeOracle:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape != (self.n, self.mu.dim):
             raise ValueError(f"expected {self.n} vectors of dimension {self.mu.dim}")
-        if not tol >= 0.0:
-            raise ValueError(f"tol must be nonnegative, got {tol!r}")
+        tol = tolerance(tol)
         if self.mode == "relaxed":
             return self._contains_relaxed(s, tol)
         return self._contains_exact(s, tol)

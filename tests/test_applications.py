@@ -13,7 +13,9 @@ from vecot import (
     moment_feasible,
     trig_moment,
 )
+from vecot import applications
 from vecot.applications import _toeplitz
+from vecot.lp import LpSolution, NumericalBreakdown
 
 
 def random_game(rng):
@@ -216,6 +218,30 @@ class TestMomentFeasible:
         assert moment_feasible(MomentProblem(M, a)).feasible
         assert moment_feasible(MomentProblem(M, b)).feasible
         assert moment_feasible(MomentProblem(M, 0.5 * (a + b))).feasible
+
+    @pytest.mark.parametrize("uniformizer", [True, False])
+    def test_a_farkas_floor_just_below_zero_is_lifted_by_a_uniformizer(
+        self, monkeypatch, uniformizer
+    ):
+        # the LP hands back a Farkas vector pairing with M down to -1e-10,
+        # past CERT_FLOOR_TOL: a row of ones lifts it pointwise, and with no
+        # row bounded away from zero the floor cannot be repaired
+        if uniformizer:
+            M, m, alpha = np.array([[1.0, 1.0], [0.0, 1.0]]), [1.0, 2.0], [1.0, -1.0 - 1e-10]
+        else:
+            M, m, alpha = np.eye(2), [1.0, -1.0], [-1e-10, 1.0]
+        alpha = np.array(alpha)
+        assert -2e-10 < (alpha @ M).min() < -1e-11
+        monkeypatch.setattr(applications, "solve",
+                            lambda p: LpSolution(status="infeasible", value=np.nan, farkas=alpha))
+        if not uniformizer:
+            with pytest.raises(NumericalBreakdown, match="^certificate floor not repairable$"):
+                moment_feasible(MomentProblem(M, m))
+            return
+        r = moment_feasible(MomentProblem(M, m))
+        assert not r.feasible
+        check_moment_cert(M, m, r.cert)
+        assert r.cert[0] > alpha[0] and r.cert[1] == alpha[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -361,6 +361,41 @@ def residuals_of(path):
     return out, out["diagnostics"]["residuals"]
 
 
+def _space(prefix, n):
+    return {"labels": [f"{prefix}{i}" for i in range(n)]}
+
+
+def _measure(prefix, weights):
+    return {"space": _space(prefix, len(weights)), "weights": weights}
+
+
+def _plan(src, dst, matrix):
+    return {"source": _space(src, len(matrix)), "target": _space(dst, len(matrix[0])),
+            "matrix": matrix}
+
+
+def _strassen(kind, rhs):
+    # mu = nu = (1/2, 1/2), one constraint on the diagonal mass, which is at most 1
+    return {"mu": _measure("x", [0.5, 0.5]), "nu": _measure("y", [0.5, 0.5]),
+            "constraints": [{"G": [[1.0, 0.0], [0.0, 1.0]], "kind": kind, "rhs": rhs}]}
+
+
+_QUARTERS = [[0.25, 0.25], [0.25, 0.25]]
+# (variant, payload, exit code, the residual a feasible result reports or the
+#  certificate key an infeasible one carries)
+_VARIANT_PATHS = [
+    pytest.param("glue", {"first": _plan("x", "y", _QUARTERS), "second": _plan("y", "z", _QUARTERS),
+                          "third": _plan("x", "z", _QUARTERS)}, 0, "thirdPair", id="glue-third"),
+    pytest.param("strassen", _strassen("ge", 0.5), 0, "constraintViolation", id="strassen-ge"),
+    pytest.param("strassen", _strassen("eq", 1.0), 0, "constraintViolation", id="strassen-eq"),
+    pytest.param("strassen", _strassen("ge", 1.5), 2, "multipliers", id="strassen-no-plan"),
+    # x0's mass may only go to y0, which has none
+    pytest.param("local", {"mu": _measure("x", [1.0, 0.0]), "nu": _measure("y", [0.0, 1.0]),
+                           "cost": [[0.0, 1.0], [1.0, 0.0]], "threshold": 0.5},
+                 2, "psi", id="local-no-plan"),
+]
+
+
 class TestCliSolve:
     @pytest.mark.parametrize("variant,kind", [
         ("plain", "scalar_ot"), ("partial", "partial"), ("capacity", "capacity"),
@@ -433,6 +468,19 @@ class TestCliSolve:
         result = read_json(out)
         assert result["status"] == "infeasible"
         assert result["cert"]["margin"] < -1e-9
+
+    @pytest.mark.parametrize("variant,payload,code,key", _VARIANT_PATHS)
+    def test_feasibility_variant_paths(self, tmp_path, variant, payload, code, key):
+        path = write(tmp_path, "p.json", {"kind": cli.VARIANT_KIND[variant], "payload": payload})
+        out = str(tmp_path / "o.json")
+        rc, _, err = run_cli(["solve-ot", "--variant", variant, "--input", path,
+                              "--output", out, "--quiet"])
+        assert rc == code, err
+        result = read_json(out)
+        if code == 0:
+            assert result["diagnostics"]["residuals"][key] <= 1e-9
+        else:
+            assert result["status"] == "infeasible" and key in result["cert"]
 
     def test_vector_ot_solves(self, tmp_path):
         prob = str(tmp_path / "v.json")
@@ -854,6 +902,28 @@ class TestCliOther:
         assert result["spreadTrend"] in ("stable", "increasing", "mixed")
         assert all(e["gap"] <= 1e-7 for e in result["entries"])
 
+    def test_refine_reads_anchors_and_power(self, tmp_path):
+        values = []
+        for extra in ({}, {"anchors": [0.1, 0.9], "power": 1}):
+            targets = write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]], **extra})
+            out = str(tmp_path / "o.json")
+            rc, _, err = run_cli(["refine", "--density", "1,2x", "--targets", targets,
+                                  "--grids", "25", "--output", out, "--quiet"])
+            assert rc == 0, err
+            values.append(read_json(out)["entries"][0]["value"])
+        assert values[0] != values[1]
+
+    @pytest.mark.parametrize("extra,grids,where", [
+        ({"power": -1}, "25", "$.power"), ({"power": True}, "25", "$.power"),
+        ({}, "25,x", "--grids"),
+    ])
+    def test_refine_rejects_bad_power_and_grids(self, tmp_path, extra, grids, where):
+        targets = write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]], **extra})
+        rc, _, err = run_cli(["refine", "--density", "1,2x", "--targets", targets,
+                              "--grids", grids, "--quiet"])
+        assert rc == 3
+        assert err.startswith(f"schema error: {where}: ")
+
     def test_refine_rejects_bad_density(self, tmp_path):
         targets = write(tmp_path, "t.json", {"values": [[0.2], [0.8]]})
         rc, _, err = run_cli(["refine", "--density", "1,2y", "--targets", targets,
@@ -1008,18 +1078,23 @@ class TestCliExitCodes:
         rc, _, _ = run_cli(["solve-ot", "--input", str(tmp_path / "missing.json"), "--quiet"])
         assert rc == 3
 
-    def test_impossible_tolerance_exits_4(self, tmp_path):
+    def test_impossible_tolerance_exits_4(self, tmp_path, monkeypatch):
         prob = str(tmp_path / "p.json")
         run_cli(["gen", "--kind", "scalar_ot", "--seed", "1", "--output", prob, "--quiet"])
         rc, _, err = run_cli(["solve-ot", "--input", prob, "--tol", "0", "--quiet"])
         assert rc == 4
         assert "breakdown" in err
+        monkeypatch.setenv("VECOT_TOL", "0")  # the same rule as --tol
+        rc, _, err = run_cli(["solve-ot", "--input", prob, "--quiet"])
+        assert rc == 4
+        assert "breakdown" in err
 
     @pytest.mark.parametrize("flag,env", [
-        ("nan", None), ("inf", None), (None, "nan"), (None, "inf"),
+        ("nan", None), ("inf", None), (None, "nan"), (None, "inf"), ("-1", None), (None, "-1"),
     ])
     def test_non_finite_tolerance_exits_3(self, tmp_path, monkeypatch, flag, env):
-        # a NaN or infinite tolerance would let every gap pass unchecked
+        # a NaN or infinite tolerance would let every gap pass unchecked, and
+        # a negative one fails every gap: one rule refuses them all
         prob = str(tmp_path / "p.json")
         run_cli(["gen", "--kind", "scalar_ot", "--seed", "1", "--output", prob, "--quiet"])
         if env is not None:
@@ -1055,12 +1130,14 @@ class TestCliExitCodes:
         (["moment", "--input", "{moment}", "--M", "{M}"], "--input"),
         (["moment", "--input", "{moment}", "--m", "{m}"], "--input"),
         (["trig", "--input", "{trig}", "--coeffs", "{coeffs}"], "--input"),
+        *((["solve-ot", "--variant", v, "--input", "{%s}" % v, "--tol", "1e-30"], "--tol")
+          for v in ("glue", "local", "strassen")),
     ])
     def test_flags_a_command_does_not_honour_exit_3(self, tmp_path, argv, flag):
         paths = {
             "targets": write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]]}),
         }
-        for kind in ("game", "chain", "moment", "trig"):
+        for kind in ("game", "chain", "moment", "trig", "glue", "local", "strassen"):
             paths[kind] = write(tmp_path, f"{kind}.json", generate.gen(kind, 1).as_dict())
         paths["M"] = write(tmp_path, "M.json", {"functions": [[1.0, 1.0]]})
         paths["m"] = write(tmp_path, "m.json", {"target": [1.0]})
@@ -1119,6 +1196,11 @@ class TestCliVerify:
         rc, stdout, _ = run_cli(["verify", "--tol", "0"])
         assert rc == 1
         assert any(l.startswith("FAIL") for l in stdout.splitlines())
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_library_override_obeys_the_tolerance_rule(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative"):
+            golden.run_suite(only="chain", tol_override=tol)
 
     def test_no_matching_item_is_schema_error(self):
         rc, _, _ = run_cli(["verify", "--only", "zzz-none"])

@@ -356,6 +356,12 @@ def _one_le_row():
     return p, solve(p)
 
 
+def _one_ge_row():
+    """min x0 + 2 x1 s.t. x0 + x1 >= 1, x >= 0, solved: x = (1, 0), y = 1."""
+    p = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], kinds=["ge"])
+    return p, solve(p)
+
+
 # each case moves one number of a certified pair just past its tolerance
 # (FEAS_TOL 1e-9, CERT_DUAL_TOL 1e-7, GAP_TOL 1e-7, all at unit scale)
 _CERTIFY_REJECTIONS = {
@@ -373,6 +379,8 @@ _CERTIFY_REJECTIONS = {
                                     "complementary slackness violated at variable 0"),
     "duality gap": (lambda: _one_eq_row(0.0, np.inf), "value", None, 4e-7,
                     "duality gap 4.000e-07 exceeds tolerance"),
+    # x stays feasible and y stays its optimal dual, so only value = c @ x fails
+    "value is not c @ x": (_one_ge_row, "x", 0, 4e-7, "value misses c @ x by -4.000e-07"),
 }
 
 

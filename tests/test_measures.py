@@ -67,6 +67,25 @@ def test_constructors_clear_the_sign_of_negative_zero():
         assert not np.signbit(arr).any(), name
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_constructor_array_must_be_finite(bad):
+    # the reference weights, a density and kernel rows took NaN before, and
+    # the density's NaN hid behind the zero reference weight it multiplies
+    one, two = space(1), space(2)
+    builds = {
+        "weights": lambda: ScalarMeasure(one, [bad]),
+        "values": lambda: VectorMeasure(one, [[bad, 1.0]]),
+        "ref_weights": lambda: VectorMeasure(one, [[0.0]], ref_weights=[bad]),
+        "density": lambda: VectorMeasure(two, [[1.0], [0.0]], ref_weights=[1.0, 0.0],
+                                         density=[[1.0], [bad]]),
+        "plan": lambda: TransportPlan(one, two, [[bad, 1.0]]),
+        "rows": lambda: Kernel(one, two, [[bad, 1.0]]),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            build()
+
+
 def test_vector_measure_defaults():
     mu = VectorMeasure(space(2), [[1.0, 3.0], [0.0, 0.0]])
     np.testing.assert_allclose(mu.ref_weights, [4.0, 0.0])
@@ -96,7 +115,7 @@ def test_kernel_validation():
     sp = space(2)
     with pytest.raises(ValueError):
         Kernel(sp, sp, [[0.5, 0.4], [0.5, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rows has negative entry -5\.000e-01 at \(0, 1\)$"):
         Kernel(sp, sp, [[1.5, -0.5], [0.5, 0.5]])
 
 

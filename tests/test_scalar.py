@@ -528,6 +528,47 @@ def test_local_nan_threshold_rejected():
         local_constraint_feasible(uniform(sp), uniform(sp), np.zeros((2, 2)), float("nan"))
 
 
+def _cost_takers():
+    """Every solver and constructor that takes a cost, as calls on a 2 x 2 problem."""
+    from vecot.chain import ChainProblem, reduced_cost, weighted_reduced_cost
+    from vecot.measures import VectorMeasure
+    from vecot.vector import VectorOtProblem, martingale_polytope
+
+    sp = space(2)
+    mu = uniform(sp)
+    vmu = VectorMeasure(sp, [[0.5], [0.5]])
+    cap = TransportPlan(sp, sp, np.ones((2, 2)))
+    return {
+        "solve_ot": lambda c: solve_ot(mu, mu, c),
+        "solve_partial": lambda c: solve_partial(mu, mu, c, 0.5),
+        "solve_capacity": lambda c: solve_capacity(mu, mu, c, cap),
+        "solve_capacity_min": lambda c: solve_capacity_min(mu, mu, c, cap),
+        "solve_invariant": lambda c: solve_invariant(mu, [0, 1], c, sp),
+        "solve_multimarginal": lambda c: solve_multimarginal([mu, mu], c),
+        "local_constraint_feasible": lambda c: local_constraint_feasible(mu, mu, c, 1.0),
+        "VectorOtProblem": lambda c: VectorOtProblem(vmu, vmu, c),
+        "martingale_polytope": lambda c: martingale_polytope(mu, mu, [[0.0], [1.0]],
+                                                             [[0.0], [1.0]], c),
+        "ChainProblem": lambda c: ChainProblem(sp, c, mu, mu, mu, 1),
+        "weighted_reduced_cost": lambda c: weighted_reduced_cost(c, [0.0, 0.0], 1),
+        "reduced_cost": lambda c: reduced_cost(c, 1),
+        "strassen_feasible": lambda c: strassen_feasible(mu, mu, [(c, "le", 1.0)]),
+    }
+
+
+@pytest.mark.parametrize("taker", sorted(_cost_takers()))
+def test_every_cost_is_checked_by_one_rule(taker):
+    # a NaN cost reached the LP in some of these, and a wrong shape was
+    # named three ways; the strassen constraint matrix is checked the same way
+    call = _cost_takers()[taker]
+    name = "constraint matrix" if taker == "strassen_feasible" else "cost"
+    call(np.eye(2))
+    with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+        call([[0.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(2, 3\), expected \(2, 2\)$"):
+        call(np.zeros((2, 3)))
+
+
 # --- every infeasible verdict is the one LP's Farkas vector ------------------
 
 

@@ -111,6 +111,11 @@ class TestDominance:
             assert abs(lo - a / 2.0) <= 1e-9
             assert abs(hi - (a + 1.0) / 2.0) <= 1e-9
 
+    def test_feasible_range_along_no_direction_is_the_whole_line(self):
+        # mu dominates itself, and a zero direction never leaves it
+        mu = two_atom_measure()
+        assert feasible_range(mu, mu.values, np.zeros_like(mu.values)) == (-np.inf, np.inf)
+
     def test_reflexive(self):
         rng = np.random.default_rng(5)
         vals = rng.uniform(0.1, 1.0, size=(4, 3))
@@ -241,6 +246,16 @@ class TestVectorSolve:
         with pytest.raises(InfeasibleTransport) as exc:
             solve_vector_ot(VectorOtProblem(mu, nu, np.zeros((2, 1)), eta=eta))
         check_dominance_cert(vals, nu.values, eta, exc.value.cert)
+
+    def test_density_forcing_a_negative_row_sum_cert(self):
+        # eta = -density keeps each atom's equations proportional but forces
+        # its row sum below zero: the other branch of the analytic certificate
+        mu = two_atom_measure()
+        eta = -mu.density
+        with pytest.raises(InfeasibleTransport,
+                           match="^source equations are contradictory at an atom$") as exc:
+            solve_vector_ot(VectorOtProblem(mu, mu, np.zeros((2, 2)), eta=eta))
+        check_dominance_cert(mu.values, mu.values, eta, exc.value.cert)
 
     def test_mass_but_zero_density_rejected(self):
         vals = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -767,8 +782,9 @@ class TestMultiRange:
             oracle = multi_range(mu, 2, mode=mode)
             assert oracle.contains(s, 1.0)
             assert not oracle.contains(s)
-            with pytest.raises(ValueError):
-                oracle.contains(s, -1.0)
+            for bad in (-1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative"):
+                    oracle.contains(s, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

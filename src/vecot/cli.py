@@ -17,14 +17,14 @@ from its own text, to its residuals (or is None).  `_run` does the rest.
 
 The parser is built once per process, on the first `main()` call, and
 reused: flags are parsed afresh on every call and `VECOT_TOL` is read
-per call, so `main(argv)` may be called repeatedly in one process.  The
-`fn`, `load` and `solve` defaults of each subcommand are bound when the
-parser is built; they are this module's functions, which look up the
-library functions they call by name at call time.  Only the scalar
-solvers are imported with this module; a command imports what else it
-calls (`vector`, `chain`, `applications`, `generate`, `golden`) when it
-runs, so `solve-ot` never loads them.  `build_parser()` still returns a
-fresh parser.
+per call, when the result has a gap to bound, so `main(argv)` may be
+called repeatedly in one process.  The `fn`, `load` and `solve`
+defaults of each subcommand are bound when the parser is built; they are
+this module's functions, which look up the library functions they call
+by name at call time.  Only the scalar solvers are imported with this
+module; a command imports what else it calls (`vector`, `chain`,
+`applications`, `generate`, `golden`) when it runs, so `solve-ot` never
+loads them.  `build_parser()` still returns a fresh parser.
 
 Exit codes: 0 success, 1 golden-suite failure, 2 infeasible with
 certificate, 3 schema or usage error, 4 numerical breakdown.
@@ -113,9 +113,6 @@ def _emit(args, text) -> None:
 def _run(args) -> int:
     """Load, solve, gap-check, self-revalidate and write one result."""
     data = args.load(args)
-    tol = None
-    if hasattr(args, "tol"):  # a command checks the gap iff it accepts --tol
-        tol = args.tol if args.tol is not None else default_tol()
     t0, piv0 = time.perf_counter(), pivot_total()
     try:
         result, residuals = args.solve(args, data)
@@ -126,8 +123,10 @@ def _run(args) -> int:
     diag = result["diagnostics"] = {}
     if "gap" in result:
         diag["gap"] = gap = result["gap"]
-        if tol is not None and gap > tol * (1.0 + abs(result["value"])):
-            raise NumericalBreakdown(f"duality gap {gap!r} exceeds tolerance {tol!r}")
+        if hasattr(args, "tol"):  # a command bounds its gap iff it accepts --tol
+            tol = args.tol if args.tol is not None else default_tol()
+            if gap > tol * (1.0 + abs(result["value"])):
+                raise NumericalBreakdown(f"duality gap {gap!r} exceeds tolerance {tol!r}")
     if residuals is not None:
         diag["residuals"] = residuals(result)
     diag["pivots"] = pivot_total() - piv0

@@ -1,19 +1,18 @@
 """Transportation network simplex: the bipartite LPs on a spanning-tree basis.
 
 A transportation LP ships flow along arcs (i, j) from sources i < nx to
-sinks j < ny.  Row i sums the flow leaving source i, row nx + j the flow
-entering sink j, and an optional last row sums every arc.
-`TransportIncidence` is that constraint matrix as an operator: it gives
-``A @ x`` and ``A.T @ y`` without the dense (rows x arcs) array, and
-`lp.solve` hands every problem whose ``A`` is one to `solve_network`,
-then checks the answer it returns as it checks the dense engine's.
+sinks j < ny.  Row i sums the flow leaving source i and row nx + j the
+flow entering sink j; every row is "eq", every lower bound 0, and a cap
+may be infinite.  `TransportIncidence` is that constraint matrix as an
+operator: it gives ``A @ x`` and ``A.T @ y`` without the dense (rows x
+arcs) array, and `lp.solve` hands every problem whose ``A`` is one to
+`solve_network`, then checks the answer it returns as it checks the
+dense engine's.  A variant such as partial transport states its LP in
+this form itself, on spaces augmented with dummy atoms
+(`scalar.solve_partial`).
 
-Network.  Sources supply b_i and sinks demand b_j.  With the total row
-(marginal rows "le", total row "eq" with right-hand side m), a dummy
-source feeds every sink the demand left unmet and every source sends
-its unshipped supply to a dummy sink.  There is no dummy-to-dummy arc,
-so exactly m crosses the real arcs.  An artificial root joins every
-node by one arc pointing the way the node's balance flows.
+Network.  Sources supply b_i and sinks demand b_j.  An artificial root
+joins every node by one arc pointing the way the node's balance flows.
 
 Zero balances.  The solvers state their LP over every atom; a source or
 sink (a dummy too) whose balance is exactly 0 carries no flow, so the
@@ -22,7 +21,7 @@ tree leaves it out and `solve_network` prices it afterwards.
 Basis.  A spanning tree over the other nodes, rooted at the artificial root.
 Nonbasic arcs sit at 0 or at their cap.  Node potentials pi make the
 reduced cost c_a - pi[tail] + pi[head] of every tree arc zero; the LP
-duals are read off them (`_lp_duals`).
+duals are pi at the sources and -pi at the sinks.
 
 Start.  The tree of artificial arcs, each carrying its node's balance
 and priced at M = (1 + max|c|) * (nodes + 1).  A cycle that moves flow
@@ -71,29 +70,28 @@ class TransportIncidence:
     """Constraint matrix of a transportation LP, as an operator.
 
     Column k is the arc from source ``tail[k]`` to sink ``head[k]``: a one
-    in row ``tail[k]``, a one in row ``nx + head[k]`` and, with ``total``,
-    a one in the last row.  ``size`` counts the stored ones, as for a
-    sparse matrix, not rows times columns.
+    in row ``tail[k]`` and a one in row ``nx + head[k]``.  ``size`` counts
+    the stored ones, as for a sparse matrix, not rows times columns.
     """
 
-    def __init__(self, nx: int, ny: int, tail, head, total: bool = False):
-        self.nx, self.ny, self.total = int(nx), int(ny), bool(total)
+    def __init__(self, nx: int, ny: int, tail, head):
+        self.nx, self.ny = int(nx), int(ny)
         self.tail = np.asarray(tail, dtype=np.intp).reshape(-1)
         self.head = np.asarray(head, dtype=np.intp).reshape(-1)
         if self.tail.shape != self.head.shape:
             raise ValueError("tail and head must have the same length")
         if np.any((self.tail < 0) | (self.tail >= self.nx) | (self.head < 0) | (self.head >= self.ny)):
             raise ValueError("arc endpoint out of range")
-        self.shape = (self.nx + self.ny + self.total, self.tail.size)
+        self.shape = (self.nx + self.ny, self.tail.size)
 
     @classmethod
-    def complete(cls, nx: int, ny: int, total: bool = False) -> "TransportIncidence":
+    def complete(cls, nx: int, ny: int) -> "TransportIncidence":
         """Every source-sink pair, in row-major order (arc i * ny + j)."""
-        return cls(nx, ny, np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx), total)
+        return cls(nx, ny, np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx))
 
     @property
     def size(self) -> int:
-        return (2 + self.total) * self.tail.size
+        return 2 * self.tail.size
 
     @property
     def T(self) -> "_Transpose":
@@ -101,19 +99,15 @@ class TransportIncidence:
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        parts = [
+        return np.concatenate([
             np.bincount(self.tail, weights=x, minlength=self.nx),
             np.bincount(self.head, weights=x, minlength=self.ny),
-        ]
-        if self.total:
-            parts.append([x.sum()])
-        return np.concatenate(parts)
+        ])
 
     def rmatvec(self, y) -> np.ndarray:
         """``A.T @ y``: the row multipliers summed along each arc."""
         y = np.asarray(y, dtype=float)
-        out = y[self.tail] + y[self.nx + self.head]
-        return out + y[-1] if self.total else out
+        return y[self.tail] + y[self.nx + self.head]
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, for checks against the dense engine."""
@@ -121,8 +115,6 @@ class TransportIncidence:
         k = np.arange(self.tail.size)
         A[self.tail, k] = 1.0
         A[self.nx + self.head, k] = 1.0
-        if self.total:
-            A[-1] = 1.0
         return A
 
 
@@ -404,16 +396,6 @@ class _Tree:
         return moved
 
 
-def _lp_duals(A: TransportIncidence, pi: np.ndarray) -> np.ndarray:
-    """Row multipliers of the LP (min convention) from node potentials."""
-    nx, ny = A.nx, A.ny
-    src, snk = pi[:nx], pi[nx : nx + ny]
-    if not A.total:
-        return np.concatenate([src, -snk])
-    ds, dt = pi[nx + ny], pi[nx + ny + 1]
-    return np.concatenate([src - dt, ds - snk, [dt - ds]])
-
-
 def _price_dropped(pi: np.ndarray, live: np.ndarray, tail, head, cost) -> None:
     """Price the dropped nodes in `pi`, in place, as tightly as their arcs allow.
 
@@ -440,49 +422,33 @@ def _price_dropped(pi: np.ndarray, live: np.ndarray, tail, head, cost) -> None:
 def solve_network(problem, pivot_limit: int) -> LpSolution:
     """Solve an LP whose ``A`` is a `TransportIncidence`.
 
-    The marginal rows must all be "eq" (no total row) or all "le" with an
-    "eq" total row, and every lower bound 0; caps may be infinite.  It
-    returns an optimum or an unscaled Farkas vector and checks neither:
+    Every row must be "eq" and every lower bound 0; caps may be infinite.
+    It returns an optimum or an unscaled Farkas vector and checks neither:
     `lp.solve` does, as it does the dense engine's.
 
     Zero balances.  A source or sink whose balance is exactly 0 carries no
-    flow, and that includes a dummy node of the total row.  The tree runs
-    without such nodes and their arcs, the others renumbered in order;
-    afterwards `_price_dropped` gives each dropped node a potential, under
-    the phase's arc costs for an optimum and under phase one's zero arc
-    costs for a Farkas vector.  Every arc of the full problem then has a
-    reduced cost of the right sign, so the answer passes `lp.solve`'s
-    check on the full LP.
+    flow.  The tree runs without such nodes and their arcs, the others
+    renumbered in order; afterwards `_price_dropped` gives each dropped
+    node a potential, under the phase's arc costs for an optimum and under
+    phase one's zero arc costs for a Farkas vector.  Every arc of the full
+    problem then has a reduced cost of the right sign, so the answer
+    passes `lp.solve`'s check on the full LP.
     The rule holds only because every node here is a pure source or a
     pure sink; a transshipment node with zero balance may pass flow
     through and must stay.
     """
     A = problem.A
-    nx, ny = A.nx, A.ny
-    marginal = "le" if A.total else "eq"
-    kinds = problem.kinds
-    if any(k != marginal for k in kinds[: nx + ny]) or (A.total and kinds[-1] != "eq"):
-        raise ValueError("network rows must be eq marginals, or le marginals and an eq total")
+    nx = A.nx
+    if any(k != "eq" for k in problem.kinds):
+        raise ValueError("network rows must be eq")
     if np.any(problem.lower != 0.0):
         raise ValueError("network arcs must have lower bound 0")
     sign = 1.0 if problem.sense == "min" else -1.0
     b = problem.b
     tail, head = A.tail, nx + A.head
     cost, cap = sign * problem.c, problem.upper
-    balance = np.concatenate([b[:nx], -b[nx : nx + ny]])
+    balance = np.concatenate([b[:nx], -b[nx:]])
     live = balance != 0.0
-    if A.total:
-        ds, dt = nx + ny, nx + ny + 1
-        tail = np.concatenate([tail, np.arange(nx), np.full(ny, ds)])
-        head = np.concatenate([head, np.full(nx, dt), nx + np.arange(ny)])
-        cost = np.concatenate([cost, np.zeros(nx + ny)])
-        cap = np.concatenate([cap, np.full(nx + ny, np.inf)])
-        # summed over the live nodes alone, so that the tree's network is
-        # exactly the one without the dropped nodes
-        supply, demand = b[:nx][live[:nx]].sum(), b[nx:-1][live[nx:]].sum()
-        dummy = np.array([demand - b[-1], b[-1] - supply])
-        balance = np.concatenate([balance, dummy])
-        live = np.concatenate([live, dummy != 0.0])
     keep = live[tail] & live[head]
     number = np.cumsum(live) - 1
     nodes, arcs = int(live.sum()), int(keep.sum())
@@ -500,20 +466,22 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
             raise NumericalBreakdown("phase one found a feasible flow the priced start missed")
         pi[live] = tree.pi[:-1]
         _price_dropped(pi, live, tail, head, np.zeros(tail.size))
+        # row multipliers: a source's potential, a sink's negated
+        pi[nx:] = -pi[nx:]
         return LpSolution(
             status="infeasible",
             value=np.inf if problem.sense == "min" else -np.inf,
-            farkas=-_lp_duals(A, pi),
+            farkas=-pi,
             iterations=tree.pivots,
         )
-    real = keep[: A.shape[1]]
-    x = np.zeros(A.shape[1])
-    x[real] = tree.arc_flow()[: int(real.sum())]
+    x = np.zeros(tail.size)
+    x[keep] = tree.arc_flow()
     # shifting every potential alike changes no reduced cost; anchor the
     # first node hung from the root at zero, so that the duals do not carry
     # the artificial price M
     anchor = tree.pi[tree.children[-1][0]] if nodes else 0.0
     pi[live] = tree.pi[:-1] - anchor
     _price_dropped(pi, live, tail, head, cost)
-    value = float(problem.c[real] @ x[real])
-    return LpSolution(status="optimal", value=value, x=x, y=sign * _lp_duals(A, pi), iterations=tree.pivots)
+    pi[nx:] = -pi[nx:]
+    value = float(problem.c[keep] @ x[keep])
+    return LpSolution(status="optimal", value=value, x=x, y=sign * pi, iterations=tree.pivots)

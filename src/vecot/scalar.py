@@ -5,7 +5,10 @@ and `local_constraint_feasible`) state their LP over every atom with a
 `network.TransportIncidence`, so `lp.solve` runs them on the network
 simplex and never forms the dense marginal matrix; the network engine
 leaves zero-mass atoms out of its tree and prices them, so their
-potentials are plain LP duals here.  The others are dense LPs.
+potentials are plain LP duals here.  That engine solves only eq rows:
+`solve_partial` states partial transport as plain transport between
+spaces augmented by one dummy atom each, and reads its potentials off
+the augmented duals.  The others are dense LPs.
 `_marginal_index` is the single owner of the plan-to-column layout:
 every dense LP here and in `vector` and `chain` scatters its marginal
 rows from it.  Every solver returns dual potentials along with
@@ -154,26 +157,38 @@ def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
 def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtResult:
     """Transport a prescribed amount m of mass, m <= min(mu(X), nu(Y)).
 
-    The returned potentials are the LP duals of the inequality-constrained
-    program: psi, phi <= 0 and psi(x) + phi(y) + lam <= c(x,y), with
+    Solved as plain transport between augmented spaces: a dummy source
+    supplies nu(Y) - m to every sink and every source sends its unshipped
+    mass to a dummy sink of demand mu(X) - m, along arcs of cost 0.  With
+    no dummy-to-dummy arc, exactly m crosses the real arcs.  The LP's eq
+    duals (psi~, phi~) on the augmented atoms give the potentials of the
+    inequality-constrained program: psi = psi~ + phi~(dummy sink) <= 0,
+    phi = phi~ + psi~(dummy source) <= 0 and lam = -(psi~(dummy source) +
+    phi~(dummy sink)), with psi(x) + phi(y) + lam <= c(x,y) and
     value = psi.mu + phi.nu + lam * m (lam in extras["lam"]).
     """
     nx, ny = mu.space.size, nu.space.size
     c = _check_cost(cost, (nx, ny))
-    cap = min(mu.total(), nu.total())
-    if m < -FEAS_TOL or m > cap + FEAS_TOL:
+    mass_x, mass_y = mu.total(), nu.total()
+    cap = min(mass_x, mass_y)
+    if not -FEAS_TOL <= m <= cap + FEAS_TOL:
         raise ValueError(f"mass {m!r} outside [0, {cap!r}]")
     m = min(max(m, 0.0), cap)
-    A = TransportIncidence.complete(nx, ny, total=True)
-    b = np.concatenate([mu.weights, nu.weights, [m]])
-    kinds = ["le"] * (nx + ny) + ["eq"]
-    sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=kinds))
+    # real arcs in row-major order, then sources -> dummy sink ny, then
+    # dummy source nx -> sinks
+    tail = np.concatenate([np.repeat(np.arange(nx), ny), np.arange(nx), np.full(ny, nx)])
+    head = np.concatenate([np.tile(np.arange(ny), nx), np.full(nx, ny), np.arange(ny)])
+    A = TransportIncidence(nx + 1, ny + 1, tail, head)
+    b = np.concatenate([mu.weights, [mass_y - m], nu.weights, [mass_x - m]])
+    c_aug = np.concatenate([c.ravel(), np.zeros(nx + ny)])
+    sol = solve(LpProblem(c=c_aug, A=A, b=b, kinds=["eq"] * (nx + ny + 2)))
     if sol.status != "optimal":
         raise NumericalBreakdown(f"partial transport LP returned {sol.status}")
-    plan = TransportPlan(mu.space, nu.space, np.maximum(sol.x, 0.0).reshape(nx, ny))
-    return OtResult(
-        sol.value, plan, sol.y[:nx], sol.y[nx : nx + ny], extras={"lam": float(sol.y[-1])}
-    )
+    x, y = sol.x[: nx * ny], sol.y
+    plan = TransportPlan(mu.space, nu.space, np.maximum(x, 0.0).reshape(nx, ny))
+    psi, phi = y[:nx] + y[-1], y[nx] + y[nx + 1 : -1]
+    # lam = -(y[nx] + y[-1]), written so that a zero lam is 0.0, not -0.0
+    return OtResult(float(c.ravel() @ x), plan, psi, phi, extras={"lam": float(-y[-1] - y[nx])})
 
 
 def _kellerer_slack(psi, phi, mu: ScalarMeasure, nu: ScalarMeasure, cap: TransportPlan) -> float:

@@ -107,6 +107,8 @@ class VectorOtProblem:
         self.eta = mu.density if eta is None else np.atleast_2d(np.asarray(eta, dtype=float))
         if self.eta.shape != (mu.space.size, mu.dim):
             raise ValueError("eta shape does not match the source measure")
+        if not np.all(np.isfinite(self.eta)):
+            raise ValueError("eta must be finite")
         self.cost = _check_cost(cost, (mu.space.size, nu.space.size))
         self.live = _live_atoms(mu, self.eta)
 

@@ -1106,6 +1106,19 @@ class TestCliExitCodes:
             rc, _, err = run_cli(["verify", "--tol", flag, "--quiet"])
             assert rc == 3, err
 
+    @pytest.mark.parametrize("env", ["-1", ""])
+    @pytest.mark.parametrize("variant", ["glue", "local", "strassen"])
+    def test_bad_env_tolerance_leaves_gapless_variants_alone(self, tmp_path, monkeypatch,
+                                                             env, variant):
+        # VECOT_TOL bounds a duality gap; a variant without one never reads it,
+        # while plain transport still refuses it
+        monkeypatch.setenv("VECOT_TOL", env)
+        for solved, kind, code in ((variant, variant, 0), ("plain", "scalar_ot", 3)):
+            prob = str(tmp_path / f"{kind}.json")
+            run_cli(["gen", "--kind", kind, "--seed", "1", "--output", prob, "--quiet"])
+            rc, _, err = run_cli(["solve-ot", "--variant", solved, "--input", prob, "--quiet"])
+            assert rc == code, err
+
     def test_env_tolerance_respected(self, tmp_path, monkeypatch):
         prob = str(tmp_path / "p.json")
         run_cli(["gen", "--kind", "scalar_ot", "--seed", "1", "--output", prob, "--quiet"])

@@ -90,6 +90,20 @@ def instance(seed, nx, ny, integer_costs):
     return mu, nu, c, cap, m, D
 
 
+def with_dummies(nx, ny, tail, head, b_x, b_y, m):
+    """The partial LP moving mass m over arcs (tail, head), in the form
+    `scalar.solve_partial` states it: a dummy source nx supplies
+    b_y.sum() - m to every sink, and every source feeds a dummy sink ny of
+    demand b_x.sum() - m.  A mass that does not fit makes a dummy balance
+    negative.  Returns the operator and right-hand side; the dummy arcs
+    come last, nx of them into the dummy sink, then ny out of the dummy
+    source."""
+    tail = np.concatenate([tail, np.arange(nx), np.full(ny, nx)])
+    head = np.concatenate([head, np.full(nx, ny), np.arange(ny)])
+    b = np.concatenate([b_x, [b_y.sum() - m], b_y, [b_x.sum() - m]])
+    return TransportIncidence(nx + 1, ny + 1, tail, head), b
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -123,8 +137,10 @@ def test_four_solvers_match_dense_engine_and_highs(seed, nx, ny, integer_costs):
 
 
 def test_infeasible_partial_mass_certified_by_both_engines():
-    A = TransportIncidence.complete(2, 3, total=True)
-    p = LpProblem(c=np.arange(6.0), A=A, b=[1.0, 1.0, 0.5, 0.5, 0.5, 1.8], kinds=["le"] * 5 + ["eq"])
+    # mass 1.8 against 1.5 at the sinks: the dummy source's supply is -0.3
+    full = TransportIncidence.complete(2, 3)
+    A, b = with_dummies(2, 3, full.tail, full.head, np.ones(2), np.full(3, 0.5), 1.8)
+    p = LpProblem(c=np.r_[np.arange(6.0), np.zeros(5)], A=A, b=b, kinds=["eq"] * 7)
     sol = lp.solve(p)
     assert sol.status == "infeasible"
     check_against_oracles(p, sol)
@@ -132,10 +148,11 @@ def test_infeasible_partial_mass_certified_by_both_engines():
 
 def test_incidence_operator_matches_its_dense_matrix():
     rng = np.random.default_rng(3)
-    for total in (False, True):
-        A = TransportIncidence(4, 5, rng.integers(0, 4, 9), rng.integers(0, 5, 9), total=total)
+    tail, head = rng.integers(0, 4, 9), rng.integers(0, 5, 9)
+    augmented, _ = with_dummies(4, 5, tail, head, np.ones(4), np.ones(5), 1.0)
+    for A in (TransportIncidence(4, 5, tail, head), augmented):
         dense = A.toarray()
-        x, y = rng.normal(size=9), rng.normal(size=A.shape[0])
+        x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
         np.testing.assert_allclose(A @ x, dense @ x)
         np.testing.assert_allclose(A.T @ y, dense.T @ y)
         assert A.size == np.count_nonzero(dense)
@@ -310,10 +327,10 @@ def traced_solve(problem, run, pivot=_Tree._pivot, pivot_limit=None):
 def network_lps(draw):
     """A transportation LP over complete or sparse arcs, with zero-balance
     nodes, tight caps (so arcs flip, and some LPs are infeasible) and,
-    with the total row, a mass that may not fit."""
+    with dummies, a partial mass that may not fit."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
-    density, total = draw(st.sampled_from([1.0, 0.6, 0.25])), draw(st.booleans())
+    density, dummies = draw(st.sampled_from([1.0, 0.6, 0.25])), draw(st.booleans())
     tail, head = np.nonzero(rng.random((nx, ny)) < density)
     order = rng.permutation(tail.size)
     tail, head = tail[order], head[order]
@@ -327,12 +344,15 @@ def network_lps(draw):
         upper = np.full(tail.size, np.inf)
     else:
         upper = rng.integers(0, 3, tail.size) + (flow if cap == "loose" else 0)
-    m = [[float(rng.integers(0, b_x.sum() + 2))]] if total else []
-    b = np.concatenate([b_x, b_y] + m)
-    kinds = ["le" if total else "eq"] * (nx + ny) + (["eq"] if total else [])
+    if dummies:
+        m = float(rng.integers(0, b_x.sum() + 2))
+        A, b = with_dummies(nx, ny, tail, head, b_x, b_y, m)
+        c, upper = np.r_[c, np.zeros(nx + ny)], np.r_[upper, np.full(nx + ny, np.inf)]
+    else:
+        A, b = TransportIncidence(nx, ny, tail, head), np.concatenate([b_x, b_y])
     return LpProblem(
-        c=c, A=TransportIncidence(nx, ny, tail, head, total), b=b, kinds=kinds,
-        upper=upper, sense=draw(st.sampled_from(["min", "max"])),
+        c=c, A=A, b=b, kinds=["eq"] * b.size, upper=upper,
+        sense=draw(st.sampled_from(["min", "max"])),
     )
 
 
@@ -506,13 +526,13 @@ def test_solve_ot_300_certifies_without_a_dense_matrix(monkeypatch):
     assert peak < 64 * 2**20, peak
 
 
-def zero_balance_pair(seed, sparse, total):
+def zero_balance_pair(seed, sparse, dummies):
     """An LP with zero-balance sources and sinks, and the same LP without them.
 
-    With `total` the total row moves every unit both sides hold, so the
-    dummy source and sink have zero balance as well, and the LP without
-    them is the eq LP on the live sources and sinks.  Returns (full,
-    reduced, live arcs of the full LP).
+    With `dummies` the LP is partial transport (`with_dummies`) of every
+    unit both sides hold, so the dummy source and sink have zero balance
+    as well, and the LP without them is the eq LP on the live sources and
+    sinks.  Returns (full, reduced, live arcs of the full LP).
     """
     rng = np.random.default_rng(seed)
     nx, ny = rng.integers(2, 9, 2)
@@ -528,9 +548,6 @@ def zero_balance_pair(seed, sparse, total):
     b_y = np.bincount(head, weights=flow, minlength=ny)
     c = rng.integers(0, 5, tail.size).astype(float)
     cap = rng.integers(0, 3, tail.size) + (flow if rng.random() < 0.5 else 0)
-    b = np.concatenate([b_x, b_y] + ([[b_x.sum()]] if total else []))
-    kinds = ["le" if total else "eq"] * (nx + ny) + (["eq"] if total else [])
-    full = LpProblem(c=c, A=TransportIncidence(nx, ny, tail, head, total), b=b, kinds=kinds, upper=cap)
     live_x, live_y = b_x != 0, b_y != 0
     live = live_x[tail] & live_y[head]
     A = TransportIncidence(
@@ -539,17 +556,25 @@ def zero_balance_pair(seed, sparse, total):
     )
     b = np.concatenate([b_x[live_x], b_y[live_y]])
     reduced = LpProblem(c=c[live], A=A, b=b, kinds=["eq"] * b.size, upper=cap[live])
+    if dummies:
+        A, b = with_dummies(nx, ny, tail, head, b_x, b_y, b_x.sum())
+        c, cap = np.r_[c, np.zeros(nx + ny)], np.r_[cap, np.full(nx + ny, np.inf)]
+        live = np.r_[live, np.zeros(nx + ny, dtype=bool)]
+    else:
+        A, b = TransportIncidence(nx, ny, tail, head), np.concatenate([b_x, b_y])
+    full = LpProblem(c=c, A=A, b=b, kinds=["eq"] * b.size, upper=cap)
     return full, reduced, live
 
 
 @pytest.mark.parametrize("sparse", [False, True])
-@pytest.mark.parametrize("total", [False, True])
-def test_zero_balance_nodes_are_pruned_and_priced(sparse, total):
-    # the tree runs without zero-balance nodes: the same pivots and flows
-    # as the LP without them, and the full LP's gates still pass
+@pytest.mark.parametrize("dummies", [False, True])
+def test_zero_balance_nodes_are_pruned_and_priced(sparse, dummies):
+    # the tree runs without zero-balance nodes, the dummies of a partial LP
+    # too: the same pivots and flows as the LP without them, and the full
+    # LP's gates still pass
     statuses = set()
     for seed in range(40):
-        full, reduced, live = zero_balance_pair(seed, sparse, total)
+        full, reduced, live = zero_balance_pair(seed, sparse, dummies)
         if live.all():
             continue
         sol, ref = lp.solve(full), lp.solve(reduced)
@@ -585,7 +610,45 @@ def test_all_zero_marginals_make_one_certified_lp_call(monkeypatch, solver):
     else:
         res = scalar.solve_capacity(mu, nu, c, TransportPlan(sx, sy, np.ones((3, 2))))
     (problem, sol), = seen
-    assert problem.nvars == 6 and sol.status == "optimal"
+    assert sol.status == "optimal"
     certify(problem, sol.x, sol.y, sol.value)
     assert res.value == sol.value == 0.0 and not res.plan.matrix.any()
-    assert np.array_equal(res.psi, sol.y[:3]) and np.array_equal(res.phi, sol.y[3:5])
+    if solver == "partial":
+        # 6 real arcs, 3 into the dummy sink and 2 out of the dummy source
+        assert problem.nvars == 11
+        psi, phi = sol.y[:3] + sol.y[-1], sol.y[3] + sol.y[4:6]
+    else:
+        assert problem.nvars == 6
+        psi, phi = sol.y[:3], sol.y[3:5]
+    assert np.array_equal(res.psi, psi) and np.array_equal(res.phi, phi)
+
+
+def test_partial_of_all_mass_prunes_both_dummies(monkeypatch):
+    # zero-mass atoms on both sides and m equal to both totals: both dummy
+    # balances are 0, so the tree is plain transport's, the answer certifies
+    # on the full LP and its value is solve_ot's
+    sx, sy = FiniteSpace(["a", "b", "c"]), FiniteSpace(["u", "v", "w"])
+    mu, nu = ScalarMeasure(sx, [1.0, 0.0, 2.0]), ScalarMeasure(sy, [0.0, 2.0, 1.0])
+    c = np.array([[1.0, -2.0, 3.0], [0.5, 3.0, 1.0], [-1.0, 0.0, 2.0]])
+    seen, nodes = [], []
+    init = _Tree.__init__
+
+    def spy(problem, pivot_limit=None):
+        sol = lp.solve(problem, pivot_limit)
+        seen.append((problem, sol))
+        return sol
+
+    def counted_init(tree, tail, head, cap, balance, *args):
+        nodes.append(balance.size)
+        init(tree, tail, head, cap, balance, *args)
+
+    monkeypatch.setattr(scalar, "solve", spy)
+    monkeypatch.setattr(_Tree, "__init__", counted_init)
+    res = scalar.solve_partial(mu, nu, c, 3.0)
+    plain = scalar.solve_ot(mu, nu, c)
+    (problem, sol), _ = seen
+    assert problem.b[3] == problem.b[-1] == 0.0
+    assert nodes == [4, 4]  # the live atoms alone, for both solves
+    certify(problem, sol.x, sol.y, sol.value)
+    assert res.value == plain.value
+    assert np.array_equal(res.plan.matrix, plain.plan.matrix)

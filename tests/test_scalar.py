@@ -117,6 +117,15 @@ def test_partial_zero_mass():
     assert res.plan.mass() == 0.0
 
 
+@pytest.mark.parametrize("m", [np.nan, -0.1, 1.1, np.inf])
+def test_partial_refuses_a_mass_outside_its_range(m):
+    # solve_partial owns its mass rule: a NaN mass fails it too, rather than
+    # reaching the LP as a NaN right-hand side
+    mu = uniform(space(3))
+    with pytest.raises(ValueError, match="^mass .* outside \\[0, "):
+        solve_partial(mu, mu, np.ones((3, 3)), m)
+
+
 def test_partial_full_mass_equals_plain():
     rng = np.random.default_rng(8)
     sp = space(4)

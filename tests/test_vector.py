@@ -277,6 +277,13 @@ class TestVectorSolve:
         with pytest.raises(ValueError):
             VectorOtProblem(mu, nu, np.zeros((2, 1)), eta=np.ones((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eta_rejected(self, bad):
+        # a verdict read from NaN data would be none: the constructor refuses it
+        mu = VectorMeasure(FiniteSpace(["x0", "x1"]), np.array([[1.0, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="^eta must be finite$"):
+            VectorOtProblem(mu, mu, np.zeros((2, 2)), eta=[[bad, 1.0], [1.0, 1.0]])
+
 
 class TestSemiDiscrete:
     def test_region_boundary_matches_closed_form(self):

@@ -89,7 +89,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({"cli", "network", "tolerances", *_EXPORTS})
+_SUBMODULES = frozenset({"cli", "kinds", "network", "tolerances", *_EXPORTS})
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

@@ -146,6 +146,8 @@ class MomentProblem:
     def __post_init__(self):
         self.functions = np.atleast_2d(np.asarray(self.functions, dtype=float))
         self.target = np.asarray(self.target, dtype=float).reshape(-1)
+        if self.functions.shape[1] == 0:
+            raise ValueError("moment functions must have at least one atom (column)")
         if self.functions.shape[0] != self.target.shape[0]:
             raise ValueError(
                 f"{self.functions.shape[0]} moment functions but "
@@ -217,6 +219,16 @@ def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
     return C
 
 
+def _circle_cone(c: np.ndarray, grid_size: int) -> LpProblem:
+    """`trig_moment`'s LP: c as a nonnegative combination of circle moment vectors."""
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    # column j holds (e^{-ik theta_j})_k, split into real and imaginary rows
+    basis = np.exp(-1j * np.outer(np.arange(c.shape[0]), theta))
+    A = np.vstack([basis.real, basis.imag])
+    b = np.concatenate([c.real, c.imag])
+    return LpProblem(c=np.zeros(grid_size), A=A, b=b, kinds=["eq"] * A.shape[0])
+
+
 def trig_moment(coeffs, grid_size: int) -> dict:
     """Compare the two feasibility characterizations of Fourier data.
 
@@ -241,12 +253,7 @@ def trig_moment(coeffs, grid_size: int) -> dict:
     min_eig = float(eigs.min())
     psd = min_eig >= -PSD_TOL * max(1.0, norm)
 
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    # column j holds (e^{-ik theta_j})_k, split into real and imaginary rows
-    basis = np.exp(-1j * np.outer(np.arange(n + 1), theta))
-    A = np.vstack([basis.real, basis.imag])
-    b = np.concatenate([c.real, c.imag])
-    sol = solve(LpProblem(c=np.zeros(grid_size), A=A, b=b, kinds=["eq"] * A.shape[0]))
+    sol = solve(_circle_cone(c, grid_size))
     lp_feasible = sol.status == "optimal"
     if not lp_feasible and sol.status != "infeasible":
         raise NumericalBreakdown(f"trig moment LP returned {sol.status}")

@@ -3,28 +3,26 @@
 Every solve-style run produces a canonical JSON result carrying the
 primal and dual values, the duality gap, and diagnostics (recomputed
 residuals, pivot count, wall time).  Before anything is written, the
-result text is parsed back and its residuals recomputed from the
-serialized numbers; a mismatch aborts with the numerical-breakdown exit
-code rather than publishing an inconsistent file.
+result text is parsed back and checked from the serialized numbers:
+residuals must match the stored ones and a certificate must prove what
+it claims, or the run aborts with the numerical-breakdown exit code.
 
-Each solve command names the problem kind it reads, and `_load` reads it
-through that kind's `serialize` decoder, from `--input` or from the flag
-files that stand in for it; an override flag (`--n`, `--grid`,
+Each problem command reads the kind `kinds.TABLE` assigns it (`solve-ot`
+the kind of its `--variant`) through `_load`, from `--input` or from the
+flag files that stand in for it; an override flag (`--n`, `--grid`,
 `--restrict`, `--infconv`) replaces its payload key before that one
-decode.  The command's solve returns ``(result,
-residuals)``, where ``residuals`` maps a result, in memory or re-parsed
-from its own text, to its residuals (or is None).  `_run` does the rest.
+decode.  `_run` calls the kind's `solve` and `check` and does the rest.
 
 The parser is built once per process, on the first `main()` call, and
 reused: flags are parsed afresh on every call and `VECOT_TOL` is read
 per call, when the result has a gap to bound, so `main(argv)` may be
-called repeatedly in one process.  The `fn`, `load` and `solve`
-defaults of each subcommand are bound when the parser is built; they are
-this module's functions, which look up the library functions they call
-by name at call time.  Only the scalar solvers are imported with this
-module; a command imports what else it calls (`vector`, `chain`,
-`applications`, `generate`, `golden`) when it runs, so `solve-ot` never
-loads them.  `build_parser()` still returns a fresh parser.
+called repeatedly in one process.  The `fn`, `load`, `solve` and `check`
+defaults of each subcommand are bound when the parser is built; they
+look up the library functions they call by name at call time.  Only the
+scalar solvers are imported with this module (by `kinds`); a command
+imports what else it calls (`vector`, `chain`, `applications`,
+`generate`, `golden`) when it runs, so `solve-ot` never loads them.
+`build_parser()` still returns a fresh parser.
 
 Exit codes: 0 success, 1 golden-suite failure, 2 infeasible with
 certificate, 3 schema or usage error, 4 numerical breakdown.
@@ -37,21 +35,10 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from . import serialize
+from .kinds import TABLE
 from .lp import NumericalBreakdown, pivot_total
-from .scalar import (
-    InfeasibleTransport,
-    glue_feasible,
-    local_constraint_feasible,
-    solve_capacity,
-    solve_invariant,
-    solve_multimarginal,
-    solve_ot,
-    solve_partial,
-    strassen_feasible,
-)
+from .scalar import InfeasibleTransport
 from .serialize import SchemaError, canonical_dumps
 from .tolerances import REVALIDATE_TOL, default_tol, tolerance
 
@@ -68,38 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _optimal(value, dual_value, **fields) -> dict:
-    return {
-        "status": "optimal",
-        "value": float(value),
-        "primalValue": float(value),
-        "dualValue": float(dual_value),
-        "gap": abs(float(value) - float(dual_value)),
-        **fields,
-    }
-
-
-def _infeasible(cert):
-    return {"status": "infeasible", "cert": cert}, None
-
-
-def _plan_residuals(data, extra=None):
-    """Residuals of a result's plan: both marginals, and `extra(plan)` if given."""
-    mu_w, nu_w = data["mu"].weights, data["nu"].weights
-
-    def residuals(r):
-        q = np.asarray(r["plan"], dtype=float)
-        out = {
-            "sourceMarginal": float(np.abs(q.sum(axis=1) - mu_w).max()),
-            "targetMarginal": float(np.abs(q.sum(axis=0) - nu_w).max()),
-        }
-        if extra is not None:
-            out.update(extra(q))
-        return out
-
-    return residuals
-
-
 def _emit(args, text) -> None:
     """Write `text` to --output, or else to stdout; --quiet silences stdout."""
     if args.output:
@@ -111,14 +66,19 @@ def _emit(args, text) -> None:
 
 
 def _run(args) -> int:
-    """Load, solve, gap-check, self-revalidate and write one result."""
+    """Load, solve, gap-check, check, self-revalidate and write one result.
+
+    The command's `check` (see `kinds`) runs on the result and again on
+    the result re-parsed from its own text: residuals must agree with the
+    stored ones, and a certificate must hold.  A check that returns None
+    leaves the text unparsed.
+    """
     data = args.load(args)
     t0, piv0 = time.perf_counter(), pivot_total()
     try:
-        result, residuals = args.solve(args, data)
+        result = args.solve(args, data)
     except InfeasibleTransport as exc:
         result = {"status": "infeasible", "message": str(exc), "cert": exc.cert}
-        residuals = None
     result["command"] = args.cmd
     diag = result["diagnostics"] = {}
     if "gap" in result:
@@ -127,15 +87,16 @@ def _run(args) -> int:
             tol = args.tol if args.tol is not None else default_tol()
             if gap > tol * (1.0 + abs(result["value"])):
                 raise NumericalBreakdown(f"duality gap {gap!r} exceeds tolerance {tol!r}")
-    if residuals is not None:
-        diag["residuals"] = residuals(result)
+    residuals = args.check(data, result) if args.check else None
+    if residuals:
+        diag["residuals"] = residuals
     diag["pivots"] = pivot_total() - piv0
     diag["wallMillis"] = (time.perf_counter() - t0) * 1000.0
     text = canonical_dumps(result)
     if residuals is not None:
         parsed = json.loads(text)
-        stored = parsed["diagnostics"]["residuals"]
-        for key, val in residuals(parsed).items():
+        stored = parsed["diagnostics"].get("residuals", {})
+        for key, val in args.check(data, parsed).items():
             if abs(val - stored[key]) > REVALIDATE_TOL:
                 raise NumericalBreakdown(f"serialized result fails revalidation on {key}: "
                                          f"{val!r} vs stored {stored[key]!r}")
@@ -143,172 +104,19 @@ def _run(args) -> int:
     return EXIT_INFEASIBLE if result["status"] == "infeasible" else EXIT_OK
 
 
-def _ot_plain(data):
-    mu_w, nu_w = data["mu"].weights, data["nu"].weights
-    res = solve_ot(data["mu"], data["nu"], data["cost"])
-    result = _optimal(
-        res.value, res.psi @ mu_w + res.phi @ nu_w,
-        psi=res.psi, phi=res.phi, plan=res.plan.matrix,
-    )
-    return result, _plan_residuals(data)
-
-
-def _ot_partial(data):
-    mu_w, nu_w, mass = data["mu"].weights, data["nu"].weights, data["mass"]
-    res = solve_partial(data["mu"], data["nu"], data["cost"], mass)
-    lam = res.extras["lam"]
-    result = _optimal(
-        res.value, res.psi @ mu_w + res.phi @ nu_w + lam * mass,
-        psi=res.psi, phi=res.phi, lam=lam, plan=res.plan.matrix,
-    )
-
-    def residuals(r):
-        q = np.asarray(r["plan"], dtype=float)
-        return {
-            "rowExcess": float(np.maximum(q.sum(axis=1) - mu_w, 0.0).max()),
-            "colExcess": float(np.maximum(q.sum(axis=0) - nu_w, 0.0).max()),
-            "massResidual": float(abs(q.sum() - mass)),
-        }
-
-    return result, residuals
-
-
-def _ot_capacity(data):
-    mu_w, nu_w, cap_m = data["mu"].weights, data["nu"].weights, data["cap"].matrix
-    res = solve_capacity(data["mu"], data["nu"], data["cost"], data["cap"])
-    xi = res.extras["xi"]
-    result = _optimal(
-        res.value, res.psi @ mu_w + res.phi @ nu_w + (xi * cap_m).sum(),
-        psi=res.psi, phi=res.phi, xi=xi, plan=res.plan.matrix,
-    )
-    return result, _plan_residuals(
-        data, lambda q: {"capExcess": float(np.maximum(q - cap_m, 0.0).max())}
-    )
-
-
-def _ot_invariant(data):
-    mu_w = data["mu"].weights
-    ny = data["target"].size
-    res = solve_invariant(data["mu"], data["mapping"], data["cost"], data["target"])
-    mapping = np.asarray(data["mapping"], dtype=int)
-    result = _optimal(
-        res.value, res.psi @ mu_w,
-        psi=res.psi, phi=res.phi, plan=res.plan.matrix,
-        inducedMarginal=res.extras["nu"].weights,
-    )
-
-    def residuals(r):
-        q = np.asarray(r["plan"], dtype=float)
-        marg = q.sum(axis=0)
-        pushed = np.bincount(mapping, weights=marg, minlength=ny)
-        return {
-            "sourceMarginal": float(np.abs(q.sum(axis=1) - mu_w).max()),
-            "invarianceResidual": float(np.abs(pushed - marg).max()),
-        }
-
-    return result, residuals
-
-
-def _ot_multi(data):
-    measures = data["measures"]
-    sizes = tuple(m.space.size for m in measures)
-    res = solve_multimarginal(measures, data["cost"])
-    psis = res.extras["psis"]
-    result = _optimal(
-        res.value, sum(p @ m.weights for p, m in zip(psis, measures)),
-        potentials=psis, tensor=res.extras["tensor"].ravel(), shape=list(sizes),
-    )
-
-    def residuals(r):
-        t = np.asarray(r["tensor"], dtype=float).reshape(sizes)
-        out = {}
-        for axis, m in enumerate(measures):
-            marg = t.sum(axis=tuple(a for a in range(len(sizes)) if a != axis))
-            out[f"marginal{axis}"] = float(np.abs(marg - m.weights).max())
-        return out
-
-    return result, residuals
-
-
-def _ot_glue(data):
-    res = glue_feasible(data["first"], data["second"], data["third"])
-    if not res.feasible:
-        return _infeasible(res.cert)
-    first, second = data["first"].matrix, data["second"].matrix
-    third = data["third"].matrix if data["third"] is not None else None
-
-    def residuals(r):
-        t = np.asarray(r["tensor"], dtype=float).reshape(*first.shape, second.shape[1])
-        out = {
-            "firstPair": float(np.abs(t.sum(axis=2) - first).max()),
-            "secondPair": float(np.abs(t.sum(axis=0) - second).max()),
-        }
-        if third is not None:
-            out["thirdPair"] = float(np.abs(t.sum(axis=1) - third).max())
-        return out
-
-    result = {"status": "feasible", "tensor": res.tensor.ravel(), "shape": list(res.tensor.shape)}
-    return result, residuals
-
-
-def _ot_local(data):
-    off = data["cost"] > data["threshold"]
-    res = local_constraint_feasible(data["mu"], data["nu"], data["cost"], data["threshold"])
-    if not res.feasible:
-        return _infeasible(res.cert)
-    return {"status": "feasible", "plan": res.plan.matrix}, _plan_residuals(
-        data, lambda q: {"offSupportMass": float(q[off].sum()) if np.any(off) else 0.0}
-    )
-
-
-def _ot_strassen(data):
-    cons = data["constraints"]
-    res = strassen_feasible(data["mu"], data["nu"], cons)
-    if not res.feasible:
-        return _infeasible(res.cert)
-
-    def violation(q):
-        worst = 0.0
-        for G, kind, rhs in cons:
-            attained = float((G * q).sum())
-            if kind == "le":
-                worst = max(worst, attained - rhs)
-            elif kind == "ge":
-                worst = max(worst, rhs - attained)
-            else:
-                worst = max(worst, abs(attained - rhs))
-        return {"constraintViolation": max(worst, 0.0)}
-
-    return {"status": "feasible", "plan": res.plan.matrix}, _plan_residuals(data, violation)
-
-
-# variant -> (problem kind, solver); entries are this module's functions so
-# that the library solvers they call are looked up by name at call time
-_SOLVE_OT = {
-    "plain": ("scalar_ot", _ot_plain),
-    "partial": ("partial", _ot_partial),
-    "capacity": ("capacity", _ot_capacity),
-    "invariant": ("invariant", _ot_invariant),
-    "multi": ("multi", _ot_multi),
-    "glue": ("glue", _ot_glue),
-    "local": ("local", _ot_local),
-    "strassen": ("strassen", _ot_strassen),
-}
-VARIANT_KIND = {variant: kind for variant, (kind, _) in _SOLVE_OT.items()}
+VARIANT_KIND = {k.variant: name for name, k in TABLE.items() if k.variant}
+# the kind each problem command reads; solve-ot reads plain's until --variant names another
+_COMMAND_KIND = {k.command: name for name, k in TABLE.items()
+                 if k.command and k.variant in (None, "plain")}
 
 
 class _Variant(argparse.Action):
-    """`solve-ot --variant`, which also sets the problem kind the command reads."""
+    """`solve-ot --variant`: the problem kind the command reads, solves and checks."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        namespace.variant, namespace.kind = value, VARIANT_KIND[value]
-
-
-def _solve_ot(args, data):
-    # the feasibility variants report no duality gap for --tol to bound
-    if args.tol is not None and args.variant in ("glue", "local", "strassen"):
-        raise SchemaError("--tol", f"the {args.variant} variant has no duality gap to bound")
-    return _SOLVE_OT[args.variant][1](data)
+        kind = VARIANT_KIND[value]
+        namespace.variant, namespace.kind = value, kind
+        namespace.solve, namespace.check = TABLE[kind].solve, TABLE[kind].check
 
 
 def _document(path, bare):
@@ -372,73 +180,6 @@ def _infconv_files(paths):
     return fs
 
 
-def _solve_vot(args, data):
-    from .vector import VectorOtProblem, solve_vector_ot
-
-    problem = VectorOtProblem(data["mu"], data["nu"], data["cost"], data["eta"])
-    res = solve_vector_ot(problem)
-    t, eta, nu_vals = res.extras["t"], problem.eta, data["nu"].values
-    result = _optimal(
-        res.value, res.extras["Psi"] @ t + (res.phi * nu_vals).sum(),
-        plan=res.plan.matrix, rowSums=t,
-        psi=res.psi, phi=res.phi, scalarPotential=res.extras["Psi"],
-    )
-
-    def residuals(r):
-        q = np.asarray(r["plan"], dtype=float)
-        rows = np.asarray(r["rowSums"], dtype=float)
-        return {
-            "rowSumResidual": float(np.abs(q.sum(axis=1) - rows).max()),
-            "targetResidual": float(np.abs(q.T @ eta - nu_vals).max()),
-        }
-
-    return result, residuals
-
-
-def _solve_dominate(args, data):
-    from .vector import blackwell_check, dominates, dominates_n, strong_dominates
-
-    if not args.blackwell and (args.samples is not None or args.seed is not None):
-        raise SchemaError("dominate", "--samples and --seed apply only with --blackwell")
-    mu, nu = data["mu"], data["nu"]
-    residuals = None
-    if args.blackwell:
-        samples = 64 if args.samples is None else args.samples
-        rep = blackwell_check(mu, nu, g_samples=samples, seed=args.seed or 0)
-        ok = bool(rep["dominates"])
-        cert = rep.pop("cert")
-        if cert is not None:
-            if cert.kind == "kernel":
-                rep["cert"] = {"kind": "kernel", "rows": cert.payload.rows}
-            else:
-                rep["cert"] = {"kind": cert.kind, "payload": cert.payload}
-        result = {"report": rep}
-    elif args.strong:
-        ok, witness = strong_dominates(mu, nu)
-        result = {"strong": ok}
-        if witness is not None:
-            result["witness"] = {"sourceAtoms": list(witness[0]), "targetAtoms": list(witness[1])}
-    elif args.n is not None:
-        ok, witness = dominates_n(mu, nu, args.n)
-        result = {"blocks": args.n}
-        if witness is not None:
-            result["witness"] = {"partition": [list(b) for b in witness]}
-    else:
-        ok, cert = dominates(mu, nu)
-        if ok:
-            result = {"kernel": cert.payload.rows}
-            mu_vals, nu_vals = mu.values, nu.values
-
-            def residuals(r):
-                rows = np.asarray(r["kernel"], dtype=float)
-                return {"pushforwardResidual": float(np.abs(rows.T @ mu_vals - nu_vals).max())}
-        else:
-            result = {"cert": cert.payload}
-    result["status"] = "feasible" if ok else "infeasible"
-    result["dominates"] = bool(ok)
-    return result, residuals
-
-
 _DENSITY_TERM = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?)?\s*(x?)\s*$")
 
 
@@ -491,113 +232,13 @@ def _solve_refine(args, data):
          "gap": abs(e["value"] - e["dual_value"]), "dualSpread": e["q"]}
         for e in study["entries"]
     ]
-    result = {"status": "optimal", "entries": entries, "spreadTrend": study["q_trend"]}
-    return result, lambda r: {"worstGap": max(e["gap"] for e in r["entries"])}
+    return {"status": "optimal", "entries": entries, "spreadTrend": study["q_trend"]}
 
 
-def _solve_chain(args, data):
-    from .chain import ChainProblem, chain_free_medium, chain_ot
-
-    hops = data["hops"]
-    if args.free_medium:
-        value = chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
-        return {"status": "optimal", "value": value, "hops": hops, "freeMedium": True}, None
-    res = chain_ot(
-        ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], data["medium"], hops)
-    )
-    mu_w, nu_w, med_w = data["mu"].weights, data["nu"].weights, data["medium"].weights
-
-    def residuals(r):
-        plans = [np.asarray(p, dtype=float) for p in r["plans"]]
-        link = 0.0
-        for a, b in zip(plans, plans[1:]):
-            link = max(link, float(np.abs(a.sum(axis=0) - b.sum(axis=1)).max()))
-        medium = np.sum([p.sum(axis=1) for p in plans[1:]], axis=0) if len(plans) > 1 else None
-        return {
-            "sourceMarginal": float(np.abs(plans[0].sum(axis=1) - mu_w).max()),
-            "targetMarginal": float(np.abs(plans[-1].sum(axis=0) - nu_w).max()),
-            "linking": link,
-            "mediumResidual": (
-                float(np.abs(medium - hops * med_w).max()) if medium is not None else 0.0
-            ),
-        }
-
-    result = {
-        "status": "optimal", "value": res.value, "hops": hops,
-        "f": res.medium_potential, "plans": [p.matrix for p in res.plans],
-        "stages": res.stages,
-    }
-    return result, residuals
-
-
-def _solve_game(args, data):
-    from .applications import game_value, game_value_restricted
-
-    payoff, reference = data["payoff"], data["restrict"]
-    if reference is not None:
-        res = game_value_restricted(payoff, reference)
-    else:
-        res = game_value(payoff)
-
-    def residuals(r):
-        s = np.asarray(r["rowStrategy"], dtype=float)
-        t = np.asarray(r["colStrategy"], dtype=float)
-        v = r["value"]
-        row = s @ payoff if reference is None else (s @ payoff)[reference.weights > 0]
-        lower = float(np.min(row))
-        return {
-            "rowShortfall": max(0.0, v - lower),
-            "colOverrun": max(0.0, float(np.max(payoff @ t)) - v),
-        }
-
-    result = _optimal(
-        res.value, res.value, rowStrategy=res.row_strategy, colStrategy=res.col_strategy
-    )
-    return result, residuals
-
-
-def _solve_moment(args, data):
-    from .applications import MomentProblem, moment_feasible
-
-    M, m = data["functions"], data["target"]
-    res = moment_feasible(MomentProblem(M, m))
-    if res.feasible:
-        def residuals(r):
-            w = np.asarray(r["weights"], dtype=float)
-            return {"momentResidual": float(np.abs(M @ w - m).max())}
-
-        return {"status": "feasible", "weights": res.weights}, residuals
-    cert = res.cert
-    result = {"status": "infeasible", "cert": cert,
-              "certFloor": float((cert @ M).min()), "certMargin": float(cert @ m)}
-    return result, None
-
-
-def _solve_trig(args, data):
-    from .applications import trig_moment
-
-    rep = trig_moment(data["coeffs"], data["gridSize"])
-    result = {
-        "status": "feasible" if rep["lp_feasible"] else "infeasible",
-        "minEig": rep["min_eig"], "norm": rep["norm"],
-        "psd": rep["psd"], "lpFeasible": rep["lp_feasible"],
-        "boundaryBand": rep["boundary_band"], "gridSize": rep["grid_size"],
-    }
-    result.update((key, rep[key]) for key in ("weights", "cert") if rep[key] is not None)
-    return result, None
-
-
-def _solve_conj(args, data):
-    from .applications import GridFunction, conjugate, inf_convolution
-
-    f = GridFunction(**data["f"])
-    if data["others"]:
-        out = inf_convolution(f, *(GridFunction(**o) for o in data["others"]))
-        op = "infConvolution"
-    else:
-        out = conjugate(f, data["dualGrid"])
-        op = "conjugate"
-    return {"status": "optimal", "operation": op, "grid": out.grid, "values": out.values}, None
+def _check_refine(data, r):
+    if r["status"] == "infeasible":
+        return None  # the target is out of reach; its certificate is not re-checked
+    return {"worstGap": max(e["gap"] for e in r["entries"])}
 
 
 def _cmd_gen(args) -> int:
@@ -654,21 +295,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vecot", description="transport and duality toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def command(name, help, parents, solve=None, kind=None, load=_load, files=(), values=(),
+    def command(name, help, parents, load=_load, solve=None, check=None, files=(), values=(),
                 bare=None, fn=_run):
+        kind = _COMMAND_KIND.get(name)
+        if kind is not None:
+            solve, check = TABLE[kind].solve, TABLE[kind].check
         p = sub.add_parser(name, parents=[*parents, _OUTPUT, _QUIET], help=help)
-        p.set_defaults(fn=fn, kind=kind, load=load, solve=solve, files=files, values=values,
-                       bare=bare)
+        p.set_defaults(fn=fn, kind=kind, load=load, solve=solve, check=check, files=files,
+                       values=values, bare=bare)
         return p
 
-    p = command("solve-ot", "scalar transport variants", [_INPUT, _TOL],
-                _solve_ot, VARIANT_KIND["plain"])
+    p = command("solve-ot", "scalar transport variants", [_INPUT, _TOL])
     p.add_argument("--variant", choices=sorted(VARIANT_KIND), default="plain", action=_Variant)
 
-    command("solve-vot", "vector-valued transport", [_INPUT, _TOL], _solve_vot, "vector_ot")
+    command("solve-vot", "vector-valued transport", [_INPUT, _TOL])
 
-    p = command("dominate", "dominance queries", [_INPUT_OPTIONAL, _SEED], _solve_dominate,
-                "dominance", files=(("--mu", "mu"), ("--nu", "nu")))
+    p = command("dominate", "dominance queries", [_INPUT_OPTIONAL, _SEED],
+                files=(("--mu", "mu"), ("--nu", "nu")))
     p.add_argument("--mu", help="source vector measure file")
     p.add_argument("--nu", help="target vector measure file")
     mode = p.add_mutually_exclusive_group()
@@ -678,37 +321,36 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None,
                    help="convex test functions for --blackwell (default 64)")
 
-    p = command("refine", "grid refinement study", [], _solve_refine, load=_load_refine)
+    p = command("refine", "grid refinement study", [], _load_refine, _solve_refine, _check_refine)
     p.add_argument("--density", required=True, help='component spec, e.g. "1,2x"')
     p.add_argument("--targets", required=True, help="target values file")
     p.add_argument("--grids", required=True, help="comma-separated grid sizes")
 
-    p = command("chain", "multi-hop transport", [_INPUT], _solve_chain, "chain",
-                values=(("--n", "hops", None),))
+    p = command("chain", "multi-hop transport", [_INPUT], values=(("--n", "hops", None),))
     p.add_argument("--n", dest="hops", type=int, default=None, help="override the hop count")
     p.add_argument("--free-medium", action="store_true", help="leave the medium free")
 
-    p = command("game", "matrix game value", [_INPUT], _solve_game, "game",
+    p = command("game", "matrix game value", [_INPUT],
                 values=(("--restrict", "restrict", _restrict_file),))
     p.add_argument("--restrict", help="scalar measure restricting the column player")
 
-    p = command("moment", "moment feasibility", [_INPUT_OPTIONAL], _solve_moment, "moment",
+    p = command("moment", "moment feasibility", [_INPUT_OPTIONAL],
                 files=(("--M", "functions"), ("--m", "target")))
     p.add_argument("--M", dest="functions", help="moment functions file")
     p.add_argument("--m", dest="target", help="target vector file")
 
-    p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL], _solve_trig, "trig",
+    p = command("trig", "trigonometric moments", [_INPUT_OPTIONAL],
                 files=(("--coeffs", "coeffs"),), values=(("--grid", "gridSize", None),))
     p.add_argument("--coeffs", help="coefficient file")
     p.add_argument("--grid", dest="gridSize", type=int, default=None, help="circle grid size")
 
-    p = command("conj", "discrete convex conjugate", [_INPUT], _solve_conj, "conjugate",
+    p = command("conj", "discrete convex conjugate", [_INPUT],
                 bare="f", values=(("--infconv", "others", _infconv_files),))
     p.add_argument("--infconv", dest="others", metavar="INFCONV", nargs="+", default=None,
                    help="convolve the input with these grid functions instead")
 
     p = command("gen", "generate a seeded instance", [_SEED], fn=_cmd_gen)
-    p.add_argument("--kind", required=True, choices=serialize.KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(TABLE))
 
     p = command("verify", "run the golden suite", [_TOL], fn=_cmd_verify)
     p.add_argument("--only", default=None, help="name substring filter")

@@ -164,6 +164,8 @@ class VectorMeasure:
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if v.shape[0] != self.space.size:
             raise ValueError(f"values has {v.shape[0]} rows for {self.space.size} atoms")
+        if v.shape[1] == 0:
+            raise ValueError("values must have at least one component (d >= 1)")
         v = _clean_nonneg(v, "values")
         if self.ref_weights is None:
             ref = v.sum(axis=1)

@@ -9,11 +9,12 @@ entry, to name the first bad entry.  Negative weights below -1e-9 are
 rejected; tiny negatives above that are clamped to zero by the measure
 constructors.
 
-The decoders own a payload's JSON types and shapes (its keys, their
-types, and array lengths against each other) and name the JSON path of a
-bad key.  A rule about a value (a mass in range, a mapping index that
-names an atom, an increasing grid) belongs to the constructor or solver
-that uses it, whose ValueError names no JSON path.
+Each kind's decoder, in its `kinds` record, owns a payload's JSON types
+and shapes (its keys, their types, and array lengths against each other)
+and names the JSON path of a bad key.  A rule about a value (a mass in
+range, a mapping index that names an atom, an increasing grid) belongs
+to the constructor or solver that uses it, whose ValueError names no
+JSON path.
 """
 
 import json
@@ -171,14 +172,10 @@ def space_from_json(obj, path) -> FiniteSpace:
         raise SchemaError(path, str(exc))
 
 
-
-
 def scalar_measure_from_json(obj, path) -> ScalarMeasure:
     space = space_from_json(_require(obj, "space", path), f"{path}.space")
     w = _weights(_require(obj, "weights", path), f"{path}.weights", space.size)
     return ScalarMeasure(space, w)
-
-
 
 
 def vector_measure_from_json(obj, path) -> VectorMeasure:
@@ -193,8 +190,6 @@ def vector_measure_from_json(obj, path) -> VectorMeasure:
         raise SchemaError(path, str(exc))
 
 
-
-
 def plan_from_json(obj, path) -> TransportPlan:
     source = space_from_json(_require(obj, "source", path), f"{path}.source")
     target = space_from_json(_require(obj, "target", path), f"{path}.target")
@@ -204,201 +199,6 @@ def plan_from_json(obj, path) -> TransportPlan:
     return TransportPlan(source, target, mat)
 
 
-
-
-def _decode_two_marginals(payload, path):
-    mu = scalar_measure_from_json(_require(payload, "mu", path), f"{path}.mu")
-    nu = scalar_measure_from_json(_require(payload, "nu", path), f"{path}.nu")
-    cost = _matrix(
-        _require(payload, "cost", path), f"{path}.cost", mu.space.size, nu.space.size
-    )
-    return {"mu": mu, "nu": nu, "cost": cost}
-
-
-def _decode_scalar_ot(payload, path):
-    return _decode_two_marginals(payload, path)
-
-
-def _decode_partial(payload, path):
-    out = _decode_two_marginals(payload, path)
-    out["mass"] = _number(_require(payload, "mass", path), f"{path}.mass")
-    return out
-
-
-def _decode_capacity(payload, path):
-    out = _decode_two_marginals(payload, path)
-    cap = _nonneg_matrix(
-        _require(payload, "cap", path), f"{path}.cap",
-        out["mu"].space.size, out["nu"].space.size,
-    )
-    out["cap"] = TransportPlan(out["mu"].space, out["nu"].space, cap)
-    return out
-
-
-def _decode_invariant(payload, path):
-    mu = scalar_measure_from_json(_require(payload, "mu", path), f"{path}.mu")
-    target = space_from_json(_require(payload, "target", path), f"{path}.target")
-    cost = _matrix(_require(payload, "cost", path), f"{path}.cost", mu.space.size, target.size)
-    raw = _require(payload, "mapping", path)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.mapping", "expected an array")
-    mapping = [_integer(v, f"{path}.mapping[{i}]") for i, v in enumerate(raw)]
-    return {"mu": mu, "mapping": mapping, "cost": cost, "target": target}
-
-
-def _decode_multi(payload, path):
-    raw = _require(payload, "measures", path)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.measures", "expected an array")
-    measures = [
-        scalar_measure_from_json(m, f"{path}.measures[{i}]") for i, m in enumerate(raw)
-    ]
-    sizes = tuple(m.space.size for m in measures)
-    cost = _tensor(_require(payload, "cost", path), f"{path}.cost", sizes)
-    return {"measures": measures, "cost": cost}
-
-
-def _decode_glue(payload, path):
-    pi1 = plan_from_json(_require(payload, "first", path), f"{path}.first")
-    pi2 = plan_from_json(_require(payload, "second", path), f"{path}.second")
-    out = {"first": pi1, "second": pi2, "third": None}
-    if payload.get("third") is not None:
-        out["third"] = plan_from_json(payload["third"], f"{path}.third")
-    return out
-
-
-def _decode_local(payload, path):
-    out = _decode_two_marginals(payload, path)
-    out["threshold"] = _number(_require(payload, "threshold", path), f"{path}.threshold")
-    return out
-
-
-def _decode_strassen(payload, path):
-    mu = scalar_measure_from_json(_require(payload, "mu", path), f"{path}.mu")
-    nu = scalar_measure_from_json(_require(payload, "nu", path), f"{path}.nu")
-    raw = _require(payload, "constraints", path)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.constraints", "expected an array")
-    cons = []
-    for i, c in enumerate(raw):
-        cp = f"{path}.constraints[{i}]"
-        G = _matrix(_require(c, "G", cp), f"{cp}.G", mu.space.size, nu.space.size)
-        kind = _require(c, "kind", cp)  # `strassen_feasible` owns the rule: le, ge or eq
-        rhs = _number(_require(c, "rhs", cp), f"{cp}.rhs")
-        cons.append((G, kind, rhs))
-    return {"mu": mu, "nu": nu, "constraints": cons}
-
-
-def _decode_vector_ot(payload, path):
-    mu = vector_measure_from_json(_require(payload, "mu", path), f"{path}.mu")
-    nu = vector_measure_from_json(_require(payload, "nu", path), f"{path}.nu")
-    cost = _matrix(
-        _require(payload, "cost", path), f"{path}.cost", mu.space.size, nu.space.size
-    )
-    eta = None
-    if payload.get("eta") is not None:
-        eta = _matrix(payload["eta"], f"{path}.eta", mu.space.size, mu.dim)
-    return {"mu": mu, "nu": nu, "cost": cost, "eta": eta}
-
-
-def _decode_dominance(payload, path):
-    mu = vector_measure_from_json(_require(payload, "mu", path), f"{path}.mu")
-    nu = vector_measure_from_json(_require(payload, "nu", path), f"{path}.nu")
-    return {"mu": mu, "nu": nu}
-
-
-def _decode_martingale(payload, path):
-    mu_ref = scalar_measure_from_json(_require(payload, "muRef", path), f"{path}.muRef")
-    nu_ref = scalar_measure_from_json(_require(payload, "nuRef", path), f"{path}.nuRef")
-    f = _matrix(_require(payload, "f", path), f"{path}.f", rows=mu_ref.space.size)
-    g = _matrix(
-        _require(payload, "g", path), f"{path}.g", nu_ref.space.size, f.shape[1]
-    )
-    cost = _matrix(
-        _require(payload, "cost", path), f"{path}.cost",
-        mu_ref.space.size, nu_ref.space.size,
-    )
-    return {"muRef": mu_ref, "nuRef": nu_ref, "f": f, "g": g, "cost": cost}
-
-
-def _decode_chain(payload, path):
-    space = space_from_json(_require(payload, "space", path), f"{path}.space")
-    k = space.size
-    cost = _matrix(_require(payload, "cost", path), f"{path}.cost", k, k)
-    out = {"space": space, "cost": cost}
-    for key in ("mu", "nu", "medium"):
-        w = _weights(_require(payload, key, path), f"{path}.{key}", k)
-        out[key] = ScalarMeasure(space, w)
-    # `chain.ChainProblem` owns the range rule: at least 0 hops
-    out["hops"] = _integer(_require(payload, "hops", path), f"{path}.hops")
-    return out
-
-
-def _decode_game(payload, path):
-    payoff = _matrix(_require(payload, "payoff", path), f"{path}.payoff")
-    out = {"payoff": payoff, "restrict": None}
-    if payload.get("restrict") is not None:
-        out["restrict"] = scalar_measure_from_json(
-            payload["restrict"], f"{path}.restrict"
-        )
-    return out
-
-
-def _decode_moment(payload, path):
-    M = _matrix(_require(payload, "functions", path), f"{path}.functions")
-    m = _float_list(_require(payload, "target", path), f"{path}.target", M.shape[0])
-    return {"functions": M, "target": m}
-
-
-def _decode_trig(payload, path):
-    pairs = _matrix(_require(payload, "coeffs", path), f"{path}.coeffs", cols=2)
-    # `applications.trig_moment` owns the size rule: at least 4 points per coefficient
-    grid = _integer(_require(payload, "gridSize", path), f"{path}.gridSize")
-    return {"coeffs": pairs[:, 0] + 1j * pairs[:, 1], "gridSize": grid}
-
-
-def _grid_function_json(obj, path):
-    grid = _float_list(_require(obj, "grid", path), f"{path}.grid")
-    values = _float_list(_require(obj, "values", path), f"{path}.values", len(grid))
-    return {"grid": grid, "values": values}
-
-
-def _decode_conjugate(payload, path):
-    out = {"f": _grid_function_json(_require(payload, "f", path), f"{path}.f")}
-    others = []
-    if payload.get("others") is not None:
-        raw = payload["others"]
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path}.others", "expected an array")
-        others = [_grid_function_json(o, f"{path}.others[{i}]") for i, o in enumerate(raw)]
-    out["others"] = others
-    out["dualGrid"] = None
-    if payload.get("dualGrid") is not None:
-        if others:
-            raise SchemaError(f"{path}.dualGrid", "applies only to a conjugate, not with others")
-        out["dualGrid"] = _float_list(payload["dualGrid"], f"{path}.dualGrid")
-    return out
-
-
-_DECODERS = {
-    "scalar_ot": _decode_scalar_ot,
-    "partial": _decode_partial,
-    "capacity": _decode_capacity,
-    "invariant": _decode_invariant,
-    "multi": _decode_multi,
-    "glue": _decode_glue,
-    "local": _decode_local,
-    "strassen": _decode_strassen,
-    "vector_ot": _decode_vector_ot,
-    "dominance": _decode_dominance,
-    "martingale": _decode_martingale,
-    "chain": _decode_chain,
-    "game": _decode_game,
-    "moment": _decode_moment,
-    "trig": _decode_trig,
-    "conjugate": _decode_conjugate,
-}
-KINDS = tuple(_DECODERS)
 
 
 @dataclass
@@ -423,8 +223,10 @@ def _reject_constant(token):
 
 def parse_problem(obj) -> ProblemFile:
     """Validate an already-parsed JSON document as a ProblemFile."""
+    from .kinds import TABLE
+
     kind = _require(obj, "kind", "$")
-    if kind not in KINDS:
+    if kind not in TABLE:
         raise SchemaError("$.kind", f"unknown kind {kind!r}")
     payload = _require(obj, "payload", "$")
     if not isinstance(payload, dict):
@@ -435,7 +237,7 @@ def parse_problem(obj) -> ProblemFile:
     seed = None
     if obj.get("seed") is not None:
         seed = _integer(obj["seed"], "$.seed")
-    data = _DECODERS[kind](payload, "$.payload")
+    data = TABLE[kind].decode(payload, "$.payload")
     return ProblemFile(kind, payload, seed, data)
 
 
@@ -475,7 +277,9 @@ def payload_from_json(obj, kind: str) -> dict:
         if pf.kind != kind:
             raise SchemaError("$.kind", f"expected {kind!r}, got {pf.kind!r}")
         return pf.data
-    return _DECODERS[kind](obj, "$")
+    from .kinds import TABLE
+
+    return TABLE[kind].decode(obj, "$")
 
 
 def _number_list(x):

@@ -158,6 +158,11 @@ class TestMomentFeasible:
         xs = np.linspace(-2.0, 2.0, n)
         return xs, np.vstack([np.ones_like(xs), xs, xs**2])
 
+    def test_needs_an_atom(self):
+        # a function matrix with no columns left the solver nothing to reduce
+        with pytest.raises(ValueError, match=r"at least one atom \(column\)"):
+            MomentProblem(np.zeros((2, 0)), [1.0, 0.0])
+
     def test_square_boundary_flip(self):
         # mass, mean, second moment: feasible exactly above the mean squared
         xs, M = self.quad_setup()
@@ -483,3 +488,75 @@ class TestInfConvolution:
             inf_convolution(bumpy, bumpy)
         with pytest.raises(ValueError):
             inf_convolution()
+
+
+def highs(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+    """scipy's HiGHS on the LP as written here: (status, value), status 0 or 2."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    return res.status, res.fun
+
+
+def moment_instances():
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        M = rng.normal(size=(k, n))
+        # half reachable by construction, half a free draw
+        m = M @ rng.uniform(0.0, 1.0, n) if i % 2 else rng.normal(size=k)
+        yield pytest.param(M, m, id=f"random-{i}")
+    xs = np.linspace(-1.0, 1.0, 9)
+    powers = np.vstack([xs**p for p in range(3)])
+    yield pytest.param(powers, np.array([1.0, 0.0, 0.5]), id="inside-the-moment-cone")
+    yield pytest.param(powers, np.array([1.0, 0.0, 1.5]), id="second-moment-past-the-grid")
+    yield pytest.param(powers, np.array([1.0, 1.0, 1.0]), id="mass-at-the-right-end")
+    yield pytest.param(np.zeros((2, 3)), np.zeros(2), id="all-zero")
+    yield pytest.param(np.zeros((1, 3)), np.ones(1), id="zero-functions")
+    yield pytest.param(np.ones((1, 1)), -np.ones(1), id="negative-mass")
+
+
+def trig_instances():
+    rng = np.random.default_rng(32)
+    for i in range(30):
+        n = int(rng.integers(0, 4))
+        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1) * (np.arange(n + 1) > 0)
+        c[0] = abs(c[0]) * rng.uniform(0.5, 3.0)
+        yield pytest.param(c, 4 * (n + 1) + int(rng.integers(0, 20)), id=f"random-{i}")
+    yield pytest.param(np.array([1.0]), 4, id="mass-only")
+    yield pytest.param(np.array([0.0, 0.0]), 8, id="zero")
+    yield pytest.param(np.array([-1.0, 0.0]), 8, id="negative-mass")
+    yield pytest.param(np.array([1.0, 1.0]), 8, id="point-mass-on-the-grid")
+    yield pytest.param(np.array([1.0, 1.2]), 64, id="past-the-disc")
+
+
+class TestHighsOracle:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_game_value_matches_highs(self, seed):
+        # the row player's LP: max v with sigma.F[:, j] >= v for every column j
+        rng = np.random.default_rng(seed)
+        F = random_game(rng) if seed else np.zeros((3, 2))
+        nx, ny = F.shape
+        status, value = highs(
+            np.r_[np.zeros(nx), -1.0],
+            A_ub=np.hstack([-F.T, np.ones((ny, 1))]), b_ub=np.zeros(ny),
+            A_eq=np.r_[np.ones(nx), 0.0][None, :], b_eq=[1.0],
+            bounds=[(0, None)] * nx + [(None, None)],
+        )
+        assert status == 0
+        assert abs(game_value(F).value + value) <= 1e-9 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("M,m", moment_instances())
+    def test_moment_verdict_matches_highs(self, M, m):
+        status, _ = highs(np.zeros(M.shape[1]), A_eq=M, b_eq=m)
+        assert moment_feasible(MomentProblem(M, m)).feasible == (status == 0)
+
+    @pytest.mark.parametrize("c,grid", trig_instances())
+    def test_trig_cone_verdict_matches_highs(self, c, grid):
+        theta = 2.0 * np.pi * np.arange(grid) / grid
+        waves = np.exp(-1j * np.outer(np.arange(c.size), theta))
+        status, _ = highs(np.zeros(grid), A_eq=np.vstack([waves.real, waves.imag]),
+                          b_eq=np.r_[c.real, c.imag])
+        assert trig_moment(c, grid)["lp_feasible"] == (status == 0)

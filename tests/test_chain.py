@@ -12,6 +12,7 @@ from vecot.chain import (
     reduced_cost,
     weighted_reduced_cost,
 )
+from vecot.generate import gen
 from vecot.measures import FiniteSpace, ScalarMeasure, SpaceMismatch
 from vecot.scalar import InfeasibleTransport, solve_ot
 from vecot.tolerances import CERT_TOL, FEAS_TOL
@@ -335,3 +336,78 @@ class TestFreeMedium:
         p = random_chain(np.random.default_rng(13), 3, 1)
         with pytest.raises(ValueError):
             chain_free_medium(p.mu, p.nu, p.cost, 0)
+
+
+def chain_highs(mu, nu, cost, medium, hops):
+    """(status, value) of the chain LP under scipy's HiGHS, stated here.
+
+    Leg i of the hops + 1 plans fills columns i*k*k onward, cell (x, z) at
+    x*k + z.  Rows: the last leg's column sums (nu), each link from the
+    last back (leg i-1's column sums less leg i's row sums), the medium
+    average when pinned, then the first leg's row sums (mu).
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k, legs = len(mu), hops + 1
+    rows_op = np.kron(np.eye(k), np.ones((1, k)))
+    cols_op = np.kron(np.ones((1, k)), np.eye(k))
+
+    def on_leg(op, i):
+        block = np.zeros((k, legs * k * k))
+        block[:, i * k * k : (i + 1) * k * k] = op
+        return block
+
+    A = [on_leg(cols_op, hops)]
+    A += [on_leg(cols_op, i - 1) - on_leg(rows_op, i) for i in range(hops, 0, -1)]
+    b = [nu] + [np.zeros(k)] * hops
+    if medium is not None:
+        A.append(sum(on_leg(rows_op, i) for i in range(1, legs)))
+        b.append(hops * medium)
+    A.append(on_leg(rows_op, 0))
+    b.append(mu)
+    res = linprog(np.tile(np.ravel(cost), legs), A_eq=np.vstack(A), b_eq=np.concatenate(b),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    return ("optimal", res.fun) if res.status == 0 else ("infeasible", None)
+
+
+def vecot_chain(mu, nu, cost, medium, hops):
+    """(status, value) of `chain_ot`, or of `chain_free_medium` without a medium."""
+    try:
+        if medium is None:
+            return "optimal", chain_free_medium(mu, nu, cost, hops)
+        return "optimal", chain_ot(ChainProblem(mu.space, cost, mu, nu, medium, hops)).value
+    except InfeasibleTransport:
+        return "infeasible", None
+
+
+def gen_chains():
+    for k in (5, 8):
+        for seed in range(10):
+            data = gen("chain", seed, {"k": k, "hops": 1 + seed % 3}).data
+            yield pytest.param(data["mu"], data["nu"], data["cost"], data["medium"],
+                               data["hops"], id=f"k{k}-seed{seed}")
+
+
+def mass_gap_chains():
+    # TestMassGap's families: 50 atoms of 2.0 with the first raised, and a medium gap
+    for gap in (0.1, 5e-8, -0.1):
+        mu, nu = raised_copy(gap)
+        yield pytest.param(mu, nu, grid_cost(50, 1), mu, 2, id=f"raised-{gap}")
+    sp = FiniteSpace(["a", "b", "c"])
+    mu = ScalarMeasure(sp, np.array([0.2, 0.3, 0.5]))
+    yield pytest.param(mu, mu, grid_cost(3, 2), ScalarMeasure(sp, np.full(3, 0.5)), 2,
+                       id="medium-gap")
+
+
+class TestHighsOracle:
+    @pytest.mark.parametrize("mu,nu,cost,medium,hops", [*gen_chains(), *mass_gap_chains()])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_value_and_verdict_match_highs(self, mu, nu, cost, medium, hops, pinned):
+        medium = medium if pinned else None
+        status, value = vecot_chain(mu, nu, cost, medium, hops)
+        ref_status, ref_value = chain_highs(mu.weights, nu.weights, cost,
+                                            None if medium is None else medium.weights, hops)
+        assert status == ref_status
+        if status == "optimal":
+            assert abs(value - ref_value) <= 1e-9 * max(1.0, abs(ref_value))

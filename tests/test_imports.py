@@ -34,13 +34,14 @@ print(json.dumps({"rc": rc, "loaded": sorted(m for m in sys.modules if m.startsw
     out = _run(code, problem, result)
     assert out["rc"] == 0
     assert out["loaded"] == [f"vecot{m}" for m in (
-        "", ".cli", ".lp", ".measures", ".network", ".scalar", ".serialize", ".tolerances",
+        "", ".cli", ".kinds", ".lp", ".measures", ".network", ".scalar", ".serialize",
+        ".tolerances",
     )]
     with open(result, encoding="utf-8") as fh:
         assert json.load(fh)["status"] == "optimal"
 
 
-SUBMODULES = ("applications", "chain", "cli", "generate", "golden", "lp", "measures",
+SUBMODULES = ("applications", "chain", "cli", "generate", "golden", "kinds", "lp", "measures",
               "network", "scalar", "serialize", "tolerances", "vector")
 
 

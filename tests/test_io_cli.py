@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import contextlib
+import functools
 import os
 import re
 import shlex
@@ -17,6 +18,7 @@ import pytest
 
 from vecot import cli, golden, generate, serialize
 from vecot.cli import main
+from vecot.kinds import KINDS
 from vecot.serialize import (
     SchemaError,
     canonical_dumps,
@@ -30,7 +32,7 @@ GAME_SEED1_SHA256 = "a7535f3e487287b00e9a1d8bc6fa9f594aa9da9b2734820b847027cdcec
 # canonical gen output over GEN_DIGEST_CASES, concatenated in order
 GEN_DIGEST_SHA256 = "cb67b1912041d31304d72745fbbdfede74d7d90cc38672ee7524e0be2213d37b"
 GEN_DIGEST_CASES = (
-    [(kind, seed, None) for kind in sorted(serialize.KINDS) for seed in range(20)]
+    [(kind, seed, None) for kind in sorted(KINDS) for seed in range(20)]
     + [
         (kind, seed, {"nx": n, "ny": n})
         for kind, n in (("scalar_ot", 50), ("partial", 50), ("capacity", 30))
@@ -278,7 +280,7 @@ class TestSchema:
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
-        for kind in serialize.KINDS:
+        for kind in KINDS:
             a = canonical_dumps(generate.gen(kind, 5).as_dict())
             b = canonical_dumps(generate.gen(kind, 5).as_dict())
             assert a == b, kind
@@ -289,7 +291,7 @@ class TestGenerate:
         assert a != b
 
     def test_all_kinds_reparse(self):
-        for kind in serialize.KINDS:
+        for kind in KINDS:
             pf = generate.gen(kind, 3)
             again = parse_problem(json.loads(canonical_dumps(pf.as_dict())))
             assert again.kind == kind
@@ -753,8 +755,18 @@ class TestCliInputForms:
         assert rc == 3 and "$.functions[0][1]" in err
 
 
+def test_kind_table_keeps_the_kinds_and_variants_in_order():
+    assert KINDS == (
+        "scalar_ot", "partial", "capacity", "invariant", "multi", "glue", "local", "strassen",
+        "vector_ot", "dominance", "martingale", "chain", "game", "moment", "trig", "conjugate")
+    assert list(cli.VARIANT_KIND.items()) == [
+        ("plain", "scalar_ot"), ("partial", "partial"), ("capacity", "capacity"),
+        ("invariant", "invariant"), ("multi", "multi"), ("glue", "glue"), ("local", "local"),
+        ("strassen", "strassen")]
+
+
 def test_every_problem_command_reads_its_kind_wrapped_and_bare(tmp_path):
-    """Each subcommand that takes --input names a kind of `serialize.KINDS`,
+    """Each subcommand that takes --input names a kind of `kinds.KINDS`,
     and gives the same bytes for a gen instance of it, wrapped or bare."""
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -769,7 +781,7 @@ def test_every_problem_command_reads_its_kind_wrapped_and_bare(tmp_path):
     assert {argv[0] for argv, _ in shapes} == {
         "solve-ot", "solve-vot", "dominate", "chain", "game", "moment", "trig", "conj"}
     for argv, kind in shapes:
-        assert kind in serialize.KINDS, argv
+        assert kind in KINDS, argv
         for seed in range(3):
             pf = generate.gen(kind, seed)
             wrapped = write(tmp_path, "w.json", pf.as_dict())
@@ -923,6 +935,18 @@ class TestCliOther:
                               "--grids", grids, "--quiet"])
         assert rc == 3
         assert err.startswith(f"schema error: {where}: ")
+
+    def test_refine_out_of_reach_target_exits_2_with_its_certificate(self, tmp_path):
+        # a source of mass 1 cannot reach a target of mass 2
+        targets = write(tmp_path, "t.json", {"values": [[2.0]]})
+        out = str(tmp_path / "o.json")
+        rc, _, err = run_cli(["refine", "--density", "1", "--targets", targets,
+                              "--grids", "10,20", "--output", out, "--quiet"])
+        assert rc == 2, err
+        result = read_json(out)
+        assert result["status"] == "infeasible"
+        assert result["cert"]["total"] < 0
+        assert "residuals" not in result["diagnostics"]
 
     def test_refine_rejects_bad_density(self, tmp_path):
         targets = write(tmp_path, "t.json", {"values": [[0.2], [0.8]]})
@@ -1187,6 +1211,123 @@ class TestCliExitCodes:
         assert rc == 4
         assert "revalidation" in err
         assert not out.exists()
+
+
+def _chain(mu, nu, medium):
+    return {"space": _space("s", 3), "cost": [[abs(i - j) ** 2 for j in range(3)] for i in range(3)],
+            "mu": mu, "nu": nu, "medium": medium, "hops": 2}
+
+
+_DIAGONAL = [[0.5, 0.0], [0.0, 0.5]]
+_TWISTED_PAIR = {  # no Markov kernel carries mu onto nu (TestCliDominate's infeasible pair)
+    "mu": {"space": _space("x", 2), "values": [[0.0, 0.9], [1.0, 0.1]], "refWeights": [0.5, 0.5]},
+    "nu": {"space": _space("y", 1), "values": [[2.0, 2.0]], "refWeights": [1.0]},
+}
+# (argv before --input, problem kind, payload, key path of a number the
+#  certificate states): every certificate a problem command writes, each on
+#  a hand-made infeasible input
+_CERTIFICATES = [
+    pytest.param(["solve-ot"], "scalar_ot", {**MINIMAL_OT["payload"], "nu": _measure("y", [0.5, 0.6])},
+                 ("cert", "margin"), id="plain-mass-gap"),
+    pytest.param(["solve-ot", "--variant", "capacity"], "capacity",
+                 {**MINIMAL_OT["payload"], "mu": _measure("x", [0.5, 0.5]), "cap": [[0.2, 0.2]] * 2},
+                 ("cert", "kellerer_slack"), id="capacity-short-row"),
+    # every line fits, but rows 0 and 1 can only fill column 0, of demand 1
+    pytest.param(["solve-ot", "--variant", "capacity"], "capacity",
+                 {"mu": _measure("x", [1.0] * 3), "nu": _measure("y", [1.0] * 3),
+                  "cost": [[0.0] * 3] * 3, "cap": [[1.0, 0, 0], [1.0, 0, 0], [1.0] * 3]},
+                 ("cert", "kellerer_slack"), id="capacity-hall"),
+    pytest.param(["solve-ot", "--variant", "multi"], "multi",
+                 {"measures": [_measure("a", [0.5, 0.5]), _measure("b", [0.5, 0.6])],
+                  "cost": [[0.0, 1.0], [1.0, 0.0]]}, ("cert", "margin"), id="multi-mass-gap"),
+    pytest.param(["solve-ot", "--variant", "glue"], "glue",
+                 {"first": _plan("x", "y", _QUARTERS), "second": _plan("y", "z", [[0.5, 0.0], [0.0, 0.6]])},
+                 ("cert", "margin"), id="glue-middle-gap"),
+    pytest.param(["solve-ot", "--variant", "glue"], "glue",
+                 {"first": _plan("x", "y", _DIAGONAL), "second": _plan("y", "z", _DIAGONAL),
+                  "third": _plan("x", "z", [[0.0, 0.5], [0.5, 0.0]])},
+                 ("cert", "margin"), id="glue-third"),
+    pytest.param(["solve-ot", "--variant", "local"], "local",
+                 {"mu": _measure("x", [1.0, 0.0]), "nu": _measure("y", [0.0, 1.0]),
+                  "cost": [[0.0, 1.0], [1.0, 0.0]], "threshold": 0.5},
+                 ("cert", "margin"), id="local-no-plan"),
+    pytest.param(["solve-ot", "--variant", "strassen"], "strassen", _strassen("ge", 1.5),
+                 ("cert", "sup_bound"), id="strassen-no-plan"),
+    pytest.param(["chain"], "chain", _chain([0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.5] * 3),
+                 ("cert", "margin"), id="chain-medium-gap"),
+    pytest.param(["chain", "--free-medium"], "chain",
+                 _chain([0.2, 0.3, 0.5], [0.3, 0.3, 0.5], [0.5] * 3),
+                 ("cert", "margin"), id="chain-free-mass-gap"),
+    pytest.param(["solve-vot"], "vector_ot", {**_TWISTED_PAIR, "cost": [[0.0], [1.0]]},
+                 ("cert", "total"), id="vector-ot"),
+    pytest.param(["dominate"], "dominance", _TWISTED_PAIR, ("cert", "total"), id="dominate"),
+    pytest.param(["moment"], "moment", {"functions": [[1.0, 1.0], [0.0, 1.0]], "target": [1.0, 2.0]},
+                 ("certMargin",), id="moment"),
+    pytest.param(["trig"], "trig", {"coeffs": [[1.0, 0.0], [1.2, 0.0]], "gridSize": 64}, None,
+                 id="trig"),
+]
+
+
+def _negated(x):
+    if isinstance(x, dict):
+        return {k: _negated(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_negated(v) for v in x]
+    return -x
+
+
+@pytest.mark.parametrize("argv,kind,payload,stated", _CERTIFICATES)
+def test_certificate_is_rechecked_from_its_text(tmp_path, monkeypatch, argv, kind, payload, stated):
+    """An infeasible result exits 2 with its certificate; the same result,
+    with the certificate changed between dump and re-parse, exits 4 unwritten."""
+    full = argv + ["--input", write(tmp_path, "p.json", {"kind": kind, "payload": payload})]
+    out = tmp_path / "o.json"
+    rc, _, err = run_cli(full + ["--output", str(out), "--quiet"])
+    assert rc == 2, err
+    assert read_json(out)["status"] == "infeasible"
+    out.unlink()
+    dumps = cli.canonical_dumps
+    edits = [lambda r: r.update(cert=_negated(r["cert"]))]
+    if stated is not None:
+        def restate(r):
+            *keys, last = stated
+            holder = functools.reduce(lambda d, k: d[k], keys, r)
+            holder[last] = 2.0 * holder[last]
+        edits.append(restate)
+    for edit in edits:
+        def perturbed(result, edit=edit):
+            result = json.loads(dumps(result))
+            edit(result)
+            return dumps(result)
+
+        monkeypatch.setattr(cli, "canonical_dumps", perturbed)
+        rc, _, err = run_cli(full + ["--output", str(out), "--quiet"])
+        assert rc == 4, err
+        assert "serialized certificate fails revalidation" in err
+        assert not out.exists()
+
+
+_ZERO_WIDTH = {"space": _space("a", 1), "values": [[]]}
+
+
+@pytest.mark.parametrize("argv", [["solve-vot"], ["dominate"], ["dominate", "--n", "1"],
+                                  ["dominate", "--strong"], ["dominate", "--blackwell"]])
+def test_zero_width_vector_measure_exits_3_with_the_constructors_message(tmp_path, argv):
+    payload = {"mu": _ZERO_WIDTH, "nu": _ZERO_WIDTH}
+    kind = "dominance" if argv[0] == "dominate" else "vector_ot"
+    if kind == "vector_ot":
+        payload["cost"] = [[0.0]]
+    rc, _, err = run_cli(argv + ["--input", write(tmp_path, "p.json", {"kind": kind, "payload": payload}),
+                                 "--quiet"])
+    assert rc == 3
+    assert "$.payload.mu: values must have at least one component (d >= 1)" in err
+
+
+def test_moment_without_atoms_exits_3_with_the_constructors_message(tmp_path):
+    rc, _, err = run_cli(["moment", "--M", write(tmp_path, "M.json", [[], []]),
+                          "--m", write(tmp_path, "m.json", [1.0, 0.0]), "--quiet"])
+    assert rc == 3
+    assert "moment functions must have at least one atom (column)" in err
 
 
 class TestCliVerify:

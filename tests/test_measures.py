@@ -105,6 +105,12 @@ def test_vector_measure_checks_given_density():
         VectorMeasure(space(1), [[2.0, 2.0]], ref_weights=[2.0], density=[[1.0, 0.5]])
 
 
+def test_vector_measure_needs_a_component():
+    # d = 0 left every solver a zero-width array to reduce
+    with pytest.raises(ValueError, match=r"at least one component \(d >= 1\)"):
+        VectorMeasure(space(2), np.zeros((2, 0)))
+
+
 def test_measures_are_frozen():
     mu = VectorMeasure(space(2), [[1.0], [2.0]])
     with pytest.raises(ValueError):

@@ -204,10 +204,18 @@ def moment_feasible(problem: MomentProblem) -> MomentResult:
         i, sign = fix
         lift = -floor / float((sign * M[i]).min()) * LIFT_FACTOR
         alpha[i] += sign * lift
-    margin = float(alpha @ m)
-    if float((alpha @ M).min()) < -CERT_FLOOR_TOL * scale or not margin < -CERT_TOL:
-        raise NumericalBreakdown("moment certificate failed validation")
+    _moment_cert_margins(M, m, alpha)
     return MomentResult(False, cert=alpha)
+
+
+def _moment_cert_margins(M: np.ndarray, m: np.ndarray, alpha: np.ndarray) -> tuple:
+    """(min over atoms of alpha.M(x), alpha.m), if the floor is at least -CERT_FLOOR_TOL on
+    the data's scale and the margin below -CERT_TOL: no measure has moments m."""
+    floor, margin = float((alpha @ M).min()), float(alpha @ m)
+    scale = max(1.0, float(np.abs(M).max()), float(np.abs(m).max()))
+    if floor < -CERT_FLOOR_TOL * scale or not margin < -CERT_TOL:
+        raise NumericalBreakdown("moment certificate failed validation")
+    return floor, margin
 
 
 def _toeplitz(coeffs: np.ndarray) -> np.ndarray:

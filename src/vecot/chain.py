@@ -120,9 +120,10 @@ class ChainResult:
     stages: np.ndarray
 
 
-def _chain_system(k: int, n: int, pinned: bool):
-    # rows: endpoint row sums, n linking rows, the medium average when
-    # pinned, endpoint column sums; variables: the n+1 plans flattened
+def _chain_lp(problem: ChainProblem) -> LpProblem:
+    """The chain LP.  Rows: source row sums, `hops` linking rows, the medium
+    average when pinned, target column sums; variables: the hops + 1 plans."""
+    k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
     src, dst = _marginal_index((k, k), (0,)), _marginal_index((k, k), (1,))
     A = np.zeros(((n + 2 + pinned) * k, (n + 1) * k * k))
 
@@ -136,26 +137,27 @@ def _chain_system(k: int, n: int, pinned: bool):
         if pinned:
             A[(n + 1) * k + src, block(i)] = 1.0
     A[A.shape[0] - k + dst, block(n)] = 1.0
-    return A, slice((n + 1) * k, (n + 2) * k) if pinned else None
+    medium = [n * problem.medium.weights] if pinned else []
+    b = np.concatenate([problem.mu.weights, np.zeros(n * k), *medium, problem.nu.weights])
+    return LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * A.shape[0])
 
 
 def _solve_chain_lp(problem: ChainProblem):
-    k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
-    A, med = _chain_system(k, n, pinned)
-    medium = [n * problem.medium.weights] if pinned else []
-    b = np.concatenate([problem.mu.weights, np.zeros(n * k), *medium, problem.nu.weights])
-    sol = solve(LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * A.shape[0]))
+    k, n = problem.space.size, problem.hops
+    med = slice((n + 1) * k, (n + 2) * k)  # the medium rows, when pinned
+    p = _chain_lp(problem)
+    sol = solve(p)
     if sol.status == "infeasible":
         y = sol.farkas
         cert = {
             "source": y[:k],
             "linking": y[k : (n + 1) * k].reshape(n, k),
             "target": y[-k:],
-            "margin": float(y @ b),
+            "margin": float(y @ p.b),
         }
-        if pinned:
+        if problem.medium is not None:
             cert["medium"] = y[med]
-        aim = "meets the prescribed medium average" if pinned else "carries mu to nu"
+        aim = "meets the prescribed medium average" if "medium" in cert else "carries mu to nu"
         raise InfeasibleTransport(f"no chain of plans {aim}", cert)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"chain LP returned {sol.status}")

@@ -4,8 +4,10 @@ Every solve-style run produces a canonical JSON result carrying the
 primal and dual values, the duality gap, and diagnostics (recomputed
 residuals, pivot count, wall time).  Before anything is written, the
 result text is parsed back and checked from the serialized numbers:
-residuals must match the stored ones and a certificate must prove what
-it claims, or the run aborts with the numerical-breakdown exit code.
+residuals must match the stored ones, and a certificate must pass the
+one rule that its solver's answer passed (see `kinds`; `refine` holds its
+certificate to the vector rule too), or the run aborts with the
+numerical-breakdown exit code.
 
 Each problem command reads the kind `kinds.TABLE` assigns it (`solve-ot`
 the kind of its `--variant`) through `_load`, from `--input` or from the
@@ -36,7 +38,7 @@ import sys
 import time
 
 from . import serialize
-from .kinds import TABLE
+from .kinds import TABLE, _vector_cert_holds
 from .lp import NumericalBreakdown, pivot_total
 from .scalar import InfeasibleTransport
 from .serialize import SchemaError, canonical_dumps
@@ -70,8 +72,9 @@ def _run(args) -> int:
 
     The command's `check` (see `kinds`) runs on the result and again on
     the result re-parsed from its own text: residuals must agree with the
-    stored ones, and a certificate must hold.  A check that returns None
-    leaves the text unparsed.
+    stored ones, and a certificate must hold; a miss on the text is a
+    certificate that fails revalidation.  A check that returns None leaves
+    the text unparsed.
     """
     data = args.load(args)
     t0, piv0 = time.perf_counter(), pivot_total()
@@ -96,7 +99,11 @@ def _run(args) -> int:
     if residuals is not None:
         parsed = json.loads(text)
         stored = parsed["diagnostics"].get("residuals", {})
-        for key, val in args.check(data, parsed).items():
+        try:
+            recomputed = args.check(data, parsed)
+        except NumericalBreakdown as exc:  # a certificate missed its rule
+            raise NumericalBreakdown(f"serialized certificate fails revalidation: {exc}") from None
+        for key, val in recomputed.items():
             if abs(val - stored[key]) > REVALIDATE_TOL:
                 raise NumericalBreakdown(f"serialized result fails revalidation on {key}: "
                                          f"{val!r} vs stored {stored[key]!r}")
@@ -207,8 +214,8 @@ def _load_refine(args):
     anchors = [j / max(ny - 1, 1) for j in range(ny)]
     if obj.get("anchors") is not None:
         anchors = serialize._float_list(obj["anchors"], "$.anchors", ny).tolist()
-    power = obj.get("power", 2)
-    if not isinstance(power, (int, float)) or isinstance(power, bool) or power <= 0:
+    power = serialize._number(obj.get("power", 2), "$.power")
+    if power <= 0:
         raise SchemaError("$.power", f"expected a positive exponent, got {power!r}")
     try:
         grids = [int(g) for g in args.grids.split(",")]
@@ -236,8 +243,12 @@ def _solve_refine(args, data):
 
 
 def _check_refine(data, r):
-    if r["status"] == "infeasible":
-        return None  # the target is out of reach; its certificate is not re-checked
+    if r["status"] == "infeasible":  # the target is out of reach from the grid of len(psi) cells
+        from .vector import _grid_source
+
+        values = data["values"]
+        mu = _grid_source(data["density"], len(r["cert"]["psi"]), values.shape[1])
+        return _vector_cert_holds(r["cert"], mu.density, mu.values, values)
     return {"worstGap": max(e["gap"] for e in r["entries"])}
 
 

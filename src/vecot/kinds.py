@@ -9,9 +9,16 @@ result before its diagnostics, and its `check(data, result)`.
 
 A check reads a result in memory or re-parsed from its own text.  For a
 solution it returns the residuals, which `cli._run` stores and compares
-with the re-parsed copy's.  For a certificate it recomputes the defining
-inequalities and the stated margin from the problem data, raises
-NumericalBreakdown on a miss and returns {}, adding no output field.  It
+with the re-parsed copy's.  For a certificate it applies the one rule that
+already defines it, with the problem data: an LP's Farkas vector, joined
+back in its LP's row order, goes to `lp.farkas_margin` on the `LpProblem`
+that its solver's builder states (the gate `lp.solve` applied); capacity's
+potentials to `scalar._kellerer_slack`; vector potentials to
+`vector._certified_total`; a moment direction to
+`applications._moment_cert_margins`.  A stated margin must match what the
+rule recomputes.  A miss raises NumericalBreakdown, which `cli._run`
+reports as a certificate that fails revalidation from its text; a
+certificate that holds returns {}, adding no output field.  A check
 returns None when there is nothing to re-derive (a free-medium chain's
 value, a feasible trig verdict, the witnesses of `dominate --n`,
 `--strong` and `--blackwell`), and the text is not re-parsed.
@@ -28,14 +35,15 @@ import numpy as np
 from .lp import NumericalBreakdown, farkas_margin
 from .measures import ScalarMeasure, TransportPlan
 from .scalar import (
-    glue_feasible, local_constraint_feasible, solve_capacity, solve_invariant, solve_multimarginal,
-    solve_ot, solve_partial, strassen_feasible,
+    _glue_lp, _kellerer_slack, _multimarginal_lp, _strassen_lp, _transport_lp, glue_feasible,
+    local_constraint_feasible, solve_capacity, solve_invariant, solve_multimarginal, solve_ot,
+    solve_partial, strassen_feasible,
 )
 from .serialize import (
     SchemaError, _float_list, _integer, _matrix, _nonneg_matrix, _number, _require, _tensor,
     _weights, plan_from_json, scalar_measure_from_json, space_from_json, vector_measure_from_json,
 )
-from .tolerances import CERT_FLOOR_TOL, CERT_TOL, ENTRY_TOL, FEAS_TOL, REVALIDATE_TOL
+from .tolerances import CERT_TOL, REVALIDATE_TOL
 
 
 @dataclass(frozen=True)
@@ -119,53 +127,34 @@ def _array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-# Certificate checks: each recomputes a certificate's pairing with the data
-# and its pointwise inequalities; a Farkas vector's floor is held to the
-# `lp.farkas_margin` tolerance, FEAS_TOL times its largest entry (at least 1).
+# Certificate checks: each holds a certificate to its one rule (see the
+# module docstring) and compares the margin it states.
 
 
-def _cert_miss(what: str):
-    raise NumericalBreakdown(f"serialized certificate fails revalidation: {what}")
-
-
-def _matches(name: str, value: float, stated) -> None:
+def _matches(name: str, value: float, stated) -> dict:
     if not abs(value - stated) <= REVALIDATE_TOL * max(1.0, abs(stated)):
-        _cert_miss(f"{name} {value!r} vs stated {stated!r}")
-
-
-def _proves(margin: float, pairing=None, floor_tol: float = 0.0) -> dict:
-    """{} if the pairing is at least -floor_tol everywhere and the margin below -CERT_TOL."""
-    floor = float(pairing.min()) if pairing is not None and pairing.size else 0.0
-    if floor < -floor_tol:
-        _cert_miss(f"pairing floor {floor!r} below {-floor_tol!r}")
-    if not margin < -CERT_TOL:
-        _cert_miss(f"margin {margin!r} is not below {-CERT_TOL!r}")
+        raise NumericalBreakdown(f"{name} {value!r} vs stated {stated!r}")
     return {}
 
 
-def _farkas_tol(*parts) -> float:
-    return FEAS_TOL * max(1.0, *(float(np.abs(p).max(initial=0.0)) for p in parts))
+def _proves(name: str, margin: float, stated=None) -> dict:
+    """{} if the margin is below -CERT_TOL and matches the stated one, if any."""
+    if not margin < -CERT_TOL:
+        raise NumericalBreakdown(f"{name} {margin!r} is not below {-CERT_TOL!r}")
+    return {} if stated is None else _matches(name, margin, stated)
 
 
-def _split_cert_holds(cert, mu, nu, admissible=None) -> dict:
-    """(psi, phi): psi(x) + phi(y) >= 0 on the admissible pairs, psi.mu + phi.nu < 0."""
-    psi, phi = _array(cert["psi"]), _array(cert["phi"])
-    pairing = psi[:, None] + phi[None, :]
-    if admissible is not None:
-        pairing = pairing[admissible]
-    margin = float(psi @ mu.weights + phi @ nu.weights)
-    _matches("margin", margin, cert["margin"])
-    return _proves(margin, pairing, _farkas_tol(psi, phi))
+def _farkas_holds(problem, parts, stated=None) -> dict:
+    """The parts, joined in the LP's row order, as a Farkas vector of `problem`."""
+    margin = farkas_margin(problem, np.concatenate([np.ravel(p) for p in parts]))
+    return _proves("margin", margin, stated)
 
 
 def _vector_cert_holds(cert, eta, mu_values, nu_values) -> dict:
-    """<psi(x) + phi(y), eta(x)> >= 0 where eta(x) != 0, psi.mu + phi.nu < 0."""
-    psi, phi = _array(cert["psi"]), _array(cert["phi"])
-    active = np.einsum("xi,xi->x", eta, eta) > ENTRY_TOL**2
-    pairing = np.einsum("xi,xi->x", psi, eta)[:, None] + eta @ phi.T
-    total = float((psi * mu_values).sum() + (phi * nu_values).sum())
-    _matches("total", total, cert["total"])
-    return _proves(total, pairing[active], CERT_FLOOR_TOL)
+    from .vector import _certified_total
+
+    total = _certified_total(_array(cert["psi"]), _array(cert["phi"]), eta, mu_values, nu_values)
+    return _matches("total", total, cert["total"])
 
 
 # --- scalar_ot ----------------------------------------------------------------
@@ -186,7 +175,9 @@ def _solve_plain(args, data):
 
 def _check_plain(data, r):
     if r["status"] == "infeasible":
-        return _split_cert_holds(r["cert"], data["mu"], data["nu"])
+        cert = r["cert"]
+        lp = _transport_lp(data["mu"], data["nu"], data["cost"])
+        return _farkas_holds(lp, [cert["psi"], cert["phi"]], cert["margin"])
     return _marginals(data, _array(r["plan"]))
 
 
@@ -255,13 +246,10 @@ def _solve_capacity(args, data):
 def _check_capacity(data, r):
     cap = data["cap"].matrix
     if r["status"] == "infeasible":
-        # sum([psi + phi]_+ * cap) - psi.mu - phi.nu < 0: no plan fits under cap
         cert = r["cert"]
         psi, phi = _array(cert["psi"]), _array(cert["phi"])
-        pos_part = np.maximum(psi[:, None] + phi[None, :], 0.0)
-        slack = float((pos_part * cap).sum() - psi @ data["mu"].weights - phi @ data["nu"].weights)
-        _matches("kellerer_slack", slack, cert["kellerer_slack"])
-        return _proves(slack)
+        slack = _kellerer_slack(psi, phi, data["mu"], data["nu"], data["cap"])
+        return _proves("kellerer_slack", slack, cert["kellerer_slack"])
     q = _array(r["plan"])
     return {**_marginals(data, q), "capExcess": float(np.maximum(q - cap, 0.0).max())}
 
@@ -351,13 +339,8 @@ def _check_multi(data, r):
     measures = data["measures"]
     sizes = tuple(m.space.size for m in measures)
     if r["status"] == "infeasible":
-        # sum_i psis_i(x_i) >= 0 on every cell, sum_i psis_i.mu_i < 0
-        psis = [_array(p) for p in r["cert"]["psis"]]
-        cells = sum(p.reshape([-1 if b == a else 1 for b in range(len(sizes))])
-                    for a, p in enumerate(psis))
-        margin = float(sum(p @ m.weights for p, m in zip(psis, measures)))
-        _matches("margin", margin, r["cert"]["margin"])
-        return _proves(margin, cells, _farkas_tol(*psis))
+        lp = _multimarginal_lp(measures, data["cost"])
+        return _farkas_holds(lp, r["cert"]["psis"], r["cert"]["margin"])
     t = _array(r["tensor"]).reshape(sizes)
     out = {}
     for axis, m in enumerate(measures):
@@ -403,19 +386,10 @@ def _check_glue(data, r):
     first, second = data["first"].matrix, data["second"].matrix
     third = data["third"].matrix if data["third"] is not None else None
     if r["status"] == "infeasible":
-        # psi(x,y) + phi(y,z) [+ xi(x,z)] >= 0 on every cell, negative pairing with the plans
         cert = r["cert"]
-        psi, phi = _array(cert["psi"]), _array(cert["phi"])
-        cells = psi[:, :, None] + phi[None, :, :]
-        margin = float((psi * first).sum() + (phi * second).sum())
-        parts = [psi, phi]
-        if third is not None:
-            xi = _array(cert["xi"])
-            cells = cells + xi[:, None, :]
-            margin += float((xi * third).sum())
-            parts.append(xi)
-        _matches("margin", margin, cert["margin"])
-        return _proves(margin, cells, _farkas_tol(*parts))
+        lp = _glue_lp(data["first"], data["second"], data["third"])
+        return _farkas_holds(lp, [cert[key] for key in ("psi", "phi", "xi") if key in cert],
+                             cert["margin"])
     t = _array(r["tensor"]).reshape(*first.shape, second.shape[1])
     out = {
         "firstPair": float(np.abs(t.sum(axis=2) - first).max()),
@@ -457,7 +431,9 @@ def _solve_local(args, data):
 def _check_local(data, r):
     off = data["cost"] > data["threshold"]
     if r["status"] == "infeasible":
-        return _split_cert_holds(r["cert"], data["mu"], data["nu"], ~off)
+        cert = r["cert"]
+        lp = _transport_lp(data["mu"], data["nu"], data["cost"], data["threshold"])
+        return _farkas_holds(lp, [cert["psi"], cert["phi"]], cert["margin"])
     q = _array(r["plan"])
     return {**_marginals(data, q), "offSupportMass": float(q[off].sum()) if np.any(off) else 0.0}
 
@@ -498,19 +474,11 @@ def _solve_strassen(args, data):
 def _check_strassen(data, r):
     cons = data["constraints"]
     if r["status"] == "infeasible":
-        # multipliers y of the constraint rows, signed by their kinds, with
-        # sum_k y_k G_k >= psi + phi on every cell and sup_bound = y.rhs < lhs
+        # the Farkas vector is (-psi, -phi, multipliers); its margin is sup_bound - lhs
         cert = r["cert"]
-        psi, phi, mult = (_array(cert[key]) for key in ("psi", "phi", "multipliers"))
-        kinds = np.array([kind for _, kind, _ in cons], dtype=str)
-        if ((kinds == "le") & (mult < -FEAS_TOL) | (kinds == "ge") & (mult > FEAS_TOL)).any():
-            _cert_miss("a constraint multiplier has the wrong sign")
-        cells = sum((y * G for y, (G, _, _) in zip(mult, cons)), -(psi[:, None] + phi[None, :]))
-        lhs = float(psi @ data["mu"].weights + phi @ data["nu"].weights)
-        bound = float(mult @ np.array([rhs for _, _, rhs in cons])) if mult.size else 0.0
-        _matches("lhs", lhs, cert["lhs"])
-        _matches("sup_bound", bound, cert["sup_bound"])
-        return _proves(bound - lhs, cells, _farkas_tol(psi, phi, mult))
+        lp = _strassen_lp(data["mu"], data["nu"], cons)
+        parts = [-_array(cert["psi"]), -_array(cert["phi"]), cert["multipliers"]]
+        return _farkas_holds(lp, parts, cert["sup_bound"] - cert["lhs"])
     q = _array(r["plan"])
     worst = 0.0
     for G, kind, rhs in cons:
@@ -601,6 +569,11 @@ def _solve_dominate(args, data):
         result = {"strong": ok}
         if witness is not None:
             result["witness"] = {"sourceAtoms": list(witness[0]), "targetAtoms": list(witness[1])}
+        elif not ok:  # unequal totals: no kernel joins the whole pair, and its LP proves it
+            joined, cert = dominates(mu, nu)
+            if joined:
+                raise NumericalBreakdown("the component totals differ, yet a kernel joins the pair")
+            result["cert"] = cert.payload
     elif args.n is not None:
         ok, witness = dominates_n(mu, nu, args.n)
         result = {"blocks": args.n}
@@ -692,7 +665,13 @@ def _solve_chain(args, data):
 def _check_chain(data, r):
     hops = data["hops"]
     if r["status"] == "infeasible":
-        return _chain_cert_holds(data, r["cert"], hops)
+        from .chain import ChainProblem, _chain_lp
+
+        cert = r["cert"]  # a medium part iff the medium was pinned
+        medium = data["medium"] if "medium" in cert else None
+        lp = _chain_lp(ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], medium, hops))
+        parts = [cert[key] for key in ("source", "linking", "medium", "target") if key in cert]
+        return _farkas_holds(lp, parts, cert["margin"])
     if r.get("freeMedium"):
         return None  # a free-medium chain reports its value alone
     plans = [_array(p) for p in r["plans"]]
@@ -707,31 +686,6 @@ def _check_chain(data, r):
         "mediumResidual": (float(np.abs(medium - hops * data["medium"].weights).max())
                            if medium is not None else 0.0),
     }
-
-
-def _chain_cert_holds(data, cert, hops):
-    """The chain LP's Farkas vector, read from its named rows.
-
-    Leg i's cell (x, z) pairs to head_i(x) + tail_i(z): the source row, or
-    the medium row (when pinned) less the incoming link; then the outgoing
-    link, or the target row.  Every pairing is >= 0, while the rows'
-    pairing with (mu, hops * medium, nu) is negative.
-    """
-    k = data["space"].size
-    src, tgt = _array(cert["source"]), _array(cert["target"])
-    link = _array(cert["linking"]).reshape(hops, k)
-    parts = [src, link, tgt]
-    margin = float(src @ data["mu"].weights + tgt @ data["nu"].weights)
-    pinned = 0.0
-    if "medium" in cert:
-        pinned = _array(cert["medium"])
-        margin += hops * float(pinned @ data["medium"].weights)
-        parts.append(pinned)
-    heads = [src] + [pinned - link[i] for i in range(hops)]
-    tails = [link[i] for i in range(hops)] + [tgt]
-    cells = np.stack([h[:, None] + t[None, :] for h, t in zip(heads, tails)])
-    _matches("margin", margin, cert["margin"])
-    return _proves(margin, cells, _farkas_tol(*parts))
 
 
 # --- game ---------------------------------------------------------------------
@@ -785,27 +739,24 @@ def _gen_moment(rng, k=3, n=64):
 
 
 def _solve_moment(args, data):
-    from .applications import MomentProblem, moment_feasible
+    from .applications import MomentProblem, _moment_cert_margins, moment_feasible
 
     M, m = data["functions"], data["target"]
     res = moment_feasible(MomentProblem(M, m))
     if res.feasible:
         return {"status": "feasible", "weights": res.weights}
-    cert = res.cert
-    return {"status": "infeasible", "cert": cert,
-            "certFloor": float((cert @ M).min()), "certMargin": float(cert @ m)}
+    floor, margin = _moment_cert_margins(M, m, res.cert)
+    return {"status": "infeasible", "cert": res.cert, "certFloor": floor, "certMargin": margin}
 
 
 def _check_moment(data, r):
     M, m = data["functions"], data["target"]
     if r["status"] == "infeasible":
-        # alpha.M(x) >= 0 at every atom (to CERT_FLOOR_TOL on the data scale), alpha.m < 0
-        alpha = _array(r["cert"])
-        floor, margin = float((alpha @ M).min()), float(alpha @ m)
+        from .applications import _moment_cert_margins
+
+        floor, margin = _moment_cert_margins(M, m, _array(r["cert"]))
         _matches("certFloor", floor, r["certFloor"])
-        _matches("certMargin", margin, r["certMargin"])
-        scale = max(1.0, float(np.abs(M).max()), float(np.abs(m).max()))
-        return _proves(margin, np.array([floor]), CERT_FLOOR_TOL * scale)
+        return _matches("certMargin", margin, r["certMargin"])
     return {"momentResidual": float(np.abs(M @ _array(r["weights"]) - m).max())}
 
 
@@ -846,9 +797,7 @@ def _check_trig(data, r):
         return None  # a feasible verdict states no residuals
     from .applications import _circle_cone
 
-    # the cone LP's Farkas vector, held to the gate `lp.solve` applied
-    margin = farkas_margin(_circle_cone(data["coeffs"], data["gridSize"]), _array(r["cert"]))
-    return _proves(margin)
+    return _farkas_holds(_circle_cone(data["coeffs"], data["gridSize"]), [r["cert"]])
 
 
 # --- conjugate ----------------------------------------------------------------

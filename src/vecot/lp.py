@@ -210,22 +210,20 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
 
 
 def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
-    """Check d is a recession direction that strictly improves the objective."""
+    """Check d is a recession direction that strictly improves the objective (of a dense LP)."""
     tol = FEAS_TOL * max(1.0, float(np.abs(d).max()))
     if (np.isfinite(problem.lower) & (d < -tol)).any():
         return False
     if (np.isfinite(problem.upper) & (d > tol)).any():
         return False
-    Ad = problem.A @ d
-    # every entry of a TransportIncidence is 1
-    network_A = isinstance(problem.A, network.TransportIncidence)
-    row_tol = tol * max(1.0, 1.0 if network_A else float(np.abs(problem.A).max(initial=0.0)))
-    eq, le, ge = problem._eq, problem._le, problem._ge
-    if ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any():
-        return False
     rate = sense_sign * float(problem.c @ d)
     c_scale = max(1.0, float(np.abs(problem.c).max()) if problem.c.size else 1.0)
-    return rate < -CERT_TOL * c_scale
+    if not rate < -CERT_TOL * c_scale:
+        return False
+    Ad = problem.A @ d
+    row_tol = tol * max(1.0, float(np.abs(problem.A).max(initial=0.0)))
+    eq, le, ge = problem._eq, problem._le, problem._ge
+    return not ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any()
 
 
 def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> None:

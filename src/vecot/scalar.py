@@ -28,7 +28,7 @@ Sign conventions follow the LP duals directly:
 - multi:      sum_i psi_i(x_i) <= c(x_1..x_k)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,6 +130,16 @@ def _pair_cert(farkas: np.ndarray, mu: ScalarMeasure, nu: ScalarMeasure) -> dict
     return {"psi": psi, "phi": phi, "margin": float(psi @ mu.weights + phi @ nu.weights)}
 
 
+def _transport_lp(mu: ScalarMeasure, nu: ScalarMeasure, cost, D: float = np.inf) -> LpProblem:
+    """Transport from mu to nu along the pairs (x, y) that cost at most D: an eq row
+    per atom of mu, then of nu; a column per such pair, in row-major order."""
+    nx, ny = mu.space.size, nu.space.size
+    c = _check_cost(cost, (nx, ny))
+    ax, ay = np.nonzero(c <= D)
+    b = np.concatenate([mu.weights, nu.weights])
+    return LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
+
+
 def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
     """Least-cost coupling of mu and nu.
 
@@ -140,10 +150,7 @@ def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
     margin = psi.mu + phi.nu < 0.
     """
     nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, (nx, ny))
-    A = TransportIncidence.complete(nx, ny)
-    b = np.concatenate([mu.weights, nu.weights])
-    sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * (nx + ny)))
+    sol = solve(_transport_lp(mu, nu, cost))
     if sol.status == "infeasible":
         raise InfeasibleTransport(
             f"total masses differ: {mu.total()!r} vs {nu.total()!r}", _pair_cert(sol.farkas, mu, nu)
@@ -223,17 +230,7 @@ def solve_capacity(
             "capacity admits no coupling of the marginals",
             {"psi": unit[:nx], "phi": unit[nx:], "kellerer_slack": slack},
         )
-    A = TransportIncidence.complete(nx, ny)
-    b = np.concatenate([mu.weights, nu.weights])
-    p = LpProblem(
-        c=c.ravel(),
-        A=A,
-        b=b,
-        kinds=["eq"] * (nx + ny),
-        upper=cap.matrix.ravel(),
-        sense="max",
-    )
-    sol = solve(p)
+    sol = solve(replace(_transport_lp(mu, nu, c), upper=cap.matrix.ravel(), sense="max"))
     if sol.status == "infeasible":
         # Farkas row duals negate into potentials violating the
         # Kellerer-style feasibility inequality; for this LP the slack is
@@ -339,8 +336,9 @@ def _invariant_family_side(mu: ScalarMeasure, T: np.ndarray, c: np.ndarray) -> d
     raise NumericalBreakdown("dual-family LP reported infeasible with an empty objective")
 
 
-def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
-    """Couple k marginals at least cost over the full product space."""
+def _multimarginal_lp(measures: Sequence[ScalarMeasure], cost) -> LpProblem:
+    """`solve_multimarginal`'s LP: an eq row per atom of each measure in
+    turn, a column per cell of the product space in C order."""
     if len(measures) < 2:
         raise ValueError("need at least two marginals")
     sizes = [m.space.size for m in measures]
@@ -352,13 +350,20 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
     A = np.zeros((b.size, ncells))
     for axis in range(len(sizes)):
         A[sum(sizes[:axis]) + _marginal_index(sizes, (axis,)), np.arange(ncells)] = 1.0
-    sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
+    return LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0])
+
+
+def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
+    """Couple k marginals at least cost over the full product space."""
+    p = _multimarginal_lp(measures, cost)
+    sol = solve(p)
+    sizes = [m.space.size for m in measures]
     cuts = np.cumsum(sizes)[:-1]
     if sol.status == "infeasible":
         # sum_i psis_i(x_i) >= 0 on every cell, yet sum_i psis_i.mu_i < 0
         psis = np.split(sol.farkas, cuts)
         raise InfeasibleTransport(
-            "marginal total masses differ", {"psis": psis, "margin": float(sol.farkas @ b)}
+            "marginal total masses differ", {"psis": psis, "margin": float(sol.farkas @ p.b)}
         )
     if sol.status != "optimal":
         raise NumericalBreakdown(f"multimarginal LP returned {sol.status}")
@@ -376,20 +381,9 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
     )
 
 
-def glue_feasible(
-    mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[TransportPlan] = None
-) -> GlueResult:
-    """Find a three-space plan with the given pair marginals.
-
-    Two-measure mode (lam_xz None): a plan on X x Y x Z with (X,Y)-marginal
-    mu_xy and (Y,Z)-marginal nu_yz exists iff the Y-marginals agree.  The
-    LP decides, and on failure its Farkas vector, which `lp.solve` has
-    checked with `lp.farkas_margin`, splits into (psi, phi) with
-    psi(x,y) + phi(y,z) >= 0 everywhere but negative total against the
-    data.  Passing lam_xz adds the (X,Z)-marginal constraint; matching pair
-    marginals are then no longer sufficient, and the certificate gains xi
-    with psi(x,y) + phi(y,z) + xi(x,z) >= 0.
-    """
+def _glue_lp(mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[TransportPlan]) -> LpProblem:
+    """`glue_feasible`'s LP: an eq row per cell of each given pair marginal
+    in turn, a column per cell of X x Y x Z in C order."""
     nx, ny = mu_xy.matrix.shape
     ny2, nz = nu_yz.matrix.shape
     if ny != ny2:
@@ -406,7 +400,26 @@ def glue_feasible(
     for axes, pl in pairs:
         A[at + _marginal_index((nx, ny, nz), axes), np.arange(ncells)] = 1.0
         at += pl.matrix.size
-    p = LpProblem(c=np.zeros(ncells), A=A, b=b, kinds=["eq"] * A.shape[0])
+    return LpProblem(c=np.zeros(ncells), A=A, b=b, kinds=["eq"] * A.shape[0])
+
+
+def glue_feasible(
+    mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[TransportPlan] = None
+) -> GlueResult:
+    """Find a three-space plan with the given pair marginals.
+
+    Two-measure mode (lam_xz None): a plan on X x Y x Z with (X,Y)-marginal
+    mu_xy and (Y,Z)-marginal nu_yz exists iff the Y-marginals agree.  The
+    LP decides, and on failure its Farkas vector, which `lp.solve` has
+    checked with `lp.farkas_margin`, splits into (psi, phi) with
+    psi(x,y) + phi(y,z) >= 0 everywhere but negative total against the
+    data.  Passing lam_xz adds the (X,Z)-marginal constraint; matching pair
+    marginals are then no longer sufficient, and the certificate gains xi
+    with psi(x,y) + phi(y,z) + xi(x,z) >= 0.
+    """
+    nx, ny = mu_xy.matrix.shape
+    nz = nu_yz.matrix.shape[1]
+    p = _glue_lp(mu_xy, nu_yz, lam_xz)
     sol = solve(p)
     if sol.status == "optimal":
         return GlueResult(True, tensor=np.maximum(sol.x, 0.0).reshape(nx, ny, nz))
@@ -418,7 +431,7 @@ def glue_feasible(
     cert = {
         "psi": y[: nx * ny].reshape(nx, ny),
         "phi": y[nx * ny : nx * ny + ny * nz].reshape(ny, nz),
-        "margin": float(y @ b),
+        "margin": float(y @ p.b),
     }
     if lam_xz is not None:
         cert["xi"] = y[nx * ny + ny * nz :].reshape(nx, nz)
@@ -436,33 +449,20 @@ def local_constraint_feasible(
     """
     if not D >= 0:
         raise ValueError("threshold D must be nonnegative")
-    nx, ny = mu.space.size, nu.space.size
-    c = _check_cost(cost, (nx, ny))
-    ax, ay = np.nonzero(c <= D)
-    b = np.concatenate([mu.weights, nu.weights])
-    p = LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
+    p = _transport_lp(mu, nu, cost, D)
     sol = solve(p)
     if sol.status == "optimal":
-        mat = np.zeros((nx, ny))
-        mat[ax, ay] = np.maximum(sol.x, 0.0)
+        mat = np.zeros((mu.space.size, nu.space.size))
+        mat[p.A.tail, p.A.head] = np.maximum(sol.x, 0.0)
         return FeasibilityResult(True, TransportPlan(mu.space, nu.space, mat))
     if sol.status != "infeasible":
         raise NumericalBreakdown(f"restricted-support LP returned {sol.status}")
     return FeasibilityResult(False, cert=_pair_cert(sol.farkas, mu, nu))
 
 
-def strassen_feasible(
-    mu: ScalarMeasure, nu: ScalarMeasure, constraints: Sequence
-) -> FeasibilityResult:
-    """Find a coupling inside a polytope of plans given by linear constraints.
-
-    constraints is a sequence of (G, kind, rhs) triples, each meaning
-    sum(G * plan) kind rhs with kind in {"le", "ge", "eq"}.  On failure the
-    certificate is the Farkas vector y `lp.solve` checked: psi, phi = -y on the
-    marginal rows and multipliers = y on the rest, so that lhs = psi.mu +
-    phi.nu exceeds sup_bound = sup over admissible gamma of
-    sum((psi + phi) * gamma) by -(y @ b) > CERT_TOL.
-    """
+def _strassen_lp(mu: ScalarMeasure, nu: ScalarMeasure, constraints: Sequence) -> LpProblem:
+    """`strassen_feasible`'s LP: an eq row per atom of mu, then of nu, then a
+    row per constraint; a column per plan cell, row-major."""
     nx, ny = mu.space.size, nu.space.size
     nvar = nx * ny
     cells = np.arange(nvar)
@@ -479,7 +479,24 @@ def strassen_feasible(
         A_rows.append(G.ravel()[None, :])
         b.append(float(rhs))
         kinds.append(kind)
-    sol = solve(LpProblem(c=np.zeros(nvar), A=np.vstack(A_rows), b=np.array(b), kinds=kinds))
+    return LpProblem(c=np.zeros(nvar), A=np.vstack(A_rows), b=np.array(b), kinds=kinds)
+
+
+def strassen_feasible(
+    mu: ScalarMeasure, nu: ScalarMeasure, constraints: Sequence
+) -> FeasibilityResult:
+    """Find a coupling inside a polytope of plans given by linear constraints.
+
+    constraints is a sequence of (G, kind, rhs) triples, each meaning
+    sum(G * plan) kind rhs with kind in {"le", "ge", "eq"}.  On failure the
+    certificate is the Farkas vector y `lp.solve` checked: psi, phi = -y on the
+    marginal rows and multipliers = y on the rest, so that lhs = psi.mu +
+    phi.nu exceeds sup_bound = sup over admissible gamma of
+    sum((psi + phi) * gamma) by -(y @ b) > CERT_TOL.
+    """
+    nx, ny = mu.space.size, nu.space.size
+    p = _strassen_lp(mu, nu, constraints)
+    sol = solve(p)
     if sol.status == "optimal":
         return FeasibilityResult(
             True,
@@ -490,7 +507,7 @@ def strassen_feasible(
     psi, phi = -sol.farkas[:nx], -sol.farkas[nx : nx + ny]
     mult = sol.farkas[nx + ny :]
     lhs = float(psi @ mu.weights + phi @ nu.weights)
-    bound = float(mult @ np.array(b[nx + ny :])) if mult.size else 0.0
+    bound = float(mult @ p.b[nx + ny :]) if mult.size else 0.0
     cert = {
         "psi": psi,
         "phi": phi,

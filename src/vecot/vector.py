@@ -169,6 +169,13 @@ def _finalize_cert(psi, phi, eta, mu_values, nu_values) -> dict:
         for x in np.nonzero(bad)[0]:
             lift = -mins[x] * LIFT_FACTOR + LIFT_PAD
             psi[x] = psi[x] + lift * eta[x] / norms2[x]
+    return {"psi": psi, "phi": phi, "total": _certified_total(psi, phi, eta, mu_values, nu_values)}
+
+
+def _certified_total(psi, phi, eta, mu_values, nu_values) -> float:
+    """psi.mu + phi.nu, if it is below -CERT_TOL while <psi(x) + phi(y), eta(x)> >=
+    -CERT_FLOOR_TOL wherever eta(x) != 0: then no plan exists; else NumericalBreakdown."""
+    act = np.einsum("xi,xi->x", eta, eta) > ENTRY_TOL**2
     pair = np.einsum("xi,xi->x", psi, eta)[:, None] + eta @ phi.T
     floor = float(pair[act].min()) if np.any(act) else 0.0
     total = float((psi * mu_values).sum() + (phi * nu_values).sum())
@@ -176,7 +183,7 @@ def _finalize_cert(psi, phi, eta, mu_values, nu_values) -> dict:
         raise NumericalBreakdown(
             f"dominance certificate failed validation (floor {floor:.2e}, total {total:.2e})"
         )
-    return {"psi": psi, "phi": phi, "total": total}
+    return total
 
 
 def _analytic_cert(bad, eta, values, ny):
@@ -522,6 +529,16 @@ def extract_map(problem: VectorOtProblem) -> MapExtraction:
     return MapExtraction(assignment=assignment, split_rows=split_rows, result=res)
 
 
+def _grid_source(density: Callable[[float], Sequence[float]], N: int, d: int) -> VectorMeasure:
+    """`dual_refinement_study`'s source: weight 1/N at each midpoint x of
+    `grid_space(N)`, with density(x), a d-vector, as its density there."""
+    sp = grid_space(N)
+    dens = np.array([density(float(x)) for x in sp.coords.ravel()], dtype=float)
+    if dens.shape != (N, d):
+        raise ValueError("density must produce d-vectors")
+    return VectorMeasure(sp, dens / N, ref_weights=np.full(N, 1.0 / N))
+
+
 def dual_refinement_study(
     density: Callable[[float], Sequence[float]],
     cost: Callable[[float, int], float],
@@ -547,13 +564,8 @@ def dual_refinement_study(
         vals = np.atleast_2d(np.asarray(vals, dtype=float))
         ny, d = vals.shape
         target = VectorMeasure(FiniteSpace([f"y{j}" for j in range(ny)]), vals)
-        sp = grid_space(N)
-        xs = sp.coords.ravel()
-        dens = np.array([density(float(x)) for x in xs], dtype=float)
-        if dens.shape != (N, d):
-            raise ValueError("density must produce d-vectors")
-        mu = VectorMeasure(sp, dens / N, ref_weights=np.full(N, 1.0 / N))
-        cmat = np.array([[cost(float(x), j) for j in range(ny)] for x in xs])
+        mu = _grid_source(density, N, d)
+        cmat = np.array([[cost(float(x), j) for j in range(ny)] for x in mu.space.coords.ravel()])
         res = solve_vector_ot(VectorOtProblem(mu, target, cmat))
         q = float(np.max(res.phi.max(axis=0) - res.phi.min(axis=0)))
         dual_value = float(

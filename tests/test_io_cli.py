@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vecot import cli, golden, generate, serialize
+from vecot import applications, chain, cli, golden, generate, kinds, scalar, serialize
 from vecot.cli import main
 from vecot.kinds import KINDS
+from vecot.network import TransportIncidence
 from vecot.serialize import (
     SchemaError,
     canonical_dumps,
@@ -596,6 +597,14 @@ class TestCliDominate:
         np.testing.assert_allclose(np.array(mu_vals)[source].sum(axis=0),
                                    np.array(nu_vals)[target].sum(axis=0), atol=1e-12)
 
+    def test_strong_exits_4_when_the_totals_differ_but_a_kernel_joins_the_pair(self, tmp_path):
+        # the totals differ by 1e-7 > SUBSET_MASS_TOL, within the dominance LP's relative tolerance
+        mu_p, nu_p = self.write_pair(tmp_path, [[1000.0, 500.0], [500.0, 1000.0]],
+                                     [[750.0000001, 750.0], [750.0, 750.0]], [0.5, 0.5], [0.5, 0.5])
+        rc, _, err = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p, "--strong", "--quiet"])
+        assert rc == 4
+        assert "the component totals differ, yet a kernel joins the pair" in err
+
     def test_blockwise_failure_names_a_partition_into_n_blocks(self, tmp_path):
         mu_vals = [[0.5, 0.5], [0.5, 0.5]]
         nu_vals = [[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]]
@@ -928,9 +937,13 @@ class TestCliOther:
     @pytest.mark.parametrize("extra,grids,where", [
         ({"power": -1}, "25", "$.power"), ({"power": True}, "25", "$.power"),
         ({}, "25,x", "--grids"),
+        pytest.param('{"values": [[0.2, 0.1], [0.8, 0.9]], "power": 1e999}', "25", "$.power",
+                     id="power-1e999"),
     ])
     def test_refine_rejects_bad_power_and_grids(self, tmp_path, extra, grids, where):
-        targets = write(tmp_path, "t.json", {"values": [[0.2, 0.1], [0.8, 0.9]], **extra})
+        # a str is the file's raw text: 1e999 reads as inf, which no JSON writer emits
+        doc = extra if isinstance(extra, str) else {"values": [[0.2, 0.1], [0.8, 0.9]], **extra}
+        targets = write(tmp_path, "t.json", doc)
         rc, _, err = run_cli(["refine", "--density", "1,2x", "--targets", targets,
                               "--grids", grids, "--quiet"])
         assert rc == 3
@@ -947,6 +960,33 @@ class TestCliOther:
         assert result["status"] == "infeasible"
         assert result["cert"]["total"] < 0
         assert "residuals" not in result["diagnostics"]
+
+    @pytest.mark.parametrize("edit", ["negate", "restate"])
+    def test_refine_certificate_is_rechecked_from_its_text(self, tmp_path, monkeypatch, edit):
+        # the grid of 20 cells is rebuilt from the density for the 20 rows of psi
+        targets = write(tmp_path, "t.json", {"values": [[2.0, 1.0]]})
+        argv = ["refine", "--density", "1,x", "--targets", targets, "--grids", "20"]
+        out = tmp_path / "o.json"
+        rc, _, err = run_cli(argv + ["--output", str(out), "--quiet"])
+        assert rc == 2, err
+        assert len(read_json(out)["cert"]["psi"]) == 20
+        out.unlink()
+        dumps = cli.canonical_dumps
+
+        def perturbed(result):
+            result = json.loads(dumps(result))
+            cert = result["cert"]
+            if edit == "negate":
+                result["cert"] = _negated(cert)
+            else:
+                cert["total"] *= 2.0
+            return dumps(result)
+
+        monkeypatch.setattr(cli, "canonical_dumps", perturbed)
+        rc, _, err = run_cli(argv + ["--output", str(out), "--quiet"])
+        assert rc == 4, err
+        assert "serialized certificate fails revalidation" in err
+        assert not out.exists()
 
     def test_refine_rejects_bad_density(self, tmp_path):
         targets = write(tmp_path, "t.json", {"values": [[0.2], [0.8]]})
@@ -1261,6 +1301,11 @@ _CERTIFICATES = [
     pytest.param(["solve-vot"], "vector_ot", {**_TWISTED_PAIR, "cost": [[0.0], [1.0]]},
                  ("cert", "total"), id="vector-ot"),
     pytest.param(["dominate"], "dominance", _TWISTED_PAIR, ("cert", "total"), id="dominate"),
+    # unequal component totals: no equal-mass pair to name, so the dominance LP's potentials
+    pytest.param(["dominate", "--strong"], "dominance",
+                 {"mu": {"space": _space("x", 2), "values": [[1.0, 0.5], [0.0, 0.5]]},
+                  "nu": {"space": _space("y", 2), "values": [[1.0, 0.5], [0.5, 0.5]]}},
+                 ("cert", "total"), id="dominate-strong-totals"),
     pytest.param(["moment"], "moment", {"functions": [[1.0, 1.0], [0.0, 1.0]], "target": [1.0, 2.0]},
                  ("certMargin",), id="moment"),
     pytest.param(["trig"], "trig", {"coeffs": [[1.0, 0.0], [1.2, 0.0]], "gridSize": 64}, None,
@@ -1305,6 +1350,40 @@ def test_certificate_is_rechecked_from_its_text(tmp_path, monkeypatch, argv, kin
         assert rc == 4, err
         assert "serialized certificate fails revalidation" in err
         assert not out.exists()
+
+
+def _dense(A):
+    return A.toarray() if isinstance(A, TransportIncidence) else A
+
+
+@pytest.mark.parametrize("argv,kind,payload,stated", [
+    c for c in _CERTIFICATES
+    if c.values[1] in ("scalar_ot", "multi", "glue", "local", "strassen", "chain", "trig")
+])
+def test_lp_certificate_is_rechecked_on_the_lp_its_solver_solved(tmp_path, monkeypatch, argv, kind,
+                                                                  payload, stated):
+    """The CLI holds a Farkas certificate to `lp.farkas_margin` on the LP
+    whose infeasibility it proves: the same A, b, row kinds and bounds."""
+    solved, checked = [], []
+    for module in (scalar, chain, applications):
+        def spy(problem, *args, _solve=module.solve):
+            sol = _solve(problem, *args)
+            if sol.status == "infeasible":
+                solved.append(problem)
+            return sol
+
+        monkeypatch.setattr(module, "solve", spy)
+    margin = kinds.farkas_margin
+    monkeypatch.setattr(kinds, "farkas_margin", lambda p, y: checked.append(p) or margin(p, y))
+    full = argv + ["--input", write(tmp_path, "p.json", {"kind": kind, "payload": payload})]
+    rc, _, err = run_cli(full + ["--quiet"])
+    assert rc == 2, err
+    assert len(solved) == 1 and len(checked) == 2  # the result in memory, then re-parsed
+    for p in checked:
+        q = solved[0]
+        assert type(p.A) is type(q.A) and np.array_equal(_dense(p.A), _dense(q.A))
+        assert np.array_equal(p.b, q.b) and p.kinds == q.kinds
+        assert np.array_equal(p.lower, q.lower) and np.array_equal(p.upper, q.upper)
 
 
 _ZERO_WIDTH = {"space": _space("a", 1), "values": [[]]}

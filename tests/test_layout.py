@@ -147,13 +147,12 @@ def ref_chain(k, n, pinned):
         rows = slice(i * k, (i + 1) * k)
         A[rows, block(i - 1)] = colsum
         A[rows, block(i)] = -rowsum
-    med = None
     if pinned:
         med = slice((n + 1) * k, (n + 2) * k)
         for i in range(1, n + 1):
             A[med, block(i)] += rowsum
     A[-k:, block(n)] = colsum
-    return A, med
+    return A
 
 
 # --- capture of the LP a solver builds ---------------------------------------
@@ -254,9 +253,9 @@ def test_marginal_layouts_match_hand_written_loops(monkeypatch, nx, ny, d):
     p = _built(monkeypatch, vector, lambda: vector.multi_range(vmu, ny).contains(s))
     _same(p.A, p.b, *ref_multi_range(vmu.values, ny, s))
 
-    # chain._chain_system with d hops, medium pinned or free
-    for pinned in (True, False):
-        A, med = chain._chain_system(nx, d, pinned)
-        ref_A, ref_med = ref_chain(nx, d, pinned)
-        assert med == ref_med
-        assert A.shape == ref_A.shape and np.array_equal(A, ref_A)
+    # chain._chain_lp with d hops, medium pinned or free
+    for medium in (mu, None):
+        p = chain._chain_lp(chain.ChainProblem(X, rng.uniform(size=(nx, nx)), mu, mu, medium, d))
+        pinned = [d * mu.weights] if medium is not None else []
+        ref_A = ref_chain(nx, d, medium is not None)
+        _same(p.A, p.b, ref_A, np.concatenate([mu.weights, np.zeros(d * nx), *pinned, mu.weights]))

@@ -1,14 +1,16 @@
-"""Multi-hop transport through a prescribed average medium.
+"""Multi-hop transport through a prescribed or a free average medium.
 
 A chain of n+1 couplings moves mu to nu through n intermediate measures
-whose sum is pinned to n times a medium measure.  Shortcut costs over the
-intermediates are computed by min-plus dynamic programming, optionally
-discounted by a potential on the intermediate points, and the LP value is
-cross-checked against the dual identity
+whose sum is pinned to n times a medium measure, or left free.  Shortcut
+costs over the intermediates are computed by min-plus dynamic
+programming, optionally discounted by a potential on the intermediate
+points, and the LP value is cross-checked against the dual identity
 
     value = inner_ot(mu, nu, discounted shortcut cost) + n * <potential, medium>
 
-with the two sides computed by independent code paths.
+with the two sides computed by independent code paths.  A free medium is
+the same LP without the medium rows, and the identity with potential 0:
+the plain shortcut cost `reduced_cost`.
 """
 
 from dataclasses import dataclass
@@ -110,8 +112,8 @@ class ChainResult:
 
     stages holds the measures visited along the chain, endpoints included
     (hops + 2 rows).  medium_potential is the dual vector on the pinned
-    average; it certifies the value through the identity checked in
-    chain_ot.
+    average (zero when the medium is free); it certifies the value through
+    the identity checked in chain_ot.
     """
 
     value: float
@@ -142,28 +144,6 @@ def _chain_lp(problem: ChainProblem) -> LpProblem:
     return LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * A.shape[0])
 
 
-def _solve_chain_lp(problem: ChainProblem):
-    k, n = problem.space.size, problem.hops
-    med = slice((n + 1) * k, (n + 2) * k)  # the medium rows, when pinned
-    p = _chain_lp(problem)
-    sol = solve(p)
-    if sol.status == "infeasible":
-        y = sol.farkas
-        cert = {
-            "source": y[:k],
-            "linking": y[k : (n + 1) * k].reshape(n, k),
-            "target": y[-k:],
-            "margin": float(y @ p.b),
-        }
-        if problem.medium is not None:
-            cert["medium"] = y[med]
-        aim = "meets the prescribed medium average" if "medium" in cert else "carries mu to nu"
-        raise InfeasibleTransport(f"no chain of plans {aim}", cert)
-    if sol.status != "optimal":
-        raise NumericalBreakdown(f"chain LP returned {sol.status}")
-    return sol, med
-
-
 def _stages(plans: List[np.ndarray]) -> np.ndarray:
     first = plans[0].sum(axis=1)
     rest = [p.sum(axis=0) for p in plans]
@@ -171,28 +151,39 @@ def _stages(plans: List[np.ndarray]) -> np.ndarray:
 
 
 def chain_ot(problem: ChainProblem) -> ChainResult:
-    """Cheapest chain of hops + 1 couplings with the pinned medium average.
+    """Cheapest chain of hops + 1 couplings, through the medium if pinned.
 
-    The medium-row duals are returned as medium_potential and the value is
+    The medium-row duals are returned as medium_potential (zero when the
+    medium is free, as the LP then has no medium rows) and the value is
     verified against an independently computed single-coupling problem
     with the potential-discounted shortcut cost; disagreement beyond
-    CHAIN_TOL raises NumericalBreakdown.  Masses that differ raise
-    InfeasibleTransport with the chain LP's Farkas vector.
+    CHAIN_TOL (GAP_TOL when free) raises NumericalBreakdown.  Masses that
+    differ raise InfeasibleTransport with the chain LP's Farkas vector.
     """
     if problem.hops < 1:
         raise ValueError("chain_ot needs at least one hop measure")
-    if problem.medium is None:
-        raise ValueError("chain_ot needs a medium; chain_free_medium leaves it free")
-    k, n = problem.space.size, problem.hops
-    sol, med = _solve_chain_lp(problem)
+    k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
+    p = _chain_lp(problem)
+    sol = solve(p)
+    if sol.status == "infeasible":
+        y = sol.farkas
+        cert = {"source": y[:k], "linking": y[k : (n + 1) * k].reshape(n, k), "target": y[-k:],
+                "margin": float(y @ p.b)}
+        if pinned:
+            cert["medium"] = y[(n + 1) * k : (n + 2) * k]
+        aim = "meets the prescribed medium average" if pinned else "carries mu to nu"
+        raise InfeasibleTransport(f"no chain of plans {aim}", cert)
+    if sol.status != "optimal":
+        raise NumericalBreakdown(f"chain LP returned {sol.status}")
     mats = [
         np.maximum(sol.x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k)
         for i in range(n + 1)
     ]
-    pot = sol.y[med]
+    pot = sol.y[(n + 1) * k : (n + 2) * k] if pinned else np.zeros(k)
     inner = solve_ot(problem.mu, problem.nu, weighted_reduced_cost(problem.cost, pot, n))
-    other = inner.value + n * float(pot @ problem.medium.weights)
-    if abs(sol.value - other) > CHAIN_TOL * (1.0 + abs(sol.value)):
+    other = inner.value + (n * float(pot @ problem.medium.weights) if pinned else 0.0)
+    tol = CHAIN_TOL if pinned else GAP_TOL
+    if abs(sol.value - other) > tol * (1.0 + abs(sol.value)):
         raise NumericalBreakdown(
             f"chain duality check failed: {sol.value!r} vs {other!r}"
         )
@@ -203,22 +194,7 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
 def chain_free_medium(
     mu: ScalarMeasure, nu: ScalarMeasure, cost, n: int
 ) -> float:
-    """Best chain value when the medium average is left free.
-
-    Solved as the chain LP with no medium, hence no medium rows: leaving
-    the average free constrains nothing, since any intermediates average
-    to some medium, and a mass gap raises that LP's Farkas vector as
-    InfeasibleTransport.  The value is cross-checked against the
-    one-coupling problem with the plain shortcut cost within GAP_TOL.
-    """
-    if n < 1:
-        raise ValueError("chain_free_medium needs at least one hop measure")
-    problem = ChainProblem(mu.space, cost, mu, nu, None, n)
-    sol, _ = _solve_chain_lp(problem)
-    direct = solve_ot(mu, nu, reduced_cost(problem.cost, n))
-    if abs(sol.value - direct.value) > GAP_TOL * (1.0 + abs(sol.value)):
-        raise NumericalBreakdown(
-            f"free-medium chain disagrees with shortcut transport: "
-            f"{sol.value!r} vs {direct.value!r}"
-        )
-    return float(sol.value)
+    """Best chain value when the medium average is left free: `chain_ot`
+    with no medium, whose LP has no medium rows, since any intermediates
+    average to some medium."""
+    return chain_ot(ChainProblem(mu.space, cost, mu, nu, None, n)).value

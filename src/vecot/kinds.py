@@ -19,9 +19,9 @@ potentials to `scalar._kellerer_slack`; vector potentials to
 rule recomputes.  A miss raises NumericalBreakdown, which `cli._run`
 reports as a certificate that fails revalidation from its text; a
 certificate that holds returns {}, adding no output field.  A check
-returns None when there is nothing to re-derive (a free-medium chain's
-value, a feasible trig verdict, the witnesses of `dominate --n`,
-`--strong` and `--blackwell`), and the text is not re-parsed.
+returns None when there is nothing to re-derive (a feasible trig
+verdict, the witnesses of `dominate --n`, `--strong` and `--blackwell`),
+and the text is not re-parsed.
 
 `KINDS` and `cli.VARIANT_KIND` are read off `TABLE`; `vector`,
 `chain` and `applications` are imported only when a command calls them.
@@ -646,20 +646,17 @@ def _gen_chain(rng, k=5, hops=2):
 
 
 def _solve_chain(args, data):
-    from .chain import ChainProblem, chain_free_medium, chain_ot
+    from .chain import ChainProblem, chain_ot
 
-    hops = data["hops"]
+    hops, medium = data["hops"], None if args.free_medium else data["medium"]
+    res = chain_ot(ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], medium, hops))
+    out = {"status": "optimal", "value": res.value, "hops": hops,
+           "plans": [p.matrix for p in res.plans], "stages": res.stages}
     if args.free_medium:
-        value = chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
-        return {"status": "optimal", "value": value, "hops": hops, "freeMedium": True}
-    res = chain_ot(
-        ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], data["medium"], hops)
-    )
-    return {
-        "status": "optimal", "value": res.value, "hops": hops,
-        "f": res.medium_potential, "plans": [p.matrix for p in res.plans],
-        "stages": res.stages,
-    }
+        out["freeMedium"] = True
+    else:
+        out["f"] = res.medium_potential
+    return out
 
 
 def _check_chain(data, r):
@@ -672,20 +669,19 @@ def _check_chain(data, r):
         lp = _chain_lp(ChainProblem(data["space"], data["cost"], data["mu"], data["nu"], medium, hops))
         parts = [cert[key] for key in ("source", "linking", "medium", "target") if key in cert]
         return _farkas_holds(lp, parts, cert["margin"])
-    if r.get("freeMedium"):
-        return None  # a free-medium chain reports its value alone
     plans = [_array(p) for p in r["plans"]]
     link = 0.0
     for a, b in zip(plans, plans[1:]):
         link = max(link, float(np.abs(a.sum(axis=0) - b.sum(axis=1)).max()))
-    medium = np.sum([p.sum(axis=1) for p in plans[1:]], axis=0) if len(plans) > 1 else None
-    return {
+    out = {
         "sourceMarginal": float(np.abs(plans[0].sum(axis=1) - data["mu"].weights).max()),
         "targetMarginal": float(np.abs(plans[-1].sum(axis=0) - data["nu"].weights).max()),
         "linking": link,
-        "mediumResidual": (float(np.abs(medium - hops * data["medium"].weights).max())
-                           if medium is not None else 0.0),
     }
+    if not r.get("freeMedium"):  # chain_ot takes at least one hop, so plans[1:] is not empty
+        medium = np.sum([p.sum(axis=1) for p in plans[1:]], axis=0)
+        out["mediumResidual"] = float(np.abs(medium - hops * data["medium"].weights).max())
+    return out
 
 
 # --- game ---------------------------------------------------------------------

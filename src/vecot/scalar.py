@@ -1,14 +1,17 @@
 """Scalar transport problems and their variants, each solved as one LP.
 
-The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`
-and `local_constraint_feasible`) state their LP over every atom with a
+The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`,
+`local_constraint_feasible`, `solve_multimarginal` of two measures and
+`glue_feasible` without a third pair, whose cell (x, y, z) is the arc
+from (x, y) to (y, z)) state their LP over every atom with a
 `network.TransportIncidence`, so `lp.solve` runs them on the network
 simplex and never forms the dense marginal matrix; the network engine
 leaves zero-mass atoms out of its tree and prices them, so their
 potentials are plain LP duals here.  That engine solves only eq rows:
 `solve_partial` states partial transport as plain transport between
 spaces augmented by one dummy atom each, and reads its potentials off
-the augmented duals.  The others are dense LPs.
+the augmented duals.  The others are dense LPs, and only the dense
+multimarginal LP refuses a product space of more than 1e6 cells.
 `_marginal_index` is the single owner of the plan-to-column layout:
 every dense LP here and in `vector` and `chain` scatters its marginal
 rows from it.  Every solver returns dual potentials along with
@@ -338,9 +341,12 @@ def _invariant_family_side(mu: ScalarMeasure, T: np.ndarray, c: np.ndarray) -> d
 
 def _multimarginal_lp(measures: Sequence[ScalarMeasure], cost) -> LpProblem:
     """`solve_multimarginal`'s LP: an eq row per atom of each measure in
-    turn, a column per cell of the product space in C order."""
+    turn, a column per cell of the product space in C order.  Two measures
+    give the transport LP."""
     if len(measures) < 2:
         raise ValueError("need at least two marginals")
+    if len(measures) == 2:
+        return _transport_lp(*measures, cost)
     sizes = [m.space.size for m in measures]
     c = _check_cost(cost, sizes)
     ncells = int(np.prod(sizes))
@@ -383,7 +389,8 @@ def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
 
 def _glue_lp(mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[TransportPlan]) -> LpProblem:
     """`glue_feasible`'s LP: an eq row per cell of each given pair marginal
-    in turn, a column per cell of X x Y x Z in C order."""
+    in turn, a column per cell of X x Y x Z in C order.  Without lam_xz it
+    is a transport LP: cell (x, y, z) is the arc from (x, y) to (y, z)."""
     nx, ny = mu_xy.matrix.shape
     ny2, nz = nu_yz.matrix.shape
     if ny != ny2:
@@ -395,11 +402,16 @@ def _glue_lp(mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[Transp
             raise ValueError("third marginal shape does not match")
         pairs.append(((0, 2), lam_xz))
     b = np.concatenate([pl.matrix.ravel() for _, pl in pairs])
-    A = np.zeros((b.size, ncells))
-    at = 0
-    for axes, pl in pairs:
-        A[at + _marginal_index((nx, ny, nz), axes), np.arange(ncells)] = 1.0
-        at += pl.matrix.size
+    shape = (nx, ny, nz)
+    if lam_xz is None:
+        A = TransportIncidence(nx * ny, ny * nz, _marginal_index(shape, (0, 1)),
+                               _marginal_index(shape, (1, 2)))
+    else:
+        A = np.zeros((b.size, ncells))
+        at = 0
+        for axes, pl in pairs:
+            A[at + _marginal_index(shape, axes), np.arange(ncells)] = 1.0
+            at += pl.matrix.size
     return LpProblem(c=np.zeros(ncells), A=A, b=b, kinds=["eq"] * A.shape[0])
 
 

@@ -38,7 +38,8 @@ CERT_FLOOR_TOL = 1e-12
 KERNEL_MISS_TOL = 1e-9
 # a result re-parsed from its own text must reproduce each residual this closely
 REVALIDATE_TOL = 1e-9
-# strong_dominates matches subset masses this closely, bucketing them at this width
+# strong_dominates matches totals and subset masses this closely, bucketing them
+# at this width, relative to max(1, the largest component total of either measure)
 SUBSET_MASS_TOL = 1e-9
 # blackwell_check: a common density s fits when every density row gives <row, s> = 1 this closely
 DENSITY_FIT_TOL = 1e-9

@@ -723,10 +723,11 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
     """Dominance of every pair of equal-mass restrictions.
 
     Scans subset pairs (A, B) with mu(A) = nu(B) componentwise within
-    SUBSET_MASS_TOL, in descending bitmask order on both sides, and
-    requires mu restricted to A to dominate nu restricted to B.  Returns
-    (True, None) or (False, (A_indices, B_indices)) naming the first
-    failing pair.
+    SUBSET_MASS_TOL * max(1, largest component total of either measure),
+    in descending bitmask order on both sides, and requires mu restricted
+    to A to dominate nu restricted to B.  Totals that differ by more than
+    that tolerance fail at once.  Returns (True, None) or
+    (False, (A_indices, B_indices)) naming the first failing pair.
     Scalar inputs short-circuit: equal totals already decide, because
     equal-mass scalar restrictions always admit a kernel.
     """
@@ -735,14 +736,14 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
     nx, ny = mu.space.size, nu.space.size
     if nx > 16 or ny > 16:
         raise ValueError("subset scan limited to 16 atoms per side")
-    tot_gap = float(np.max(np.abs(mu.component_totals() - nu.component_totals())))
-    if tot_gap > SUBSET_MASS_TOL:
+    tot_mu, tot_nu = mu.component_totals(), nu.component_totals()
+    quantum = SUBSET_MASS_TOL * max(1.0, np.abs(tot_mu).max(), np.abs(tot_nu).max())
+    if np.max(np.abs(tot_mu - tot_nu)) > quantum:
         return False, None
     if mu.dim == 1:
         return True, None
     sums_a = _subset_sums(mu.values)
     sums_b = _subset_sums(nu.values)
-    quantum = SUBSET_MASS_TOL
     buckets = {}
     for mask in range((1 << ny) - 1, 0, -1):
         key = tuple(np.round(sums_b[mask] / quantum).astype(np.int64))
@@ -757,7 +758,7 @@ def strong_dominates(mu: VectorMeasure, nu: VectorMeasure):
         if len(cands) > 1:
             cands = sorted(set(cands), reverse=True)
         for bmask in cands:
-            if np.max(np.abs(sums_b[bmask] - target)) > SUBSET_MASS_TOL:
+            if np.max(np.abs(sums_b[bmask] - target)) > quantum:
                 continue
             a_idx = [i for i in range(nx) if amask >> i & 1]
             b_idx = [j for j in range(ny) if bmask >> j & 1]

@@ -597,13 +597,23 @@ class TestCliDominate:
         np.testing.assert_allclose(np.array(mu_vals)[source].sum(axis=0),
                                    np.array(nu_vals)[target].sum(axis=0), atol=1e-12)
 
-    def test_strong_exits_4_when_the_totals_differ_but_a_kernel_joins_the_pair(self, tmp_path):
-        # the totals differ by 1e-7 > SUBSET_MASS_TOL, within the dominance LP's relative tolerance
-        mu_p, nu_p = self.write_pair(tmp_path, [[1000.0, 500.0], [500.0, 1000.0]],
-                                     [[750.0000001, 750.0], [750.0, 750.0]], [0.5, 0.5], [0.5, 0.5])
-        rc, _, err = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p, "--strong", "--quiet"])
-        assert rc == 4
-        assert "the component totals differ, yet a kernel joins the pair" in err
+    @pytest.mark.parametrize("scale", [None, 1e3, 1e5],
+                             ids=["totals-1e-7-apart", "gen4-times-1e3", "gen4-times-1e5"])
+    def test_strong_agrees_with_plain_at_scale(self, tmp_path, scale):
+        if scale is None:
+            # the totals differ by 1e-7: more than SUBSET_MASS_TOL, less than it times the totals
+            mu_vals, nu_vals = [[1000.0, 500.0], [500.0, 1000.0]], [[750.0000001, 750.0], [750.0, 750.0]]
+        else:  # the pair of test_blockwise_and_strong_modes, scaled
+            payload = generate.gen("dominance", 4).payload
+            mu_vals, nu_vals = (np.multiply(payload[key]["values"], scale).tolist() for key in ("mu", "nu"))
+        mu_p, nu_p = self.write_pair(tmp_path, mu_vals, nu_vals, None, None)
+        answers = []
+        for mode, field in (([], "dominates"), (["--strong"], "strong")):
+            out = str(tmp_path / "o.json")
+            rc, _, err = run_cli(["dominate", "--mu", mu_p, "--nu", nu_p, *mode,
+                                  "--output", out, "--quiet"])
+            answers.append((rc, read_json(out)[field] if rc in (0, 2) else err))
+        assert answers[0] == answers[1] == (0, True)
 
     def test_blockwise_failure_names_a_partition_into_n_blocks(self, tmp_path):
         mu_vals = [[0.5, 0.5], [0.5, 0.5]]
@@ -1019,6 +1029,22 @@ class TestCliOther:
         assert rc == 0
         free = read_json(out)
         assert free["freeMedium"] is True
+
+    def test_chain_free_medium_writes_its_plans_and_stages(self, tmp_path):
+        prob = str(tmp_path / "c.json")
+        out = str(tmp_path / "o.json")
+        run_cli(["gen", "--kind", "chain", "--seed", "11", "--output", prob, "--quiet"])
+        rc, _, _ = run_cli(["chain", "--input", prob, "--free-medium", "--output", out, "--quiet"])
+        assert rc == 0
+        result, residuals = residuals_of(out)
+        data = generate.gen("chain", 11).data
+        hops, k = data["hops"], data["space"].size
+        assert result["freeMedium"] is True and "f" not in result
+        assert np.shape(result["plans"]) == (hops + 1, k, k)
+        assert np.shape(result["stages"]) == (hops + 2, k)
+        assert set(residuals) == {"sourceMarginal", "targetMarginal", "linking"}
+        assert max(residuals.values()) <= 1e-9
+        assert result["value"] == chain.chain_free_medium(data["mu"], data["nu"], data["cost"], hops)
 
     @pytest.mark.parametrize("free", [False, True])
     def test_chain_mass_gap_exits_2_with_the_lps_certificate(self, tmp_path, free):

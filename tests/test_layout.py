@@ -1,9 +1,9 @@
 """Every dense transport LP lays its marginal rows out with `scalar._marginal_index`.
 
 The reference builders below are the hand-written loops the solvers used
-before the layout had one owner.  Each site's constraint matrix and
-right-hand side must equal its reference entry for entry, so the
-simplex sees the same LP and takes the same pivots.
+before the layout had one owner.  Each site's constraint matrix (a
+`TransportIncidence` as its dense array) and right-hand side must equal
+its reference entry for entry, so the engine sees the same LP.
 """
 
 import numpy as np
@@ -181,6 +181,8 @@ def _built(monkeypatch, module, call, nth=1):
 
 
 def _same(A, b, ref_A, ref_b):
+    if isinstance(A, TransportIncidence):  # a bipartite LP, compared as its dense matrix
+        A = A.toarray()
     assert A.shape == ref_A.shape
     assert np.array_equal(A, ref_A)
     assert np.array_equal(b, ref_b)

@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from vecot import lp, scalar
 from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
+from vecot.network import TransportIncidence
 from vecot.scalar import (
     InfeasibleTransport,
     glue_feasible,
@@ -466,6 +467,96 @@ def test_glue_three_pairwise_consistent_jointly_empty():
                 rhs.append(mat[u, v])
     ref = linprog(np.zeros(8), A_eq=np.array(rows), b_eq=np.array(rhs), method="highs")
     assert ref.status == 2
+
+
+def _product_rows(shape, axes_list):
+    """Dense eq rows over the cells of `shape` in C order: for each axes
+    tuple in turn, a row per cell of the marginal onto those axes."""
+    idx = np.indices(shape).reshape(len(shape), -1)
+    return np.array([
+        np.all([idx[a] == v for a, v in zip(axes, cell)], axis=0).astype(float)
+        for axes in axes_list
+        for cell in itertools.product(*(range(shape[a]) for a in axes))
+    ])
+
+
+def _highs_eq(c, A, b):
+    """(status, value) of min c.x over A x = b, x >= 0 under HiGHS."""
+    res = linprog(c, A_eq=A, b_eq=b, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    return ("optimal", res.fun) if res.status == 0 else ("infeasible", None)
+
+
+def _glue_pairs():
+    """(name, first, second): the (X,Y) and (Y,Z) pair marginals of a glue query."""
+    rng = np.random.default_rng(2028)
+    for seed in range(6):
+        P = rng.uniform(0.1, 1.0, rng.integers(1, 5, 3))
+        yield f"random{seed}", P.sum(2), P.sum(0)
+    P = rng.uniform(0.1, 1.0, (3, 4, 3))
+    P[0, 1, :] = 0.0  # a zero cell of the first pair
+    P[:, 2, 1] = 0.0  # a zero cell of the second pair
+    P[:, 3, :] = 0.0  # a zero middle atom
+    yield "zero-cells", P.sum(2), P.sum(0)
+    for gap in (0.1, 5e-8):
+        second = P.sum(0)
+        second[0] *= 1.0 + gap / second[0].sum()
+        yield f"middle-gap-{gap}", P.sum(2), second
+    yield "totals-off-1e-8", P.sum(2), P.sum(0) * (1.0 + 1e-8 / P.sum())
+
+
+def _two_measures():
+    """(name, mu weights, nu weights, cost) of a two-measure multimarginal query."""
+    rng = np.random.default_rng(2029)
+    for seed in range(6):
+        nx, ny = rng.integers(1, 7, 2)
+        a, b = rng.uniform(0.1, 1.0, nx), rng.uniform(0.1, 1.0, ny)
+        yield f"random{seed}", a, b * (a.sum() / b.sum()), rng.uniform(-1.0, 1.0, (nx, ny))
+    a, b = np.array([0.3, 0.0, 0.5, 0.2, 0.0]), np.array([0.0, 0.6, 0.4, 0.0])
+    c = rng.integers(0, 3, (5, 4)).astype(float)  # zero atoms and tied costs
+    yield "zero-atoms", a, b, c
+    for gap in (0.1, 5e-8, 1e-8):
+        yield f"totals-off-{gap}", a, b + gap * np.eye(4)[1], c
+
+
+@pytest.mark.parametrize("first,second", [pytest.param(*g[1:], id=g[0]) for g in _glue_pairs()])
+def test_two_pair_glue_matches_highs_and_certifies_on_its_incidence(first, second):
+    (nx, ny), nz = first.shape, second.shape[1]
+    mxy = TransportPlan(space(nx, "x"), space(ny, "y"), first)
+    nyz = TransportPlan(space(ny, "y"), space(nz, "z"), second)
+    p = scalar._glue_lp(mxy, nyz, None)
+    assert isinstance(p.A, TransportIncidence)
+    rows = _product_rows((nx, ny, nz), [(0, 1), (1, 2)])
+    status, _ = _highs_eq(np.zeros(nx * ny * nz), rows, np.concatenate([first.ravel(), second.ravel()]))
+    res = glue_feasible(mxy, nyz)
+    assert res.feasible is (status == "optimal")
+    if res.feasible:
+        np.testing.assert_allclose(res.tensor.sum(axis=2), first, atol=1e-9)
+        np.testing.assert_allclose(res.tensor.sum(axis=0), second, atol=1e-9)
+    else:
+        margin = lp.farkas_margin(p, np.concatenate([res.cert["psi"].ravel(), res.cert["phi"].ravel()]))
+        assert margin < -CERT_TOL
+        assert margin == pytest.approx(res.cert["margin"], rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("a,b,c", [pytest.param(*m[1:], id=m[0]) for m in _two_measures()])
+def test_two_measure_multimarginal_matches_highs_and_certifies_on_its_incidence(a, b, c):
+    mu, nu = ScalarMeasure(space(a.size, "x"), a), ScalarMeasure(space(b.size, "y"), b)
+    p = scalar._multimarginal_lp([mu, nu], c)
+    assert isinstance(p.A, TransportIncidence)
+    status, value = _highs_eq(c.ravel(), _product_rows(c.shape, [(0,), (1,)]), np.concatenate([a, b]))
+    try:
+        res = solve_multimarginal([mu, nu], c)
+    except InfeasibleTransport as exc:
+        assert status == "infeasible"
+        margin = lp.farkas_margin(p, np.concatenate(exc.cert["psis"]))
+        assert margin < -CERT_TOL
+        assert margin == pytest.approx(exc.cert["margin"], rel=1e-9, abs=1e-15)
+    else:
+        assert status == "optimal"
+        assert abs(res.value - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_local_slack_threshold():

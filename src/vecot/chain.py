@@ -4,13 +4,13 @@ A chain of n+1 couplings moves mu to nu through n intermediate measures
 whose sum is pinned to n times a medium measure, or left free.  Shortcut
 costs over the intermediates are computed by min-plus dynamic
 programming, optionally discounted by a potential on the intermediate
-points, and the LP value is cross-checked against the dual identity
+points.  The chain duality
 
     value = inner_ot(mu, nu, discounted shortcut cost) + n * <potential, medium>
 
-with the two sides computed by independent code paths.  A free medium is
-the same LP without the medium rows, and the identity with potential 0:
-the plain shortcut cost `reduced_cost`.
+is not compared: the shortcut's answer, lifted onto the chain LP, passes
+`lp.gate` there, whose duality-gap check is this identity.  A free medium
+(potential 0: the plain `reduced_cost`) is the shortcut solve alone.
 """
 
 from dataclasses import dataclass
@@ -18,10 +18,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .lp import LpProblem, NumericalBreakdown, solve
+from .lp import LpProblem, LpSolution, NumericalBreakdown, gate, solve
 from .measures import FiniteSpace, ScalarMeasure, SpaceMismatch, TransportPlan
 from .scalar import InfeasibleTransport, _check_cost, _marginal_index, solve_ot
-from .tolerances import CHAIN_TOL, GAP_TOL
 
 __all__ = [
     "ChainProblem",
@@ -33,15 +32,17 @@ __all__ = [
 ]
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _min_plus(a: np.ndarray, b: np.ndarray):
+    """min over w of a[x, w] + b[w, y], and the first w that attains it."""
     # row-chunked so the (k, k, k) broadcast never exceeds ~8 MB
     k = a.shape[0]
     chunk = max(1, (1 << 20) // max(1, k * k))
-    out = np.empty_like(a)
+    out, arg = np.empty_like(a), np.empty(a.shape, dtype=np.intp)
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
-        out[start:stop] = np.min(a[start:stop, :, None] + b[None, :, :], axis=1)
-    return out
+        paths = a[start:stop, :, None] + b[None, :, :]
+        out[start:stop], arg[start:stop] = np.min(paths, axis=1), np.argmin(paths, axis=1)
+    return out, arg
 
 
 def reduced_cost(cost, n: int) -> np.ndarray:
@@ -49,8 +50,8 @@ def reduced_cost(cost, n: int) -> np.ndarray:
 
     n = 0 returns the cost itself; each further step is one min-plus
     product with the original matrix.  Ties resolve to the smallest
-    intermediate index (first minimum), which matters only to callers
-    reconstructing paths.
+    intermediate index (first minimum), which matters only to the paths
+    `chain_ot` routes a free chain's plan along.
     """
     c = np.asarray(cost, dtype=float)  # weighted_reduced_cost checks it
     return weighted_reduced_cost(c, np.zeros(c.shape[:1]), n)
@@ -63,6 +64,11 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
     hop cost from z, minus the potential collected at z.  A zero potential
     reduces to reduced_cost.
     """
+    return _shortcut(cost, potential, n)[0]
+
+
+def _shortcut(cost, potential, n: int):
+    """`weighted_reduced_cost`, and per step i the last stop z_i[x, y] of the cheapest path."""
     k = len(np.atleast_2d(cost))  # square: as many columns as rows
     c = _check_cost(cost, (k, k))
     pot = np.asarray(potential, dtype=float).reshape(-1)
@@ -73,10 +79,11 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"intermediate count must be >= 0, got {n}")
     hop = c - pot[:, None]
-    out = c.copy()
+    out, stops = c.copy(), []
     for _ in range(n):
-        out = _min_plus(out, hop)
-    return out
+        out, arg = _min_plus(out, hop)
+        stops.append(arg)
+    return out, stops
 
 
 @dataclass
@@ -112,8 +119,8 @@ class ChainResult:
 
     stages holds the measures visited along the chain, endpoints included
     (hops + 2 rows).  medium_potential is the dual vector on the pinned
-    average (zero when the medium is free); it certifies the value through
-    the identity checked in chain_ot.
+    average (zero when the medium is free), under which chain_ot lifted
+    the shortcut's dual and gated the plans against it.
     """
 
     value: float
@@ -150,45 +157,76 @@ def _stages(plans: List[np.ndarray]) -> np.ndarray:
     return np.vstack([first] + rest)
 
 
+def _routed(plan: np.ndarray, stops: List[np.ndarray]) -> np.ndarray:
+    """The chain LP's primal that sends each shortcut cell (x, y) of `plan`
+    along its cheapest path x -> z_1 -> ... -> z_n -> y, leg after leg."""
+    k = plan.shape[0]
+    xs, ys = np.nonzero(plan)
+    path = [ys]
+    for arg in reversed(stops):
+        path.append(arg[xs, path[-1]])
+    path = [xs] + path[::-1]
+    return np.concatenate([np.bincount(a * k + b, plan[xs, ys], k * k) for a, b in zip(path, path[1:])])
+
+
+def _lifted_dual(problem: ChainProblem, psi, phi, pot) -> np.ndarray:
+    """The chain LP's dual made from the shortcut's (psi, phi): link i takes
+    l_i, with l_1(z) = min_x c(x, z) - psi(x) and l_{i+1}(z) = min_w l_i(w)
+    + c(w, z) - pot(w); the medium rows, when pinned, take pot."""
+    c = problem.cost
+    links = [np.min(c - psi[:, None], axis=0)]
+    for _ in range(1, problem.hops):
+        links.append(np.min(links[-1][:, None] + c - pot[:, None], axis=0))
+    medium = [pot] if problem.medium is not None else []
+    return np.concatenate([psi, *links, *medium, phi])
+
+
+def _gap(problem: ChainProblem, p: LpProblem, y: np.ndarray) -> InfeasibleTransport:
+    """The mass gap that y, a gated Farkas vector of the chain LP p, proves."""
+    k, n = problem.space.size, problem.hops
+    cert = {"source": y[:k], "linking": y[k : (n + 1) * k].reshape(n, k), "target": y[-k:],
+            "margin": float(y @ p.b)}
+    if problem.medium is None:
+        return InfeasibleTransport("no chain of plans carries mu to nu", cert)
+    cert["medium"] = y[(n + 1) * k : (n + 2) * k]
+    return InfeasibleTransport("no chain of plans meets the prescribed medium average", cert)
+
+
 def chain_ot(problem: ChainProblem) -> ChainResult:
     """Cheapest chain of hops + 1 couplings, through the medium if pinned.
 
-    The medium-row duals are returned as medium_potential (zero when the
-    medium is free, as the LP then has no medium rows) and the value is
-    verified against an independently computed single-coupling problem
-    with the potential-discounted shortcut cost; disagreement beyond
-    CHAIN_TOL (GAP_TOL when free) raises NumericalBreakdown.  Masses that
-    differ raise InfeasibleTransport with the chain LP's Farkas vector.
+    A pinned chain solves its chain LP for the plans and the medium-row
+    duals pot; a free one routes the shortcut's plan, with pot = 0.  The
+    plans pass `lp.gate` on the chain LP against the dual lifted from the
+    transport under `weighted_reduced_cost(cost, pot, hops)`.  Masses that
+    differ raise InfeasibleTransport with a Farkas vector of the chain LP:
+    the pinned LP's own, or the shortcut's (psi, phi) with links at -min psi.
     """
     if problem.hops < 1:
         raise ValueError("chain_ot needs at least one hop measure")
     k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
     p = _chain_lp(problem)
-    sol = solve(p)
-    if sol.status == "infeasible":
-        y = sol.farkas
-        cert = {"source": y[:k], "linking": y[k : (n + 1) * k].reshape(n, k), "target": y[-k:],
-                "margin": float(y @ p.b)}
-        if pinned:
-            cert["medium"] = y[(n + 1) * k : (n + 2) * k]
-        aim = "meets the prescribed medium average" if pinned else "carries mu to nu"
-        raise InfeasibleTransport(f"no chain of plans {aim}", cert)
-    if sol.status != "optimal":
-        raise NumericalBreakdown(f"chain LP returned {sol.status}")
-    mats = [
-        np.maximum(sol.x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k)
-        for i in range(n + 1)
-    ]
-    pot = sol.y[(n + 1) * k : (n + 2) * k] if pinned else np.zeros(k)
-    inner = solve_ot(problem.mu, problem.nu, weighted_reduced_cost(problem.cost, pot, n))
-    other = inner.value + (n * float(pot @ problem.medium.weights) if pinned else 0.0)
-    tol = CHAIN_TOL if pinned else GAP_TOL
-    if abs(sol.value - other) > tol * (1.0 + abs(sol.value)):
-        raise NumericalBreakdown(
-            f"chain duality check failed: {sol.value!r} vs {other!r}"
-        )
+    x, pot = None, np.zeros(k)
+    if pinned:
+        sol = solve(p)
+        if sol.status == "infeasible":
+            raise _gap(problem, p, sol.farkas)
+        if sol.status != "optimal":
+            raise NumericalBreakdown(f"chain LP returned {sol.status}")
+        x, pot = sol.x, sol.y[(n + 1) * k : (n + 2) * k]
+    cost, stops = _shortcut(problem.cost, pot, n)
+    try:
+        inner = solve_ot(problem.mu, problem.nu, cost)
+    except InfeasibleTransport as exc:  # a free chain: a pinned one's LP has decided the masses
+        psi, phi = exc.cert["psi"], exc.cert["phi"]
+        y = np.concatenate([psi, np.full(n * k, -psi.min()), phi])
+        raise _gap(problem, p, gate(p, LpSolution("infeasible", np.inf, farkas=y)).farkas) from None
+    x = _routed(inner.plan.matrix, stops) if x is None else x
+    y = _lifted_dual(problem, inner.psi, inner.phi, pot)
+    value = gate(p, LpSolution("optimal", float(p.c @ x), x=x, y=y)).value
+    mats = [np.maximum(x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k) for i in range(n + 1)]
     plans = [TransportPlan(problem.space, problem.space, m) for m in mats]
-    return ChainResult(sol.value, plans, pot, _stages(mats))
+    return ChainResult(value, plans, pot, _stages(mats))
 
 
 def chain_free_medium(

@@ -12,7 +12,7 @@ solution it returns the residuals, which `cli._run` stores and compares
 with the re-parsed copy's.  For a certificate it applies the one rule that
 already defines it, with the problem data: an LP's Farkas vector, joined
 back in its LP's row order, goes to `lp.farkas_margin` on the `LpProblem`
-that its solver's builder states (the gate `lp.solve` applied); capacity's
+that its solver's builder states (the check `lp.gate` applied); capacity's
 potentials to `scalar._kellerer_slack`; vector potentials to
 `vector._certified_total`; a moment direction to
 `applications._moment_cert_margins`.  A stated margin must match what the

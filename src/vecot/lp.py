@@ -2,9 +2,9 @@
 
 `solve` runs this engine on every problem except those whose constraint
 matrix is a `network.TransportIncidence`, which go to the network
-simplex.  Neither engine checks its own answer: `solve` checks every
-answer either one returns, with `certify` for an optimum, `farkas_margin`
-for a Farkas vector and `_ray_valid` for an unbounded ray.
+simplex.  Neither engine checks its own answer: `solve` is an engine, then
+`gate`, which holds any answer to `certify` (an optimum), `farkas_margin`
+(a Farkas vector) or `_ray_valid` (an unbounded ray).
 
 Design goals, in order: determinism (fixed pricing and tie-breaking rules,
 fixed iteration order, no randomization), honest certificates (every
@@ -75,7 +75,7 @@ import numpy as np
 from .tolerances import CERT_DUAL_TOL, CERT_TOL, DUAL_TOL, FEAS_TOL, GAP_TOL, PIV_TOL
 
 __all__ = [
-    "LpProblem", "LpSolution", "NumericalBreakdown", "solve", "solve_vertex", "farkas_margin", "certify",
+    "LpProblem", "LpSolution", "NumericalBreakdown", "solve", "solve_vertex", "gate", "farkas_margin", "certify",
 ]
 
 _REFACTOR_EVERY = 100
@@ -495,19 +495,25 @@ def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
     A problem whose ``A`` is a `TransportIncidence` goes to the network
     simplex (`network.solve_network`), every other one to the dense
     engine.  The default pivot limit is ``10 * (rows + columns) ** 2``.
-
-    Whichever engine ran, its answer passes one gate here: an optimum
-    must pass `certify`; a Farkas vector or an unbounded ray is scaled to
-    a largest entry of 1 and must pass `farkas_margin` or `_ray_valid`.
-    An answer that fails raises NumericalBreakdown.
+    Whichever engine ran, its answer passes `gate` before it is returned.
     """
-    global _pivot_total
     if pivot_limit is None:
         pivot_limit = 10 * (problem.nrows + problem.nvars) ** 2
     if isinstance(problem.A, network.TransportIncidence):
         sol = network.solve_network(problem, pivot_limit)
     else:
         sol = _Engine(problem, pivot_limit).run()
+    return gate(problem, sol)
+
+
+def gate(problem: LpProblem, sol: LpSolution) -> LpSolution:
+    """`sol`, an answer to `problem` from any engine or lift, once checked.
+
+    An optimum must pass `certify`; a Farkas vector or an unbounded ray is
+    scaled to a largest entry of 1 and must pass `farkas_margin` or
+    `_ray_valid`.  A failure raises NumericalBreakdown; a pass adds the
+    answer's pivots to `pivot_total`."""
+    global _pivot_total
     if sol.status == "optimal":
         certify(problem, sol.x, sol.y, sol.value)
     elif sol.status == "infeasible":

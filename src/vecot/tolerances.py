@@ -17,8 +17,6 @@ CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 # minimax equality and saddle-point residuals for games
 GAME_TOL = 1e-8
-# chain-transport duality equality
-CHAIN_TOL = 1e-6
 # dual sign and reduced-cost slack a certified optimum may show, relative
 # to max(1, max|c|)
 CERT_DUAL_TOL = 1e-7

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecot import lp
+from vecot import chain, lp
 from vecot.chain import (
     ChainProblem,
     chain_free_medium,
@@ -329,8 +329,11 @@ class TestFreeMedium:
         before = lp.pivot_total()
         chained = chain_free_medium(mu, nu, c, 1)
         assert chained == pytest.approx(0.5 * direct, rel=1e-9)
-        # the chain LP has no medium rows: 285 pivots, the cross-check included
-        assert lp.pivot_total() - before <= 400
+        spent = lp.pivot_total() - before
+        # the free chain is one shortcut solve, lifted and gated without a pivot
+        before = lp.pivot_total()
+        solve_ot(mu, nu, reduced_cost(c, 1))
+        assert spent <= lp.pivot_total() - before
 
     def test_zero_hops_rejected(self):
         p = random_chain(np.random.default_rng(13), 3, 1)
@@ -382,11 +385,13 @@ def vecot_chain(mu, nu, cost, medium, hops):
 
 
 def gen_chains():
-    for k in (5, 8):
-        for seed in range(10):
-            data = gen("chain", seed, {"k": k, "hops": 1 + seed % 3}).data
-            yield pytest.param(data["mu"], data["nu"], data["cost"], data["medium"],
-                               data["hops"], id=f"k{k}-seed{seed}")
+    # ten seeds each at k = 5 and 8, and one free chain at k = 24 routing its shortcut
+    # plan over many paths
+    cases = [(k, seed, 1 + seed % 3) for k in (5, 8) for seed in range(10)] + [(24, 0, 2)]
+    for k, seed, hops in cases:
+        data = gen("chain", seed, {"k": k, "hops": hops}).data
+        yield pytest.param(data["mu"], data["nu"], data["cost"], data["medium"],
+                           data["hops"], id=f"k{k}-seed{seed}")
 
 
 def mass_gap_chains():
@@ -411,3 +416,98 @@ class TestHighsOracle:
         assert status == ref_status
         if status == "optimal":
             assert abs(value - ref_value) <= 1e-9 * max(1.0, abs(ref_value))
+
+
+def min_plus_reference(a, b):
+    return np.min(a[:, :, None] + b[None, :, :], axis=1)
+
+
+def default_gen_chains():
+    for seed in range(20):
+        d = gen("chain", seed).data
+        yield pytest.param(d["mu"], d["nu"], d["cost"], d["medium"], d["hops"], id=f"seed{seed}")
+
+
+class TestShortcutLift:
+    """A free chain is one shortcut transport solve, lifted onto the chain LP
+    and gated there; a pinned chain gates its plans against the lifted dual."""
+
+    @pytest.mark.parametrize("mu,nu,cost,medium,hops", [*default_gen_chains(), *mass_gap_chains()])
+    def test_free_chain_runs_no_dense_solve_and_pivots_as_its_shortcut(
+        self, monkeypatch, mu, nu, cost, medium, hops
+    ):
+        def shortcut_pivots(run):
+            before = lp.pivot_total()
+            try:
+                run()
+            except InfeasibleTransport:
+                pass
+            return lp.pivot_total() - before
+
+        dense = []
+        real_engine = lp._Engine
+        monkeypatch.setattr(lp, "_Engine", lambda *a: dense.append(a) or real_engine(*a))
+        spent = shortcut_pivots(lambda: chain_free_medium(mu, nu, cost, hops))
+        assert dense == []
+        assert spent == shortcut_pivots(lambda: solve_ot(mu, nu, reduced_cost(cost, hops)))
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_shortcut_dual_off_its_optimum_fails_the_gate(self, monkeypatch, pinned):
+        p = random_chain(np.random.default_rng(14), 5, 2)
+        if not pinned:
+            p = ChainProblem(p.space, p.cost, p.mu, p.nu, None, p.hops)
+        real_ot, real_gate = chain.solve_ot, chain.gate
+
+        def off_optimum(mu, nu, cost):
+            res = real_ot(mu, nu, cost)
+            res.psi = res.psi + 0.1
+            return res
+
+        failed = []
+
+        def spy(problem, sol):
+            try:
+                return real_gate(problem, sol)
+            except lp.NumericalBreakdown:
+                failed.append(problem)
+                raise
+
+        monkeypatch.setattr(chain, "solve_ot", off_optimum)
+        monkeypatch.setattr(chain, "gate", spy)
+        with pytest.raises(lp.NumericalBreakdown):
+            chain_ot(p)
+        assert len(failed) == 1
+        assert np.array_equal(failed[0].A, chain._chain_lp(p).A)
+
+    @pytest.mark.parametrize("gap", [0.1, 5e-8, -0.1])
+    def test_free_mass_gap_links_at_minus_min_psi(self, gap):
+        mu, nu = raised_copy(gap)
+        with pytest.raises(InfeasibleTransport) as exc:
+            chain_free_medium(mu, nu, grid_cost(50, 1), 2)
+        cert = exc.value.cert
+        assert np.all(cert["linking"] == -cert["source"].min())
+        y = np.concatenate([cert["source"], cert["linking"].ravel(), cert["target"]])
+        p = chain._chain_lp(ChainProblem(mu.space, grid_cost(50, 1), mu, nu, None, 2))
+        assert lp.farkas_margin(p, y) < -CERT_TOL
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shortcut_costs_stay_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(2, 9)), int(rng.integers(0, 4))
+        # small integers tie often; uniform floats rarely
+        c = rng.integers(0, 4, (k, k)).astype(float) if seed % 2 else rng.uniform(0, 2, (k, k))
+        pot = rng.uniform(-1, 1, k)
+        plain, weighted = c.copy(), c.copy()
+        for _ in range(n):
+            plain = min_plus_reference(plain, c)
+            weighted = min_plus_reference(weighted, c - pot[:, None])
+        assert np.array_equal(reduced_cost(c, n), plain)
+        assert np.array_equal(weighted_reduced_cost(c, pot, n), weighted)
+
+    def test_ties_resolve_to_the_first_stop(self):
+        # from 0 to 2 through one stop: 0 -> 0 -> 2, 0 -> 1 -> 2 and 0 -> 2 -> 2 all cost 1
+        c = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        cost, (stop,) = chain._shortcut(c, np.zeros(3), 1)
+        assert cost[0, 2] == 1.0 and stop[0, 2] == 0
+        out, arg = chain._min_plus(np.zeros((3, 3)), np.zeros((3, 3)))
+        assert np.array_equal(out, np.zeros((3, 3))) and np.array_equal(arg, np.zeros((3, 3), int))

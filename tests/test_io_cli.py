@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vecot import applications, chain, cli, golden, generate, kinds, scalar, serialize
+from vecot import chain, cli, golden, generate, kinds, lp, serialize
 from vecot.cli import main
 from vecot.kinds import KINDS
 from vecot.network import TransportIncidence
@@ -1389,24 +1389,27 @@ def _dense(A):
 def test_lp_certificate_is_rechecked_on_the_lp_its_solver_solved(tmp_path, monkeypatch, argv, kind,
                                                                   payload, stated):
     """The CLI holds a Farkas certificate to `lp.farkas_margin` on the LP
-    whose infeasibility it proves: the same A, b, row kinds and bounds."""
-    solved, checked = [], []
-    for module in (scalar, chain, applications):
-        def spy(problem, *args, _solve=module.solve):
-            sol = _solve(problem, *args)
+    whose infeasibility it proves: the same A, b, row kinds and bounds as
+    the LP `lp.gate` passed it on, the last infeasible answer gated (a free
+    chain gates its shortcut's, then the one lifted onto the chain LP)."""
+    gated, checked = [], []
+    for module in (lp, chain):
+        def spy(problem, sol, _gate=module.gate):
+            sol = _gate(problem, sol)
             if sol.status == "infeasible":
-                solved.append(problem)
+                gated.append(problem)
             return sol
 
-        monkeypatch.setattr(module, "solve", spy)
+        monkeypatch.setattr(module, "gate", spy)
     margin = kinds.farkas_margin
     monkeypatch.setattr(kinds, "farkas_margin", lambda p, y: checked.append(p) or margin(p, y))
     full = argv + ["--input", write(tmp_path, "p.json", {"kind": kind, "payload": payload})]
     rc, _, err = run_cli(full + ["--quiet"])
     assert rc == 2, err
-    assert len(solved) == 1 and len(checked) == 2  # the result in memory, then re-parsed
+    assert len(gated) == 1 + ("--free-medium" in argv)
+    assert len(checked) == 2  # the result in memory, then re-parsed
     for p in checked:
-        q = solved[0]
+        q = gated[-1]
         assert type(p.A) is type(q.A) and np.array_equal(_dense(p.A), _dense(q.A))
         assert np.array_equal(p.b, q.b) and p.kinds == q.kinds
         assert np.array_equal(p.lower, q.lower) and np.array_equal(p.upper, q.upper)

@@ -41,7 +41,8 @@ def _min_plus(a: np.ndarray, b: np.ndarray):
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
         paths = a[start:stop, :, None] + b[None, :, :]
-        out[start:stop], arg[start:stop] = np.min(paths, axis=1), np.argmin(paths, axis=1)
+        arg[start:stop] = np.argmin(paths, axis=1)
+        out[start:stop] = np.take_along_axis(paths, arg[start:stop, None, :], axis=1)[:, 0, :]
     return out, arg
 
 
@@ -200,7 +201,8 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
     plans pass `lp.gate` on the chain LP against the dual lifted from the
     transport under `weighted_reduced_cost(cost, pot, hops)`.  Masses that
     differ raise InfeasibleTransport with a Farkas vector of the chain LP:
-    the pinned LP's own, or the shortcut's (psi, phi) with links at -min psi.
+    the pinned LP's own, or the shortcut's (psi, phi) with links at -min psi
+    and any medium rows at 0.
     """
     if problem.hops < 1:
         raise ValueError("chain_ot needs at least one hop measure")
@@ -217,9 +219,9 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
     cost, stops = _shortcut(problem.cost, pot, n)
     try:
         inner = solve_ot(problem.mu, problem.nu, cost)
-    except InfeasibleTransport as exc:  # a free chain: a pinned one's LP has decided the masses
+    except InfeasibleTransport as exc:
         psi, phi = exc.cert["psi"], exc.cert["phi"]
-        y = np.concatenate([psi, np.full(n * k, -psi.min()), phi])
+        y = np.concatenate([psi, np.full(n * k, -psi.min()), np.zeros(pinned * k), phi])
         raise _gap(problem, p, gate(p, LpSolution("infeasible", np.inf, farkas=y)).farkas) from None
     x = _routed(inner.plan.matrix, stops) if x is None else x
     y = _lifted_dual(problem, inner.psi, inner.phi, pot)

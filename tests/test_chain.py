@@ -490,6 +490,24 @@ class TestShortcutLift:
         p = chain._chain_lp(ChainProblem(mu.space, grid_cost(50, 1), mu, nu, None, 2))
         assert lp.farkas_margin(p, y) < -CERT_TOL
 
+    @pytest.mark.parametrize("gap", [2e-7, 5e-7])
+    def test_pinned_gap_the_dense_engine_misses_is_certified_by_the_shortcut(self, gap):
+        # the dense engine's infeasibility cutoff scales with max|b|, here the
+        # 3 * 300 of the medium rows, the shortcut's with max(mu, nu) = 100
+        sp = FiniteSpace(["a", "b", "c"])
+        mu = ScalarMeasure(sp, np.full(3, 100.0))
+        nu = ScalarMeasure(sp, np.array([100.0, 100.0, 100.0 + gap]))
+        medium = ScalarMeasure(sp, np.array([300.0, 0.0, 0.0]))
+        p = ChainProblem(sp, grid_cost(3, 1), mu, nu, medium, 3)
+        assert lp.solve(chain._chain_lp(p)).status == "optimal"
+        with pytest.raises(InfeasibleTransport, match="prescribed medium average") as exc:
+            chain_ot(p)
+        cert = exc.value.cert
+        assert np.all(cert["medium"] == 0.0)
+        assert_chain_farkas(cert, mu, nu, medium, 3)
+        y = np.concatenate([cert["source"], cert["linking"].ravel(), cert["medium"], cert["target"]])
+        assert lp.farkas_margin(chain._chain_lp(p), y) < -CERT_TOL
+
     @pytest.mark.parametrize("seed", range(5))
     def test_shortcut_costs_stay_bit_identical(self, seed):
         rng = np.random.default_rng(seed)

@@ -32,18 +32,16 @@ __all__ = [
 ]
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray):
-    """min over w of a[x, w] + b[w, y], and the first w that attains it."""
+def _min_plus(a: np.ndarray, b: np.ndarray, reduce=np.min) -> np.ndarray:
+    """min over w of a[x, w] + b[w, y]; with reduce=np.argmin, the first w that attains it."""
     # row-chunked so the (k, k, k) broadcast never exceeds ~8 MB
     k = a.shape[0]
     chunk = max(1, (1 << 20) // max(1, k * k))
-    out, arg = np.empty_like(a), np.empty(a.shape, dtype=np.intp)
+    out = np.empty(a.shape, dtype=np.intp if reduce is np.argmin else a.dtype)
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
-        paths = a[start:stop, :, None] + b[None, :, :]
-        arg[start:stop] = np.argmin(paths, axis=1)
-        out[start:stop] = np.take_along_axis(paths, arg[start:stop, None, :], axis=1)[:, 0, :]
-    return out, arg
+        out[start:stop] = reduce(a[start:stop, :, None] + b[None, :, :], axis=1)
+    return out
 
 
 def reduced_cost(cost, n: int) -> np.ndarray:
@@ -65,11 +63,6 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
     hop cost from z, minus the potential collected at z.  A zero potential
     reduces to reduced_cost.
     """
-    return _shortcut(cost, potential, n)[0]
-
-
-def _shortcut(cost, potential, n: int):
-    """`weighted_reduced_cost`, and per step i the last stop z_i[x, y] of the cheapest path."""
     k = len(np.atleast_2d(cost))  # square: as many columns as rows
     c = _check_cost(cost, (k, k))
     pot = np.asarray(potential, dtype=float).reshape(-1)
@@ -80,10 +73,19 @@ def _shortcut(cost, potential, n: int):
     if n < 0:
         raise ValueError(f"intermediate count must be >= 0, got {n}")
     hop = c - pot[:, None]
-    out, stops = c.copy(), []
+    out = c.copy()
     for _ in range(n):
-        out, arg = _min_plus(out, hop)
-        stops.append(arg)
+        out = _min_plus(out, hop)
+    return out
+
+
+def _shortcut(cost: np.ndarray, n: int):
+    """`reduced_cost` of a checked cost, and per step i the first last stop
+    z_i[x, y] of a cheapest path, whose entry is the step's minimum."""
+    out, stops = cost, []
+    for _ in range(n):
+        stops.append(_min_plus(out, cost, np.argmin))
+        out = np.take_along_axis(out, stops[-1], 1) + np.take_along_axis(cost, stops[-1], 0)
     return out, stops
 
 
@@ -216,7 +218,9 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
         if sol.status != "optimal":
             raise NumericalBreakdown(f"chain LP returned {sol.status}")
         x, pot = sol.x, sol.y[(n + 1) * k : (n + 2) * k]
-    cost, stops = _shortcut(problem.cost, pot, n)
+        cost = weighted_reduced_cost(problem.cost, pot, n)
+    else:
+        cost, stops = _shortcut(problem.cost, n)
     try:
         inner = solve_ot(problem.mu, problem.nu, cost)
     except InfeasibleTransport as exc:

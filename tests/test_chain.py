@@ -520,12 +520,13 @@ class TestShortcutLift:
             plain = min_plus_reference(plain, c)
             weighted = min_plus_reference(weighted, c - pot[:, None])
         assert np.array_equal(reduced_cost(c, n), plain)
+        assert np.array_equal(chain._shortcut(c, n)[0], plain)
         assert np.array_equal(weighted_reduced_cost(c, pot, n), weighted)
 
     def test_ties_resolve_to_the_first_stop(self):
         # from 0 to 2 through one stop: 0 -> 0 -> 2, 0 -> 1 -> 2 and 0 -> 2 -> 2 all cost 1
         c = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
-        cost, (stop,) = chain._shortcut(c, np.zeros(3), 1)
+        cost, (stop,) = chain._shortcut(c, 1)
         assert cost[0, 2] == 1.0 and stop[0, 2] == 0
-        out, arg = chain._min_plus(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert np.array_equal(out, np.zeros((3, 3))) and np.array_equal(arg, np.zeros((3, 3), int))
+        arg = chain._min_plus(np.zeros((3, 3)), np.zeros((3, 3)), np.argmin)
+        assert np.array_equal(arg, np.zeros((3, 3), int))

@@ -80,8 +80,7 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
 
 
 def _shortcut(cost: np.ndarray, n: int):
-    """`reduced_cost` of a checked cost, and per step i the first last stop
-    z_i[x, y] of a cheapest path, whose entry is the step's minimum."""
+    """`reduced_cost` of a checked cost, and each step's first cheapest last stop z_i[x, y]."""
     out, stops = cost, []
     for _ in range(n):
         stops.append(_min_plus(out, cost, np.argmin))

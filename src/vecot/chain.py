@@ -10,7 +10,9 @@ points.  The chain duality
 
 is not compared: the shortcut's answer, lifted onto the chain LP, passes
 `lp.gate` there, whose duality-gap check is this identity.  A free medium
-(potential 0: the plain `reduced_cost`) is the shortcut solve alone.
+(potential 0: the plain `reduced_cost`) is the shortcut solve alone: each
+cell of its plan is routed along a path backtracked through the min-plus
+powers, the shortcut costs through 0, 1, ..., n stops.
 """
 
 from dataclasses import dataclass
@@ -32,25 +34,32 @@ __all__ = [
 ]
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, reduce=np.min) -> np.ndarray:
-    """min over w of a[x, w] + b[w, y]; with reduce=np.argmin, the first w that attains it."""
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min over w of a[x, w] + b[w, y]."""
     # row-chunked so the (k, k, k) broadcast never exceeds ~8 MB
     k = a.shape[0]
     chunk = max(1, (1 << 20) // max(1, k * k))
-    out = np.empty(a.shape, dtype=np.intp if reduce is np.argmin else a.dtype)
+    out = np.empty_like(a)
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
-        out[start:stop] = reduce(a[start:stop, :, None] + b[None, :, :], axis=1)
+        out[start:stop] = np.min(a[start:stop, :, None] + b[None, :, :], axis=1)
     return out
+
+
+def _powers(cost: np.ndarray, hop: np.ndarray, n: int) -> List[np.ndarray]:
+    """Shortcut costs through 0, 1, ..., n stops: cost, then one more
+    min-plus product with hop per stop."""
+    powers = [cost]
+    for _ in range(n):
+        powers.append(_min_plus(powers[-1], hop))
+    return powers
 
 
 def reduced_cost(cost, n: int) -> np.ndarray:
     """Cheapest way to connect x to y through n intermediate points.
 
-    n = 0 returns the cost itself; each further step is one min-plus
-    product with the original matrix.  Ties resolve to the smallest
-    intermediate index (first minimum), which matters only to the paths
-    `chain_ot` routes a free chain's plan along.
+    n = 0 returns a copy of the cost; each further step is one min-plus
+    product with the original matrix.
     """
     c = np.asarray(cost, dtype=float)  # weighted_reduced_cost checks it
     return weighted_reduced_cost(c, np.zeros(c.shape[:1]), n)
@@ -72,20 +81,7 @@ def weighted_reduced_cost(cost, potential, n: int) -> np.ndarray:
         raise ValueError("potential must be finite")
     if n < 0:
         raise ValueError(f"intermediate count must be >= 0, got {n}")
-    hop = c - pot[:, None]
-    out = c.copy()
-    for _ in range(n):
-        out = _min_plus(out, hop)
-    return out
-
-
-def _shortcut(cost: np.ndarray, n: int):
-    """`reduced_cost` of a checked cost, and each step's first cheapest last stop z_i[x, y]."""
-    out, stops = cost, []
-    for _ in range(n):
-        stops.append(_min_plus(out, cost, np.argmin))
-        out = np.take_along_axis(out, stops[-1], 1) + np.take_along_axis(cost, stops[-1], 0)
-    return out, stops
+    return _powers(c.copy(), c - pot[:, None], n)[-1]
 
 
 @dataclass
@@ -159,14 +155,16 @@ def _stages(plans: List[np.ndarray]) -> np.ndarray:
     return np.vstack([first] + rest)
 
 
-def _routed(plan: np.ndarray, stops: List[np.ndarray]) -> np.ndarray:
+def _routed(plan: np.ndarray, powers: List[np.ndarray], cost: np.ndarray) -> np.ndarray:
     """The chain LP's primal that sends each shortcut cell (x, y) of `plan`
-    along its cheapest path x -> z_1 -> ... -> z_n -> y, leg after leg."""
+    along a cheapest path x -> z_1 -> ... -> z_n -> y, leg after leg.  The
+    path is backtracked from z_{n+1} = y: z_i is the first w attaining
+    powers[i-1][x, w] + cost[w, z_{i+1}]."""
     k = plan.shape[0]
     xs, ys = np.nonzero(plan)
     path = [ys]
-    for arg in reversed(stops):
-        path.append(arg[xs, path[-1]])
+    for power in reversed(powers[:-1]):
+        path.append(np.argmin(power[xs] + cost[:, path[-1]].T, axis=1))
     path = [xs] + path[::-1]
     return np.concatenate([np.bincount(a * k + b, plan[xs, ys], k * k) for a, b in zip(path, path[1:])])
 
@@ -198,10 +196,10 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
     """Cheapest chain of hops + 1 couplings, through the medium if pinned.
 
     A pinned chain solves its chain LP for the plans and the medium-row
-    duals pot; a free one routes the shortcut's plan, with pot = 0.  The
-    plans pass `lp.gate` on the chain LP against the dual lifted from the
-    transport under `weighted_reduced_cost(cost, pot, hops)`.  Masses that
-    differ raise InfeasibleTransport with a Farkas vector of the chain LP:
+    duals pot; a free one backtracks its shortcut plan's paths, pot = 0.
+    The plans pass `lp.gate` on the chain LP against the dual lifted from
+    the transport under `weighted_reduced_cost(cost, pot, hops)`.  Masses
+    that differ raise InfeasibleTransport with a Farkas vector of the chain LP:
     the pinned LP's own, or the shortcut's (psi, phi) with links at -min psi
     and any medium rows at 0.
     """
@@ -217,16 +215,14 @@ def chain_ot(problem: ChainProblem) -> ChainResult:
         if sol.status != "optimal":
             raise NumericalBreakdown(f"chain LP returned {sol.status}")
         x, pot = sol.x, sol.y[(n + 1) * k : (n + 2) * k]
-        cost = weighted_reduced_cost(problem.cost, pot, n)
-    else:
-        cost, stops = _shortcut(problem.cost, n)
+    powers = _powers(problem.cost, problem.cost - pot[:, None], n)
     try:
-        inner = solve_ot(problem.mu, problem.nu, cost)
+        inner = solve_ot(problem.mu, problem.nu, powers[-1])
     except InfeasibleTransport as exc:
         psi, phi = exc.cert["psi"], exc.cert["phi"]
         y = np.concatenate([psi, np.full(n * k, -psi.min()), np.zeros(pinned * k), phi])
         raise _gap(problem, p, gate(p, LpSolution("infeasible", np.inf, farkas=y)).farkas) from None
-    x = _routed(inner.plan.matrix, stops) if x is None else x
+    x = _routed(inner.plan.matrix, powers, problem.cost) if x is None else x
     y = _lifted_dual(problem, inner.psi, inner.phi, pot)
     value = gate(p, LpSolution("optimal", float(p.c @ x), x=x, y=y)).value
     mats = [np.maximum(x[i * k * k : (i + 1) * k * k], 0.0).reshape(k, k) for i in range(n + 1)]

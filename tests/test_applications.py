@@ -548,6 +548,34 @@ class TestHighsOracle:
         assert status == 0
         assert abs(game_value(F).value + value) <= 1e-9 * max(1.0, abs(value))
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_restricted_game_value_matches_highs(self, seed):
+        # the row player's LP with only the support's columns: sigma.F[:, j] >= v, j in S
+        rng = np.random.default_rng(100 + seed)
+        F = random_game(rng)
+        nx, ny = F.shape
+        # one column, the full support, then random nonempty subsets
+        if seed % 5 == 0:
+            support = [int(rng.integers(ny))]
+        elif seed % 5 == 1:
+            support = list(range(ny))
+        else:
+            support = sorted(rng.choice(ny, int(rng.integers(1, ny + 1)), replace=False))
+        weights = np.zeros(ny)
+        weights[support] = rng.uniform(0.1, 1.0, len(support))
+        ref = ScalarMeasure(FiniteSpace([f"y{j}" for j in range(ny)]), weights)
+        status, value = highs(
+            np.r_[np.zeros(nx), -1.0],
+            A_ub=np.hstack([-F[:, support].T, np.ones((len(support), 1))]),
+            b_ub=np.zeros(len(support)),
+            A_eq=np.r_[np.ones(nx), 0.0][None, :], b_eq=[1.0],
+            bounds=[(0, None)] * nx + [(None, None)],
+        )
+        assert status == 0
+        res = game_value_restricted(F, ref)
+        assert abs(res.value + value) <= 1e-9 * max(1.0, abs(value))
+        assert np.all(res.col_strategy[weights == 0.0] == 0.0)
+
     @pytest.mark.parametrize("M,m", moment_instances())
     def test_moment_verdict_matches_highs(self, M, m):
         status, _ = highs(np.zeros(M.shape[1]), A_eq=M, b_eq=m)

@@ -520,13 +520,45 @@ class TestShortcutLift:
             plain = min_plus_reference(plain, c)
             weighted = min_plus_reference(weighted, c - pot[:, None])
         assert np.array_equal(reduced_cost(c, n), plain)
-        assert np.array_equal(chain._shortcut(c, n)[0], plain)
+        assert np.array_equal(chain._powers(c, c, n)[-1], plain)
         assert np.array_equal(weighted_reduced_cost(c, pot, n), weighted)
 
     def test_ties_resolve_to_the_first_stop(self):
         # from 0 to 2 through one stop: 0 -> 0 -> 2, 0 -> 1 -> 2 and 0 -> 2 -> 2 all cost 1
         c = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
-        cost, (stop,) = chain._shortcut(c, 1)
-        assert cost[0, 2] == 1.0 and stop[0, 2] == 0
-        arg = chain._min_plus(np.zeros((3, 3)), np.zeros((3, 3)), np.argmin)
-        assert np.array_equal(arg, np.zeros((3, 3), int))
+        powers = chain._powers(c, c, 1)
+        assert powers[1][0, 2] == 1.0
+        cell = np.zeros((3, 3))
+        cell[0, 2] = 1.0
+        first, second = chain._routed(cell, powers, c).reshape(2, 3, 3)
+        assert first[0, 0] == 1.0 and second[0, 2] == 1.0 and first.sum() == second.sum() == 1.0
+        # all stops tie on a zero cost: every cell goes through stop 0
+        zero, full = np.zeros((3, 3)), np.ones((3, 3))
+        first, second = chain._routed(full, chain._powers(zero, zero, 1), zero).reshape(2, 3, 3)
+        assert np.array_equal(first[:, 0], np.full(3, 3.0)) and first.sum() == 9.0
+        assert np.array_equal(second[0], np.full(3, 3.0)) and second.sum() == 9.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_routed_free_paths_are_exactly_tight(self, seed):
+        # each support cell of the shortcut plan, routed alone, pays its shortcut
+        # cost bit for bit when the legs are summed left to right
+        rng = np.random.default_rng(40 + seed)
+        k, n = int(rng.integers(2, 13)), 1 + seed % 3
+        p = random_chain(rng, k, n)
+        # small integers tie often; uniform floats rarely
+        c = rng.integers(0, 4, (k, k)).astype(float) if seed % 2 else p.cost
+        powers = chain._powers(c, c, n)
+        plan = solve_ot(p.mu, p.nu, powers[-1]).plan.matrix
+        for x, y in zip(*np.nonzero(plan)):
+            cell = np.zeros((k, k))
+            cell[x, y] = plan[x, y]
+            path = [x]
+            for leg in chain._routed(cell, powers, c).reshape(n + 1, k, k):
+                ((tail, head),) = np.argwhere(leg)
+                assert tail == path[-1]
+                path.append(head)
+            assert path[-1] == y
+            total = c[path[0], path[1]]
+            for a, b in zip(path[1:], path[2:]):
+                total = total + c[a, b]
+            assert total == powers[-1][x, y]

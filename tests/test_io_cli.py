@@ -220,6 +220,22 @@ class TestSchema:
         assert "line 1" in str(exc.value)
         assert "column" in str(exc.value)
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_save_then_load_round_trips(self, tmp_path, kind):
+        pf = generate.gen(kind, 3)
+        path = str(tmp_path / "p.json")
+        serialize.save(pf, path)
+        back = serialize.load(path)
+        assert (back.kind, back.seed) == (kind, 3)
+        assert back.payload == pf.payload
+
+    def test_load_names_the_line_and_column_of_a_malformed_file(self, tmp_path):
+        path = write(tmp_path, "bad.json",
+                     '{"kind": "scalar_ot",\n "payload": {"cost": [[0.0, 1.0],\n  [1.0 0.0]]}}\n')
+        with pytest.raises(SchemaError) as exc:
+            serialize.load(path)
+        assert exc.value.path == "line 3, column 8"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError) as exc:
             parse_problem({"kind": "mystery", "payload": {}})

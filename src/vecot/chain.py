@@ -12,7 +12,8 @@ is not compared: the shortcut's answer, lifted onto the chain LP, passes
 `lp.gate` there, whose duality-gap check is this identity.  A free medium
 (potential 0: the plain `reduced_cost`) is the shortcut solve alone: each
 cell of its plan is routed along a path backtracked through the min-plus
-powers, the shortcut costs through 0, 1, ..., n stops.
+powers, the shortcut costs through 0, 1, ..., n stops.  The chain LP is an
+operator; a free chain gates on it, a pinned one solves it on the dense engine.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ import numpy as np
 
 from .lp import LpProblem, LpSolution, NumericalBreakdown, gate, solve
 from .measures import FiniteSpace, ScalarMeasure, SpaceMismatch, TransportPlan
-from .scalar import InfeasibleTransport, _check_cost, _marginal_index, solve_ot
+from .network import TransportIncidence, _marginal_index
+from .scalar import InfeasibleTransport, _check_cost, solve_ot
 
 __all__ = [
     "ChainProblem",
@@ -132,21 +134,20 @@ def _chain_lp(problem: ChainProblem) -> LpProblem:
     average when pinned, target column sums; variables: the hops + 1 plans."""
     k, n, pinned = problem.space.size, problem.hops, problem.medium is not None
     src, dst = _marginal_index((k, k), (0,)), _marginal_index((k, k), (1,))
-    A = np.zeros(((n + 2 + pinned) * k, (n + 1) * k * k))
-
-    def block(i):
-        return i * k * k + np.arange(k * k)
-
-    A[src, block(0)] = 1.0
-    for i in range(1, n + 1):
-        A[i * k + dst, block(i - 1)] = 1.0
-        A[i * k + src, block(i)] = -1.0
-        if pinned:
-            A[(n + 1) * k + src, block(i)] = 1.0
-    A[A.shape[0] - k + dst, block(n)] = 1.0
+    blocks, i = n + 2 + pinned, np.arange(n)
+    # ends[block, plan]: a cell's row in a block of k rows, in which link i
+    # adds plan i - 1's column sums and subtracts plan i's row sums
+    ends = np.tile(src, (blocks, n + 1, 1))
+    weights = np.zeros(ends.shape)
+    weights[0, 0] = weights[-1, n] = 1.0
+    ends[i + 1, i] = ends[-1, n] = dst
+    weights[i + 1, i], weights[i + 1, i + 1] = 1.0, -1.0
+    if pinned:
+        weights[n + 1, 1:] = 1.0
+    A = TransportIncidence([k] * blocks, ends.reshape(blocks, -1), weights.reshape(blocks, -1))
     medium = [n * problem.medium.weights] if pinned else []
     b = np.concatenate([problem.mu.weights, np.zeros(n * k), *medium, problem.nu.weights])
-    return LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * A.shape[0])
+    return LpProblem(c=np.tile(problem.cost.ravel(), n + 1), A=A, b=b, kinds=["eq"] * b.size)
 
 
 def _stages(plans: List[np.ndarray]) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dense bounded-variable revised simplex with duals and certificates.
 
-`solve` runs this engine on every problem except those whose constraint
-matrix is a `network.TransportIncidence`, which go to the network
-simplex.  Neither engine checks its own answer: `solve` is an engine, then
-`gate`, which holds any answer to `certify` (an optimum), `farkas_margin`
-(a Farkas vector) or `_ray_valid` (an unbounded ray).
+`solve` alone picks the engine: two unweighted blocks (a transportation
+LP) go to the network simplex, any other problem to this engine, an
+operator through ``toarray()``.  Neither engine checks its own answer:
+`solve` is an engine, then `gate`, which holds any answer to `certify`,
+`farkas_margin` or `_ray_valid`; these read an operator only through
+``shape``, ``@``, ``.T @`` and ``toarray()``.
 
 Design goals, in order: determinism (fixed pricing and tie-breaking rules,
 fixed iteration order, no randomization), honest certificates (every
@@ -100,8 +101,8 @@ class LpProblem:
     Attributes
     ----------
     c : objective coefficients, length n.
-    A : constraint matrix, m x n: an array, or a `TransportIncidence`,
-        which `solve` hands to the network simplex.
+    A : constraint matrix, m x n: an array, or an operator with ``shape``,
+        ``@``, ``.T @`` and ``toarray()``, which checks its own entries.
     b : right-hand side, length m.
     kinds : per-row kind, each one of "eq", "le", "ge".
     lower, upper : per-variable bounds; default [0, +inf).
@@ -117,7 +118,7 @@ class LpProblem:
     sense: str = "min"
 
     def __post_init__(self):
-        if not isinstance(self.A, network.TransportIncidence):
+        if not hasattr(self.A, "toarray"):
             self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         m, n = self.A.shape
         self.c = _as_float_vector(self.c, n, "c")
@@ -141,7 +142,7 @@ class LpProblem:
         )
         if not (
             np.isfinite(self.c).all()
-            and (isinstance(self.A, network.TransportIncidence) or np.isfinite(self.A).all())
+            and (not isinstance(self.A, np.ndarray) or np.isfinite(self.A).all())
             and np.isfinite(self.b).all()
         ):
             raise ValueError("c, A, b must be finite")
@@ -210,7 +211,7 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
 
 
 def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
-    """Check d is a recession direction that strictly improves the objective (of a dense LP)."""
+    """Check d is a recession direction that strictly improves the objective."""
     tol = FEAS_TOL * max(1.0, float(np.abs(d).max()))
     if (np.isfinite(problem.lower) & (d < -tol)).any():
         return False
@@ -221,7 +222,7 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
     if not rate < -CERT_TOL * c_scale:
         return False
     Ad = problem.A @ d
-    row_tol = tol * max(1.0, float(np.abs(problem.A).max(initial=0.0)))
+    row_tol = tol * max(1.0, float(np.abs(_dense(problem.A)).max(initial=0.0)))
     eq, le, ge = problem._eq, problem._le, problem._ge
     return not ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any()
 
@@ -302,7 +303,7 @@ class _Engine:
         cols = n + np.arange(slack_rows.size)
         self.first_art = nh  # row i owns artificial column nh + i
         self.Ahat = np.zeros((mh, nh + mh))
-        self.Ahat[:, :n] = p.A
+        self.Ahat[:, :n] = _dense(p.A)
         self.Ahat[slack_rows, cols] = signs
         self.chat = np.zeros(nh + mh)
         self.chat[:n] = self.sense_sign * p.c
@@ -492,14 +493,14 @@ def pivot_total() -> int:
 def solve(problem: LpProblem, pivot_limit: Optional[int] = None) -> LpSolution:
     """Solve a linear program; see the module docstring for conventions.
 
-    A problem whose ``A`` is a `TransportIncidence` goes to the network
-    simplex (`network.solve_network`), every other one to the dense
-    engine.  The default pivot limit is ``10 * (rows + columns) ** 2``.
+    A problem whose ``A`` is a `bipartite` `TransportIncidence` goes to
+    the network simplex (`network.solve_network`), every other one to the
+    dense engine.  The default pivot limit is ``10 * (rows + columns) ** 2``.
     Whichever engine ran, its answer passes `gate` before it is returned.
     """
     if pivot_limit is None:
         pivot_limit = 10 * (problem.nrows + problem.nvars) ** 2
-    if isinstance(problem.A, network.TransportIncidence):
+    if isinstance(problem.A, network.TransportIncidence) and problem.A.bipartite:
         sol = network.solve_network(problem, pivot_limit)
     else:
         sol = _Engine(problem, pivot_limit).run()
@@ -526,6 +527,11 @@ def gate(problem: LpProblem, sol: LpSolution) -> LpSolution:
             raise NumericalBreakdown("unbounded ray failed validation")
     _pivot_total += sol.iterations
     return sol
+
+
+def _dense(A) -> np.ndarray:
+    """A constraint matrix as an array: an operator through ``toarray()``."""
+    return A if isinstance(A, np.ndarray) else A.toarray()
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

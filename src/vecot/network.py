@@ -4,12 +4,12 @@ A transportation LP ships flow along arcs (i, j) from sources i < nx to
 sinks j < ny.  Row i sums the flow leaving source i and row nx + j the
 flow entering sink j; every row is "eq", every lower bound 0, and a cap
 may be infinite.  `TransportIncidence` is that constraint matrix as an
-operator: it gives ``A @ x`` and ``A.T @ y`` without the dense (rows x
-arcs) array, and `lp.solve` hands every problem whose ``A`` is one to
-`solve_network`, then checks the answer it returns as it checks the
-dense engine's.  A variant such as partial transport states its LP in
-this form itself, on spaces augmented with dummy atoms
-(`scalar.solve_partial`).
+operator, and any other whose rows split into blocks with at most one
+entry per column in each (a block per marginal, a weighted one per
+linear constraint).  `lp.solve` hands a problem whose ``A`` is two
+unweighted blocks to `solve_network` and any other to the dense engine,
+through ``toarray()``.  Partial transport states its LP in the bipartite
+form on spaces augmented with dummy atoms (`scalar.solve_partial`).
 
 Network.  Sources supply b_i and sinks demand b_j.  An artificial root
 joins every node by one arc pointing the way the node's balance flows.
@@ -67,31 +67,45 @@ __all__ = ["TransportIncidence", "solve_network"]
 
 
 class TransportIncidence:
-    """Constraint matrix of a transportation LP, as an operator.
+    """A constraint matrix whose rows split into blocks, as an operator.
 
-    Column k is the arc from source ``tail[k]`` to sink ``head[k]``: a one
-    in row ``tail[k]`` and a one in row ``nx + head[k]``.  ``size`` counts
-    the stored ones, as for a sparse matrix, not rows times columns.
+    Block b holds the next ``sizes[b]`` rows.  Column k has weight
+    ``weights[b, k]`` (1 when `weights` is None; 0 is no entry) in row
+    ``ends[b, k]`` of block b, and no other entry there.  Two unweighted
+    blocks (`bipartite`) are a transportation LP: column k is the arc from
+    source ``tail[k]`` to sink ``head[k]``.  ``size`` counts the nonzero
+    entries, as for a sparse matrix, not rows times columns.
     """
 
-    def __init__(self, nx: int, ny: int, tail, head):
-        self.nx, self.ny = int(nx), int(ny)
-        self.tail = np.asarray(tail, dtype=np.intp).reshape(-1)
-        self.head = np.asarray(head, dtype=np.intp).reshape(-1)
-        if self.tail.shape != self.head.shape:
-            raise ValueError("tail and head must have the same length")
-        if np.any((self.tail < 0) | (self.tail >= self.nx) | (self.head < 0) | (self.head >= self.ny)):
-            raise ValueError("arc endpoint out of range")
-        self.shape = (self.nx + self.ny, self.tail.size)
+    def __init__(self, sizes, ends, weights=None):
+        self.sizes = tuple(map(int, sizes))
+        ends = np.array(ends, dtype=np.intp, ndmin=2)
+        if ends.ndim != 2 or ends.shape[0] != len(self.sizes):
+            raise ValueError("ends must give one row per block, each as long as the others")
+        height = np.array(self.sizes, dtype=np.intp)[:, None]  # rows per block, as a column
+        if ((ends < 0) | (ends >= height)).any():
+            raise ValueError("entry outside its block")
+        w = None if weights is None else np.array(weights, dtype=float, ndmin=2)
+        if w is not None and (w.shape != ends.shape or not np.isfinite(w).all()):
+            raise ValueError("weights must be finite, one per entry of ends")
+        self.weights = w
+        self.rows = ends + (height.cumsum(axis=0) - height)  # in the whole matrix
+        self.shape = (sum(self.sizes), ends.shape[1])
+        self.size = self.rows.size if w is None else int(np.count_nonzero(w))
+        self.bipartite = len(self.sizes) == 2 and w is None  # what `solve_network` solves
 
     @classmethod
-    def complete(cls, nx: int, ny: int) -> "TransportIncidence":
-        """Every source-sink pair, in row-major order (arc i * ny + j)."""
-        return cls(nx, ny, np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx))
+    def complete(cls, *sizes) -> "TransportIncidence":
+        """A column per cell of the product space in C order, a block per axis."""
+        return cls(sizes, [_marginal_index(sizes, (a,)) for a in range(len(sizes))])
 
     @property
-    def size(self) -> int:
-        return 2 * self.tail.size
+    def tail(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def head(self) -> np.ndarray:
+        return self.rows[1] - self.sizes[0]
 
     @property
     def T(self) -> "_Transpose":
@@ -99,23 +113,30 @@ class TransportIncidence:
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.concatenate([
-            np.bincount(self.tail, weights=x, minlength=self.nx),
-            np.bincount(self.head, weights=x, minlength=self.ny),
-        ])
-
-    def rmatvec(self, y) -> np.ndarray:
-        """``A.T @ y``: the row multipliers summed along each arc."""
-        y = np.asarray(y, dtype=float)
-        return y[self.tail] + y[self.nx + self.head]
+        each = np.concatenate((x,) * len(self.sizes)) if self.weights is None else (self.weights * x).ravel()
+        return np.bincount(self.rows.ravel(), weights=each, minlength=self.shape[0])
 
     def toarray(self) -> np.ndarray:
-        """The dense matrix, for checks against the dense engine."""
+        """The dense matrix: what the dense engine solves, and the tests' oracle."""
         A = np.zeros(self.shape)
-        k = np.arange(self.tail.size)
-        A[self.tail, k] = 1.0
-        A[self.nx + self.head, k] = 1.0
+        A[self.rows, np.arange(self.shape[1])] = 1.0 if self.weights is None else self.weights
         return A
+
+
+def _marginal_index(shape, axes) -> np.ndarray:
+    """Row of each cell of a C-order flattened tensor in its marginal onto `axes`.
+
+    `axes` is increasing and the marginal's rows run in C order over them.
+    For a plan (nx, ny), cell i * ny + j sits in row i for axes (0,) and
+    row j for (1,): the ``tail`` and ``head`` of `TransportIncidence.complete`.
+    It lays out every block of an operator LP and every dense marginal row.
+    """
+    index = np.zeros(shape, dtype=np.intp)
+    stride = 1
+    for a in reversed(axes):
+        index += (stride * np.arange(shape[a])).reshape((-1,) + (1,) * (len(shape) - 1 - a))
+        stride *= shape[a]
+    return index.ravel()
 
 
 class _Transpose:
@@ -123,7 +144,9 @@ class _Transpose:
         self._op = op
 
     def __matmul__(self, y) -> np.ndarray:
-        return self._op.rmatvec(y)
+        """Each column's row multipliers, weighted and summed."""
+        entries = np.asarray(y, dtype=float)[self._op.rows]
+        return (entries if self._op.weights is None else entries * self._op.weights).sum(axis=0)
 
 
 class _Tree:
@@ -420,7 +443,7 @@ def _price_dropped(pi: np.ndarray, live: np.ndarray, tail, head, cost) -> None:
 
 
 def solve_network(problem, pivot_limit: int) -> LpSolution:
-    """Solve an LP whose ``A`` is a `TransportIncidence`.
+    """Solve an LP whose ``A`` is a `bipartite` `TransportIncidence`.
 
     Every row must be "eq" and every lower bound 0; caps may be infinite.
     It returns an optimum or an unscaled Farkas vector and checks neither:
@@ -438,14 +461,16 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     through and must stay.
     """
     A = problem.A
-    nx = A.nx
+    if not A.bipartite:
+        raise ValueError("the network simplex solves two unweighted blocks")
+    nx = A.sizes[0]
     if any(k != "eq" for k in problem.kinds):
         raise ValueError("network rows must be eq")
     if np.any(problem.lower != 0.0):
         raise ValueError("network arcs must have lower bound 0")
     sign = 1.0 if problem.sense == "min" else -1.0
     b = problem.b
-    tail, head = A.tail, nx + A.head
+    tail, head = A.rows
     cost, cap = sign * problem.c, problem.upper
     balance = np.concatenate([b[:nx], -b[nx:]])
     live = balance != 0.0

@@ -1,24 +1,23 @@
 """Scalar transport problems and their variants, each solved as one LP.
 
-The bipartite problems (`solve_ot`, `solve_partial`, `solve_capacity`,
+Every LP here but `solve_invariant`'s two is a
+`network.TransportIncidence`, a block of rows per marginal.  `lp.solve`
+runs the two-block ones (`solve_ot`, `solve_partial`, `solve_capacity`,
 `local_constraint_feasible`, `solve_multimarginal` of two measures and
 `glue_feasible` without a third pair, whose cell (x, y, z) is the arc
-from (x, y) to (y, z)) state their LP over every atom with a
-`network.TransportIncidence`, so `lp.solve` runs them on the network
-simplex and never forms the dense marginal matrix; the network engine
-leaves zero-mass atoms out of its tree and prices them, so their
-potentials are plain LP duals here.  That engine solves only eq rows:
-`solve_partial` states partial transport as plain transport between
-spaces augmented by one dummy atom each, and reads its potentials off
-the augmented duals.  The others are dense LPs, and only the dense
-multimarginal LP refuses a product space of more than 1e6 cells.
-`_marginal_index` is the single owner of the plan-to-column layout:
-every dense LP here and in `vector` and `chain` scatters its marginal
-rows from it.  Every solver returns dual potentials along with
-the optimal plan, and every infeasible verdict is its LP's Farkas
-vector, which `lp.solve` checks with `lp.farkas_margin` before returning
-it, whichever engine found it; a solver only splits it into named
-potentials.
+from (x, y) to (y, z)) on the network simplex, which leaves zero-mass
+atoms out of its tree and prices them, so their potentials are plain LP
+duals here.  That engine solves only eq rows: `solve_partial` states
+partial transport as plain transport between spaces augmented by one
+dummy atom each, and reads its potentials off the augmented duals.  The
+rest reach the dense engine, a `strassen_feasible` constraint as a
+one-row weighted block; only three or more measures refuse a product
+space of more than 1e6 cells.  Every solver returns dual potentials
+with the optimal plan.  Every infeasible verdict but `solve_capacity`'s
+unit certificate for a short row or column, which comes before any LP,
+is its LP's Farkas vector, which `lp.solve` checks with
+`lp.farkas_margin` whichever engine found it; a solver only splits it
+into named potentials.
 
 Sign conventions follow the LP duals directly:
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .lp import LpProblem, NumericalBreakdown, solve
 from .measures import ScalarMeasure, TransportPlan
-from .network import TransportIncidence
+from .network import TransportIncidence, _marginal_index
 from .tolerances import CERT_TOL, FEAS_TOL
 
 __all__ = [
@@ -108,21 +107,6 @@ def _check_cost(cost, shape, name: str = "cost") -> np.ndarray:
     return c
 
 
-def _marginal_index(shape, axes) -> np.ndarray:
-    """Row of each cell of a C-order flattened tensor in its marginal onto `axes`.
-
-    `axes` is increasing and the marginal's rows run in C order over them.
-    For a plan (nx, ny), cell i * ny + j sits in row i for axes (0,) and
-    row j for (1,): the ``tail`` and ``head`` of `TransportIncidence.complete`.
-    """
-    index = np.zeros(shape, dtype=np.intp)
-    stride = 1
-    for a in reversed(axes):
-        index += (stride * np.arange(shape[a])).reshape((-1,) + (1,) * (len(shape) - 1 - a))
-        stride *= shape[a]
-    return index.ravel()
-
-
 def _pair_cert(farkas: np.ndarray, mu: ScalarMeasure, nu: ScalarMeasure) -> dict:
     """A bipartite LP's Farkas vector split into (psi, phi), with its margin.
 
@@ -140,7 +124,7 @@ def _transport_lp(mu: ScalarMeasure, nu: ScalarMeasure, cost, D: float = np.inf)
     c = _check_cost(cost, (nx, ny))
     ax, ay = np.nonzero(c <= D)
     b = np.concatenate([mu.weights, nu.weights])
-    return LpProblem(c=c[ax, ay], A=TransportIncidence(nx, ny, ax, ay), b=b, kinds=["eq"] * (nx + ny))
+    return LpProblem(c=c[ax, ay], A=TransportIncidence((nx, ny), (ax, ay)), b=b, kinds=["eq"] * (nx + ny))
 
 
 def solve_ot(mu: ScalarMeasure, nu: ScalarMeasure, cost) -> OtResult:
@@ -188,7 +172,7 @@ def solve_partial(mu: ScalarMeasure, nu: ScalarMeasure, cost, m: float) -> OtRes
     # dummy source nx -> sinks
     tail = np.concatenate([np.repeat(np.arange(nx), ny), np.arange(nx), np.full(ny, nx)])
     head = np.concatenate([np.tile(np.arange(ny), nx), np.full(nx, ny), np.arange(ny)])
-    A = TransportIncidence(nx + 1, ny + 1, tail, head)
+    A = TransportIncidence((nx + 1, ny + 1), (tail, head))
     b = np.concatenate([mu.weights, [mass_y - m], nu.weights, [mass_x - m]])
     c_aug = np.concatenate([c.ravel(), np.zeros(nx + ny)])
     sol = solve(LpProblem(c=c_aug, A=A, b=b, kinds=["eq"] * (nx + ny + 2)))
@@ -342,21 +326,16 @@ def _invariant_family_side(mu: ScalarMeasure, T: np.ndarray, c: np.ndarray) -> d
 def _multimarginal_lp(measures: Sequence[ScalarMeasure], cost) -> LpProblem:
     """`solve_multimarginal`'s LP: an eq row per atom of each measure in
     turn, a column per cell of the product space in C order.  Two measures
-    give the transport LP."""
+    give the transport LP; more reach the dense engine, so their product
+    space may not exceed 1e6 cells."""
     if len(measures) < 2:
         raise ValueError("need at least two marginals")
-    if len(measures) == 2:
-        return _transport_lp(*measures, cost)
     sizes = [m.space.size for m in measures]
     c = _check_cost(cost, sizes)
-    ncells = int(np.prod(sizes))
-    if ncells > 10**6:
+    if len(sizes) > 2 and np.prod(sizes) > 10**6:
         raise ValueError("product space exceeds 1e6 cells")
     b = np.concatenate([m.weights for m in measures])
-    A = np.zeros((b.size, ncells))
-    for axis in range(len(sizes)):
-        A[sum(sizes[:axis]) + _marginal_index(sizes, (axis,)), np.arange(ncells)] = 1.0
-    return LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0])
+    return LpProblem(c=c.ravel(), A=TransportIncidence.complete(*sizes), b=b, kinds=["eq"] * b.size)
 
 
 def solve_multimarginal(measures: Sequence[ScalarMeasure], cost) -> OtResult:
@@ -395,24 +374,15 @@ def _glue_lp(mu_xy: TransportPlan, nu_yz: TransportPlan, lam_xz: Optional[Transp
     ny2, nz = nu_yz.matrix.shape
     if ny != ny2:
         raise ValueError("middle spaces of the two plans differ")
-    ncells = nx * ny * nz
     pairs = [((0, 1), mu_xy), ((1, 2), nu_yz)]
     if lam_xz is not None:
         if lam_xz.matrix.shape != (nx, nz):
             raise ValueError("third marginal shape does not match")
         pairs.append(((0, 2), lam_xz))
     b = np.concatenate([pl.matrix.ravel() for _, pl in pairs])
-    shape = (nx, ny, nz)
-    if lam_xz is None:
-        A = TransportIncidence(nx * ny, ny * nz, _marginal_index(shape, (0, 1)),
-                               _marginal_index(shape, (1, 2)))
-    else:
-        A = np.zeros((b.size, ncells))
-        at = 0
-        for axes, pl in pairs:
-            A[at + _marginal_index(shape, axes), np.arange(ncells)] = 1.0
-            at += pl.matrix.size
-    return LpProblem(c=np.zeros(ncells), A=A, b=b, kinds=["eq"] * A.shape[0])
+    A = TransportIncidence([pl.matrix.size for _, pl in pairs],
+                           [_marginal_index((nx, ny, nz), axes) for axes, _ in pairs])
+    return LpProblem(c=np.zeros(nx * ny * nz), A=A, b=b, kinds=["eq"] * b.size)
 
 
 def glue_feasible(
@@ -474,24 +444,23 @@ def local_constraint_feasible(
 
 def _strassen_lp(mu: ScalarMeasure, nu: ScalarMeasure, constraints: Sequence) -> LpProblem:
     """`strassen_feasible`'s LP: an eq row per atom of mu, then of nu, then a
-    row per constraint; a column per plan cell, row-major."""
+    one-row block per constraint, weighted by its G; a column per plan cell."""
     nx, ny = mu.space.size, nu.space.size
     nvar = nx * ny
-    cells = np.arange(nvar)
-    marginals = np.zeros((nx + ny, nvar))
-    marginals[_marginal_index((nx, ny), (0,)), cells] = 1.0
-    marginals[nx + _marginal_index((nx, ny), (1,)), cells] = 1.0
-    A_rows = [marginals]
+    ends = [_marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))]
+    weights = [np.ones(nvar), np.ones(nvar)]
     b = list(mu.weights) + list(nu.weights)
     kinds = ["eq"] * (nx + ny)
     for G, kind, rhs in constraints:
         G = _check_cost(G, (nx, ny), "constraint matrix")
         if kind not in ("le", "ge", "eq"):
             raise ValueError(f"unknown constraint kind {kind!r}")
-        A_rows.append(G.ravel()[None, :])
+        ends.append(np.zeros(nvar, np.intp))
+        weights.append(G.ravel())
         b.append(float(rhs))
         kinds.append(kind)
-    return LpProblem(c=np.zeros(nvar), A=np.vstack(A_rows), b=np.array(b), kinds=kinds)
+    A = TransportIncidence([nx, ny] + [1] * (len(ends) - 2), ends, weights)
+    return LpProblem(c=np.zeros(nvar), A=A, b=np.array(b), kinds=kinds)
 
 
 def strassen_feasible(

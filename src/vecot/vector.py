@@ -45,7 +45,8 @@ from .measures import (
     kernel_apply,
     product,
 )
-from .scalar import InfeasibleTransport, OtResult, _check_cost, _marginal_index
+from .network import TransportIncidence, _marginal_index
+from .scalar import InfeasibleTransport, OtResult, _check_cost
 from .tolerances import (
     CERT_FLOOR_TOL, CERT_TOL, DENSITY_FIT_TOL, ENTRY_TOL, FEAS_TOL, JENSEN_WITNESS_TOL, KERNEL_MISS_TOL,
     LIFT_FACTOR, LIFT_PAD, RANGE_MEMBER_TOL, SUBSET_MASS_TOL, tolerance,
@@ -610,13 +611,10 @@ def martingale_polytope(
         raise ValueError("f and g must give same-dimension vectors per atom")
     d = f.shape[1]
     c = _check_cost(cost, (nx, ny))
-    cells = np.arange(nx * ny)
     ix, iy = _marginal_index((nx, ny), (0,)), _marginal_index((nx, ny), (1,))
-    A = np.zeros((nx + ny + d * ny, nx * ny))
-    A[ix, cells] = 1.0
-    A[nx + iy, cells] = 1.0
-    # barycenter rows: row nx + ny + i * ny + y weights cell (x, y) by f_i(x) - g_i(y)
-    A[nx + ny + ny * np.arange(d)[:, None] + iy, cells] = (f[ix] - g[iy]).T
+    # barycenter block i: its row y weights cell (x, y) by f_i(x) - g_i(y)
+    A = TransportIncidence([nx, ny] + [ny] * d, [ix] + [iy] * (d + 1),
+                           [np.ones(nx * ny)] * 2 + list((f[ix] - g[iy]).T))
     b = np.concatenate([mu_ref.weights, nu_ref.weights, np.zeros(d * ny)])
     sol = solve(LpProblem(c=c.ravel(), A=A, b=b, kinds=["eq"] * A.shape[0]))
     if sol.status == "infeasible":

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1052,7 +1053,18 @@ def _idle_ray(sol):
     return lp.LpSolution(status="unbounded", value=-np.inf, ray=ray, iterations=sol.iterations)
 
 
-_CASES = {"dense": _dense_case, "network": _network_case}
+def _unit_ray(sol):
+    # e0 raises a max objective and clears the bound checks, but moves rows 0 and 2
+    ray = np.zeros(sol.x.size)
+    ray[0] = 1.0
+    return lp.LpSolution(status="unbounded", value=np.inf, ray=ray, iterations=sol.iterations)
+
+
+_CASES = {
+    "dense": _dense_case,
+    "network": _network_case,
+    "network-max": lambda status: replace(_network_case(status), sense="max"),
+}
 
 _GATE_CASES = [
     # engine, the status it returns untouched, tamper, message
@@ -1062,6 +1074,7 @@ _GATE_CASES = [
     ("network", "optimal", _nudge_x, "primal residual 1.00e-06 on row 0"),
     ("network", "infeasible", _flip_farkas, "infeasibility certificate failed validation"),
     ("network", "optimal", _idle_ray, "unbounded ray failed validation"),
+    ("network-max", "optimal", _unit_ray, "unbounded ray failed validation"),
 ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecot import generate, lp, scalar
+from vecot import generate, lp, network, scalar
 from vecot.lp import LpProblem, NumericalBreakdown, certify, farkas_margin
 from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
 from vecot.network import TransportIncidence, _Tree
@@ -101,7 +101,7 @@ def with_dummies(nx, ny, tail, head, b_x, b_y, m):
     tail = np.concatenate([tail, np.arange(nx), np.full(ny, nx)])
     head = np.concatenate([head, np.full(nx, ny), np.arange(ny)])
     b = np.concatenate([b_x, [b_y.sum() - m], b_y, [b_x.sum() - m]])
-    return TransportIncidence(nx + 1, ny + 1, tail, head), b
+    return TransportIncidence((nx + 1, ny + 1), (tail, head)), b
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,16 +150,55 @@ def test_incidence_operator_matches_its_dense_matrix():
     rng = np.random.default_rng(3)
     tail, head = rng.integers(0, 4, 9), rng.integers(0, 5, 9)
     augmented, _ = with_dummies(4, 5, tail, head, np.ones(4), np.ones(5), 1.0)
-    for A in (TransportIncidence(4, 5, tail, head), augmented):
+    for A in (TransportIncidence((4, 5), (tail, head)), augmented):
         dense = A.toarray()
         x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
         np.testing.assert_allclose(A @ x, dense @ x)
         np.testing.assert_allclose(A.T @ y, dense.T @ y)
         assert A.size == np.count_nonzero(dense)
     with pytest.raises(ValueError):
-        TransportIncidence(2, 2, [0, 2], [0, 1])
+        TransportIncidence((2, 2), ([0, 2], [0, 1]))
     with pytest.raises(ValueError):
-        lp.solve(LpProblem(c=[1.0], A=TransportIncidence(1, 1, [0], [0]), b=[1.0, 1.0], kinds=["ge", "eq"]))
+        lp.solve(LpProblem(c=[1.0], A=TransportIncidence((1, 1), ([0], [0])), b=[1.0, 1.0], kinds=["ge", "eq"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    n=st.integers(0, 12),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_operator_matches_its_dense_matrix(sizes, n, weighted, seed):
+    rng = np.random.default_rng(seed)
+    ends = [rng.integers(0, s, n) for s in sizes]
+    # a zero weight is no entry
+    weights = rng.normal(size=(len(sizes), n)) * (rng.random((len(sizes), n)) < 0.7) if weighted else None
+    A = TransportIncidence(sizes, ends, weights)
+    ref = np.zeros((sum(sizes), n))
+    for b, e in enumerate(ends):
+        for k in range(n):
+            ref[sum(sizes[:b]) + e[k], k] = 1.0 if weights is None else weights[b, k]
+    dense = A.toarray()
+    assert A.shape == ref.shape and np.array_equal(dense, ref)
+    assert A.size == np.count_nonzero(ref)
+    assert A.bipartite == (len(sizes) == 2 and not weighted)
+    x, y = rng.normal(size=n), rng.normal(size=A.shape[0])
+    np.testing.assert_allclose(A @ x, dense @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(A.T @ y, dense.T @ y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("A", [
+    TransportIncidence((2, 2), ([0, 1], [1, 0]), [[1.0, 1.0], [1.0, 1.0]]),
+    TransportIncidence.complete(2, 1, 2),
+], ids=["weighted", "three-block"])
+def test_network_engine_refuses_any_other_operator(A):
+    p = LpProblem(c=np.ones(A.shape[1]), A=A, b=A @ np.ones(A.shape[1]), kinds=["eq"] * A.shape[0])
+    with pytest.raises(ValueError, match="two unweighted blocks"):
+        network.solve_network(p, 100)
+    assert lp.solve(p).status == "optimal"  # the dense engine, through toarray()
+    with pytest.raises(ValueError, match="finite"):
+        TransportIncidence((2,), ([0, 1],), [[1.0, np.nan]])
 
 
 def test_network_pivot_count_guard():
@@ -349,7 +388,7 @@ def network_lps(draw):
         A, b = with_dummies(nx, ny, tail, head, b_x, b_y, m)
         c, upper = np.r_[c, np.zeros(nx + ny)], np.r_[upper, np.full(nx + ny, np.inf)]
     else:
-        A, b = TransportIncidence(nx, ny, tail, head), np.concatenate([b_x, b_y])
+        A, b = TransportIncidence((nx, ny), (tail, head)), np.concatenate([b_x, b_y])
     return LpProblem(
         c=c, A=A, b=b, kinds=["eq"] * b.size, upper=upper,
         sense=draw(st.sampled_from(["min", "max"])),
@@ -409,9 +448,9 @@ def test_a_cap_equal_to_what_is_left_at_one_end(left_at):
     # (a bound flip, replayed) or the demand its sink has left (the sink's
     # artificial arc leaves the tree instead)
     if left_at == "source":
-        A, b = TransportIncidence(2, 1, [0, 1], [0, 0]), [2.0, 1.0, 3.0]
+        A, b = TransportIncidence((2, 1), ([0, 1], [0, 0])), [2.0, 1.0, 3.0]
     else:
-        A, b = TransportIncidence(1, 2, [0, 0], [0, 1]), [3.0, 2.0, 1.0]
+        A, b = TransportIncidence((1, 2), ([0, 0], [0, 1])), [3.0, 2.0, 1.0]
     problem = LpProblem(c=[-1.0, 0.0], A=A, b=b, kinds=["eq"] * 3, upper=[2.0, np.inf])
     replayed, ref_flips = assert_pivots_as_full_pricing(problem)
     assert replayed == ([0] if left_at == "source" else [])
@@ -551,8 +590,8 @@ def zero_balance_pair(seed, sparse, dummies):
     live_x, live_y = b_x != 0, b_y != 0
     live = live_x[tail] & live_y[head]
     A = TransportIncidence(
-        live_x.sum(), live_y.sum(),
-        (np.cumsum(live_x) - 1)[tail[live]], (np.cumsum(live_y) - 1)[head[live]],
+        (live_x.sum(), live_y.sum()),
+        ((np.cumsum(live_x) - 1)[tail[live]], (np.cumsum(live_y) - 1)[head[live]]),
     )
     b = np.concatenate([b_x[live_x], b_y[live_y]])
     reduced = LpProblem(c=c[live], A=A, b=b, kinds=["eq"] * b.size, upper=cap[live])
@@ -561,7 +600,7 @@ def zero_balance_pair(seed, sparse, dummies):
         c, cap = np.r_[c, np.zeros(nx + ny)], np.r_[cap, np.full(nx + ny, np.inf)]
         live = np.r_[live, np.zeros(nx + ny, dtype=bool)]
     else:
-        A, b = TransportIncidence(nx, ny, tail, head), np.concatenate([b_x, b_y])
+        A, b = TransportIncidence((nx, ny), (tail, head)), np.concatenate([b_x, b_y])
     full = LpProblem(c=c, A=A, b=b, kinds=["eq"] * b.size, upper=cap)
     return full, reduced, live
 

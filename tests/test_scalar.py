@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from vecot import lp, scalar
+from vecot import lp, network, scalar
 from vecot.measures import FiniteSpace, ScalarMeasure, TransportPlan
 from vecot.network import TransportIncidence
 from vecot.scalar import (
@@ -414,6 +414,25 @@ def test_multimarginal_mass_mismatch():
     nu = ScalarMeasure(sps[1], [0.5, 0.5])
     with pytest.raises(InfeasibleTransport):
         solve_multimarginal([mu, nu], np.zeros((2, 2)))
+
+
+def test_multimarginal_cell_limit_binds_three_measures_only(monkeypatch):
+    # three measures reach the dense engine and are refused past 1e6 cells
+    m = ScalarMeasure(space(101), np.ones(101))
+    with pytest.raises(ValueError, match="product space exceeds 1e6 cells"):
+        solve_multimarginal([m, m, m], np.zeros((101, 101, 101)))
+
+    # two measures reach the network engine, whatever their size
+    class Reached(Exception):
+        pass
+
+    def reached(problem, pivot_limit):
+        raise Reached(problem.A.shape)
+
+    monkeypatch.setattr(network, "solve_network", reached)
+    m = ScalarMeasure(space(1001), np.ones(1001))
+    with pytest.raises(Reached):
+        solve_multimarginal([m, m], np.zeros((1001, 1001)))
 
 
 def test_glue_two_consistent():

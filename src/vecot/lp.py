@@ -25,7 +25,13 @@ index).  After ``_BLAND_AFTER`` degenerate (zero-length) pivots in a row
 the smallest eligible index enters instead (Bland), until a step of
 positive length.  Such a step strictly lowers the objective and any longer
 degenerate run is pure Bland, so the method cannot cycle.  Among blocking
-rows of the ratio test the smallest basic variable index leaves.
+rows of the ratio test the smallest basic variable index leaves.  Pricing
+and the basis-inverse update are array calls; the basic indices, values
+and bounds are Python numbers, and the ratio test and the step run over
+the rows the entering column touches in plain Python, because on the
+small LPs most commands send, numpy's fixed cost per call would set the
+time of a pivot.  ``way`` is built once per solve and carries over from
+phase one to phase two.
 
 The engine works on the problem's own columns and bounds: its matrix is
 ``[A | slacks | artificials]``, one slack per inequality row and one
@@ -81,6 +87,7 @@ __all__ = [
 
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
+_ROW_SIGN = {"eq": 0.0, "le": 1.0, "ge": -1.0}
 
 
 class NumericalBreakdown(Exception):
@@ -129,9 +136,10 @@ class LpProblem:
         for k in self.kinds:
             if k not in ("eq", "le", "ge"):
                 raise ValueError(f"unknown row kind {k!r}")
-        # row masks, derived once: certify, farkas_margin and _ray_valid read them
-        kinds = np.array(self.kinds, dtype=str)
-        self._eq, self._le, self._ge = kinds == "eq", kinds == "le", kinds == "ge"
+        # derived once, read by the engine and the checks: each row's slack
+        # sign (+1 "le", -1 "ge", 0 "eq", which has none) and the "eq" rows
+        self._sign = np.array([_ROW_SIGN[k] for k in self.kinds])
+        self._eq = self._sign == 0.0
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.lower = (
@@ -146,13 +154,13 @@ class LpProblem:
             and np.isfinite(self.b).all()
         ):
             raise ValueError("c, A, b must be finite")
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            raise ValueError("bounds must not be NaN")
-        if (self.lower == np.inf).any() or (self.upper == -np.inf).any():
-            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
-        crossed = self.lower > self.upper
-        if crossed.any():
-            j = int(crossed.argmax())
+        # one check for the valid case; the failing one finds its message
+        if not ((self.lower <= self.upper) & (self.lower < np.inf) & (self.upper > -np.inf)).all():
+            if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+                raise ValueError("bounds must not be NaN")
+            if (self.lower == np.inf).any() or (self.upper == -np.inf).any():
+                raise ValueError("a lower bound of +inf or an upper bound of -inf admits no point")
+            j = int((self.lower > self.upper).argmax())
             raise ValueError(f"lower bound exceeds upper bound at variable {j}")
 
     @property
@@ -193,7 +201,7 @@ def farkas_margin(problem: LpProblem, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != problem.nrows:
         return np.inf
-    if (problem._le & (y < -FEAS_TOL)).any() or (problem._ge & (y > FEAS_TOL)).any():
+    if (problem._sign * y < -FEAS_TOL).any():  # y < 0 on an "le" row or y > 0 on a "ge" row
         return np.inf
     r = problem.A.T @ y
     scale = max(1.0, float(np.abs(y).max()) if y.size else 1.0)
@@ -221,10 +229,14 @@ def _ray_valid(problem: LpProblem, d: np.ndarray, sense_sign: float) -> bool:
     c_scale = max(1.0, float(np.abs(problem.c).max()) if problem.c.size else 1.0)
     if not rate < -CERT_TOL * c_scale:
         return False
-    Ad = problem.A @ d
     row_tol = tol * max(1.0, float(np.abs(_dense(problem.A)).max(initial=0.0)))
-    eq, le, ge = problem._eq, problem._le, problem._ge
-    return not ((eq & (np.abs(Ad) > row_tol)) | (le & (Ad > row_tol)) | (ge & (Ad < -row_tol))).any()
+    return not (_excess(problem, problem.A @ d) > row_tol).any()
+
+
+def _excess(problem: LpProblem, v: np.ndarray) -> np.ndarray:
+    """How far each row's ``v`` (left side less right) breaks its kind:
+    |v| on an "eq" row, v on an "le" row, -v on a "ge" row."""
+    return np.where(problem._eq, np.abs(v), v * problem._sign)
 
 
 def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> None:
@@ -238,40 +250,37 @@ def certify(problem: LpProblem, x: np.ndarray, y: np.ndarray, value: float) -> N
     matrix is checked the same way as an array.
     """
     p = problem
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(value)):
+    # a NaN or an infinite entry makes the largest |x| NaN or infinite
+    x_max = float(np.abs(x).max()) if x.size else 0.0
+    if not (math.isfinite(x_max) and np.isfinite(y).all() and math.isfinite(value)):
         raise NumericalBreakdown("non-finite primal, dual or value")
     sign = 1.0 if p.sense == "min" else -1.0
-    eq, le, ge = p._eq, p._le, p._ge
     b_scale = max(1.0, float(np.abs(p.b).max()) if p.b.size else 1.0)
-    x_scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
+    x_tol = FEAS_TOL * max(1.0, x_max)
     resid = p.A @ x - p.b
-    tol = FEAS_TOL * b_scale
-    bad = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
+    bad = _excess(p, resid) > FEAS_TOL * b_scale
     if bad.any():
         i = int(bad.argmax())
         raise NumericalBreakdown(f"primal residual {resid[i]:.2e} on row {i}")
-    if (x < p.lower - FEAS_TOL * x_scale).any() or (x > p.upper + FEAS_TOL * x_scale).any():
+    if ((x < p.lower - x_tol) | (x > p.upper + x_tol)).any():
         raise NumericalBreakdown("primal bounds violated")
     # dual checks in the min convention
     y_min = sign * y
     c_scale = max(1.0, float(np.abs(p.c).max()) if p.c.size else 1.0)
     dual_tol = CERT_DUAL_TOL * c_scale
-    bad = (le & (y_min > dual_tol)) | (ge & (y_min < -dual_tol))
+    bad = p._sign * y_min > dual_tol  # y_min > 0 on an "le" row or < 0 on a "ge" row
     if bad.any():
         i = int(bad.argmax())
         raise NumericalBreakdown(f"dual sign violated on {p.kinds[i]} row {i}")
     r_min = sign * p.c - p.A.T @ y_min
     pos, neg = r_min > dual_tol, r_min < -dual_tol
-    at_lo = x <= p.lower + FEAS_TOL * x_scale
-    at_hi = x >= p.upper - FEAS_TOL * x_scale
-    free_pos = pos & ~np.isfinite(p.lower)
-    free_neg = neg & ~np.isfinite(p.upper)
-    bad = free_pos | free_neg | (pos & ~at_lo) | (neg & ~at_hi)
+    # x is finite, so it is never within x_tol of an infinite bound
+    bad = (pos & (x > p.lower + x_tol)) | (neg & (x < p.upper - x_tol))
     if bad.any():
         j = int(bad.argmax())
-        if free_pos[j]:
+        if pos[j] and p.lower[j] == -np.inf:
             raise NumericalBreakdown(f"dual infeasibility at free variable {j}")
-        if free_neg[j]:
+        if neg[j] and p.upper[j] == np.inf:
             raise NumericalBreakdown(f"dual infeasibility at variable {j}")
         raise NumericalBreakdown(f"complementary slackness violated at variable {j}")
     dual_value = float(y_min @ p.b + r_min[pos] @ p.lower[pos] + r_min[neg] @ p.upper[neg])
@@ -297,14 +306,14 @@ class _Engine:
     def _init_phase1(self):
         p = self.p
         mh, n = p.nrows, p.nvars
-        slack_rows = np.flatnonzero(~p._eq)
-        signs = np.where(p._le[slack_rows], 1.0, -1.0)
-        nh = n + slack_rows.size  # row slack_rows[k] owns column n + k
-        cols = n + np.arange(slack_rows.size)
+        slack_rows = np.flatnonzero(p._sign).tolist()
+        signs = p._sign[slack_rows].tolist()
+        nh = n + len(slack_rows)  # row slack_rows[k] owns column n + k
         self.first_art = nh  # row i owns artificial column nh + i
         self.Ahat = np.zeros((mh, nh + mh))
         self.Ahat[:, :n] = _dense(p.A)
-        self.Ahat[slack_rows, cols] = signs
+        for k, i in enumerate(slack_rows):
+            self.Ahat[i, n + k] = signs[k]
         self.chat = np.zeros(nh + mh)
         self.chat[:n] = self.sense_sign * p.c
         self.phase1_cost = np.zeros(nh + mh)
@@ -314,26 +323,28 @@ class _Engine:
         self.hihat = np.full(nh + mh, np.inf)
         self.hihat[:n] = p.upper
         lo_finite, hi_finite = np.isfinite(self.lohat), np.isfinite(self.hihat)
-        self.at_upper = ~lo_finite & hi_finite
         x = np.where(lo_finite, self.lohat, np.where(hi_finite, self.hihat, 0.0))
-        resid = p.b - self.Ahat[:, :nh] @ x[:nh]
-        # a row's slack starts basic when it can absorb the residual, else
-        # the row's artificial, sigma_pos * e_pos, starts basic
-        val = resid[slack_rows] / signs
-        fits = val >= 0.0
-        x[cols[fits]] = val[fits]
-        basis = nh + np.arange(mh)
-        basis[slack_rows[fits]] = cols[fits]
-        took = basis < nh
-        sigmas = np.where(resid >= 0.0, 1.0, -1.0)
-        self.Ahat[np.arange(mh), nh + np.arange(mh)] = sigmas
-        self.hihat[nh:] = np.where(took, 0.0, np.inf)
-        x[basis[~took]] = resid[~took] / sigmas[~took]
-        self.x = x
-        self.basis = basis
-        self.in_basis = np.zeros(nh + mh, dtype=bool)
-        self.in_basis[basis] = True
-        self.Binv = np.diag(1.0 / self.Ahat[np.arange(mh), basis])
+        resid = (p.b - self.Ahat[:, :nh] @ x[:nh]).tolist()
+        # row i's artificial, sigmas[i] * e_i, starts basic, unless the
+        # row's slack can absorb the residual: then the slack starts basic
+        # and the artificial is fixed at zero
+        sigmas = [1.0 if t >= 0.0 else -1.0 for t in resid]
+        basis, entry = list(range(nh, nh + mh)), sigmas[:]  # each basic column's +-1 in its row
+        x[nh:] = [t / s for t, s in zip(resid, sigmas)]
+        for k, i in enumerate(slack_rows):
+            val = resid[i] / signs[k]
+            if val >= 0.0:
+                x[n + k], x[nh + i], basis[i], entry[i] = val, 0.0, n + k, signs[k]
+        self.hihat[nh:] = [0.0 if k < nh else np.inf for k in basis]
+        np.fill_diagonal(self.Ahat[:, nh:], sigmas)
+        # the way a nonbasic column may move: +1 up from its lower bound,
+        # -1 down from its upper one; 0 when basic, fixed or free
+        self.way = np.where(lo_finite, 1.0, np.where(hi_finite, -1.0, 0.0))
+        self.way[self.hihat == self.lohat] = 0.0
+        self.way[basis] = 0.0
+        self.free_nb = (~(lo_finite | hi_finite)).astype(float)  # nonbasic free: may move either way
+        self.x, self.basis = x, np.array(basis, dtype=np.intp)
+        self.Binv = np.diag(entry)  # the inverse of a diagonal of +-1
         self.since_refactor = 0
 
     def _refactor(self):
@@ -342,32 +353,30 @@ class _Engine:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("basis matrix became singular") from None
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        self.x[self.basis] = self.Binv @ (self.p.b - self.Ahat @ xn)
+        self.x[self.basis] = 0.0  # the nonbasic values alone give the basic ones
+        self.x[self.basis] = self.Binv @ (self.p.b - self.Ahat @ self.x)
         self.since_refactor = 0
 
     def _loop(self, costs: np.ndarray, allow_unbounded: bool):
         """Iterate until optimal or unbounded under the given cost vector.
 
-        The basic columns' values and bounds are kept in basis order
-        (`xB`, `loB`, `hiB`) from one pivot to the next; ``self.x`` holds
-        the nonbasic values throughout and the basic ones again when the
-        loop returns.
+        The basic indices, values and bounds (`basis`, `xB`, `loB`, `hiB`)
+        are Python ints and floats kept in basis order from one pivot to the
+        next, since numpy's cost per call, not arithmetic, dominates a pivot
+        of a small LP; ``self.basis`` mirrors `basis`, and `cB` holds the
+        basic costs as the array pricing reads.  ``self.x`` holds the
+        nonbasic values throughout and the basic ones again when the loop
+        returns.  Phase two (`allow_unbounded`) first stops the artificials,
+        which `run` has fixed at zero.
         """
-        mh = self.p.nrows
-        lo, hi = self.lohat, self.hihat
-        range_open = hi - lo > 0.0
-        free = ~np.isfinite(lo) & ~np.isfinite(hi)
-        # the way a nonbasic column may move: +1 up from its lower bound,
-        # -1 down from its upper one; 0 when basic, fixed or free
-        way = np.where(self.at_upper, -1.0, 1.0)
-        way[self.in_basis | ~range_open | free] = 0.0
-        free_nb = (free & ~self.in_basis).astype(float)  # may move either way
+        way, free_nb = self.way, self.free_nb
+        if allow_unbounded:
+            way[self.first_art :] = 0.0
         any_free = bool(free_nb.any())
-        basis, x = self.basis, self.x
-        xB, loB, hiB = x[basis], lo[basis], hi[basis]
-        t_rows = np.empty(mh)  # the ratio test's steps, one per row
+        lo, hi = self.lohat.tolist(), self.hihat.tolist()
+        x, basis = self.x, self.basis.tolist()
+        xB, loB, hiB = x[self.basis].tolist(), [lo[k] for k in basis], [hi[k] for k in basis]
+        cB = costs[self.basis]
         stalled = 0  # degenerate (zero-length) pivots in a row
         while True:
             if self.iterations > self.pivot_limit:
@@ -376,8 +385,8 @@ class _Engine:
                 )
             if self.since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-                xB = x[basis]
-            y = self.Binv.T @ costs[basis]
+                xB = x[self.basis].tolist()
+            y = self.Binv.T @ cB
             r = costs - self.Ahat.T @ y
             # an eligible column prices at -|r| < -DUAL_TOL, any other at >= -DUAL_TOL
             priced = r * way
@@ -385,50 +394,50 @@ class _Engine:
                 priced -= np.abs(r) * free_nb
             j = int(priced.argmin()) if priced.size else 0  # Dantzig; ties to the smallest index
             if not (priced.size and priced[j] < -DUAL_TOL):
-                x[basis] = xB
+                x[self.basis] = xB
                 return "optimal", y, r
             if stalled >= _BLAND_AFTER:
                 j = int((priced < -DUAL_TOL).argmax())  # Bland: smallest eligible index enters
             sigma = -1.0 if r[j] > 0.0 else 1.0
             d = self.Binv @ self.Ahat[:, j]
-            rate = -sigma * d  # change of basic values per unit step
-            t_best = hi[j] - lo[j]
-            leave_pos = -1
-            leave_hits_upper = False
-            speed = np.abs(rate)
-            room = np.where(rate > 0.0, hiB - xB, xB - loB)
-            t_rows.fill(np.inf)
-            np.divide(room, speed, out=t_rows, where=speed > PIV_TOL)
-            np.maximum(t_rows, 0.0, out=t_rows)
-            tmin = float(t_rows.min()) if mh else np.inf
-            if tmin < t_best:
-                # Bland: among blocking rows the smallest variable index leaves
-                ties = (t_rows <= tmin).nonzero()[0]
-                leave_pos = int(ties[basis[ties].argmin()])
-                t_best = tmin
-                leave_hits_upper = rate[leave_pos] > 0.0
+            # ratio test: rate = -sigma * d is each basic value's change per
+            # unit step; a row with |rate| > PIV_TOL blocks at room / |rate|,
+            # and among blocking rows the smallest variable index leaves (Bland)
+            rates, t_best, leave_pos = (-sigma * d).tolist(), hi[j] - lo[j], -1
+            rows = d.nonzero()[0].tolist()
+            for i in rows:
+                rate = rates[i]
+                if rate > PIV_TOL:
+                    t = (hiB[i] - xB[i]) / rate
+                elif rate < -PIV_TOL:
+                    t = (xB[i] - loB[i]) / -rate
+                else:
+                    continue
+                t = t if t > 0.0 else 0.0
+                if t < t_best or t == t_best and leave_pos >= 0 and basis[i] < basis[leave_pos]:
+                    t_best, leave_pos = t, i
             if not math.isfinite(t_best):
                 if not allow_unbounded:
                     raise NumericalBreakdown("phase-one subproblem reported unbounded")
-                x[basis] = xB
+                x[self.basis] = xB
                 return "unbounded", j, sigma
             self.iterations += 1
             stalled = stalled + 1 if t_best == 0.0 else 0
-            xB += rate * t_best
+            if t_best > 0.0:  # a degenerate step moves no basic value
+                for i in rows:
+                    xB[i] += rates[i] * t_best
             if leave_pos < 0:
                 # bound flip, no basis change
                 x[j] = hi[j] if sigma > 0 else lo[j]
-                self.at_upper[j] = not self.at_upper[j]
                 way[j] = -way[j]
                 continue
-            lv = int(basis[leave_pos])
-            x[lv] = hi[lv] if leave_hits_upper else lo[lv]
-            self.at_upper[lv] = leave_hits_upper
-            self.in_basis[lv] = False
-            way[lv] = (-1.0 if leave_hits_upper else 1.0) if range_open[lv] else 0.0
-            basis[leave_pos] = j
-            xB[leave_pos], loB[leave_pos], hiB[leave_pos] = x[j] + sigma * t_best, lo[j], hi[j]
-            self.in_basis[j] = True
+            lv = basis[leave_pos]
+            hits_upper = rates[leave_pos] > 0.0
+            x[lv] = hi[lv] if hits_upper else lo[lv]
+            way[lv] = (-1.0 if hits_upper else 1.0) if hi[lv] > lo[lv] else 0.0
+            xB[leave_pos], loB[leave_pos], hiB[leave_pos] = x.item(j) + sigma * t_best, lo[j], hi[j]
+            self.basis[leave_pos] = basis[leave_pos] = j
+            cB[leave_pos] = costs[j]
             way[j] = 0.0
             if free_nb[j]:
                 free_nb[j] = 0.0
@@ -436,7 +445,7 @@ class _Engine:
             piv = d[leave_pos]
             if abs(piv) < PIV_TOL:
                 self._refactor()
-                xB = x[basis]
+                xB = x[self.basis].tolist()
                 continue
             row = self.Binv[leave_pos]
             row /= piv
@@ -451,7 +460,7 @@ class _Engine:
         self._init_phase1()
         self._loop(self.phase1_cost, allow_unbounded=False)
         w = float(self.phase1_cost @ self.x)
-        if w > FEAS_TOL * max(1.0, float(np.max(np.abs(p.b))) if p.nrows else 1.0):
+        if w > FEAS_TOL * max(1.0, float(np.abs(p.b).max()) if p.nrows else 1.0):
             # the phase-one duals, read from a fresh factorization
             self._refactor()
             return LpSolution(

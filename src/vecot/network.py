@@ -172,10 +172,11 @@ class _Tree:
         self.tail, self.head = self.ends
         self.tails, self.heads = memoryview(self.tail), memoryview(self.head)
         self.real_cap = cap
-        self.cap = [np.inf] * (E + n) if np.isinf(cap).all() else cap.tolist() + [np.inf] * n
+        self.cap = [np.inf] * (E + n) if cap.min(initial=np.inf) == np.inf else cap.tolist() + [np.inf] * n
         self.flow = [0.0] * E + np.abs(balance).tolist()
         # +1 at the lower bound, -1 at the cap, 0 in the tree or never movable
-        self.state = np.concatenate([(cap > 0.0).astype(float), np.zeros(n)])
+        self.state = np.zeros(E + n)
+        np.greater(cap, 0.0, out=self.state[:E])
         self.states = memoryview(self.state)
         self.parent = [n] * n + [-1]
         self.pred = list(range(E, E + n)) + [-1]
@@ -232,8 +233,8 @@ class _Tree:
         prices, states, limit = memoryview(priced), self.states, -self.tol
         # repricing k arcs through an index costs about as much as one pass
         # over 4k + 512 arcs; a re-hung node has at most `reach` arcs
-        reach = int(self.degree[:-1].max(initial=0))
         full_at = (cost.size - 512) / 4
+        reach = int(self.degree[:-1].max(initial=0)) if full_at > 0 else 0
         while priced.size:
             e = int(priced.argmin())
             if not prices[e] < limit:
@@ -466,7 +467,7 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     nx = A.sizes[0]
     if any(k != "eq" for k in problem.kinds):
         raise ValueError("network rows must be eq")
-    if np.any(problem.lower != 0.0):
+    if (problem.lower != 0.0).any():
         raise ValueError("network arcs must have lower bound 0")
     sign = 1.0 if problem.sense == "min" else -1.0
     b = problem.b
@@ -474,16 +475,18 @@ def solve_network(problem, pivot_limit: int) -> LpSolution:
     cost, cap = sign * problem.c, problem.upper
     balance = np.concatenate([b[:nx], -b[nx:]])
     live = balance != 0.0
-    keep = live[tail] & live[head]
-    number = np.cumsum(live) - 1
-    nodes, arcs = int(live.sum()), int(keep.sum())
-    c_max = float(np.max(np.abs(cost[keep]))) if arcs else 0.0
-    tree = _Tree(
-        number[tail[keep]], number[head[keep]], cap[keep], balance[live],
-        pivot_limit, DUAL_TOL * max(1.0, c_max),
-    )
-    tree.run(np.concatenate([cost[keep], np.full(nodes, (1.0 + c_max) * (nodes + 1))]))
-    b_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    if live.all():  # nothing dropped: a slice keeps every arc and gathers nothing
+        keep, ends = slice(None), (tail, head)
+    else:
+        keep = live[tail] & live[head]
+        number = np.cumsum(live) - 1
+        ends = number[tail[keep]], number[head[keep]]
+    kept_cost, kept_balance = cost[keep], balance[live]
+    nodes, arcs = kept_balance.size, kept_cost.size
+    c_max = float(np.abs(kept_cost).max()) if arcs else 0.0
+    tree = _Tree(*ends, cap[keep], kept_balance, pivot_limit, DUAL_TOL * max(1.0, c_max))
+    tree.run(np.concatenate([kept_cost, np.full(nodes, (1.0 + c_max) * (nodes + 1))]))
+    b_tol = FEAS_TOL * max(1.0, float(np.abs(b).max()) if b.size else 1.0)
     pi = np.zeros(balance.size)
     if tree.artificial_flow() > b_tol:
         tree.run(np.concatenate([np.zeros(arcs), np.ones(nodes)]))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from vecot import generate, lp, network
+from vecot import cli, generate, lp, network, serialize
 from vecot.lp import LpProblem, NumericalBreakdown, farkas_margin, solve, solve_vertex
 from vecot.scalar import solve_ot
 from vecot.tolerances import DUAL_TOL, PIV_TOL
+from vecot.vector import VectorOtProblem, solve_vector_ot
 
 
 def check_farkas(problem, y):
@@ -1001,6 +1002,88 @@ def test_pivot_loop_matches_the_reference_through_bland():
             status, longest = _assert_same_pivots(p)
             assert status == "optimal"
             assert longest > lp._BLAND_AFTER
+
+
+def test_pivot_loop_matches_the_reference_when_artificials_leave_in_phase_two():
+    # b = 0, so phase one stops at once with every artificial basic at zero;
+    # phase two pivots two of them out, fixed at zero, and they never enter
+    A = np.array([[1.0, -2.0], [-2.0, 1.0], [1.0, -2.0], [-2.0, 1.0]])
+    p = LpProblem(c=[-2.0, 0.0], A=A, b=np.zeros(4), kinds=["eq"] * 4, upper=[3.0, 3.0])
+    assert _assert_same_pivots(p)[0] == "optimal"
+
+
+# every CLI command shape whose LPs go to the dense engine: label, gen kind
+# of its input, argv before the file flags
+_DENSE_SHAPES = [
+    ("solve-vot", "vector_ot", ["solve-vot"]),
+    ("dominate", "dominance", ["dominate"]),
+    ("dominate-n2", "dominance", ["dominate", "--n", "2"]),
+    ("dominate-blackwell", "dominance", ["dominate", "--blackwell"]),
+    ("chain", "chain", ["chain"]),
+    ("game", "game", ["game"]),
+    ("moment", "moment", ["moment"]),
+    ("trig", "trig", ["trig"]),
+    ("solve-ot-multi", "multi", ["solve-ot", "--variant", "multi"]),
+    ("solve-ot-strassen", "strassen", ["solve-ot", "--variant", "strassen"]),
+    ("solve-ot-invariant", "invariant", ["solve-ot", "--variant", "invariant"]),
+]
+
+
+def _dense_engine_lps(monkeypatch, run):
+    """Every (problem, pivot limit) `run()` hands to the dense engine."""
+    seen = []
+
+    class Spy(lp._Engine):
+        def __init__(self, problem, pivot_limit):
+            seen.append((problem, pivot_limit))
+            super().__init__(problem, pivot_limit)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_Engine", Spy)
+        run()
+    return seen
+
+
+def _assert_matches_reference(problem, pivot_limit):
+    # the reference builds its matrix with hstack, so it takes an operator dense
+    dense = problem if isinstance(problem.A, np.ndarray) else replace(problem, A=problem.A.toarray())
+    assert _outcome(lp._Engine(problem, pivot_limit)) == _outcome(_ReferenceEngine(dense, pivot_limit))
+
+
+@pytest.mark.parametrize("kind,argv", [s[1:] for s in _DENSE_SHAPES], ids=[s[0] for s in _DENSE_SHAPES])
+def test_pivot_loop_matches_the_reference_on_every_cli_shape(tmp_path, monkeypatch, kind, argv):
+    # the LPs the CLI sends, with several blocking rows in one ratio test
+    # and up to 25 rows, where the Hypothesis draws above stop at 4
+    def run():
+        for seed in range(5):
+            instance = generate.gen(kind, seed)
+            base = tmp_path / f"{seed}"
+            if kind == "dominance":  # dominate reads the two measures from their own files
+                files = []
+                for side in ("mu", "nu"):
+                    serialize.save(instance.payload[side], f"{base}.{side}.json")
+                    files += [f"--{side}", f"{base}.{side}.json"]
+            else:
+                serialize.save(instance, f"{base}.json")
+                files = ["--input", f"{base}.json"]
+            assert cli.main(argv + files + ["--output", f"{base}.out.json", "--quiet"]) in (0, 2)
+
+    seen = _dense_engine_lps(monkeypatch, run)
+    assert seen
+    for problem, pivot_limit in seen:
+        _assert_matches_reference(problem, pivot_limit)
+
+
+def test_pivot_loop_matches_the_reference_at_120_rows(monkeypatch):
+    # a 120 x 900 vector transport LP: hundreds of pivots, so the loop
+    # refactors several times, and dense columns that touch most rows
+    data = generate.gen("vector_ot", 1, {"nx": 30, "ny": 30, "d": 3}).data
+    seen = _dense_engine_lps(monkeypatch, lambda: solve_vector_ot(
+        VectorOtProblem(data["mu"], data["nu"], data["cost"], data["eta"])))
+    problem, pivot_limit = max(seen, key=lambda s: s[0].nrows)
+    assert problem.nrows >= 100
+    assert lp._Engine(problem, pivot_limit).run().iterations > 8 * lp._REFACTOR_EVERY
+    _assert_matches_reference(problem, pivot_limit)
 
 
 # --- the gate in solve -------------------------------------------------------
